@@ -32,12 +32,12 @@ traffic gets the cache win *without* the cache learning the skew.
 
 The JSON report contains only modelled, seed-determined quantities — two
 runs with the same seed produce byte-identical files (CI ``cmp``-gates
-this). Wall-clock is printed to stdout as information only.
+this); wall-clock questions belong to ``bench/`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cache.audit import (
@@ -49,7 +49,6 @@ from repro.cache.audit import (
 )
 from repro.cache.policy import (
     BatchResultCache,
-    CachePolicy,
     DecoderWeightCache,
     IndexKeyedLRUCache,
     SecretIndependentCache,
@@ -57,6 +56,7 @@ from repro.cache.policy import (
 )
 from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments import ExperimentResult, gated
 from repro.oblivious.trace import MemoryTracer
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.engine import ExecutionEngine, ServingConfig
@@ -237,14 +237,13 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         lru_raised = True
     teeth_ok = lru_flagged and lru_raised
 
-    gates = {
-        "latency_improvement": latency_ok,
-        "decoder_reuse": decoder_ok,
-        "skew_invariance": skew_ok,
-        "audit_oblivious": audit_ok,
-        "leak_detector_teeth": teeth_ok,
-    }
-    gates["passed"] = all(gates.values())
+    gates = gated.gate_dict(
+        latency_improvement=latency_ok,
+        decoder_reuse=decoder_ok,
+        skew_invariance=skew_ok,
+        audit_oblivious=audit_ok,
+        leak_detector_teeth=teeth_ok,
+    )
 
     return {
         "seed": seed,
@@ -267,80 +266,47 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable sweep summary (deterministic, mirrors the JSON)."""
-    lines = [f"cache bench (seed={report['seed']}, spec={report['spec']}, "
-             f"{report['num_requests']} requests x "
-             f"{report['epochs']} epochs x 2 serves @ "
-             f"{report['rate_rps']:.0f} rps)"]
+def tabulate(report: Dict[str, object]) -> ExperimentResult:
+    """Per-scenario latency percentiles, busy time and hit rates."""
+    result = ExperimentResult(
+        experiment_id="cache",
+        title=f"oblivious-safe caching (seed={report['seed']}, "
+              f"spec={report['spec']}, {report['num_requests']} requests x "
+              f"{report['epochs']} epochs x 2 serves @ "
+              f"{report['rate_rps']:.0f} rps)",
+        headers=("scenario", "p50_ms", "p99_ms", "busy_s", "hits", "misses",
+                 "hit_rate"),
+    )
     for scenario in report["scenarios"]:
-        hit_rate = scenario["cache_hit_rate"]
         cached = scenario["cache_hits"] is not None
-        lines.append(
-            f"  {scenario['name']:>21}: "
-            f"p50={scenario['p50_seconds'] * 1e3:.3f} ms  "
-            f"p99={scenario['p99_seconds'] * 1e3:.3f} ms  "
-            f"busy={scenario['busy_seconds']:.3f} s  "
-            + (f"hit-rate={hit_rate:.3f}" if cached else "uncached"))
-    lines.append(
-        f"  decoder admissions: shared={report['decoder_admissions_shared']} "
-        f"cold={report['decoder_admissions_cold']} "
-        f"(DHE features={report['dhe_features']})")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
+        result.add_row(
+            scenario["name"],
+            f"{scenario['p50_seconds'] * 1e3:.3f}",
+            f"{scenario['p99_seconds'] * 1e3:.3f}",
+            f"{scenario['busy_seconds']:.3f}",
+            scenario["cache_hits"] if cached else "-",
+            scenario["cache_misses"] if cached else "-",
+            f"{scenario['cache_hit_rate']:.3f}" if cached else "-")
+    result.notes = (
+        f"decoder admissions shared={report['decoder_admissions_shared']} "
+        f"vs cold={report['decoder_admissions_cold']} "
+        f"({report['dhe_features']} DHE features); "
+        f"gates: {gated.verdicts(report['gates'])}; "
+        "every cache counter is identical across hot-head/hot-tail/"
+        "uniform index profiles and the index-keyed LRU negative control "
+        "is caught by the exact-mode audit")
+    return result
 
 
-def _wallclock_note(seed: int) -> str:
-    """Informational wall-clock of one cached vs uncached serve (stdout
-    only, never in the JSON)."""
-    import time
+BENCH = gated.GatedBench(
+    id="cache",
+    description="Oblivious-safe caching sweep: latency win, skew "
+                "invariance, and leakage gates.",
+    run=run_bench,
+    tabulate=tabulate,
+)
 
-    spec = TERABYTE_SPEC
-    uniform, thresholds = build_model(spec, BATCH)
-    config = ServingConfig(batch_size=BATCH)
-    arrivals = RequestQueue.poisson(NUM_REQUESTS, RATE_RPS, rng=seed)
-    plain = ExecutionEngine(spec.table_sizes, spec.embedding_dim, uniform,
-                            thresholds)
-    cached = ExecutionEngine(spec.table_sizes, spec.embedding_dim, uniform,
-                             thresholds,
-                             cache=CachePolicy("static-residency",
-                                               budget_bytes=BUDGET_BYTES))
-    start = time.perf_counter()
-    plain.serve(config, arrivals)
-    plain_s = time.perf_counter() - start
-    start = time.perf_counter()
-    cached.serve(config, arrivals)
-    cached_s = time.perf_counter() - start
-    return (f"wall-clock (informational, one serve): uncached "
-            f"{plain_s * 1e3:.1f}ms vs cached {cached_s * 1e3:.1f}ms "
-            f"simulator overhead")
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Oblivious-safe caching sweep: latency win, skew "
-                    "invariance, and leakage gates.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic bench report")
-    parser.add_argument("--no-timing", action="store_true",
-                        help="skip the informational wall-clock comparison")
-    args = parser.parse_args(argv)
-
-    report = run_bench(seed=args.seed)
-    print(render(report))
-    if not args.no_timing:
-        print(_wallclock_note(args.seed))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
+main = functools.partial(gated.main, BENCH)
 
 
 if __name__ == "__main__":

@@ -42,8 +42,8 @@ CLI::
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence
+import functools
+from typing import Dict, List, Optional
 
 from repro.cluster.autoscale.controller import (
     ACTION_DOWN,
@@ -67,6 +67,7 @@ from repro.cluster.placement import check_oblivious_placement
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
 from repro.cluster.sim import build_model, plan_digest
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments import ExperimentResult, gated
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
@@ -411,18 +412,17 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                    == events["scale_down_events"]
                    and merged.heal_events == events["heal_events"])
 
-    gates = {
-        "convergence": convergence_ok,
-        "plateau": plateau_ok,
-        "p99_events": p99_events_ok,
-        "heal_zero_loss": heal_ok,
-        "placement_audit": placement_ok,
-        "migration_audit": migration_ok,
-        "scaling_audit": scaling_finding.passed,
-        "leak_detector_teeth": negative.leak_detected,
-        "event_counters_merged": counters_ok,
-    }
-    gates["passed"] = all(gates.values())
+    gates = gated.gate_dict(
+        convergence=convergence_ok,
+        plateau=plateau_ok,
+        p99_events=p99_events_ok,
+        heal_zero_loss=heal_ok,
+        placement_audit=placement_ok,
+        migration_audit=migration_ok,
+        scaling_audit=scaling_finding.passed,
+        leak_detector_teeth=negative.leak_detected,
+        event_counters_merged=counters_ok,
+    )
     return {
         "seed": seed,
         "spec": spec.name,
@@ -454,12 +454,17 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable storm summary."""
-    lines = [f"autoscale storm (seed={report['seed']}, "
-             f"spec={report['spec']}, {report['ticks']} ticks x "
-             f"{report['interval_seconds']:.2f}s, R={report['replication']}, "
-             f"kill@t{report['kill_tick']})"]
+def tabulate(report: Dict[str, object]) -> ExperimentResult:
+    """Per-interval signals and decisions + the gate verdicts."""
+    result = ExperimentResult(
+        experiment_id="autoscale",
+        title=f"{report['spec']}: self-healing elastic autoscaling "
+              f"(seed={report['seed']}, {report['ticks']} ticks x "
+              f"{report['interval_seconds']:.2f}s, "
+              f"R={report['replication']}, kill@t{report['kill_tick']})",
+        headers=("tick", "kind", "offered", "achieved", "util", "nodes",
+                 "p99_ms", "shed", "decision"),
+    )
     for cell in report["intervals"]:
         signals = cell["signals"]
         decision = cell["decision"]
@@ -469,49 +474,38 @@ def render(report: Dict[str, object]) -> str:
                         f"{decision['target_nodes']}")
         elif decision["action"] == "blocked":
             verdict += f" ({decision['reason']})"
-        lines.append(
-            f"  t{cell['tick']:>2} {cell['kind']:>10}"
-            f"{' KILL' if cell['killed'] else ''}: "
-            f"offered={signals['offered_rps']:>6.0f} "
-            f"achieved={signals['achieved_rps']:>6.0f} "
-            f"util={signals['utilisation']:.2f} "
-            f"nodes={signals['current_nodes']} "
-            f"p99={cell['p99_seconds'] * 1e3:6.2f} ms "
-            f"shed={cell['shed_requests']:>3} -> {verdict}")
+        result.add_row(cell["tick"],
+                       cell["kind"] + (" KILL" if cell["killed"] else ""),
+                       f"{signals['offered_rps']:.0f}",
+                       f"{signals['achieved_rps']:.0f}",
+                       f"{signals['utilisation']:.2f}",
+                       signals["current_nodes"],
+                       f"{cell['p99_seconds'] * 1e3:.2f}",
+                       cell["shed_requests"], verdict)
     events = report["events"]
-    lines.append(f"  events: up={events['scale_up_events']} "
-                 f"down={events['scale_down_events']} "
-                 f"heal={events['heal_events']}  "
-                 f"converged@t{report['converged_tick']} "
-                 f"(peak@t{report['first_peak_tick']})  "
-                 f"final nodes={report['final_nodes']} "
-                 f"epoch={report['final_epoch']}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
+    result.notes = (
+        f"events: up={events['scale_up_events']} "
+        f"down={events['scale_down_events']} "
+        f"heal={events['heal_events']}; converged@t"
+        f"{report['converged_tick']} (peak@t{report['first_peak_tick']}); "
+        f"final nodes={report['final_nodes']} "
+        f"epoch={report['final_epoch']}; "
+        f"gates: {gated.verdicts(report['gates'])}; "
+        "scale decisions read secret-free aggregates only — the "
+        "decision trace replays byte-identically under contrasting "
+        "skews, and the hot-load-chasing anti-pattern is caught")
+    return result
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
+BENCH = gated.GatedBench(
+    id="autoscale",
+    description="Self-healing elastic autoscaling over the plan-epoch "
+                "control plane, gated.",
+    run=run_autoscale,
+    tabulate=tabulate,
+)
 
-    parser = argparse.ArgumentParser(
-        description="Self-healing elastic autoscaling over the plan-epoch "
-                    "control plane, gated.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic autoscale report")
-    args = parser.parse_args(argv)
-
-    report = run_autoscale(seed=args.seed)
-    print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True,
-                      allow_nan=False)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
+main = functools.partial(gated.main, BENCH)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ CLI::
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from typing import Dict, List, Sequence
 
@@ -53,6 +53,7 @@ from repro.cluster.placement import (
 from repro.cluster.scatter import ScatterGatherEngine
 from repro.cluster.sim import build_model, plan_digest
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments import ExperimentResult, gated
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
@@ -248,16 +249,15 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                                expect_oblivious=False)
     negative_ok = negative.leak_detected
 
-    gates = {
-        "per_epoch_placement_audit": audits_passed,
-        "migration_audit": migration_audit_ok,
-        "zero_loss_r2": zero_loss_ok,
-        "p99_inflation": p99_ok,
-        "incrementality": incremental_ok,
-        "failover_zero_loss": failover_ok,
-        "leak_detector_teeth": negative_ok,
-    }
-    gates["passed"] = all(gates.values())
+    gates = gated.gate_dict(
+        per_epoch_placement_audit=audits_passed,
+        migration_audit=migration_audit_ok,
+        zero_loss_r2=zero_loss_ok,
+        p99_inflation=p99_ok,
+        incrementality=incremental_ok,
+        failover_zero_loss=failover_ok,
+        leak_detector_teeth=negative_ok,
+    )
     return {
         "seed": seed,
         "spec": spec.name,
@@ -280,70 +280,62 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable migration sweep summary."""
-    lines = [f"migration sweep (seed={report['seed']}, "
-             f"spec={report['spec']}, {report['num_requests']} requests @ "
-             f"{report['rate_rps']:.0f} rps, "
-             f"{report['nodes_before']}<->{report['nodes_after']} nodes)"]
+def tabulate(report: Dict[str, object]) -> ExperimentResult:
+    """Per-cell move-set size and window p99 + the gate verdicts."""
+    result = ExperimentResult(
+        experiment_id="migrate",
+        title=f"{report['spec']}: live plan-epoch migration "
+              f"(seed={report['seed']}, {report['num_requests']} requests @ "
+              f"{report['rate_rps']:.0f} rps, "
+              f"{report['nodes_before']}<->{report['nodes_after']} nodes)",
+        headers=("direction", "nodes", "R", "step", "moved", "bound",
+                 "steps", "shed", "window_p99_ms", "inflation"),
+    )
     for cell in report["cells"]:
-        lines.append(
-            f"  {cell['direction']:>6} {cell['nodes_before']}->"
-            f"{cell['nodes_after']} R={cell['replication']} "
-            f"step={cell['step_size']}: moved={cell['tables_moved']} "
-            f"(<= {cell['move_bound']})  steps={cell['num_steps']}  "
-            f"shed={cell['shed_requests']}  "
-            f"window p99={cell['window_p99_seconds'] * 1e3:.3f} ms "
-            f"({cell['p99_inflation']:.2f}x steady)")
+        result.add_row(cell["direction"],
+                       f"{cell['nodes_before']}->{cell['nodes_after']}",
+                       cell["replication"], cell["step_size"],
+                       cell["tables_moved"], cell["move_bound"],
+                       cell["num_steps"], cell["shed_requests"],
+                       f"{cell['window_p99_seconds'] * 1e3:.3f}",
+                       f"{cell['p99_inflation']:.2f}x")
     failover = report["failover"]
-    if failover["applicable"]:
-        lines.append(
-            f"  failover: killed node {failover['victim']} during the "
-            f"{failover['nodes_before']}->{failover['nodes_after']} R=2 "
-            f"migration -> shed={failover['shed_requests']} "
-            f"{'ZERO LOSS' if failover['zero_loss'] else 'LOSSY'}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
+    failover_note = (
+        f"killed node {failover['victim']} during the "
+        f"{failover['nodes_before']}->{failover['nodes_after']} R=2 "
+        f"migration: shed={failover['shed_requests']} "
+        f"{'ZERO LOSS' if failover['zero_loss'] else 'LOSSY'}"
+        if failover["applicable"] else "not applicable")
+    result.notes = (
+        f"failover: {failover_note}; "
+        f"gates: {gated.verdicts(report['gates'])}; "
+        "move order is keyed on static table ids only — every "
+        "intermediate assignment replays identically under contrasting "
+        "workloads, and the hot-first anti-pattern is caught")
+    return result
 
 
-def main(argv=None) -> int:
-    import argparse
+BENCH = gated.GatedBench(
+    id="migrate",
+    description="Migrate embedding tables between plan epochs against "
+                "live traffic, gated.",
+    run=run_migration,
+    tabulate=tabulate,
+    options=(
+        gated.Option("--requests", "num_requests", int, NUM_REQUESTS),
+        gated.Option("--rate", "rate_rps", float, RATE_RPS),
+        gated.Option("--nodes-before", "nodes_before", int, NODES_BEFORE,
+                     "fleet size of the source epoch"),
+        gated.Option("--nodes-after", "nodes_after", int, NODES_AFTER,
+                     "fleet size of the target epoch"),
+        gated.Option("--step-size", "step_sizes",
+                     lambda text: (int(text),), STEP_SIZES,
+                     "tables moved per step (default: sweep "
+                     f"{STEP_SIZES})"),
+    ),
+)
 
-    parser = argparse.ArgumentParser(
-        description="Migrate embedding tables between plan epochs against "
-                    "live traffic, gated.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--requests", type=int, default=NUM_REQUESTS)
-    parser.add_argument("--rate", type=float, default=RATE_RPS)
-    parser.add_argument("--nodes-before", type=int, default=NODES_BEFORE,
-                        help="fleet size of the source epoch "
-                             f"(default {NODES_BEFORE})")
-    parser.add_argument("--nodes-after", type=int, default=NODES_AFTER,
-                        help="fleet size of the target epoch "
-                             f"(default {NODES_AFTER})")
-    parser.add_argument("--step-size", type=int, default=None,
-                        help="tables moved per step (default: sweep "
-                             f"{STEP_SIZES})")
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic migration report")
-    args = parser.parse_args(argv)
-
-    step_sizes: Sequence[int] = (STEP_SIZES if args.step_size is None
-                                 else (args.step_size,))
-    report = run_migration(seed=args.seed, num_requests=args.requests,
-                           rate_rps=args.rate,
-                           nodes_before=args.nodes_before,
-                           nodes_after=args.nodes_after,
-                           step_sizes=step_sizes)
-    print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
+main = functools.partial(gated.main, BENCH)
 
 
 if __name__ == "__main__":

@@ -29,6 +29,7 @@ CLI::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -45,6 +46,7 @@ from repro.cluster.router import ShardRouter
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
 from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments import ExperimentResult, gated
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
@@ -278,17 +280,16 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                                expect_oblivious=False)
     negative_ok = negative.leak_detected
 
-    gates = {
-        "placement_audit": audits_passed,
-        "skew_invariance": skew_invariant,
-        "scaling": scaling_ok,
-        "p99_inflation": p99_ok,
-        "failover_zero_loss": failover_ok,
-        "cache_improvement": cache_ok,
-        "cache_audit": cache_finding.passed,
-        "leak_detector_teeth": negative_ok,
-    }
-    gates["passed"] = all(gates.values())
+    gates = gated.gate_dict(
+        placement_audit=audits_passed,
+        skew_invariance=skew_invariant,
+        scaling=scaling_ok,
+        p99_inflation=p99_ok,
+        failover_zero_loss=failover_ok,
+        cache_improvement=cache_ok,
+        cache_audit=cache_finding.passed,
+        leak_detector_teeth=negative_ok,
+    )
     return {
         "seed": seed,
         "spec": spec.name,
@@ -319,68 +320,58 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable sweep summary."""
-    lines = [f"cluster sweep (seed={report['seed']}, "
-             f"spec={report['spec']}, {report['num_requests']} requests @ "
-             f"{report['rate_rps']:.0f} rps)"]
+def tabulate(report: Dict[str, object]) -> ExperimentResult:
+    """Per-topology throughput, p99 and availability + the gate verdicts."""
+    result = ExperimentResult(
+        experiment_id="cluster",
+        title=f"{report['spec']}: sharded oblivious serving "
+              f"(seed={report['seed']}, {report['num_requests']} requests @ "
+              f"{report['rate_rps']:.0f} rps)",
+        headers=("nodes", "R", "capacity_rps", "achieved_rps", "p99_ms",
+                 "availability", "shed", "shards"),
+    )
     for cell in report["cells"]:
-        lines.append(
-            f"  nodes={cell['nodes']} R={cell['replication']}: "
-            f"capacity={cell['capacity_rps']:.0f} rps  "
-            f"achieved={cell['cluster_throughput_rps']:.0f} rps  "
-            f"p99={cell['p99_seconds'] * 1e3:.3f} ms  "
-            f"availability={cell['availability']:.4f}  "
-            f"shed={cell['shed_requests']}")
-    lines.append(f"  scaling 1->{report['node_counts'][-1]} nodes: "
-                 f"{report['scaling']:.2f}x "
-                 f"(floor {report['scaling_floor']:.1f}x)  "
-                 f"p99 inflation {report['p99_inflation']:.2f}x "
-                 f"(ceiling {report['p99_inflation_ceiling']:.1f}x)")
+        result.add_row(cell["nodes"], cell["replication"],
+                       f"{cell['capacity_rps']:.0f}",
+                       f"{cell['cluster_throughput_rps']:.0f}",
+                       f"{cell['p99_seconds'] * 1e3:.3f}",
+                       f"{cell['availability']:.4f}",
+                       cell["shed_requests"], cell["num_shards"])
     caching = report["caching"]
-    lines.append(
-        f"  caching ({caching['policy']}): "
-        f"hit_rate={caching['cache_hit_rate']:.3f}  "
-        f"fleet busy {caching['uncached_fleet_busy_seconds']:.3f}s -> "
-        f"{caching['fleet_busy_seconds']:.3f}s  "
-        f"p99 {caching['uncached_p99_seconds'] * 1e3:.3f} -> "
-        f"{caching['p99_seconds'] * 1e3:.3f} ms  "
-        f"audit={'PASS' if caching['audit_passed'] else 'FAIL'}")
     failover = report["failover"]
-    if failover["applicable"]:
-        lines.append(f"  failover: killed node {failover['victim']} of "
-                     f"{failover['nodes']} (R=2) -> "
-                     f"shed={failover['shed_requests']} "
-                     f"availability={failover['availability']:.4f} "
-                     f"{'ZERO LOSS' if failover['zero_loss'] else 'LOSSY'}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
+    failover_note = (
+        f"killed node {failover['victim']} of {failover['nodes']} (R=2): "
+        f"shed={failover['shed_requests']} "
+        f"{'ZERO LOSS' if failover['zero_loss'] else 'LOSSY'}"
+        if failover["applicable"] else "not applicable")
+    result.notes = (
+        f"scaling {report['scaling']:.2f}x "
+        f"(floor {report['scaling_floor']:.1f}x), p99 inflation "
+        f"{report['p99_inflation']:.2f}x "
+        f"(ceiling {report['p99_inflation_ceiling']:.1f}x); "
+        f"caching ({caching['policy']}): "
+        f"hit_rate={caching['cache_hit_rate']:.3f}, fleet busy "
+        f"{caching['uncached_fleet_busy_seconds']:.3f}s -> "
+        f"{caching['fleet_busy_seconds']:.3f}s; "
+        f"failover: {failover_note}; "
+        f"gates: {gated.verdicts(report['gates'])}; "
+        "placement is keyed on static table metadata only — the "
+        "leakage audit replays the planner under contrasting skews")
+    return result
 
 
-def main(argv=None) -> int:
-    import argparse
+BENCH = gated.GatedBench(
+    id="cluster",
+    description="Sweep sharded oblivious serving across cluster topologies.",
+    run=run_cluster,
+    tabulate=tabulate,
+    options=(
+        gated.Option("--requests", "num_requests", int, NUM_REQUESTS),
+        gated.Option("--rate", "rate_rps", float, RATE_RPS),
+    ),
+)
 
-    parser = argparse.ArgumentParser(
-        description="Sweep sharded oblivious serving across cluster "
-                    "topologies.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--requests", type=int, default=NUM_REQUESTS)
-    parser.add_argument("--rate", type=float, default=RATE_RPS)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic cluster report")
-    args = parser.parse_args(argv)
-
-    report = run_cluster(seed=args.seed, num_requests=args.requests,
-                         rate_rps=args.rate)
-    print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
+main = functools.partial(gated.main, BENCH)
 
 
 if __name__ == "__main__":

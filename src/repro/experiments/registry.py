@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
+import repro.cache.bench
+import repro.cluster.autoscale.sim
+import repro.cluster.migrate
+import repro.cluster.sim
+import repro.lazy.bench
+import repro.llm.bench
+import repro.resilience.chaos
+import repro.training.bench
 from repro.experiments import (
-    autoscale_harness,
-    cache_harness,
-    chaos_harness,
-    cluster_harness,
     fig02_taxonomy,
     fig03_attack,
     fig04_dlrm_latency,
@@ -23,18 +27,15 @@ from repro.experiments import (
     fig13_throughput,
     fig14_llm_finetune,
     fig15_llm_e2e,
-    lazy_harness,
     llm_footprint,
-    llm_harness,
-    migration_harness,
     table01_complexity,
     table02_security,
     table05_accuracy,
     table06_footprint,
     table07_e2e_latency,
     table08_meta,
-    train_harness,
 )
+from repro.experiments.gated import GatedBench, failed_gates
 from repro.experiments.reporting import ExperimentResult
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
@@ -59,15 +60,21 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "table7": table07_e2e_latency.run,
     "table8": table08_meta.run,
     "llm-footprint": llm_footprint.run,
-    "cache": cache_harness.run,
-    "chaos": chaos_harness.run,
-    "cluster": cluster_harness.run,
-    "lazy": lazy_harness.run,
-    "migrate": migration_harness.run,
-    "autoscale": autoscale_harness.run,
-    "train": train_harness.run,
-    "llm": llm_harness.run,
 }
+
+#: the gated sims (not paper figures): each module declares one ``BENCH``
+#: record; its registry entry, CLI and exit code all derive from it
+BENCHES: Tuple[GatedBench, ...] = (
+    repro.cache.bench.BENCH,
+    repro.resilience.chaos.BENCH,
+    repro.cluster.sim.BENCH,
+    repro.lazy.bench.BENCH,
+    repro.cluster.migrate.BENCH,
+    repro.cluster.autoscale.sim.BENCH,
+    repro.training.bench.BENCH,
+    repro.llm.bench.BENCH,
+)
+EXPERIMENTS.update({bench.id: bench.experiment for bench in BENCHES})
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
@@ -93,7 +100,8 @@ def main(argv=None) -> int:
     """CLI: ``python -m repro.experiments.registry [id ...] [--json PATH]``.
 
     ``--json`` dumps every result plus the run's telemetry snapshot — the
-    CI smoke job archives this file as a workflow artifact.
+    CI smoke job archives this file as a workflow artifact. Exits 1 if any
+    gated bench it ran failed a gate.
     """
     import argparse
 
@@ -111,11 +119,16 @@ def main(argv=None) -> int:
     ids = args.ids or list_experiments()
     registry = MetricsRegistry()
     previous = set_registry(registry)
+    status = 0
     try:
         results = []
         for experiment_id in ids:
             result = run_experiment(experiment_id)
             print(result.render())
+            if result.gates is not None and not result.gates["passed"]:
+                print(f"{experiment_id}: FAILED gate(s): "
+                      f"{', '.join(failed_gates(result.gates))}")
+                status = 1
             print()
             results.append(result.to_dict())
         if args.json:
@@ -123,7 +136,7 @@ def main(argv=None) -> int:
                        extra={"results": results})
     finally:
         set_registry(previous)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -15,6 +15,9 @@ class ExperimentResult:
     headers: Sequence[str]
     rows: List[Sequence[Any]] = field(default_factory=list)
     notes: str = ""
+    #: gate verdicts of a gated bench (None for plain tables/figures); the
+    #: registry CLI exits non-zero when ``gates["passed"]`` is false
+    gates: Optional[Dict[str, bool]] = None
 
     def add_row(self, *values: Any) -> None:
         if len(values) != len(self.headers):

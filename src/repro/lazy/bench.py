@@ -26,17 +26,19 @@ identical to eager. Five gates with teeth:
 
 The JSON report contains only counted, seed-determined quantities — two
 runs with the same seed produce byte-identical files (CI ``cmp``-gates
-this). Wall-clock comparisons are printed to stdout as information only.
+this); eager-vs-replay wall clock is measured by ``bench/`` (the
+``lazy.dhe_decode_ms`` / ``lazy.scan_ms`` rows, see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.costmodel.latency import DheShape
+from repro.experiments import ExperimentResult, gated
 from repro.lazy.capture import CapturedGraph, capture
 from repro.lazy.runtime import NumpyRuntime, use_runtime
 from repro.lazy.schedule import IndexLeakingScheduler
@@ -205,15 +207,14 @@ def run_bench(seed: int = 0) -> Dict[str, object]:
                 and report.finding("lazy-scan").passed)
     teeth_ok = report.finding("index-leaking-scheduler").leak_detected
 
-    gates = {
-        "parity": parity_ok,
-        "fusion": fusion_ok,
-        "graph_cache": cache_ok,
-        "buffer_reuse": buffer_ok,
-        "audit_oblivious": audit_ok,
-        "leak_detector_teeth": teeth_ok,
-    }
-    gates["passed"] = all(gates.values())
+    gates = gated.gate_dict(
+        parity=parity_ok,
+        fusion=fusion_ok,
+        graph_cache=cache_ok,
+        buffer_reuse=buffer_ok,
+        audit_oblivious=audit_ok,
+        leak_detector_teeth=teeth_ok,
+    )
 
     return {
         "seed": seed,
@@ -232,68 +233,42 @@ def run_bench(seed: int = 0) -> Dict[str, object]:
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable sweep summary (deterministic, mirrors the JSON)."""
-    lines = [f"lazy bench (seed={report['seed']}, "
-             f"runtime={report['runtime']}, "
-             f"batches={report['batches']})"]
+def tabulate(report: Dict[str, object]) -> ExperimentResult:
+    """Per-cell recorded-op vs fused-kernel counts and replay parity."""
+    shape = report["dhe_shape"]
+    result = ExperimentResult(
+        experiment_id="lazy",
+        title=f"eager vs captured dispatch (seed={report['seed']}, "
+              f"table {report['table_rows']}x{report['embedding_dim']}, "
+              f"DHE k={shape['k']} fc={tuple(shape['fc_sizes'])}, "
+              f"runtime={report['runtime']})",
+        headers=("path", "batch", "eager_ops", "kernels", "dispatch_ratio",
+                 "buffer_kib", "replays", "parity"),
+    )
     for cell in report["cells"]:
-        lines.append(
-            f"  {cell['path']:>10} b={cell['batch']:<4} "
-            f"eager-ops={cell['eager_ops']:<3} kernels={cell['kernels']:<3} "
-            f"dispatch-ratio={cell['dispatch_ratio']:.2f}x  "
-            f"buffers={cell['buffer_bytes'] / 1024:.1f}KiB  "
-            f"parity={'ok' if cell['parity'] else 'MISMATCH'}")
-    lines.append(f"  cached graphs: {report['cached_graphs']}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
+        result.add_row(cell["path"], cell["batch"], cell["eager_ops"],
+                       cell["kernels"], f"{cell['dispatch_ratio']:.2f}x",
+                       f"{cell['buffer_bytes'] / 1024:.1f}",
+                       cell["replays"],
+                       "ok" if cell["parity"] else "MISMATCH")
+    result.notes = (
+        f"{report['cached_graphs']} cached graphs; "
+        f"gates: {gated.verdicts(report['gates'])}; "
+        "replays are byte-identical to eager and the kernel-launch "
+        "trace is fixed at compile time — the index-leaking scheduler "
+        "negative control is caught by the exact-mode audit")
+    return result
 
 
-def _wallclock_note(seed: int) -> str:
-    """Informational eager-vs-replay timing (stdout only, never in JSON)."""
-    from repro.nn.layers import MLP
-    from repro.nn.tensor import Tensor
-    from repro.utils.timing import time_callable
+BENCH = gated.GatedBench(
+    id="lazy",
+    description="Eager-vs-captured dispatch sweep over the oblivious hot "
+                "paths, with parity and leakage gates.",
+    run=run_bench,
+    tabulate=tabulate,
+)
 
-    rng = np.random.default_rng(seed)
-    mlp = MLP(MLP_LAYER_SIZES, rng=seed)
-    mlp.eval()
-    dense = rng.normal(size=(BATCHES[-1], MLP_LAYER_SIZES[0]))
-    graph = capture(lambda x: mlp(Tensor(x)), [dense], name="timing.mlp")
-    graph(dense)  # warm-up
-    eager_s = time_callable(lambda: mlp(Tensor(dense)), repeats=5,
-                            metric=None)
-    replay_s = time_callable(lambda: graph(dense), repeats=5, metric=None)
-    return (f"wall-clock (informational, batch={BATCHES[-1]} MLP): "
-            f"eager {eager_s * 1e6:.0f}us vs replay {replay_s * 1e6:.0f}us "
-            f"({eager_s / max(replay_s, 1e-12):.2f}x)")
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Eager-vs-captured dispatch sweep over the oblivious "
-                    "hot paths, with parity and leakage gates.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic bench report")
-    parser.add_argument("--no-timing", action="store_true",
-                        help="skip the informational wall-clock comparison")
-    args = parser.parse_args(argv)
-
-    report = run_bench(seed=args.seed)
-    print(render(report))
-    if not args.no_timing:
-        print(_wallclock_note(args.seed))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
+main = functools.partial(gated.main, BENCH)
 
 
 if __name__ == "__main__":

@@ -28,17 +28,17 @@ path. The gates:
   decode batches) returns the same values as the plain tables.
 
 Everything derives from one seed; two runs emit byte-identical JSON
-(``allow_nan=False``) and CI pins that with ``cmp``.
+and CI pins that with ``cmp``.
 
 CLI::
 
-    python -m repro.llm.bench --seed 7 --json llm.json --no-timing
+    python -m repro.llm.bench --seed 7 --json llm.json
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Sequence
+import functools
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from repro.cluster.autoscale.controller import (
 from repro.cluster.placement import RingPlanner
 from repro.cluster.sim import build_model
 from repro.data import KAGGLE_SPEC, DlrmDatasetSpec
+from repro.experiments import ExperimentResult, gated
 from repro.llm.pools import StagePool
 from repro.llm.stages import (
     LlmServingSpec,
@@ -292,30 +293,25 @@ def run_bench(seed: int = 0,
 
     probe = live_probe(spec, seed)
 
-    gates = {
-        "tokens_per_second": tokens_per_second >= TOKENS_PER_SECOND_FLOOR,
-        "decode_p99_per_token":
-            decode_p99_per_token <= DECODE_P99_PER_TOKEN_CEILING,
-        "tokenize_audit": findings["llm-tokenize"].passed,
-        "prefill_audit": findings["llm-prefill"].passed,
-        "decode_audit": findings["llm-decode"].passed,
-        "cross_stage_audit": findings["llm-cross-stage"].passed,
-        "memory_audits": (findings["llm-tokenize-memory"].passed
-                          and findings["llm-decode-memory"].passed),
-        "detector_teeth":
-            (findings["llm-tokenize-boundary-leak"].leak_detected
-             and hot_load.leak_detected),
-        "pool_scale_events": pool_events_ok,
-        "scaling_audit": all(finding.passed
-                             for finding in scaling_findings.values()),
-        "placement_audit": all(pool.placement_ok
-                               for pool in pools.values()),
-        "migration_audit": all(pool.migration_ok
-                               for pool in pools.values()),
-        "live_parity": (probe["tokenize_parity"]
-                        and probe["decode_parity"]),
-    }
-    gates["passed"] = all(gates.values())
+    gates = gated.gate_dict(
+        tokens_per_second=tokens_per_second >= TOKENS_PER_SECOND_FLOOR,
+        decode_p99_per_token=(decode_p99_per_token
+                              <= DECODE_P99_PER_TOKEN_CEILING),
+        tokenize_audit=findings["llm-tokenize"].passed,
+        prefill_audit=findings["llm-prefill"].passed,
+        decode_audit=findings["llm-decode"].passed,
+        cross_stage_audit=findings["llm-cross-stage"].passed,
+        memory_audits=(findings["llm-tokenize-memory"].passed
+                       and findings["llm-decode-memory"].passed),
+        detector_teeth=(findings["llm-tokenize-boundary-leak"].leak_detected
+                        and hot_load.leak_detected),
+        pool_scale_events=pool_events_ok,
+        scaling_audit=all(finding.passed
+                          for finding in scaling_findings.values()),
+        placement_audit=all(pool.placement_ok for pool in pools.values()),
+        migration_audit=all(pool.migration_ok for pool in pools.values()),
+        live_parity=probe["tokenize_parity"] and probe["decode_parity"],
+    )
 
     return {
         "seed": seed,
@@ -341,85 +337,60 @@ def run_bench(seed: int = 0,
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable ramp summary (deterministic, mirrors the JSON)."""
-    lines = [f"llm serving bench (seed={report['seed']}, "
-             f"{report['ticks']} ticks x "
-             f"{report['interval_seconds']:.2f}s, "
-             f"prompt={report['spec']['prompt_tokens']} "
-             f"new={report['spec']['new_tokens']})"]
+def tabulate(report: Dict[str, object]) -> ExperimentResult:
+    """Per-interval node counts, decode latency and scale decisions."""
+    spec = report["spec"]
+    result = ExperimentResult(
+        experiment_id="llm",
+        title=f"oblivious LLM serving: tokenize/prefill/decode pools "
+              f"(seed={report['seed']}, {report['ticks']} ticks x "
+              f"{report['interval_seconds']:.2f}s, "
+              f"prompt={spec['prompt_tokens']} new={spec['new_tokens']})",
+        headers=("tick", "rate", "tok", "pre", "dec", "decode_p99_ms",
+                 "decisions"),
+    )
     for cell in report["intervals"]:
         nodes = cell["nodes"]
-        verdicts = []
+        decisions = []
         for name in ("tokenize", "prefill", "decode"):
             decision = cell["pools"][name]["decision"]
             if decision["action"] in ("scale-up", "scale-down"):
-                verdicts.append(
+                decisions.append(
                     f"{name} {decision['action']} "
                     f"{decision['current_nodes']}->"
                     f"{decision['target_nodes']}")
         decode = cell["pipeline"]["stages"]["decode"]
-        lines.append(
-            f"  t{cell['tick']:>2}: rate={cell['rate_rps']:>6.0f} "
-            f"nodes=({nodes['tokenize']},{nodes['prefill']},"
-            f"{nodes['decode']}) "
-            f"decode p99={decode['p99_seconds'] * 1e3:6.2f} ms"
-            + (f"  [{'; '.join(verdicts)}]" if verdicts else ""))
-    lines.append(
-        f"  tokens/sec={report['tokens_per_second']:.0f} "
-        f"(floor {report['tokens_per_second_floor']:.0f})  "
-        f"decode p99/token="
-        f"{report['decode_p99_per_token_seconds'] * 1e3:.3f} ms "
-        f"(ceiling "
-        f"{report['decode_p99_per_token_ceiling'] * 1e3:.3f} ms)")
-    for name, pool in report["pools"].items():
-        events = pool["events"]
-        lines.append(
-            f"  pool {name:>8}: final nodes={pool['final_nodes']} "
-            f"epoch={pool['final_epoch']} "
-            f"up={events['scale_up_events']} "
-            f"down={events['scale_down_events']}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
+        result.add_row(cell["tick"], f"{cell['rate_rps']:.0f}",
+                       nodes["tokenize"], nodes["prefill"],
+                       nodes["decode"],
+                       f"{decode['p99_seconds'] * 1e3:.2f}",
+                       "; ".join(decisions) or "-")
+    result.notes = (
+        f"tokens/sec={report['tokens_per_second']:.0f} (floor "
+        f"{report['tokens_per_second_floor']:.0f}); decode p99/token="
+        f"{report['decode_p99_per_token_seconds'] * 1e3:.3f} ms (ceiling "
+        f"{report['decode_p99_per_token_ceiling'] * 1e3:.3f} ms); pools: "
+        + ", ".join(f"{name} final nodes={pool['final_nodes']} "
+                    f"up={pool['events']['scale_up_events']} "
+                    f"down={pool['events']['scale_down_events']}"
+                    for name, pool in report["pools"].items())
+        + f"; gates: {gated.verdicts(report['gates'])}; "
+          "each pool scales on its own secret-free signal plane, all "
+          "reshapes ride the shared audited migration path, and the "
+          "boundary-leaking tokenizer + hot-load-chasing controller are "
+          "both caught")
+    return result
 
 
-def _wallclock_note(seed: int) -> str:
-    """Informational wall-clock of one bench run (stdout only, never in
-    the JSON)."""
-    import time
+BENCH = gated.GatedBench(
+    id="llm",
+    description="End-to-end oblivious LLM serving: three autoscaled "
+                "pools, one audited pipeline, gated.",
+    run=run_bench,
+    tabulate=tabulate,
+)
 
-    start = time.perf_counter()
-    run_bench(seed=seed)
-    elapsed = time.perf_counter() - start
-    return f"wall-clock (informational): one bench run {elapsed:.2f}s"
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="End-to-end oblivious LLM serving: three autoscaled "
-                    "pools, one audited pipeline, gated.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic bench report")
-    parser.add_argument("--no-timing", action="store_true",
-                        help="skip the informational wall-clock note")
-    args = parser.parse_args(argv)
-
-    report = run_bench(seed=args.seed)
-    print(render(report))
-    if not args.no_timing:
-        print(_wallclock_note(args.seed))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True,
-                      allow_nan=False)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
+main = functools.partial(gated.main, BENCH)
 
 
 if __name__ == "__main__":

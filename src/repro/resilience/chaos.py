@@ -20,11 +20,12 @@ CLI::
 
 from __future__ import annotations
 
-import json
+import functools
 from typing import Dict, List, Optional
 
 from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
+from repro.experiments import ExperimentResult, gated
 from repro.resilience.degradation import DegradationLadder
 from repro.resilience.faults import (
     FaultInjector,
@@ -150,60 +151,54 @@ def run_chaos(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "availability_floor": AVAILABILITY_FLOOR,
         "baseline_p99_seconds": baseline_report.p99,
         "scenarios": scenario_digests,
-        "gates": {
-            "availability": all_available,
-            "degradation_audits": all_audits_passed,
-            "passed": all_available and all_audits_passed,
-        },
+        "gates": gated.gate_dict(availability=all_available,
+                                 degradation_audits=all_audits_passed),
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable chaos summary."""
-    lines = [f"chaos run (seed={report['seed']}, spec={report['spec']}, "
-             f"{report['num_requests']} requests @ "
-             f"{report['rate_rps']:.0f} rps)"]
+def tabulate(report: Dict[str, object]) -> ExperimentResult:
+    """Per-scenario availability, p99 inflation and audit verdicts."""
+    result = ExperimentResult(
+        experiment_id="chaos",
+        title=f"{report['spec']}: serving under faults "
+              f"(seed={report['seed']}, {report['num_requests']} requests @ "
+              f"{report['rate_rps']:.0f} rps)",
+        headers=("scenario", "availability", "p99_ms", "p99_inflation",
+                 "sla_violations", "retries", "shed", "degradations",
+                 "audits"),
+    )
     for scenario in report["scenarios"]:
-        lines.append(
-            f"  {scenario['name']:<24} availability="
-            f"{scenario['availability']:.4f}  p99="
-            f"{scenario['p99_seconds'] * 1e3:.3f} ms "
-            f"({scenario['p99_inflation']:.2f}x)  "
-            f"sla_violations={scenario['sla_violations']}  "
-            f"retries={scenario['retries_total']}  "
-            f"shed={scenario['shed_requests']}  "
-            f"degradations={len(scenario['degradations'])}")
-        for event in scenario["degradations"]:
-            verdict = "ok" if event["audit_passed"] else "LEAKY"
-            lines.append(f"    degraded {event['from']} -> {event['to']} "
-                         f"(batch {event['batch_index']}, "
-                         f"{event['cause']}): audit {verdict}")
-    gates = report["gates"]
-    lines.append(f"  gates: availability={'PASS' if gates['availability'] else 'FAIL'} "
-                 f"degradation_audits={'PASS' if gates['degradation_audits'] else 'FAIL'}")
-    return "\n".join(lines)
+        audits = ("ok" if all(event["audit_passed"]
+                              for event in scenario["degradations"])
+                  else "LEAKY")
+        result.add_row(scenario["name"],
+                       f"{scenario['availability']:.4f}",
+                       f"{scenario['p99_seconds'] * 1e3:.3f}",
+                       f"{scenario['p99_inflation']:.2f}x",
+                       scenario["sla_violations"],
+                       scenario["retries_total"],
+                       scenario["shed_requests"],
+                       len(scenario["degradations"]),
+                       audits)
+    result.notes = (f"gates: {gated.verdicts(report['gates'])} "
+                    f"(availability floor {report['availability_floor']}); "
+                    f"degraded techniques stay inside the oblivious set "
+                    f"(never raw lookup)")
+    return result
 
 
-def main(argv=None) -> int:
-    import argparse
+BENCH = gated.GatedBench(
+    id="chaos",
+    description="Replay the serving sweep under injected faults.",
+    run=run_chaos,
+    tabulate=tabulate,
+    options=(
+        gated.Option("--requests", "num_requests", int, NUM_REQUESTS),
+        gated.Option("--rate", "rate_rps", float, RATE_RPS),
+    ),
+)
 
-    parser = argparse.ArgumentParser(
-        description="Replay the serving sweep under injected faults.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--requests", type=int, default=NUM_REQUESTS)
-    parser.add_argument("--rate", type=float, default=RATE_RPS)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic chaos report")
-    args = parser.parse_args(argv)
-
-    report = run_chaos(seed=args.seed, num_requests=args.requests,
-                       rate_rps=args.rate)
-    print(render(report))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
+main = functools.partial(gated.main, BENCH)
 
 
 if __name__ == "__main__":

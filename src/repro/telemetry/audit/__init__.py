@@ -353,7 +353,3 @@ def main(argv=None) -> int:
 
         write_json(registry, args.json, extra={"audit": report.to_dict()})
     return 0 if report.passed else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

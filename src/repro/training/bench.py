@@ -28,17 +28,19 @@ gates with teeth:
   control (trace length follows index multiplicity) is flagged.
 
 The JSON report contains only seed-determined quantities — two runs with
-the same seed produce byte-identical files (CI ``cmp``-gates this).
-Wall-clock is printed to stdout as information only.
+the same seed produce byte-identical files (CI ``cmp``-gates this);
+batched-vs-sequential wall clock is measured by ``bench/`` (the
+``lookahead.seq_ratio`` row, see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List
+import functools
+from typing import Dict
 
 import numpy as np
 
+from repro.experiments import ExperimentResult, gated
 from repro.oram.lookahead import contrasting_batches, lookahead_subjects
 from repro.telemetry.audit import LeakageAuditor
 from repro.training.loop import TrainingConfig, TrainingLoop, TrainingReport
@@ -121,16 +123,15 @@ def run_bench(seed: int = 0) -> Dict[str, object]:
                         for name in _MEMORY_SUBJECTS)
     teeth_ok = audit_report.finding(_LEAKY_SUBJECT).leak_detected
 
-    gates = {
-        "loss_decrease": loss_ok,
-        "posmap_amortization": posmap_ok,
-        "bucket_io_amortization": bucket_ok,
-        "value_parity": parity_ok,
-        "audit_exact": exact_ok,
-        "audit_structural": structural_ok,
-        "leak_detector_teeth": teeth_ok,
-    }
-    gates["passed"] = all(gates.values())
+    gates = gated.gate_dict(
+        loss_decrease=loss_ok,
+        posmap_amortization=posmap_ok,
+        bucket_io_amortization=bucket_ok,
+        value_parity=parity_ok,
+        audit_exact=exact_ok,
+        audit_structural=structural_ok,
+        leak_detector_teeth=teeth_ok,
+    )
 
     return {
         "seed": seed,
@@ -147,64 +148,47 @@ def run_bench(seed: int = 0) -> Dict[str, object]:
     }
 
 
-def render(report: Dict[str, object]) -> str:
-    """Human-readable summary (deterministic, mirrors the JSON)."""
-    lines = [f"training bench (seed={report['seed']}, "
-             f"{report['steps']} steps x batch {report['batch_size']})"]
+def tabulate(report: Dict[str, object]) -> ExperimentResult:
+    """Per-scheme, per-arm loss trajectory and amortization factors."""
+    result = ExperimentResult(
+        experiment_id="train",
+        title=f"secure online training (seed={report['seed']}, "
+              f"{report['steps']} steps x batch {report['batch_size']})",
+        headers=("scheme", "arm", "loss_first", "loss_last",
+                 "posmap_ops/acc", "bucket_io/acc", "stash_hw"),
+    )
     for scheme, data in report["schemes"].items():
-        batched = data["batched"]
-        lines.append(
-            f"  {scheme:>7}: loss {batched['first_window_loss']:.4f} -> "
-            f"{batched['last_window_loss']:.4f}  "
-            f"posmap x{data['posmap_amortization']:.2f}  "
-            f"bucket-io x{data['bucket_io_amortization']:.2f}  "
-            f"stash-hw {batched['stash_high_water']}  "
-            f"parity={'ok' if data['value_parity'] else 'BROKEN'}")
-    gates = report["gates"]
-    verdicts = "  ".join(f"{name}={'PASS' if ok else 'FAIL'}"
-                         for name, ok in gates.items() if name != "passed")
-    lines.append(f"  gates: {verdicts}")
-    return "\n".join(lines)
+        for arm in ("batched", "sequential"):
+            summary = data[arm]
+            result.add_row(
+                scheme, arm,
+                f"{summary['first_window_loss']:.4f}",
+                f"{summary['last_window_loss']:.4f}",
+                f"{summary['posmap_ops_per_access']:.1f}",
+                f"{summary['bucket_io_per_access']:.2f}",
+                summary["stash_high_water"])
+    amortization = ", ".join(
+        f"{scheme} posmap x{data['posmap_amortization']:.2f} "
+        f"bucket-io x{data['bucket_io_amortization']:.2f}"
+        for scheme, data in report["schemes"].items())
+    result.notes = (
+        f"amortization at batch {report['batch_size']}: {amortization}; "
+        f"gates: {gated.verdicts(report['gates'])}; "
+        "the batched arm is bit-identical in losses and final table "
+        "contents to the sequential arm, and gradient write-backs ride "
+        "the same audited lookahead batch as the forward reads")
+    return result
 
 
-def _wallclock_note(seed: int) -> str:
-    """Informational wall-clock of one batched vs sequential run (stdout
-    only, never in the JSON)."""
-    import time
+BENCH = gated.GatedBench(
+    id="train",
+    description="Secure online training over batched lookahead ORAM: "
+                "loss, amortization, parity, and leakage gates.",
+    run=run_bench,
+    tabulate=tabulate,
+)
 
-    timings: List[str] = []
-    for batched in (True, False):
-        start = time.perf_counter()
-        _run_arm("path", batched, seed)
-        elapsed = time.perf_counter() - start
-        timings.append(f"{'batched' if batched else 'sequential'} "
-                       f"{elapsed * 1e3:.0f}ms")
-    return ("wall-clock (informational, path scheme): "
-            + " vs ".join(timings))
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Secure online training over batched lookahead ORAM: "
-                    "loss, amortization, parity, and leakage gates.")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--json", metavar="PATH",
-                        help="write the deterministic bench report")
-    parser.add_argument("--no-timing", action="store_true",
-                        help="skip the informational wall-clock comparison")
-    args = parser.parse_args(argv)
-
-    report = run_bench(seed=args.seed)
-    print(render(report))
-    if not args.no_timing:
-        print(_wallclock_note(args.seed))
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0 if report["gates"]["passed"] else 1
+main = functools.partial(gated.main, BENCH)
 
 
 if __name__ == "__main__":

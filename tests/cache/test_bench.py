@@ -1,5 +1,5 @@
-"""Cache bench determinism + gate wiring (the CI cache-smoke job in
-miniature)."""
+"""Cache bench determinism + gate wiring (the CI smoke job's cache cell in
+miniature; the CLI contract is in tests/experiments/test_gated.py)."""
 
 import json
 
@@ -57,13 +57,3 @@ class TestBenchReport:
         assert other["gates"]["passed"]
         assert other["scenarios"][0]["p50_seconds"] \
             != report["scenarios"][0]["p50_seconds"]
-
-
-class TestCli:
-    def test_main_json_round_trips(self, tmp_path):
-        out = tmp_path / "cache_bench.json"
-        code = bench.main(["--seed", "3", "--json", str(out), "--no-timing"])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["gates"]["passed"]
-        assert payload["seed"] == 3

@@ -11,9 +11,8 @@ from repro.cluster.autoscale.sim import (
     MAX_NODES,
     MIN_NODES,
     REPLICATION,
-    main,
+    BENCH,
     rate_schedule,
-    render,
     run_autoscale,
 )
 
@@ -136,14 +135,8 @@ class TestCli:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_main_returns_zero_on_pass(self, capsys):
-        assert main(["--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "autoscale storm" in out
-        assert "gates:" in out
-
     def test_render_shows_blocked_reason(self, report):
-        text = render(report)
+        text = BENCH.tabulate(report).render()
         assert "blocked (breakers-open)" in text
         assert "KILL" in text
         assert f"final nodes={report['final_nodes']}" in text

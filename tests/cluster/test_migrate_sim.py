@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.cluster.migrate import main, move_bound, render, run_migration
+from repro.cluster.migrate import BENCH, main, move_bound, run_migration
 
 SMALL = dict(num_requests=96, rate_rps=2000.0)
 
@@ -93,7 +93,7 @@ class TestSweepShape:
                 assert (cell["nodes_before"], cell["nodes_after"]) == (5, 4)
 
     def test_render_mentions_gates(self, report):
-        text = render(report)
+        text = BENCH.tabulate(report).render()
         assert "gates:" in text
         assert "ZERO LOSS" in text
 
@@ -133,7 +133,9 @@ class TestCli:
 
     def test_main_returns_zero_on_pass(self, capsys):
         assert main(["--seed", "7", "--requests", "64"]) == 0
-        assert "migration sweep" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "live plan-epoch migration" in out
+        assert "64 requests" in out   # the flag reached the sweep
 
     def test_main_honours_topology_flags(self, capsys):
         assert main(["--seed", "7", "--requests", "64",

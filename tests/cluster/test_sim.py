@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.cluster.sim import main, plan_digest, render, run_cluster
+from repro.cluster.sim import BENCH, main, run_cluster
 from repro.data import scaled_spec, TERABYTE_SPEC
 
 SMALL = dict(num_requests=96, rate_rps=2000.0)
@@ -75,7 +75,7 @@ class TestSweepShape:
         assert cells == {(1, 1), (2, 1), (2, 2), (4, 1), (4, 2)}
 
     def test_render_mentions_gates(self, report):
-        text = render(report)
+        text = BENCH.tabulate(report).render()
         assert "gates:" in text
         assert "ZERO LOSS" in text
 
@@ -100,7 +100,9 @@ class TestCli:
 
     def test_main_returns_zero_on_pass(self, capsys):
         assert main(["--seed", "7", "--requests", "64"]) == 0
-        assert "cluster sweep" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "sharded oblivious serving" in out
+        assert "64 requests" in out   # the flag reached the sweep
 
 
 class TestPlanDigest:

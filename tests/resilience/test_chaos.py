@@ -18,7 +18,7 @@ from repro.resilience import (
     StashPressureFault,
     TransientErrorFault,
 )
-from repro.resilience.chaos import render, run_chaos
+from repro.resilience.chaos import BENCH, run_chaos
 from repro.resilience.degradation import DegradationLadder
 from repro.serving import BatchingPolicy, ExecutionEngine, ServingConfig
 
@@ -152,6 +152,6 @@ class TestChaosHarness:
         assert schedule != other_storm["fault_schedule"]
 
     def test_render_mentions_every_scenario(self, report):
-        text = render(report)
+        text = BENCH.tabulate(report).render()
         for scenario in report["scenarios"]:
             assert scenario["name"] in text

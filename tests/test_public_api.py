@@ -59,16 +59,16 @@ def test_version_string():
 
 
 def test_registry_covers_every_experiment_module():
-    """Every fig/table module under repro.experiments is registered."""
+    """Every fig/table module under repro.experiments is registered, plus
+    one id per gated bench's ``BENCH`` record."""
     import os
 
     import repro.experiments as experiments_package
-    from repro.experiments.registry import EXPERIMENTS
+    from repro.experiments.registry import BENCHES, EXPERIMENTS
 
     directory = os.path.dirname(experiments_package.__file__)
     modules = [name for name in os.listdir(directory)
-               if name.startswith(("fig", "table", "llm_", "autoscale_",
-                                   "chaos_", "cluster_", "migration_",
-                                   "lazy_", "cache_", "train_"))
+               if name.startswith(("fig", "table", "llm_footprint"))
                and name.endswith(".py")]
-    assert len(modules) == len(EXPERIMENTS)
+    assert len(modules) + len(BENCHES) == len(EXPERIMENTS)
+    assert {bench.id for bench in BENCHES} <= set(EXPERIMENTS)

@@ -1,4 +1,5 @@
-"""repro.training.bench: gates, determinism, CLI exit codes."""
+"""repro.training.bench: gates, determinism (the CLI contract is in
+tests/experiments/test_gated.py)."""
 
 import json
 
@@ -44,22 +45,9 @@ class TestDeterminism:
         assert dump(report) == dump(again)
 
     def test_render_is_deterministic_and_shows_verdicts(self, report):
-        text = bench.render(report)
-        assert text == bench.render(report)
+        text = bench.BENCH.tabulate(report).render()
+        assert text == bench.BENCH.tabulate(report).render()
         assert "loss_decrease=PASS" in text
         assert "leak_detector_teeth=PASS" in text
         for scheme in bench.SCHEMES:
             assert scheme in text
-
-
-class TestCli:
-    def test_main_exits_zero_and_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "train.json"
-        code = bench.main(["--seed", "0", "--json", str(out), "--no-timing"])
-        assert code == 0
-        captured = capsys.readouterr().out
-        assert "gates:" in captured
-        assert "wall-clock" not in captured
-        payload = json.loads(out.read_text())
-        assert payload["gates"]["passed"]
-        assert payload["seed"] == 0
