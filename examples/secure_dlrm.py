@@ -11,8 +11,6 @@
 Run:  python examples/secure_dlrm.py
 """
 
-import numpy as np
-
 from repro.costmodel import DLRM_DHE_UNIFORM_16, DheShape
 from repro.data import KAGGLE_SPEC, SyntheticCtrDataset, scaled_spec
 from repro.embedding import DHEEmbedding, HybridEmbedding

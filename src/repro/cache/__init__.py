@@ -5,14 +5,7 @@ See :mod:`repro.cache.policy` for the admission policies,
 ``python -m repro.cache.bench`` for the gated latency bench.
 """
 
-from repro.cache.audit import (
-    CacheLeakageError,
-    audit_cache,
-    cache_subject,
-    check_oblivious_cache,
-    default_cache_workloads,
-    replay_cache,
-)
+from repro.cache.audit import cache_subject, replay_cache
 from repro.cache.policy import (
     CACHE_KINDS,
     CACHE_REGION,
@@ -33,7 +26,6 @@ __all__ = [
     "CACHE_REGION",
     "BatchMetadata",
     "BatchResultCache",
-    "CacheLeakageError",
     "CachePolicy",
     "CachePricer",
     "CacheStats",
@@ -41,10 +33,7 @@ __all__ = [
     "IndexKeyedLRUCache",
     "SecretIndependentCache",
     "StaticResidencyCache",
-    "audit_cache",
     "cache_subject",
-    "check_oblivious_cache",
-    "default_cache_workloads",
     "replay_cache",
     "resolve_cache",
 ]

@@ -13,7 +13,8 @@ trace), and the :class:`~repro.telemetry.audit.LeakageAuditor` compares the
 decision traces in exact mode. A compliant policy produces the identical
 trace for every profile; a workload-keyed policy — the in-tree
 :class:`~repro.cache.policy.IndexKeyedLRUCache` negative control — does
-not, and :func:`check_oblivious_cache` raises :class:`CacheLeakageError`.
+not, and ``LeakageAuditor().require(cache_subject(...))`` raises
+:class:`~repro.telemetry.audit.LeakageError`.
 
 The replay streams each secret through the full cache lifecycle: a plan
 (static admission, with the secret offered as the ``workload`` argument a
@@ -34,11 +35,9 @@ from repro.serving.backends import resolve_backend
 from repro.serving.engine import ServingConfig
 from repro.telemetry.audit import (
     MODE_EXACT,
-    AuditFinding,
     AuditSubject,
-    LeakageAuditor,
+    contrasting_secrets,
 )
-from repro.utils.validation import check_positive
 
 from repro.cache.policy import (
     BatchMetadata,
@@ -52,6 +51,9 @@ CacheFactory = Callable[[Optional[MemoryTracer]], SecretIndependentCache]
 AUDIT_TABLE_SIZES = (64, 256, 4096, 65536)
 AUDIT_SCAN_THRESHOLD = 1024
 AUDIT_BATCH_SIZE = 8
+#: id space and length of the observed-index secrets the replays contrast
+AUDIT_NUM_ROWS = 4096
+AUDIT_SECRET_LENGTH = 64
 
 
 def audit_allocations(
@@ -75,24 +77,6 @@ def audit_pricer(batch_size: int = AUDIT_BATCH_SIZE,
                        overhead_seconds=0.0,
                        uniform_shape=DLRM_DHE_UNIFORM_16,
                        platform=DEFAULT_PLATFORM)
-
-
-def default_cache_workloads(num_rows: int = 4096,
-                            length: int = 64) -> List[Sequence[int]]:
-    """Contrasting observed-index profiles: hammer the first row, hammer
-    the last, and a uniform sweep — the same maximum-contrast shape the
-    standing five-subject audit and the placement audit use."""
-    check_positive("num_rows", num_rows)
-    check_positive("length", length)
-    return [
-        [0] * length,
-        [num_rows - 1] * length,
-        [index % num_rows for index in range(length)],
-    ]
-
-
-class CacheLeakageError(RuntimeError):
-    """A cache's admission/eviction decisions depended on observed indices."""
 
 
 def replay_cache(cache: SecretIndependentCache, secret: Sequence[int],
@@ -138,40 +122,11 @@ def cache_subject(factory: CacheFactory,
     decisions land in the trace too.
     """
     if workloads is None:
-        workloads = default_cache_workloads()
+        workloads = contrasting_secrets(AUDIT_NUM_ROWS,
+                                        AUDIT_SECRET_LENGTH)
 
     def run(tracer: MemoryTracer, secret: Sequence[int]) -> None:
         replay_cache(factory(tracer), secret, allocations, pricer)
 
     return AuditSubject(name, run, workloads, mode=MODE_EXACT,
                         expect_oblivious=expect_oblivious)
-
-
-def audit_cache(factory: CacheFactory,
-                workloads: Optional[Sequence[Sequence[int]]] = None,
-                auditor: Optional[LeakageAuditor] = None,
-                name: str = "cache",
-                expect_oblivious: bool = True) -> AuditFinding:
-    """Replay a cache policy across skew profiles; return the finding."""
-    if auditor is None:
-        auditor = LeakageAuditor()
-    return auditor.audit(cache_subject(factory, workloads, name=name,
-                                       expect_oblivious=expect_oblivious))
-
-
-def check_oblivious_cache(factory: CacheFactory,
-                          workloads: Optional[Sequence[Sequence[int]]] = None,
-                          auditor: Optional[LeakageAuditor] = None,
-                          name: str = "cache") -> AuditFinding:
-    """Gate: raise :class:`CacheLeakageError` if occupancy is workload-keyed.
-
-    This is the loud failure the cache bench and CI run before any policy
-    is allowed to serve traffic.
-    """
-    finding = audit_cache(factory, workloads, auditor=auditor, name=name)
-    if finding.leak_detected:
-        raise CacheLeakageError(
-            f"cache {name!r} admission depends on the observed request "
-            f"stream (trace divergence {finding.divergence:.3f}); "
-            f"index-keyed caching is a side channel")
-    return finding

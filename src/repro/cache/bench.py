@@ -23,8 +23,9 @@ epochs), and batch-level result sharing. Five gates with teeth:
   :mod:`repro.cache.audit`;
 * **leak_detector_teeth** — the in-tree
   :class:`~repro.cache.policy.IndexKeyedLRUCache` negative control is
-  flagged, and :func:`~repro.cache.audit.check_oblivious_cache` raises
-  :class:`~repro.cache.audit.CacheLeakageError` on it.
+  flagged, and :meth:`~repro.telemetry.audit.LeakageAuditor.require`
+  raises :class:`~repro.telemetry.audit.LeakageError` on its
+  :func:`~repro.cache.audit.cache_subject`.
 
 The latency win is index-independent by construction — the same numbers
 hold on every skew profile, which is the whole point: skewed production
@@ -41,10 +42,9 @@ import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cache.audit import (
-    CacheLeakageError,
+    AUDIT_NUM_ROWS,
+    AUDIT_SECRET_LENGTH,
     cache_subject,
-    check_oblivious_cache,
-    default_cache_workloads,
     replay_cache,
 )
 from repro.cache.policy import (
@@ -54,7 +54,6 @@ from repro.cache.policy import (
     SecretIndependentCache,
     StaticResidencyCache,
 )
-from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
 from repro.oblivious.trace import MemoryTracer
@@ -62,7 +61,12 @@ from repro.serving.batcher import BatchingPolicy
 from repro.serving.engine import ExecutionEngine, ServingConfig
 from repro.serving.report import ServingReport
 from repro.serving.requests import RequestQueue
-from repro.telemetry.audit import LeakageAuditor
+from repro.hybrid import dlrm_threshold_model
+from repro.telemetry.audit import (
+    LeakageAuditor,
+    LeakageError,
+    contrasting_secrets,
+)
 
 NUM_REQUESTS = 512
 RATE_RPS = 2000.0
@@ -76,22 +80,6 @@ EPOCH_SECONDS = 0.05
 LRU_CAPACITY_ROWS = 256
 
 SKEW_NAMES = ("hot-head", "hot-tail", "uniform")
-
-
-def build_model(spec: DlrmDatasetSpec, batch: int):
-    """(uniform shape, thresholds) exactly as the cluster sim prices them."""
-    from repro.hybrid import OfflineProfiler, build_threshold_database
-
-    dim = spec.embedding_dim
-    uniform = DLRM_DHE_UNIFORM_16 if dim == 16 else DLRM_DHE_UNIFORM_64
-    profiler = OfflineProfiler(uniform)
-    profile = profiler.profile(techniques=("scan", "dhe-varied"),
-                               dims=(dim,), batches=(batch,),
-                               threads_list=(1,))
-    thresholds = build_threshold_database(
-        profile, dhe_technique="dhe-varied", dims=(dim,), batches=(batch,),
-        threads_list=(1,))
-    return uniform, thresholds
 
 
 def _summary(name: str, reports: Sequence[ServingReport],
@@ -122,7 +110,7 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     """The full scenario sweep + gates; deterministic for a given seed."""
     dim = spec.embedding_dim
     sizes = spec.table_sizes
-    uniform, thresholds = build_model(spec, batch)
+    uniform, thresholds = dlrm_threshold_model(dim, batch)
     config = ServingConfig(batch_size=batch, threads=1)
     policy = BatchingPolicy(max_batch_size=batch, max_wait_seconds=0.002)
     # One arrival trace for every scenario and epoch: scenarios differ
@@ -205,7 +193,7 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "batch-shared": lambda t: BatchResultCache(
             epoch_seconds=EPOCH_SECONDS, tracer=t),
     }
-    workloads = default_cache_workloads()
+    workloads = contrasting_secrets(AUDIT_NUM_ROWS, AUDIT_SECRET_LENGTH)
     skew_stats: Dict[str, List[Dict[str, object]]] = {}
     for name, factory in factories.items():
         per_skew = []
@@ -229,11 +217,11 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     audit_ok = all(audit_report.finding(name).passed for name in factories)
     lru_flagged = audit_report.finding("index-keyed-lru").leak_detected
     try:
-        check_oblivious_cache(
+        auditor.require(cache_subject(
             lambda t: IndexKeyedLRUCache(LRU_CAPACITY_ROWS, tracer=t),
-            workloads, name="index-keyed-lru")
+            workloads, name="index-keyed-lru"))
         lru_raised = False
-    except CacheLeakageError:
+    except LeakageError:
         lru_raised = True
     teeth_ok = lru_flagged and lru_raised
 

@@ -223,7 +223,7 @@ class SecretIndependentCache:
 
     Subclasses record every admission/eviction/lookup decision through
     :meth:`_record` (the ``cache.admission`` tracer region) — that trace is
-    what :func:`repro.cache.audit.check_oblivious_cache` replays across
+    what :func:`repro.cache.audit.cache_subject` replays across
     contrasting skew profiles.
     """
 

@@ -20,12 +20,8 @@ from repro.cluster.autoscale import (
     ClusterSignals,
     HotLoadChasingController,
     ScaleDecision,
-    ScalingLeakageError,
     SignalPlane,
     Supervisor,
-    audit_scaling,
-    check_oblivious_scaling,
-    default_scaling_workloads,
     scaling_subject,
 )
 from repro.cluster.epoch import (
@@ -43,8 +39,6 @@ from repro.cluster.migration import (
     MigrationStep,
     TableMove,
     TransitioningOwnerMap,
-    audit_migration,
-    check_oblivious_migration,
     default_migration_workloads,
     migration_subject,
 )
@@ -52,14 +46,10 @@ from repro.cluster.placement import (
     PLACEMENT_REGION,
     FrequencyKeyedPlanner,
     PlacementError,
-    PlacementLeakageError,
     RingPlanner,
     ShardPlan,
     ShardPlanner,
     TablePlacement,
-    audit_placement,
-    check_oblivious_placement,
-    default_placement_workloads,
     placement_subject,
 )
 from repro.cluster.router import ShardRouter, replica_table_sets, ring_hash
@@ -80,12 +70,8 @@ __all__ = [
     "ClusterSignals",
     "HotLoadChasingController",
     "ScaleDecision",
-    "ScalingLeakageError",
     "SignalPlane",
     "Supervisor",
-    "audit_scaling",
-    "check_oblivious_scaling",
-    "default_scaling_workloads",
     "scaling_subject",
     "EpochControlPlane",
     "PlanEpoch",
@@ -99,21 +85,15 @@ __all__ = [
     "MigrationStep",
     "TableMove",
     "TransitioningOwnerMap",
-    "audit_migration",
-    "check_oblivious_migration",
     "default_migration_workloads",
     "migration_subject",
     "PLACEMENT_REGION",
     "FrequencyKeyedPlanner",
     "PlacementError",
-    "PlacementLeakageError",
     "RingPlanner",
     "ShardPlan",
     "ShardPlanner",
     "TablePlacement",
-    "audit_placement",
-    "check_oblivious_placement",
-    "default_placement_workloads",
     "placement_subject",
     "ShardRouter",
     "replica_table_sets",

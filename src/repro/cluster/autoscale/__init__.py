@@ -21,10 +21,6 @@ from repro.cluster.autoscale.controller import (
     AutoscaleConfig,
     HotLoadChasingController,
     ScaleDecision,
-    ScalingLeakageError,
-    audit_scaling,
-    check_oblivious_scaling,
-    default_scaling_workloads,
     scaling_subject,
 )
 from repro.cluster.autoscale.signals import ClusterSignals, SignalPlane
@@ -45,10 +41,6 @@ __all__ = [
     "AutoscaleConfig",
     "HotLoadChasingController",
     "ScaleDecision",
-    "ScalingLeakageError",
-    "audit_scaling",
-    "check_oblivious_scaling",
-    "default_scaling_workloads",
     "scaling_subject",
     "ClusterSignals",
     "SignalPlane",

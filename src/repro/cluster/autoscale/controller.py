@@ -10,8 +10,9 @@ migration planner before it — the obliviousness is *enforced*, not
 assumed: :meth:`Autoscaler.decide` accepts the observed workload a
 load-chasing controller would want, records every decision in the
 ``cluster.autoscale`` tracer region, and
-:func:`check_oblivious_scaling` replays the controller over the same
-signal timeline under contrasting skew profiles in exact mode. A
+:func:`scaling_subject` replays the controller over the same signal
+timeline under contrasting skew profiles in exact mode
+(``LeakageAuditor().require(scaling_subject(...))`` is the gate). A
 compliant controller produces one byte-identical decision trace for every
 skew; :class:`HotLoadChasingController` (scale toward the hot tables —
 the "natural" demand-follower) is the in-tree negative control the audit
@@ -37,19 +38,13 @@ clears, the backlog of evidence still stands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.cluster.autoscale.signals import ClusterSignals
-from repro.cluster.placement import default_placement_workloads
 from repro.oblivious.trace import WRITE, MemoryTracer
-from repro.telemetry.audit import (
-    MODE_EXACT,
-    AuditFinding,
-    AuditSubject,
-    LeakageAuditor,
-)
+from repro.telemetry.audit import MODE_EXACT, AuditSubject
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
 
@@ -64,10 +59,6 @@ ACTION_BLOCKED = "blocked"
 #: stable numeric encoding of actions for the trace address
 _ACTION_VALUES = {ACTION_HOLD: 0, ACTION_UP: 1, ACTION_DOWN: 2,
                   ACTION_BLOCKED: 3}
-
-
-class ScalingLeakageError(RuntimeError):
-    """A controller's scale decisions depended on the observed workload."""
 
 
 @dataclass(frozen=True)
@@ -151,8 +142,8 @@ class Autoscaler:
         """One control step; records the decision on ``tracer``.
 
         ``workload`` is the observed index trace a load-chasing controller
-        would want; this controller accepts it only so
-        :func:`check_oblivious_scaling` can verify it is ignored. The
+        would want; this controller accepts it only so the
+        :func:`scaling_subject` audit can verify it is ignored. The
         trace address encodes (tick, target, action), so any
         workload-dependent decision shows up as exact-mode divergence.
         """
@@ -250,15 +241,8 @@ class HotLoadChasingController(Autoscaler):
 
 
 # ----------------------------------------------------------------------
-# The scaling-level leakage check (mirrors check_oblivious_placement).
+# The scaling-level leakage check (judged by LeakageAuditor).
 # ----------------------------------------------------------------------
-def default_scaling_workloads(num_tables: int,
-                              length: int = 64) -> List[Sequence[int]]:
-    """Contrasting skew profiles: hot-head, hot-tail, uniform — the same
-    maximum-contrast shapes the placement audit replays under."""
-    return default_placement_workloads(num_tables, length)
-
-
 def scaling_subject(controller_factory: Callable[[], Autoscaler],
                     timeline: Sequence[ClusterSignals],
                     workloads: Sequence[Sequence[int]],
@@ -281,46 +265,3 @@ def scaling_subject(controller_factory: Callable[[], Autoscaler],
 
     return AuditSubject(name, run, workloads, mode=MODE_EXACT,
                         expect_oblivious=expect_oblivious)
-
-
-def audit_scaling(controller_factory: Callable[[], Autoscaler],
-                  timeline: Sequence[ClusterSignals],
-                  workloads: Sequence[Sequence[int]],
-                  auditor: Optional[LeakageAuditor] = None,
-                  name: str = "autoscaler",
-                  expect_oblivious: bool = True) -> AuditFinding:
-    """Replay the controller across skew profiles; return the finding."""
-    if auditor is None:
-        auditor = LeakageAuditor()
-    return auditor.audit(scaling_subject(controller_factory, timeline,
-                                         workloads, name=name,
-                                         expect_oblivious=expect_oblivious))
-
-
-def check_oblivious_scaling(controller_factory: Callable[[], Autoscaler],
-                            timeline: Sequence[ClusterSignals],
-                            workloads: Sequence[Sequence[int]],
-                            auditor: Optional[LeakageAuditor] = None
-                            ) -> AuditFinding:
-    """Gate: raise :class:`ScalingLeakageError` if decisions leak.
-
-    The autoscale sim runs this before its decision trace counts as
-    converged — the same loud failure a frequency-keyed plan gets.
-    """
-    finding = audit_scaling(controller_factory, timeline, workloads,
-                            auditor=auditor)
-    if finding.leak_detected:
-        raise ScalingLeakageError(
-            f"scale decisions of {name_of(controller_factory)} depend on "
-            f"the observed workload (trace divergence "
-            f"{finding.divergence:.3f}); load-chasing elasticity is a "
-            f"side channel")
-    return finding
-
-
-def name_of(controller_factory: Callable[[], Autoscaler]) -> str:
-    """Best-effort display name for a controller factory."""
-    try:
-        return type(controller_factory()).__name__
-    except Exception:  # pragma: no cover - diagnostics only
-        return getattr(controller_factory, "__name__", "controller")

@@ -21,8 +21,9 @@ the elastic counterpart of ``repro.cluster.sim``'s:
   fleet ends the storm at full replication health;
 * **scaling audit** — the controller's decision trace is byte-identical
   across hot-head / hot-tail / uniform skew profiles in exact mode
-  (:func:`~repro.cluster.autoscale.controller.check_oblivious_scaling`),
-  and the workload-chasing
+  (:meth:`~repro.telemetry.audit.LeakageAuditor.require` on the
+  :func:`~repro.cluster.autoscale.controller.scaling_subject`), and the
+  workload-chasing
   :class:`~repro.cluster.autoscale.controller.HotLoadChasingController`
   negative control is *caught*;
 * **audited reshapes** — every plan passes the placement audit and every
@@ -51,9 +52,7 @@ from repro.cluster.autoscale.controller import (
     Autoscaler,
     AutoscaleConfig,
     HotLoadChasingController,
-    audit_scaling,
-    check_oblivious_scaling,
-    default_scaling_workloads,
+    scaling_subject,
 )
 from repro.cluster.autoscale.signals import ClusterSignals, SignalPlane
 from repro.cluster.autoscale.supervisor import Supervisor
@@ -61,18 +60,20 @@ from repro.cluster.epoch import EpochControlPlane, PlanEpoch
 from repro.cluster.migration import (
     BandwidthContentionModel,
     MigrationEngine,
-    audit_migration,
+    migration_subject,
 )
-from repro.cluster.placement import check_oblivious_placement
+from repro.cluster.placement import AUDIT_SECRET_LENGTH, placement_subject
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
-from repro.cluster.sim import build_model, plan_digest
+from repro.cluster.sim import plan_digest
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
+from repro.hybrid import dlrm_threshold_model
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestQueue
+from repro.telemetry.audit import LeakageAuditor, contrasting_secrets
 
 #: the autoscale gates CI enforces (ISSUE 8 acceptance criteria)
 CONVERGENCE_FLOOR = 0.9        # achieved / offered after the ramp
@@ -142,8 +143,9 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     retry = RetryPolicy(deadline_seconds=DEADLINE_SECONDS)
     dim = spec.embedding_dim
     sizes = spec.table_sizes
-    uniform, thresholds = build_model(spec, batch)
-    skews = default_scaling_workloads(len(sizes))
+    uniform, thresholds = dlrm_threshold_model(dim, batch)
+    skews = contrasting_secrets(len(sizes), AUDIT_SECRET_LENGTH)
+    auditor = LeakageAuditor()
 
     # ------------------------------------------------------------------
     # Plans come from the ring planner (incremental reshards) and every
@@ -162,8 +164,8 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                 base_planner = RingPlanner(nodes, thresholds, dim, uniform)
             planner = (base_planner if base_planner.num_nodes == nodes
                        else base_planner.for_nodes(nodes))
-            finding = check_oblivious_placement(planner, sizes, config,
-                                                workloads=skews)
+            finding = auditor.require(placement_subject(
+                planner, sizes, config, workloads=skews))
             placement_ok = placement_ok and finding.passed
             plans[nodes] = planner.plan(sizes, config)
             plan_audits.append({
@@ -310,8 +312,8 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                                         step_size=STEP_SIZE,
                                         contention=contention)
             if candidate.move_set():
-                finding = audit_migration(
-                    candidate, name=f"{decision.action}-tick{tick}")
+                finding = auditor.audit(migration_subject(
+                    candidate, name=f"{decision.action}-tick{tick}"))
                 migration_ok = migration_ok and finding.passed
                 migration_audits.append({
                     "tick": tick,
@@ -335,7 +337,8 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         if dead and pending is None:
             candidate = supervisor.heal(control, dead, step_size=STEP_SIZE,
                                         contention=contention)
-            finding = audit_migration(candidate, name=f"heal-tick{tick}")
+            finding = auditor.audit(migration_subject(
+                candidate, name=f"heal-tick{tick}"))
             migration_ok = migration_ok and finding.passed
             migration_audits.append({
                 "tick": tick,
@@ -388,11 +391,11 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # ------------------------------------------------------------------
     # Gate: scale decisions are skew-invariant (exact mode) and the
     # workload-chasing controller is caught.
-    scaling_finding = check_oblivious_scaling(
-        lambda: Autoscaler(autoscale_config), timeline, skews)
-    negative = audit_scaling(
+    scaling_finding = auditor.require(scaling_subject(
+        lambda: Autoscaler(autoscale_config), timeline, skews))
+    negative = auditor.audit(scaling_subject(
         lambda: HotLoadChasingController(autoscale_config), timeline,
-        skews, name="hot-load-chasing", expect_oblivious=False)
+        skews, name="hot-load-chasing", expect_oblivious=False))
 
     # ------------------------------------------------------------------
     # Gate: the autoscale counters on the merged fleet report sum to the

@@ -7,12 +7,14 @@ bounded steps against live traffic. The gates are the live-migration
 counterpart of ``repro.cluster.sim``'s:
 
 * **per-epoch placement audit** — every epoch's planner passes
-  :func:`~repro.cluster.placement.check_oblivious_placement` before its
-  plan may serve;
+  :meth:`~repro.telemetry.audit.LeakageAuditor.require` on its
+  :func:`~repro.cluster.placement.placement_subject` before its plan may
+  serve;
 * **migration audit** — every intermediate assignment (pending /
   in-flight / moved per step) replays identically under contrasting
-  workloads via :func:`~repro.cluster.migration.check_oblivious_migration`,
-  and the :class:`~repro.cluster.migration.HotFirstMigrationPlanner`
+  workloads (``require`` on the
+  :func:`~repro.cluster.migration.migration_subject`), and the
+  :class:`~repro.cluster.migration.HotFirstMigrationPlanner`
   negative control must be *caught*;
 * **zero loss at R >= 2** — no request drops during or after the
   transition (double-serve covers every in-flight table), including with
@@ -42,23 +44,20 @@ from repro.cluster.epoch import EpochControlPlane, PlanEpoch
 from repro.cluster.migration import (
     HotFirstMigrationPlanner,
     MigrationEngine,
-    audit_migration,
-    check_oblivious_migration,
+    migration_subject,
 )
-from repro.cluster.placement import (
-    RingPlanner,
-    check_oblivious_placement,
-    default_placement_workloads,
-)
+from repro.cluster.placement import RingPlanner, placement_subject
 from repro.cluster.scatter import ScatterGatherEngine
-from repro.cluster.sim import build_model, plan_digest
+from repro.cluster.sim import plan_digest
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
+from repro.hybrid import dlrm_threshold_model
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestQueue
+from repro.telemetry.audit import LeakageAuditor
 
 #: the migration gates CI enforces (ISSUE 5 acceptance criteria)
 P99_INFLATION_CEILING = 2.0    # window p99 vs steady state
@@ -101,7 +100,7 @@ def _scenario(direction: str, src_nodes: int, dst_nodes: int,
     source, target, engine, steady = steady_cache[key]
 
     migrator = MigrationEngine(source, target, step_size=step_size)
-    finding = check_oblivious_migration(migrator)
+    finding = LeakageAuditor().require(migration_subject(migrator))
     report = migrator.execute(engine, config, arrivals, policy)
     after = engine.serve(config, arrivals, policy,
                          owner_map=migrator.final_owner_map())
@@ -151,9 +150,9 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     retry = RetryPolicy(deadline_seconds=DEADLINE_SECONDS)
     dim = spec.embedding_dim
     sizes = spec.table_sizes
-    uniform, thresholds = build_model(spec, batch)
+    uniform, thresholds = dlrm_threshold_model(dim, batch)
     arrivals = RequestQueue.poisson(num_requests, rate_rps, rng=seed)
-    workloads = default_placement_workloads(len(sizes))
+    auditor = LeakageAuditor()
 
     # ------------------------------------------------------------------
     # Per-epoch placement audit: every plan that any epoch will serve
@@ -165,8 +164,7 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     audits_passed = True
     for nodes in node_counts:
         planner = base if nodes == node_counts[0] else base.for_nodes(nodes)
-        finding = check_oblivious_placement(planner, sizes, config,
-                                            workloads=workloads)
+        finding = auditor.require(placement_subject(planner, sizes, config))
         audits_passed = audits_passed and finding.passed
         plans[nodes] = planner.plan(sizes, config)
         epoch_audits.append({
@@ -245,8 +243,8 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     target = source.successor(plans[nodes_after])
     hot = MigrationEngine(source, target, step_size=1,
                           planner=HotFirstMigrationPlanner())
-    negative = audit_migration(hot, name="hot-first-migration",
-                               expect_oblivious=False)
+    negative = auditor.audit(migration_subject(
+        hot, name="hot-first-migration", expect_oblivious=False))
     negative_ok = negative.leak_detected
 
     gates = gated.gate_dict(

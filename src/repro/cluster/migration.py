@@ -36,16 +36,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.epoch import PlanEpoch
-from repro.cluster.placement import PlacementLeakageError
+from repro.cluster.placement import AUDIT_SECRET_LENGTH
 from repro.oblivious.trace import WRITE, MemoryTracer
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.engine import ArrivalsLike, ServingConfig
 from repro.serving.requests import RequestQueue
 from repro.telemetry.audit import (
     MODE_EXACT,
-    AuditFinding,
     AuditSubject,
-    LeakageAuditor,
+    contrasting_secrets,
 )
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
@@ -150,7 +149,7 @@ class BandwidthContentionModel:
 class MigrationPlanner:
     """Orders the move-set by static metadata only (table id).
 
-    ``workload`` exists so :func:`check_oblivious_migration` can verify it
+    ``workload`` exists so the :func:`migration_subject` audit can verify it
     is ignored — the same enforced-not-assumed contract the shard planner
     honours for placement.
     """
@@ -560,11 +559,12 @@ class MigrationEngine:
 
 
 # ----------------------------------------------------------------------
-# The migration-level leakage check (mirrors check_oblivious_placement).
+# The migration-level leakage check (judged by LeakageAuditor).
 # ----------------------------------------------------------------------
 def default_migration_workloads(num_tables: int,
                                 move_table_ids: Sequence[int],
-                                length: int = 64) -> List[Sequence[int]]:
+                                length: int = AUDIT_SECRET_LENGTH
+                                ) -> List[Sequence[int]]:
     """Contrasting traffic profiles keyed to the (public) move-set.
 
     Hammer the first moving table, hammer the last moving table, and a
@@ -573,23 +573,22 @@ def default_migration_workloads(num_tables: int,
     from the two epochs, both workload-blind, so conditioning the audit
     workloads on it is secret-free.
     """
-    check_positive("num_tables", num_tables)
-    check_positive("length", length)
+    head, tail, sweep = contrasting_secrets(num_tables, length)
     ids = sorted(set(move_table_ids))
-    if not ids:
-        ids = [0, num_tables - 1]
-    return [
-        [ids[0]] * length,
-        [ids[-1]] * length,
-        [index % num_tables for index in range(length)],
-    ]
+    if ids:
+        head, tail = [ids[0]] * length, [ids[-1]] * length
+    return [head, tail, sweep]
 
 
 def migration_subject(engine: MigrationEngine,
                       workloads: Optional[Sequence[Sequence[int]]] = None,
                       name: str = "migration-planner",
                       expect_oblivious: bool = True) -> AuditSubject:
-    """Wrap a migration as an :class:`AuditSubject`: one replay per workload."""
+    """Wrap a migration as an :class:`AuditSubject`: one replay per workload.
+
+    ``LeakageAuditor().require(migration_subject(engine))`` is the gate a
+    migration passes before it may execute against live traffic.
+    """
     if workloads is None:
         workloads = default_migration_workloads(
             engine.source.num_tables,
@@ -600,34 +599,3 @@ def migration_subject(engine: MigrationEngine,
 
     return AuditSubject(name, run, workloads, mode=MODE_EXACT,
                         expect_oblivious=expect_oblivious)
-
-
-def audit_migration(engine: MigrationEngine,
-                    workloads: Optional[Sequence[Sequence[int]]] = None,
-                    auditor: Optional[LeakageAuditor] = None,
-                    name: str = "migration-planner",
-                    expect_oblivious: bool = True) -> AuditFinding:
-    """Replay the migration plan across workloads; return the finding."""
-    if auditor is None:
-        auditor = LeakageAuditor()
-    return auditor.audit(migration_subject(engine, workloads, name=name,
-                                           expect_oblivious=expect_oblivious))
-
-
-def check_oblivious_migration(engine: MigrationEngine,
-                              workloads: Optional[Sequence[Sequence[int]]]
-                              = None,
-                              auditor: Optional[LeakageAuditor] = None
-                              ) -> AuditFinding:
-    """Gate: raise :class:`PlacementLeakageError` if the move order leaks.
-
-    Run before any migration is allowed to execute against live traffic —
-    the same loud failure the placement gate gives a frequency-keyed plan.
-    """
-    finding = audit_migration(engine, workloads, auditor=auditor)
-    if finding.leak_detected:
-        raise PlacementLeakageError(
-            f"move order of {type(engine.planner).__name__} depends on the "
-            f"observed workload (trace divergence {finding.divergence:.3f}); "
-            f"hot-first migration is a side channel")
-    return finding

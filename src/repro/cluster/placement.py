@@ -12,8 +12,9 @@ only** — table id, table size, and the per-technique cost model — and the
 invariant is *enforced*, not assumed: the planner accepts the workload
 argument a frequency-keyed planner would want, routes every placement
 decision through a :class:`~repro.oblivious.trace.MemoryTracer`, and
-:func:`check_oblivious_placement` replays the planner under contrasting
-workloads with the :class:`~repro.telemetry.audit.LeakageAuditor`. A
+:func:`placement_subject` packages the replay of the planner under
+contrasting workloads for the :class:`~repro.telemetry.audit.LeakageAuditor`
+(``LeakageAuditor().require(placement_subject(...))`` is the gate). A
 compliant planner produces the identical placement trace for every
 workload; :class:`FrequencyKeyedPlanner` (kept as the documented
 anti-pattern) does not, and the audit flags it.
@@ -43,23 +44,20 @@ from repro.serving.backends import BackendLike, resolve_backend
 from repro.serving.engine import ServingConfig
 from repro.telemetry.audit import (
     MODE_EXACT,
-    AuditFinding,
     AuditSubject,
-    LeakageAuditor,
+    contrasting_secrets,
 )
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
 
 #: tracer region every placement decision is recorded under
 PLACEMENT_REGION = "cluster.placement"
+#: length of the observed-traffic secrets the cluster audits contrast
+AUDIT_SECRET_LENGTH = 64
 
 
 class PlacementError(ValueError):
     """The table set cannot be placed (e.g. a node capacity is exceeded)."""
-
-
-class PlacementLeakageError(RuntimeError):
-    """A planner's placement depended on the observed workload."""
 
 
 @dataclass(frozen=True)
@@ -255,7 +253,7 @@ class ShardPlanner:
 
         ``workload`` is an observed index trace (what a frequency-keyed
         planner would bin into per-table heat). This planner accepts it
-        only so :func:`check_oblivious_placement` can verify it is ignored.
+        only so the :func:`placement_subject` audit can verify it is ignored.
         """
         costs = self.table_costs(table_sizes, config)
         assigned = self._assign(costs, workload)
@@ -323,70 +321,24 @@ class RingPlanner(ShardPlanner):
 
 
 # ----------------------------------------------------------------------
-# The planner-level leakage check (reuses LeakageAuditor end to end).
+# The planner-level leakage check (judged by LeakageAuditor end to end).
 # ----------------------------------------------------------------------
-def default_placement_workloads(num_tables: int,
-                                length: int = 64
-                                ) -> List[Sequence[int]]:
-    """Contrasting observed-traffic profiles: hammer the first table,
-    hammer the last, and a uniform sweep — the same maximum-contrast shape
-    the standing five-subject audit uses for its secrets."""
-    check_positive("num_tables", num_tables)
-    check_positive("length", length)
-    return [
-        [0] * length,
-        [num_tables - 1] * length,
-        [index % num_tables for index in range(length)],
-    ]
-
-
 def placement_subject(planner: ShardPlanner, table_sizes: Sequence[int],
                       config: ServingConfig,
                       workloads: Optional[Sequence[Sequence[int]]] = None,
                       name: str = "shard-planner",
                       expect_oblivious: bool = True) -> AuditSubject:
-    """Wrap a planner as an :class:`AuditSubject`: one replay per workload."""
+    """Wrap a planner as an :class:`AuditSubject`: one replay per workload.
+
+    ``LeakageAuditor().require(placement_subject(...))`` is the loud gate
+    the cluster simulators and CI run before any plan may serve traffic.
+    """
     if workloads is None:
-        workloads = default_placement_workloads(len(table_sizes))
+        workloads = contrasting_secrets(len(table_sizes),
+                                        AUDIT_SECRET_LENGTH)
 
     def run(tracer: MemoryTracer, secret: Sequence[int]) -> None:
         planner.plan(table_sizes, config, workload=secret, tracer=tracer)
 
     return AuditSubject(name, run, workloads, mode=MODE_EXACT,
                         expect_oblivious=expect_oblivious)
-
-
-def audit_placement(planner: ShardPlanner, table_sizes: Sequence[int],
-                    config: ServingConfig,
-                    workloads: Optional[Sequence[Sequence[int]]] = None,
-                    auditor: Optional[LeakageAuditor] = None,
-                    name: str = "shard-planner",
-                    expect_oblivious: bool = True) -> AuditFinding:
-    """Replay the planner across workloads and return the audit finding."""
-    if auditor is None:
-        auditor = LeakageAuditor()
-    return auditor.audit(placement_subject(planner, table_sizes, config,
-                                           workloads, name=name,
-                                           expect_oblivious=expect_oblivious))
-
-
-def check_oblivious_placement(planner: ShardPlanner,
-                              table_sizes: Sequence[int],
-                              config: ServingConfig,
-                              workloads: Optional[Sequence[Sequence[int]]]
-                              = None,
-                              auditor: Optional[LeakageAuditor] = None
-                              ) -> AuditFinding:
-    """Gate: raise :class:`PlacementLeakageError` if placement leaks.
-
-    This is the loud failure the cluster simulator and CI run before any
-    plan is allowed to serve traffic.
-    """
-    finding = audit_placement(planner, table_sizes, config, workloads,
-                              auditor=auditor)
-    if finding.leak_detected:
-        raise PlacementLeakageError(
-            f"placement of {type(planner).__name__} depends on the observed "
-            f"workload (trace divergence {finding.divergence:.3f}); "
-            f"frequency-keyed sharding is a side channel")
-    return finding

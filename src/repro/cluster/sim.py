@@ -4,7 +4,8 @@ Sweeps the Fig 13 Terabyte serving workload across cluster topologies and
 enforces the scaling story the ROADMAP's north star needs:
 
 * **placement audit** — every plan that serves traffic first passes
-  :func:`~repro.cluster.placement.check_oblivious_placement`, and the sim
+  :meth:`~repro.telemetry.audit.LeakageAuditor.require` on its
+  :func:`~repro.cluster.placement.placement_subject`, and the sim
   additionally proves the gate has teeth by running the deliberately
   frequency-keyed planner and requiring the auditor to flag it;
 * **skew invariance** — the plan digest must be byte-identical under every
@@ -35,23 +36,23 @@ import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.placement import (
+    AUDIT_SECRET_LENGTH,
     FrequencyKeyedPlanner,
     ShardPlan,
     ShardPlanner,
-    audit_placement,
-    check_oblivious_placement,
-    default_placement_workloads,
+    placement_subject,
 )
 from repro.cluster.router import ShardRouter
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
-from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
+from repro.hybrid import dlrm_threshold_model
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestQueue
+from repro.telemetry.audit import LeakageAuditor, contrasting_secrets
 
 #: the cluster gates CI enforces (ISSUE 4 acceptance criteria)
 SCALING_FLOOR = 3.0            # 1 -> 4 nodes at replication 2
@@ -76,36 +77,10 @@ CACHE_BUDGET_BYTES = 64 * 1024 * 1024
 SKEW_NAMES = ("hot-head", "hot-tail", "uniform")
 
 
-def build_model(spec: DlrmDatasetSpec, batch: int):
-    """(uniform shape, threshold database) for the spec, as Fig 13 does.
-
-    Shared with :mod:`repro.cluster.migrate` so both sims price tables
-    through identical thresholds.
-    """
-    from repro.hybrid import OfflineProfiler, build_threshold_database
-
-    dim = spec.embedding_dim
-    uniform = DLRM_DHE_UNIFORM_16 if dim == 16 else DLRM_DHE_UNIFORM_64
-    profiler = OfflineProfiler(uniform)
-    profile = profiler.profile(techniques=("scan", "dhe-varied"),
-                               dims=(dim,), batches=(batch,),
-                               threads_list=(1,))
-    thresholds = build_threshold_database(
-        profile, dhe_technique="dhe-varied", dims=(dim,), batches=(batch,),
-        threads_list=(1,))
-    return uniform, thresholds
-
-
 def plan_digest(plan: ShardPlan) -> str:
     """Content hash of a plan (what the skew-invariance gate compares)."""
     payload = json.dumps(plan.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _skew_workloads(num_tables: int) -> Dict[str, Sequence[int]]:
-    """Named skew profiles (same shapes the placement audit contrasts)."""
-    head, tail, uniform = default_placement_workloads(num_tables)
-    return {"hot-head": head, "hot-tail": tail, "uniform": uniform}
 
 
 def _cell(nodes: int, replication: int,
@@ -133,10 +108,12 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     retry = RetryPolicy(deadline_seconds=DEADLINE_SECONDS)
     dim = spec.embedding_dim
     sizes = spec.table_sizes
-    uniform, thresholds = build_model(spec, batch)
+    uniform, thresholds = dlrm_threshold_model(dim, batch)
     # One arrival trace for every topology: cells differ only in sharding.
     arrivals = RequestQueue.poisson(num_requests, rate_rps, rng=seed)
-    skews = _skew_workloads(len(sizes))
+    skews = dict(zip(SKEW_NAMES, contrasting_secrets(len(sizes),
+                                                     AUDIT_SECRET_LENGTH)))
+    auditor = LeakageAuditor()
 
     cells: List[Dict[str, object]] = []
     topologies: List[Dict[str, object]] = []
@@ -146,9 +123,9 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     skew_invariant = True
     for nodes in node_counts:
         planner = ShardPlanner(nodes, thresholds, dim, uniform)
-        # The leakage gate: raises PlacementLeakageError on a leaky planner.
-        finding = check_oblivious_placement(planner, sizes, config,
-                                            workloads=list(skews.values()))
+        # The leakage gate: raises LeakageError on a leaky planner.
+        finding = auditor.require(placement_subject(
+            planner, sizes, config, workloads=list(skews.values())))
         audits_passed = audits_passed and finding.passed
         # Skew invariance: the plan digest must not move with the workload.
         digests = {name: plan_digest(planner.plan(sizes, config,
@@ -236,15 +213,14 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # Gate: oblivious-safe caching on the top topology. Static whole-table
     # residency (audited: occupancy ignores the request stream) must cut
     # fleet busy time without inflating the gathered p99.
-    from repro.cache import CachePolicy, StaticResidencyCache
-    from repro.cache.audit import check_oblivious_cache
+    from repro.cache import CachePolicy, StaticResidencyCache, cache_subject
 
     cache_policy = CachePolicy("static-residency",
                                budget_bytes=CACHE_BUDGET_BYTES)
-    cache_finding = check_oblivious_cache(
+    cache_finding = auditor.require(cache_subject(
         lambda tracer: StaticResidencyCache(cache_policy.budget_bytes,
                                             tracer=tracer),
-        name="static-residency")
+        name="static-residency"))
     cached_planner = ShardPlanner(top_nodes, thresholds, dim, uniform)
     cached_router = ShardRouter(top_nodes, replication=top_repl,
                                 plan=cached_planner.plan(sizes, config))
@@ -274,10 +250,9 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # ------------------------------------------------------------------
     # Gate with teeth: the frequency-keyed anti-pattern must be *caught*.
     leaky = FrequencyKeyedPlanner(max(node_counts), thresholds, dim, uniform)
-    negative = audit_placement(leaky, sizes, config,
-                               workloads=list(skews.values()),
-                               name="frequency-keyed-planner",
-                               expect_oblivious=False)
+    negative = auditor.audit(placement_subject(
+        leaky, sizes, config, workloads=list(skews.values()),
+        name="frequency-keyed-planner", expect_oblivious=False))
     negative_ok = negative.leak_detected
 
     gates = gated.gate_dict(

@@ -10,14 +10,12 @@ resolves the live allocation (Algorithm 3) and hands replica fleets to its
 
 from __future__ import annotations
 
-from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments.reporting import ExperimentResult, format_ms
 from repro.hybrid import (
-    OfflineProfiler,
     allocate_by_threshold,
-    build_threshold_database,
     count_scan_features,
+    dlrm_threshold_model,
 )
 from repro.serving import ExecutionEngine, ServingConfig
 
@@ -27,15 +25,7 @@ SLA_SECONDS = 0.020
 def run(spec: DlrmDatasetSpec = TERABYTE_SPEC, batch: int = 32,
         max_copies: int = 28) -> ExperimentResult:
     dim = spec.embedding_dim
-    uniform = DLRM_DHE_UNIFORM_16 if dim == 16 else DLRM_DHE_UNIFORM_64
-
-    profiler = OfflineProfiler(uniform)
-    profile = profiler.profile(techniques=("scan", "dhe-varied"),
-                               dims=(dim,), batches=(batch,),
-                               threads_list=(1,))
-    thresholds = build_threshold_database(
-        profile, dhe_technique="dhe-varied", dims=(dim,), batches=(batch,),
-        threads_list=(1,))
+    uniform, thresholds = dlrm_threshold_model(dim, batch)
 
     engine = ExecutionEngine(spec.table_sizes, dim, uniform, thresholds,
                              varied=True)

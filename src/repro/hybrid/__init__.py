@@ -37,6 +37,7 @@ from repro.hybrid.thresholds import (
     ThresholdDatabase,
     ThresholdKey,
     build_threshold_database,
+    dlrm_threshold_model,
     hybrid_eligible_range,
     intersect_curves,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "ThresholdDatabase",
     "ThresholdKey",
     "build_threshold_database",
+    "dlrm_threshold_model",
     "hybrid_eligible_range",
     "intersect_curves",
 ]

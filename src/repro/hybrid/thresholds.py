@@ -12,7 +12,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hybrid.profiler import ProfileDatabase
+from repro.costmodel.latency import (
+    DLRM_DHE_UNIFORM_16,
+    DLRM_DHE_UNIFORM_64,
+    DheShape,
+)
+from repro.hybrid.profiler import OfflineProfiler, ProfileDatabase
 
 
 def intersect_curves(sizes: Sequence[int], scan: Sequence[float],
@@ -89,6 +94,25 @@ def build_threshold_database(profile: ProfileDatabase,
                 value = math.inf if crossing is None else crossing
                 database.thresholds[ThresholdKey(dim, batch, threads)] = value
     return database
+
+
+def dlrm_threshold_model(embedding_dim: int, batch: int
+                         ) -> Tuple[DheShape, ThresholdDatabase]:
+    """(uniform DHE shape, scan vs DHE-varied thresholds) as Fig 13 profiles.
+
+    The one pricing model the serving sims share (cluster, migration,
+    autoscale, cache, chaos, LLM pools), so they all cut over between scan
+    and DHE at identical table sizes.
+    """
+    uniform = (DLRM_DHE_UNIFORM_16 if embedding_dim == 16
+               else DLRM_DHE_UNIFORM_64)
+    profile = OfflineProfiler(uniform).profile(
+        techniques=("scan", "dhe-varied"), dims=(embedding_dim,),
+        batches=(batch,), threads_list=(1,))
+    thresholds = build_threshold_database(
+        profile, dhe_technique="dhe-varied", dims=(embedding_dim,),
+        batches=(batch,), threads_list=(1,))
+    return uniform, thresholds
 
 
 def hybrid_eligible_range(threshold_db: ThresholdDatabase,

@@ -44,7 +44,12 @@ from repro.lazy.runtime import NumpyRuntime, use_runtime
 from repro.lazy.schedule import IndexLeakingScheduler
 from repro.oblivious.linear_scan import linear_scan_batch_vectorized
 from repro.oblivious.trace import MemoryTracer
-from repro.telemetry.audit import MODE_EXACT, AuditSubject, LeakageAuditor
+from repro.telemetry.audit import (
+    MODE_EXACT,
+    AuditSubject,
+    LeakageAuditor,
+    contrasting_secrets,
+)
 
 #: Fig 12 serving batch sizes
 BATCHES = (1, 8, 32, 128)
@@ -59,15 +64,6 @@ MLP_LAYER_SIZES = (13, 512, 256, 64, 16)
 AUDIT_ROWS = 16
 AUDIT_DIM = 4
 AUDIT_SECRET_LENGTH = 12
-
-
-def _audit_secrets() -> List[Sequence[int]]:
-    """Contrasting secrets: hammer-first, hammer-last, mixed sweep."""
-    return [
-        [0] * AUDIT_SECRET_LENGTH,
-        [AUDIT_ROWS - 1] * AUDIT_SECRET_LENGTH,
-        [index % AUDIT_ROWS for index in range(AUDIT_SECRET_LENGTH)],
-    ]
 
 
 def _cell(path: str, batch: int, graph: CapturedGraph,
@@ -194,14 +190,13 @@ def run_bench(seed: int = 0) -> Dict[str, object]:
             linear_scan_batch_vectorized(audit_table, secret)
 
     auditor = LeakageAuditor()
+    secrets = contrasting_secrets(AUDIT_ROWS, AUDIT_SECRET_LENGTH)
     report = auditor.run([
-        AuditSubject("lazy-dhe-decode", run_lazy_dhe, _audit_secrets(),
+        AuditSubject("lazy-dhe-decode", run_lazy_dhe, secrets,
                      mode=MODE_EXACT),
-        AuditSubject("lazy-scan", run_lazy_scan, _audit_secrets(),
-                     mode=MODE_EXACT),
-        AuditSubject("index-leaking-scheduler", run_leaky_scan,
-                     _audit_secrets(), mode=MODE_EXACT,
-                     expect_oblivious=False),
+        AuditSubject("lazy-scan", run_lazy_scan, secrets, mode=MODE_EXACT),
+        AuditSubject("index-leaking-scheduler", run_leaky_scan, secrets,
+                     mode=MODE_EXACT, expect_oblivious=False),
     ])
     audit_ok = (report.finding("lazy-dhe-decode").passed
                 and report.finding("lazy-scan").passed)

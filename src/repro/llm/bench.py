@@ -20,8 +20,8 @@ path. The gates:
 * **detector teeth** — the boundary-leaking tokenizer and the
   hot-load-chasing controller are both *caught*;
 * **elasticity** — every pool logs >= 1 scale event, every pool's
-  decision timeline replays skew-invariantly through
-  :func:`~repro.cluster.autoscale.controller.check_oblivious_scaling`,
+  decision timeline replays skew-invariantly through its
+  :func:`~repro.cluster.autoscale.controller.scaling_subject`,
   and every plan/migration the pools touched passed its audit;
 * **live parity** — the live probe (real square-root ORAM tokenization,
   real per-token Circuit-ORAM decode loop hanging off the pipeline's
@@ -45,13 +45,12 @@ import numpy as np
 from repro.cluster.autoscale.controller import (
     AutoscaleConfig,
     HotLoadChasingController,
-    audit_scaling,
-    default_scaling_workloads,
+    scaling_subject,
 )
-from repro.cluster.placement import RingPlanner
-from repro.cluster.sim import build_model
+from repro.cluster.placement import AUDIT_SECRET_LENGTH, RingPlanner
 from repro.data import KAGGLE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
+from repro.hybrid import dlrm_threshold_model
 from repro.llm.pools import StagePool
 from repro.llm.stages import (
     LlmServingSpec,
@@ -63,7 +62,7 @@ from repro.llm.tokenizer import ObliviousTokenizer, tokenizer_subjects
 from repro.oram.circuit_oram import CircuitORAM
 from repro.serving import ServingConfig
 from repro.serving.requests import RequestQueue
-from repro.telemetry.audit import LeakageAuditor
+from repro.telemetry.audit import LeakageAuditor, contrasting_secrets
 from repro.utils.rng import new_rng
 
 #: the gates CI enforces (ISSUE 10 acceptance criteria)
@@ -111,10 +110,12 @@ def build_pools(spec: LlmServingSpec,
     partitions — priced like any other placed tables), so all three share
     the ring planner's incrementality and the one migration audit path.
     """
-    uniform, thresholds = build_model(dataset, spec.prefill_batch)
+    uniform, thresholds = dlrm_threshold_model(dataset.embedding_dim,
+                                               spec.prefill_batch)
     config = ServingConfig(batch_size=spec.prefill_batch, threads=1,
                            sla_seconds=0.020)
-    skews = default_scaling_workloads(len(dataset.table_sizes))
+    skews = contrasting_secrets(len(dataset.table_sizes),
+                                AUDIT_SECRET_LENGTH)
     pools: Dict[str, StagePool] = {}
     for name, (start, low, high) in POOL_SIZING.items():
         planner = RingPlanner(start, thresholds,
@@ -219,7 +220,8 @@ def run_bench(seed: int = 0,
     rates = rate_schedule()
     ticks = len(rates)
     pools = build_pools(spec)
-    skews = default_scaling_workloads(len(KAGGLE_SPEC.table_sizes))
+    skews = contrasting_secrets(len(KAGGLE_SPEC.table_sizes),
+                                AUDIT_SECRET_LENGTH)
 
     cells: List[Dict[str, object]] = []
     plateau_per_token: List[np.ndarray] = []
@@ -277,11 +279,11 @@ def run_bench(seed: int = 0,
                             spec, prompt_length=AUDIT_PROMPT_LENGTH,
                             seed=seed))
     }
-    hot_load = audit_scaling(
+    hot_load = auditor.audit(scaling_subject(
         lambda: HotLoadChasingController(
             pools["prefill"].autoscale_config),
         pools["prefill"].timeline, skews, name="hot-load-chasing",
-        expect_oblivious=False)
+        expect_oblivious=False))
 
     # ------------------------------------------------------------------
     # Elasticity gates: every pool scaled at least once, every pool's

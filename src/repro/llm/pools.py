@@ -8,20 +8,21 @@ one node count either starves the bottleneck or wastes the cheap stage.
 
 * plans come from a :class:`~repro.cluster.placement.RingPlanner` (one
   per pool), and every node count's plan passes
-  :func:`~repro.cluster.placement.check_oblivious_placement` before it
-  may serve — memoised, exactly as the autoscale sim does;
+  :meth:`~repro.telemetry.audit.LeakageAuditor.require` on its
+  :func:`~repro.cluster.placement.placement_subject` before it may serve
+  — memoised, exactly as the autoscale sim does;
 * epochs are versioned by the pool's own
   :class:`~repro.cluster.epoch.EpochControlPlane`; a scale decision
   advances the epoch and the cutover is modelled through the **shared**
   migration path — a :class:`~repro.cluster.migration.MigrationEngine`
-  between the two epochs whose move-set is audited by
-  :func:`~repro.cluster.migration.audit_migration` (the same auditor the
-  DLRM fleet's live migrations go through);
+  between the two epochs whose move-set is audited through its
+  :func:`~repro.cluster.migration.migration_subject` (the same subject
+  the DLRM fleet's live migrations go through);
 * scale decisions read the pool's own
   :class:`~repro.cluster.autoscale.signals.SignalPlane` — secret-free
   aggregates of *this stage's* offered load vs fluid capacity — and the
-  pool's decision timeline replays skew-invariantly through
-  :func:`~repro.cluster.autoscale.controller.check_oblivious_scaling`.
+  pool's decision timeline replays skew-invariantly through ``require``
+  on its :func:`~repro.cluster.autoscale.controller.scaling_subject`.
 
 Node counts are public per the threat model, but *three* node counts are
 three observables: the per-pool signal planes keep each one a function of
@@ -38,21 +39,19 @@ from repro.cluster.autoscale.controller import (
     ACTION_UP,
     Autoscaler,
     AutoscaleConfig,
-    check_oblivious_scaling,
+    scaling_subject,
 )
 from repro.cluster.autoscale.signals import ClusterSignals, SignalPlane
 from repro.cluster.epoch import EpochControlPlane, PlanEpoch
 from repro.cluster.migration import (
     BandwidthContentionModel,
     MigrationEngine,
-    audit_migration,
+    migration_subject,
 )
-from repro.cluster.placement import (
-    RingPlanner,
-    check_oblivious_placement,
-)
+from repro.cluster.placement import RingPlanner, placement_subject
 from repro.cluster.sim import plan_digest
 from repro.serving.engine import ServingConfig
+from repro.telemetry.audit import LeakageAuditor
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
 
@@ -113,9 +112,9 @@ class StagePool:
             planner = (self._base_planner
                        if self._base_planner.num_nodes == nodes
                        else self._base_planner.for_nodes(nodes))
-            finding = check_oblivious_placement(
+            finding = LeakageAuditor().require(placement_subject(
                 planner, self.table_sizes, self.config,
-                workloads=self.skews)
+                workloads=self.skews))
             self.placement_ok = self.placement_ok and finding.passed
             self._plans[nodes] = planner.plan(self.table_sizes,
                                               self.config)
@@ -165,10 +164,10 @@ class StagePool:
                                         contention=self.contention)
             moves = candidate.move_set()
             if moves:
-                finding = audit_migration(
+                finding = LeakageAuditor().audit(migration_subject(
                     candidate,
                     name=f"{self.name}-{decision.action}"
-                         f"-tick{signals.tick}")
+                         f"-tick{signals.tick}"))
                 self.migration_ok = self.migration_ok and finding.passed
                 self.migration_audits.append({
                     "pool": self.name,
@@ -199,9 +198,9 @@ class StagePool:
     # ------------------------------------------------------------------
     def scaling_audit(self, skews: Sequence[Sequence[int]]):
         """Replay this pool's decisions skew-invariantly (the gate)."""
-        return check_oblivious_scaling(
+        return LeakageAuditor().require(scaling_subject(
             lambda: Autoscaler(self.autoscale_config), self.timeline,
-            skews)
+            skews))
 
     def to_dict(self) -> Dict[str, object]:
         return {

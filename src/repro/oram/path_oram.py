@@ -80,12 +80,13 @@ class PathORAM(OramController):
         stash of blocks whose assigned path intersects each level."""
         for depth in range(self.tree.levels, -1, -1):
             bucket = path[depth]
-            eligible = self.stash.evict_matching(
+            # One scan per bucket however many blocks are eligible: taking
+            # all and re-adding the overflow would make the trace length
+            # follow the (secret-dependent) overflow count.
+            chosen = self.stash.take_matching(
                 lambda leaf, d=depth:
-                self.tree.common_depth(leaf, anchor_leaf) >= d)
-            chosen = eligible[: self.bucket_size]
-            for extra in eligible[self.bucket_size:]:
-                self.stash.add(*extra)  # return overflow to the stash
+                self.tree.common_depth(leaf, anchor_leaf) >= d,
+                self.bucket_size)
             ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
             leaves = np.zeros(self.bucket_size, dtype=np.int64)
             payloads = np.zeros((self.bucket_size, self.block_width))

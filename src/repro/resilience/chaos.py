@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 from typing import Dict, List, Optional
 
-from repro.costmodel import DLRM_DHE_UNIFORM_16, DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
 from repro.resilience.degradation import DegradationLadder
@@ -51,17 +50,10 @@ BATCH = 32
 
 def _build_engine(spec: DlrmDatasetSpec, batch: int,
                   resilience: Optional[ResiliencePolicy]) -> ExecutionEngine:
-    from repro.hybrid import OfflineProfiler, build_threshold_database
+    from repro.hybrid import dlrm_threshold_model
 
     dim = spec.embedding_dim
-    uniform = DLRM_DHE_UNIFORM_16 if dim == 16 else DLRM_DHE_UNIFORM_64
-    profiler = OfflineProfiler(uniform)
-    profile = profiler.profile(techniques=("scan", "dhe-varied"),
-                               dims=(dim,), batches=(batch,),
-                               threads_list=(1,))
-    thresholds = build_threshold_database(
-        profile, dhe_technique="dhe-varied", dims=(dim,), batches=(batch,),
-        threads_list=(1,))
+    uniform, thresholds = dlrm_threshold_model(dim, batch)
     return ExecutionEngine(spec.table_sizes, dim, uniform, thresholds,
                            varied=True, resilience=resilience)
 

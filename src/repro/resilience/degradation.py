@@ -177,15 +177,12 @@ class DegradationLadder:
             MODE_STRUCTURAL,
             AuditSubject,
             LeakageAuditor,
+            contrasting_secrets,
         )
 
         rows, dim = self.audit_rows, self.audit_dim
         length, seed = self.audit_secret_length, self.audit_seed
-        secrets: List[Sequence[int]] = [
-            [0] * length,
-            [rows - 1] * length,
-            [index % rows for index in range(length)],
-        ]
+        secrets = contrasting_secrets(rows, length)
 
         if technique in ("path-oram", "circuit-oram"):
             from repro.oram.circuit_oram import CircuitORAM

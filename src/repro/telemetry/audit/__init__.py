@@ -21,6 +21,17 @@ Findings feed the telemetry registry (``audit.*`` counters, one span per
 subject), so CI and long-running serving processes export audit posture
 alongside throughput.
 
+This module is also the one audited-decision contract. A subsystem whose
+decisions must not depend on a secret (placement, migration, autoscaling,
+cache admission, lazy scheduling, lookahead batching, tokenization) writes
+one ``X_subject(...)`` factory that knows how to *replay* the decision as
+an :class:`AuditSubject`; judging it is always
+:meth:`LeakageAuditor.audit` (a finding) or :meth:`LeakageAuditor.require`
+(a finding, or :class:`LeakageError` naming the first diverging event),
+and :func:`contrasting_secrets` is the one hot-head / hot-tail / sweep
+generator those replays contrast. ``docs/SECURITY.md`` ("Audited
+decisions") lists every subject and its in-tree negative control.
+
 Run the standing audit from the command line::
 
     python -m repro.telemetry.audit --json audit.json
@@ -33,13 +44,22 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.oblivious.trace import AccessEvent, MemoryTracer, traces_equal
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.runtime import get_registry
+from repro.utils.validation import check_positive
 
 MODE_EXACT = "exact"            # deterministic defences: identical traces
 MODE_STRUCTURAL = "structural"  # randomised defences: identical structure
@@ -93,6 +113,71 @@ def histogram_divergence(traces: Sequence[Sequence[AccessEvent]]
     return worst
 
 
+def contrasting_secrets(domain: int, length: int) -> List[List[int]]:
+    """Three maximum-contrast index sequences over ``range(domain)``.
+
+    Hammer the first id (hot-head), hammer the last (hot-tail), and a
+    round-robin sweep — the profiles every audited decision is replayed
+    under, whether the ids are embedding rows, tables or vocabulary.
+    """
+    check_positive("domain", domain)
+    check_positive("length", length)
+    return [
+        [0] * length,
+        [domain - 1] * length,
+        [index % domain for index in range(length)],
+    ]
+
+
+class Divergence(NamedTuple):
+    """Where secret ``secret``'s trace first departs from secret 0's.
+
+    ``reference`` / ``observed`` are the two events at ``ordinal`` —
+    ``(op, region, address)`` in exact mode, ``(op, region)`` in structural
+    mode (addresses legitimately differ there) — or ``None`` for the trace
+    that had already ended.
+    """
+
+    secret: int
+    ordinal: int
+    reference: Optional[Tuple]
+    observed: Optional[Tuple]
+
+    def __str__(self) -> str:
+        def show(event: Optional[Tuple]) -> str:
+            if event is None:
+                return "end of trace"
+            op, region, *address = event
+            return f"{op} {region}" + (f"[{address[0]}]" if address else "")
+
+        return (f"secret {self.secret} vs secret 0 at event {self.ordinal}: "
+                f"{show(self.observed)} vs {show(self.reference)}")
+
+
+def _first_divergence(traces: Sequence[Sequence[AccessEvent]],
+                      mode: str) -> Optional[Divergence]:
+    """The first event at which any trace departs from ``traces[0]``.
+
+    One early-exit pass (a length mismatch diverges at the shorter
+    length); ``None`` when every trace is equivalent under ``mode``.
+    """
+    width = 3 if mode == MODE_EXACT else 2
+
+    def at(trace: Sequence[AccessEvent], ordinal: int) -> Optional[Tuple]:
+        if ordinal >= len(trace):
+            return None
+        event = trace[ordinal]
+        return (event.op, event.region, event.address)[:width]
+
+    reference = traces[0]
+    for secret, trace in enumerate(traces[1:], start=1):
+        for ordinal in range(max(len(reference), len(trace))):
+            expected, got = at(reference, ordinal), at(trace, ordinal)
+            if expected != got:
+                return Divergence(secret, ordinal, expected, got)
+    return None
+
+
 @dataclass(frozen=True)
 class AuditSubject:
     """One implementation under audit and the secrets to replay."""
@@ -132,6 +217,9 @@ class AuditFinding:
 
     # the report stamps the threshold in; stored flat for JSON friendliness
     _threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
+    # set only when ``trace_equivalent`` is false; deliberately not part of
+    # ``to_dict()`` so report bytes do not depend on it
+    first_divergence: Optional[Divergence] = None
 
     @property
     def leak_detected(self) -> bool:
@@ -201,6 +289,21 @@ class AuditReport:
         return "\n".join(lines)
 
 
+class LeakageError(RuntimeError):
+    """A subject required to be oblivious leaked; ``.finding`` has the verdict."""
+
+    def __init__(self, finding: AuditFinding) -> None:
+        if finding.first_divergence is not None:
+            where = f"trace of {finding.first_divergence}"
+        else:
+            where = (f"address-histogram divergence {finding.divergence:.3f}"
+                     f" exceeds {finding._threshold:.3f}")
+        super().__init__(
+            f"{finding.subject!r} depends on its secret ({finding.mode} "
+            f"mode, {where}); a secret-dependent trace is a side channel")
+        self.finding = finding
+
+
 class LeakageAuditor:
     """Replays subjects across secrets and issues pass/fail findings."""
 
@@ -234,19 +337,34 @@ class LeakageAuditor:
                 trace_structure(trace) == reference_structure
                 for trace in traces[1:])
             divergence = 0.0 if exact else histogram_divergence(traces)
+            equivalent = exact if subject.mode == MODE_EXACT else structural
+            diverged = (None if equivalent
+                        else _first_divergence(traces, subject.mode))
         finding = AuditFinding(
             subject=subject.name, mode=subject.mode,
             expect_oblivious=subject.expect_oblivious,
-            trace_equivalent=exact if subject.mode == MODE_EXACT
-            else structural,
+            trace_equivalent=equivalent,
             exact_equivalent=exact, divergence=divergence,
             trace_length=len(traces[0]), num_secrets=len(traces),
-            _threshold=self.divergence_threshold)
+            _threshold=self.divergence_threshold,
+            first_divergence=diverged)
         registry.counter("audit.subjects_total").inc()
         if finding.leak_detected:
             registry.counter("audit.leaks_detected_total").inc()
         if not finding.passed:
             registry.counter("audit.failures_total").inc()
+        return finding
+
+    def require(self, subject: AuditSubject) -> AuditFinding:
+        """Audit ``subject``; raise :class:`LeakageError` if it leaks.
+
+        The gate every secret-free decision passes before it may serve
+        traffic. Negative controls are audited with :meth:`audit` and
+        ``expect_oblivious=False`` instead.
+        """
+        finding = self.audit(subject)
+        if finding.leak_detected:
+            raise LeakageError(finding)
         return finding
 
     def run(self, subjects: Sequence[AuditSubject]) -> AuditReport:
@@ -268,10 +386,9 @@ def standard_subjects(num_embeddings: int = 16, embedding_dim: int = 4,
                       seed: int = 0) -> List[AuditSubject]:
     """Scan, Path/Circuit/square-root ORAM, DHE — plus the leaky lookup.
 
-    Secrets are three index sequences chosen to maximise contrast: hammer
-    the first row, hammer the last row, and a mixed sweep. Randomised
-    defences are rebuilt from the same seed per replay so structural
-    equivalence is meaningful.
+    Secrets are the three :func:`contrasting_secrets` over the rows.
+    Randomised defences are rebuilt from the same seed per replay so
+    structural equivalence is meaningful.
     """
     from repro.embedding.dhe import DHEEmbedding
     from repro.embedding.scan import LinearScanEmbedding
@@ -280,11 +397,7 @@ def standard_subjects(num_embeddings: int = 16, embedding_dim: int = 4,
     from repro.oram.path_oram import PathORAM
     from repro.oram.sqrt_oram import SqrtORAM
 
-    secrets: List[Sequence[int]] = [
-        [0] * sequence_length,
-        [num_embeddings - 1] * sequence_length,
-        [index % num_embeddings for index in range(sequence_length)],
-    ]
+    secrets = contrasting_secrets(num_embeddings, sequence_length)
 
     scan = LinearScanEmbedding(num_embeddings, embedding_dim, rng=seed)
     dhe = DHEEmbedding(num_embeddings, embedding_dim, k=16, fc_sizes=(16,),

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.cache.audit import (
-    CacheLeakageError,
-    audit_cache,
-    check_oblivious_cache,
-    default_cache_workloads,
+    AUDIT_NUM_ROWS,
+    AUDIT_SECRET_LENGTH,
+    cache_subject,
     replay_cache,
 )
 from repro.cache.policy import (
@@ -17,6 +16,11 @@ from repro.cache.policy import (
     StaticResidencyCache,
 )
 from repro.oblivious.trace import MemoryTracer
+from repro.telemetry.audit import (
+    LeakageAuditor,
+    LeakageError,
+    contrasting_secrets,
+)
 
 FACTORIES = {
     "static-residency": lambda t: StaticResidencyCache(2 ** 24, tracer=t),
@@ -28,21 +32,18 @@ FACTORIES = {
 class TestHonestPolicies:
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_exact_mode_audit_passes(self, name):
-        finding = audit_cache(FACTORIES[name], name=name)
+        finding = LeakageAuditor().require(
+            cache_subject(FACTORIES[name], name=name))
         assert finding.passed, finding
         assert not finding.leak_detected
         assert finding.divergence == 0.0
 
     @pytest.mark.parametrize("name", sorted(FACTORIES))
-    def test_check_returns_finding(self, name):
-        finding = check_oblivious_cache(FACTORIES[name], name=name)
-        assert finding.passed
-
-    @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_decisions_are_traced(self, name):
         tracer = MemoryTracer()
         replay_cache(FACTORIES[name](tracer),
-                     default_cache_workloads()[0])
+                     contrasting_secrets(AUDIT_NUM_ROWS,
+                                         AUDIT_SECRET_LENGTH)[0])
         events = tracer.snapshot()
         assert events, "policy recorded no admission decisions"
         assert {event.region for event in events} == {CACHE_REGION}
@@ -50,27 +51,16 @@ class TestHonestPolicies:
 
 class TestNegativeControl:
     def test_lru_is_flagged(self):
-        finding = audit_cache(lambda t: IndexKeyedLRUCache(64, tracer=t),
-                              name="index-keyed-lru",
-                              expect_oblivious=False)
+        finding = LeakageAuditor().audit(cache_subject(
+            lambda t: IndexKeyedLRUCache(64, tracer=t),
+            name="index-keyed-lru", expect_oblivious=False))
         assert finding.leak_detected
         assert finding.divergence > 0.0
         assert finding.passed      # leak expected -> finding passes
 
     def test_check_raises(self):
-        with pytest.raises(CacheLeakageError, match="side channel"):
-            check_oblivious_cache(lambda t: IndexKeyedLRUCache(64, tracer=t),
-                                  name="index-keyed-lru")
+        with pytest.raises(LeakageError, match="side channel"):
+            LeakageAuditor().require(cache_subject(
+                lambda t: IndexKeyedLRUCache(64, tracer=t),
+                name="index-keyed-lru"))
 
-
-class TestWorkloads:
-    def test_default_workloads_are_contrasting(self):
-        workloads = default_cache_workloads()
-        assert len(workloads) == 3
-        assert len({tuple(w) for w in workloads}) == 3
-        lengths = {len(w) for w in workloads}
-        assert len(lengths) == 1    # equal length: divergence is shape-free
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            default_cache_workloads(num_rows=0)

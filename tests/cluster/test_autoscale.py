@@ -10,12 +10,9 @@ from repro.cluster.autoscale import (
     AutoscaleConfig,
     ClusterSignals,
     HotLoadChasingController,
-    ScalingLeakageError,
     SignalPlane,
     Supervisor,
-    audit_scaling,
-    check_oblivious_scaling,
-    default_scaling_workloads,
+    scaling_subject,
 )
 from repro.cluster.epoch import EpochControlPlane, PlanEpoch
 from repro.cluster.migration import BandwidthContentionModel
@@ -24,12 +21,18 @@ from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC
 from repro.oblivious.trace import MemoryTracer
 from repro.resilience.dispatch import ResilientDispatcher
+from repro.telemetry.audit import (
+    LeakageAuditor,
+    LeakageError,
+    contrasting_secrets,
+)
 
 from .conftest import DIM
 
 SIZES = TERABYTE_SPEC.table_sizes
 NUM_TABLES = len(SIZES)
 FOREVER = 1e9
+SKEWS = contrasting_secrets(NUM_TABLES, 64)
 
 CONFIG = AutoscaleConfig(min_nodes=2, max_nodes=5, high_utilisation=0.8,
                          low_utilisation=0.3, breach_ticks=2,
@@ -156,31 +159,27 @@ class TestScalingAudit:
                 for tick, util in enumerate(utils)]
 
     def test_compliant_controller_passes(self):
-        finding = check_oblivious_scaling(
-            lambda: Autoscaler(CONFIG), self.timeline(),
-            default_scaling_workloads(NUM_TABLES))
+        finding = LeakageAuditor().require(scaling_subject(
+            lambda: Autoscaler(CONFIG), self.timeline(), SKEWS))
         assert finding.passed
         assert not finding.leak_detected
 
     def test_hot_load_chaser_is_caught(self):
-        finding = audit_scaling(
+        finding = LeakageAuditor().audit(scaling_subject(
             lambda: HotLoadChasingController(CONFIG), self.timeline(),
-            default_scaling_workloads(NUM_TABLES),
-            name="hot-load-chasing", expect_oblivious=False)
+            SKEWS, name="hot-load-chasing", expect_oblivious=False))
         assert finding.leak_detected
         assert finding.passed  # expected to leak, and it did
 
     def test_gate_raises_on_the_chaser(self):
-        with pytest.raises(ScalingLeakageError, match="side channel"):
-            check_oblivious_scaling(
+        with pytest.raises(LeakageError, match="side channel"):
+            LeakageAuditor().require(scaling_subject(
                 lambda: HotLoadChasingController(CONFIG), self.timeline(),
-                default_scaling_workloads(NUM_TABLES))
+                SKEWS))
 
     def test_empty_timeline_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            check_oblivious_scaling(
-                lambda: Autoscaler(CONFIG), [],
-                default_scaling_workloads(NUM_TABLES))
+            scaling_subject(lambda: Autoscaler(CONFIG), [], SKEWS)
 
 
 class TestSignalPlane:

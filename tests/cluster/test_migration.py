@@ -1,6 +1,5 @@
 """MigrationEngine: move-sets, double-serve, zero loss, and the audit."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.epoch import PlanEpoch
@@ -10,11 +9,10 @@ from repro.cluster.migration import (
     MigrationEngine,
     MigrationPlanner,
     TransitioningOwnerMap,
-    audit_migration,
-    check_oblivious_migration,
     default_migration_workloads,
+    migration_subject,
 )
-from repro.cluster.placement import PlacementLeakageError, RingPlanner
+from repro.cluster.placement import RingPlanner
 from repro.cluster.scatter import ScatterGatherEngine
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC
@@ -23,6 +21,7 @@ from repro.resilience.degradation import DegradationLadder
 from repro.resilience.retry import RetryPolicy
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestQueue
+from repro.telemetry.audit import LeakageAuditor, LeakageError
 from repro.telemetry.runtime import use_registry
 
 from .conftest import BATCH, DIM
@@ -300,20 +299,22 @@ class TestBandwidthContention:
 
 class TestMigrationAudit:
     def test_compliant_planner_passes(self, migrator):
-        finding = check_oblivious_migration(migrator)
+        finding = LeakageAuditor().require(migration_subject(migrator))
         assert finding.passed
         assert not finding.leak_detected
 
     def test_hot_first_planner_is_caught(self, epochs):
         hot = MigrationEngine(*epochs, step_size=1,
                               planner=HotFirstMigrationPlanner())
-        with pytest.raises(PlacementLeakageError, match="hot-first"):
-            check_oblivious_migration(hot)
+        with pytest.raises(LeakageError, match="hot-first"):
+            LeakageAuditor().require(
+                migration_subject(hot, name="hot-first-migration"))
 
     def test_hot_first_expected_leaky_subject_passes(self, epochs):
         hot = MigrationEngine(*epochs, step_size=1,
                               planner=HotFirstMigrationPlanner())
-        finding = audit_migration(hot, expect_oblivious=False)
+        finding = LeakageAuditor().audit(
+            migration_subject(hot, expect_oblivious=False))
         assert finding.leak_detected
         assert finding.passed
 

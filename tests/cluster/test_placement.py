@@ -6,15 +6,17 @@ from repro.cluster.placement import (
     PLACEMENT_REGION,
     FrequencyKeyedPlanner,
     PlacementError,
-    PlacementLeakageError,
     ShardPlanner,
-    audit_placement,
-    check_oblivious_placement,
-    default_placement_workloads,
+    placement_subject,
 )
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC
 from repro.oblivious.trace import MemoryTracer
+from repro.telemetry.audit import (
+    LeakageAuditor,
+    LeakageError,
+    contrasting_secrets,
+)
 
 from .conftest import DIM
 
@@ -74,7 +76,7 @@ class TestObliviousnessInvariant:
     def test_workload_does_not_move_placement(self, thresholds, config):
         planner = make_planner(thresholds)
         digests = set()
-        for workload in default_placement_workloads(len(SIZES)):
+        for workload in contrasting_secrets(len(SIZES), 64):
             plan = planner.plan(SIZES, config, workload=workload)
             digests.add(str(plan.to_dict()))
         assert len(digests) == 1
@@ -85,8 +87,8 @@ class TestObliviousnessInvariant:
         assert len(tracer.addresses(PLACEMENT_REGION)) == len(SIZES)
 
     def test_compliant_planner_passes_audit(self, thresholds, config):
-        finding = check_oblivious_placement(make_planner(thresholds), SIZES,
-                                            config)
+        finding = LeakageAuditor().require(
+            placement_subject(make_planner(thresholds), SIZES, config))
         assert finding.passed
         assert not finding.leak_detected
 
@@ -95,14 +97,14 @@ class TestObliviousnessInvariant:
         frequency-keyed placement must fail the gate loudly."""
         leaky = FrequencyKeyedPlanner(4, thresholds, DIM,
                                       uniform_shape=DLRM_DHE_UNIFORM_64)
-        with pytest.raises(PlacementLeakageError, match="side channel"):
-            check_oblivious_placement(leaky, SIZES, config)
+        with pytest.raises(LeakageError, match="side channel"):
+            LeakageAuditor().require(placement_subject(leaky, SIZES, config))
 
     def test_frequency_keyed_audit_finding(self, thresholds, config):
         leaky = FrequencyKeyedPlanner(4, thresholds, DIM,
                                       uniform_shape=DLRM_DHE_UNIFORM_64)
-        finding = audit_placement(leaky, SIZES, config,
-                                  expect_oblivious=False)
+        finding = LeakageAuditor().audit(placement_subject(
+            leaky, SIZES, config, expect_oblivious=False))
         assert finding.leak_detected
         assert finding.passed  # expectation (leaky) matched reality
 
@@ -124,7 +126,8 @@ class TestRingPlanner:
 
         planner = RingPlanner(4, thresholds, DIM,
                               uniform_shape=DLRM_DHE_UNIFORM_64)
-        finding = check_oblivious_placement(planner, SIZES, config)
+        finding = LeakageAuditor().require(
+            placement_subject(planner, SIZES, config))
         assert finding.passed
         assert not finding.leak_detected
 

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.cluster.autoscale.controller import default_scaling_workloads
 from repro.data import KAGGLE_SPEC
 from repro.llm.bench import build_pools
 from repro.llm.stages import LlmServingSpec
+from repro.telemetry.audit import contrasting_secrets
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ class TestAuditPath:
         capacity = pool.per_node_capacity_rps
         drive(pool, offered_rps=2.0 * capacity, ticks=4)
         finding = pool.scaling_audit(
-            default_scaling_workloads(len(KAGGLE_SPEC.table_sizes)))
+            contrasting_secrets(len(KAGGLE_SPEC.table_sizes), 64))
         assert finding.passed
 
     def test_to_dict_is_json_stable(self, pools):

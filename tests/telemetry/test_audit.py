@@ -143,6 +143,19 @@ class TestStandardAudit:
             assert not finding.exact_equivalent  # randomised paths differ
             assert finding.divergence < 0.5
 
+    @pytest.mark.parametrize("seed", [9, 10, 11, 13])
+    def test_path_oram_trace_length_ignores_stash_overflow(self, seed):
+        """Regression: the write-back took every eligible block and re-added
+        the overflow one stash scan apiece, so at 64 rows the trace *length*
+        followed the secret-dependent overflow count on these seeds."""
+        subject = next(
+            s for s in standard_subjects(num_embeddings=64, embedding_dim=16,
+                                         seed=seed)
+            if s.name == "path-oram")
+        finding = LeakageAuditor(registry=MetricsRegistry()).audit(subject)
+        assert finding.trace_equivalent
+        assert finding.first_divergence is None
+
     def test_table_lookup_flagged(self):
         report = standard_audit(registry=MetricsRegistry(),
                                 sequence_length=8)

@@ -72,3 +72,37 @@ def test_registry_covers_every_experiment_module():
                and name.endswith(".py")]
     assert len(modules) + len(BENCHES) == len(EXPERIMENTS)
     assert {bench.id for bench in BENCHES} <= set(EXPERIMENTS)
+
+
+def test_one_leakage_error_and_no_per_subsystem_gate():
+    """The audited-decision contract lives in ``repro.telemetry.audit``
+    only: a subsystem adds an ``X_subject`` factory, never its own
+    ``XLeakageError`` class or ``check_oblivious`` + ``_X`` gate function
+    (there were three and four)."""
+    import ast
+    import os
+    import re
+
+    import repro
+
+    root = os.path.dirname(repro.__file__)
+    error_classes, wrappers = [], []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            where = os.path.relpath(path, root)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.ClassDef)
+                        and node.name.endswith("LeakageError")):
+                    error_classes.append((where, node.name))
+                elif (isinstance(node, ast.FunctionDef)
+                        and re.fullmatch(r"check_oblivious(_\w+)",
+                                         node.name)):
+                    wrappers.append((where, node.name))
+    assert error_classes == [
+        (os.path.join("telemetry", "audit", "__init__.py"), "LeakageError")]
+    assert wrappers == []

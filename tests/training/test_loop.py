@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.training import TrainingConfig, TrainingLoop, build_training_loop
+from repro.training import TrainingConfig, build_training_loop
 
 SMALL = dict(steps=6, batch_size=8, table_sizes=(32, 32), embedding_dim=4,
              bottom_hidden=8, top_hidden=8)
