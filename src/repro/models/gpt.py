@@ -29,7 +29,7 @@ from repro.embedding.table import TableEmbedding
 from repro.nn.attention import KVCache, TransformerBlock
 from repro.nn.layers import LayerNorm
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.oblivious.primitives import oblivious_argmax_vectorized
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_positive
@@ -130,15 +130,21 @@ class GPT(Module):
     def new_caches(self) -> List[KVCache]:
         return [KVCache() for _ in self.blocks]
 
+    def _cached_logits(self, tokens: np.ndarray, caches: List[KVCache],
+                       position_offset: int) -> Tensor:
+        """Last-position logits through the KV caches. Inference-only: no
+        autograd graph is built (``forward`` is the training path)."""
+        with no_grad():
+            x = self._embed(tokens, position_offset=position_offset)
+            for block, cache in zip(self.blocks, caches):
+                x = block(x, cache=cache)
+            x = self.ln_f(x)
+            return x[:, -1, :] @ self.lm_head_weight.transpose()
+
     def prefill(self, tokens: np.ndarray,
                 caches: List[KVCache]) -> Tensor:
         """Process the prompt; returns logits at the final position."""
-        x = self._embed(tokens, position_offset=0)
-        for block, cache in zip(self.blocks, caches):
-            x = block(x, cache=cache)
-        x = self.ln_f(x)
-        logits = x[:, -1, :] @ self.lm_head_weight.transpose()
-        return logits
+        return self._cached_logits(tokens, caches, 0)
 
     def decode_step(self, tokens: np.ndarray,
                     caches: List[KVCache]) -> Tensor:
@@ -146,12 +152,7 @@ class GPT(Module):
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim != 2 or tokens.shape[1] != 1:
             raise ValueError(f"decode step expects (batch, 1), got {tokens.shape}")
-        offset = caches[0].length
-        x = self._embed(tokens, position_offset=offset)
-        for block, cache in zip(self.blocks, caches):
-            x = block(x, cache=cache)
-        x = self.ln_f(x)
-        return x[:, -1, :] @ self.lm_head_weight.transpose()
+        return self._cached_logits(tokens, caches, caches[0].length)
 
     def generate(self, prompt: np.ndarray, max_new_tokens: int,
                  oblivious_sampling: bool = True,

@@ -47,6 +47,14 @@ class MemoryTracer:
         if self.enabled:
             self.events.append(AccessEvent(op, region, int(address)))
 
+    def record_sweep(self, region: str, count: int, ops: str = READ) -> None:
+        """Declare a full scan: every op of ``ops`` at each address
+        ``0..count-1`` in address order (``R0 W0 R1 W1 …`` for ``"RW"``) —
+        the events the nested :meth:`record` loop would append."""
+        if self.enabled:
+            self.events.extend(AccessEvent(op, region, address)
+                               for address in range(count) for op in ops)
+
     def clear(self) -> None:
         self.events.clear()
 
@@ -127,8 +135,7 @@ class TracedArray:
     def read_all(self) -> np.ndarray:
         """Sequentially read every row (the linear-scan access pattern)."""
         if self.tracer is not None:
-            for index in range(self.num_rows):
-                self.tracer.record(READ, self.name, index)
+            self.tracer.record_sweep(self.name, self.num_rows)
         return self.data.copy()
 
 

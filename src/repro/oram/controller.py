@@ -8,6 +8,7 @@ implement :meth:`_access_impl`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -165,24 +166,30 @@ class OramController:
         if not 0 <= block_id < self.num_blocks:
             raise IndexError(
                 f"block {block_id} out of range for ORAM of {self.num_blocks} blocks")
+        with self._metered("oram.access", level=self._recursion_level):
+            new_leaf = int(self.rng.integers(0, self.tree.num_leaves))
+            old_leaf = self.position_map.lookup_and_update(block_id, new_leaf)
+            self.stats.accesses += 1
+            self.stats.revealed_leaves.append(old_leaf)
+            return self._access_impl(block_id, old_leaf, new_leaf, update_fn)
+
+    @contextmanager
+    def _metered(self, span: str, accesses: int = 1, **labels):
+        """Run ``accesses`` accesses under one telemetry span.
+
+        Work counters and stash gauges are flushed even when the body
+        raises (e.g. StashOverflowError) so monitoring sees the state that
+        caused the failure, not the state before it.
+        """
         registry = get_registry()
         reads_before = self.stats.bucket_reads
         writes_before = self.stats.bucket_writes
         evictions_before = self.stats.eviction_passes
         try:
-            with registry.span("oram.access", scheme=type(self).__name__,
-                               level=self._recursion_level):
-                new_leaf = int(self.rng.integers(0, self.tree.num_leaves))
-                old_leaf = self.position_map.lookup_and_update(block_id, new_leaf)
-                self.stats.accesses += 1
-                self.stats.revealed_leaves.append(old_leaf)
-                result = self._access_impl(block_id, old_leaf, new_leaf,
-                                           update_fn)
+            with registry.span(span, scheme=type(self).__name__, **labels):
+                yield
         finally:
-            # Flush work counters and stash gauges even when the access
-            # raises (e.g. StashOverflowError) so monitoring sees the state
-            # that caused the failure, not the state before it.
-            registry.counter("oram.accesses_total").inc()
+            registry.counter("oram.accesses_total").inc(accesses)
             registry.counter("oram.bucket_reads_total").inc(
                 self.stats.bucket_reads - reads_before)
             registry.counter("oram.bucket_writes_total").inc(
@@ -192,7 +199,6 @@ class OramController:
             registry.gauge("oram.stash_occupancy").set(self.stash.occupancy)
             registry.gauge("oram.stash_peak_occupancy").set_max(
                 self.stash.peak_occupancy)
-        return result
 
     def access_batch(self, block_ids, update_fns=None,
                      plan_tracer: Optional[MemoryTracer] = None
@@ -213,21 +219,16 @@ class OramController:
         if self.SUPPORTS_LOOKAHEAD:
             return lookahead.lookahead_access_batch(
                 self, block_ids, update_fns, plan_tracer)
-        ids = list(block_ids)
-        if update_fns is None:
-            update_fns = [None] * len(ids)
-        elif len(update_fns) != len(ids):
-            raise ValueError(
-                f"{len(ids)} block ids but {len(update_fns)} update fns")
+        ids, fns, tracer = lookahead.batch_args(
+            self, block_ids, update_fns, plan_tracer)
         if not ids:
             return np.zeros((0, self.block_width))
-        tracer = plan_tracer if plan_tracer is not None else self.tracer
         results = []
         for slot, block_id in enumerate(ids):
             if tracer is not None:
                 tracer.record("R", lookahead.LOOKAHEAD_REGION,
                               lookahead.ADDR_FETCH + slot)
-            results.append(self.access(int(block_id), update_fns[slot]))
+            results.append(self.access(block_id, fns[slot]))
         return np.stack(results)
 
     def position_map_ops(self) -> int:

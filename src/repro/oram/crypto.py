@@ -106,6 +106,9 @@ class EncryptedBucketTree:
         self.tree.write_bucket(bucket, ids, leaves, np.frombuffer(
             sealed, dtype=np.float64).reshape(payloads.shape))
 
+    #: packs the blocks, then seals them through ``write_bucket`` above
+    write_blocks = BucketTree.write_blocks
+
     def read_bucket_metadata(self, bucket: int) -> Tuple[np.ndarray,
                                                          np.ndarray]:
         return self.tree.read_bucket_metadata(bucket)

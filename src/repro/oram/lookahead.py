@@ -156,6 +156,19 @@ def _record(tracer: Optional[MemoryTracer], op: str, address: int) -> None:
         tracer.record(op, LOOKAHEAD_REGION, address)
 
 
+def batch_args(oram, block_ids: Sequence[int],
+               update_fns: Optional[Sequence[Optional[UpdateFn]]],
+               plan_tracer: Optional[MemoryTracer]):
+    """Normalise one batch call: int ids, one (possibly ``None``) update
+    fn per slot, and the tracer the decision trace goes to."""
+    ids = [int(block_id) for block_id in block_ids]
+    fns = [None] * len(ids) if update_fns is None else list(update_fns)
+    if len(fns) != len(ids):
+        raise ValueError(f"{len(ids)} block ids but {len(fns)} update fns")
+    tracer = plan_tracer if plan_tracer is not None else oram.tracer
+    return ids, fns, tracer
+
+
 def lookahead_access_batch(oram, block_ids: Sequence[int],
                            update_fns: Optional[Sequence[Optional[UpdateFn]]]
                            = None,
@@ -169,25 +182,13 @@ def lookahead_access_batch(oram, block_ids: Sequence[int],
     ``oram.lookahead`` decision trace is recorded (default: the
     controller's own tracer).
     """
-    ids = list(block_ids)
+    ids, fns, tracer = batch_args(oram, block_ids, update_fns, plan_tracer)
     batch = len(ids)
-    if update_fns is None:
-        fns: List[Optional[UpdateFn]] = [None] * batch
-    else:
-        fns = list(update_fns)
-        if len(fns) != batch:
-            raise ValueError(
-                f"{batch} block ids but {len(fns)} update fns")
     if batch == 0:
         return np.zeros((0, oram.block_width))
-    tracer = plan_tracer if plan_tracer is not None else oram.tracer
     registry = get_registry()
-    reads_before = oram.stats.bucket_reads
-    writes_before = oram.stats.bucket_writes
-    evictions_before = oram.stats.eviction_passes
     try:
-        with registry.span("oram.access_batch", scheme=type(oram).__name__,
-                           batch=batch):
+        with oram._metered("oram.access_batch", batch, batch=batch):
             plan = plan_batch(oram, ids)
             # Batched position-map pass: one call for all unique ids,
             # padded to the public batch size on per-lookup maps.
@@ -208,18 +209,8 @@ def lookahead_access_batch(oram, block_ids: Sequence[int],
             oram.stats.revealed_leaves.extend(plan.old_leaves)
             oram._check_stash_bound()
     finally:
-        registry.counter("oram.accesses_total").inc(batch)
-        registry.counter("oram.bucket_reads_total").inc(
-            oram.stats.bucket_reads - reads_before)
-        registry.counter("oram.bucket_writes_total").inc(
-            oram.stats.bucket_writes - writes_before)
-        registry.counter("oram.eviction_passes_total").inc(
-            oram.stats.eviction_passes - evictions_before)
         registry.counter("oram.lookahead.batches_total").inc()
         registry.counter("oram.lookahead.batched_accesses_total").inc(batch)
-        registry.gauge("oram.stash_occupancy").set(oram.stash.occupancy)
-        registry.gauge("oram.stash_peak_occupancy").set_max(
-            oram.stash.peak_occupancy)
         registry.gauge("oram.lookahead.stash_high_water").set_max(
             oram.stash.peak_occupancy)
     registry.counter("oram.lookahead.shared_fetches_total").inc(
@@ -274,17 +265,10 @@ class SequentialLeakingBatcher:
                      = None,
                      plan_tracer: Optional[MemoryTracer] = None
                      ) -> np.ndarray:
-        ids = [int(block_id) for block_id in block_ids]
-        if update_fns is None:
-            fns: List[Optional[UpdateFn]] = [None] * len(ids)
-        else:
-            fns = list(update_fns)
-            if len(fns) != len(ids):
-                raise ValueError(
-                    f"{len(ids)} block ids but {len(fns)} update fns")
+        ids, fns, tracer = batch_args(oram, block_ids, update_fns,
+                                      plan_tracer)
         if not ids:
             return np.zeros((0, oram.block_width))
-        tracer = plan_tracer if plan_tracer is not None else oram.tracer
         slots_by_id: Dict[int, List[int]] = {}
         for slot, block_id in enumerate(ids):
             slots_by_id.setdefault(block_id, []).append(slot)

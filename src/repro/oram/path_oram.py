@@ -68,11 +68,7 @@ class PathORAM(OramController):
                     # Dummy slot: same oblivious scan, no insertion.
                     self.stash._scan_trace(WRITE)
             # Bucket is now logically empty; writeback repopulates it.
-            self.tree.write_bucket(
-                bucket,
-                np.full(self.bucket_size, DUMMY, dtype=np.int64),
-                np.zeros(self.bucket_size, dtype=np.int64),
-                np.zeros((self.bucket_size, self.block_width)))
+            self.tree.write_blocks(bucket, ())
             self.stats.bucket_writes += 1
 
     def _writeback_path(self, path: Sequence[int], anchor_leaf: int) -> None:
@@ -87,14 +83,7 @@ class PathORAM(OramController):
                 lambda leaf, d=depth:
                 self.tree.common_depth(leaf, anchor_leaf) >= d,
                 self.bucket_size)
-            ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
-            leaves = np.zeros(self.bucket_size, dtype=np.int64)
-            payloads = np.zeros((self.bucket_size, self.block_width))
-            for slot, (bid, bleaf, bpayload) in enumerate(chosen):
-                ids[slot] = bid
-                leaves[slot] = bleaf
-                payloads[slot] = bpayload
-            self.tree.write_bucket(bucket, ids, leaves, payloads)
+            self.tree.write_blocks(bucket, chosen)
             self.stats.bucket_writes += 1
 
     # ------------------------------------------------------------------
@@ -125,14 +114,7 @@ class PathORAM(OramController):
                     lambda leaf, lvl=level, target=bucket:
                     lookahead.bucket_at(leaf, lvl, levels) == target,
                     self.bucket_size)
-                ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
-                leaves = np.zeros(self.bucket_size, dtype=np.int64)
-                payloads = np.zeros((self.bucket_size, self.block_width))
-                for slot, (bid, bleaf, bpayload) in enumerate(chosen):
-                    ids[slot] = bid
-                    leaves[slot] = bleaf
-                    payloads[slot] = bpayload
-                self.tree.write_bucket(bucket, ids, leaves, payloads)
+                self.tree.write_blocks(bucket, chosen)
                 self.stats.bucket_writes += 1
         return plan.num_fetched_buckets
 

@@ -12,7 +12,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.oblivious.primitives import ct_eq, ct_select
+from repro.oblivious.primitives import ct_eq
 from repro.oblivious.trace import READ, WRITE, MemoryTracer
 from repro.utils.validation import check_positive
 
@@ -85,53 +85,44 @@ class FlatPositionMap(PositionMap):
         self.region = region
         self.ops = 0
 
+    def _sweep(self, block_ids, new_leaves=None,
+               ops: str = READ + WRITE) -> np.ndarray:
+        """The one oblivious pass every public method is an instance of.
+
+        Touches all entries with ``ops`` in index order whatever
+        ``block_ids`` holds, returns the current leaf of each queried id
+        and, given ``new_leaves``, blends them in with a branch-free mask.
+        Ids must be unique (the batch entry point checks), so every mask
+        row selects at most one target and the int64 blend is exact.
+        """
+        ids = np.asarray(block_ids, dtype=np.int64).reshape(-1)
+        for block_id in ids:
+            if not 0 <= block_id < self.num_blocks:
+                raise IndexError(f"block {block_id} out of range")
+        if self.tracer is not None:
+            self.tracer.record_sweep(self.region, self.num_blocks, ops)
+        self.ops += len(ops) * self.num_blocks
+        match = ct_eq(np.arange(self.num_blocks)[:, None], ids[None, :])
+        old = (match * self.leaves[:, None]).sum(axis=0)
+        if new_leaves is not None:
+            targets = np.asarray(new_leaves, dtype=np.int64).reshape(-1)
+            self.leaves = (self.leaves * (1 - match.sum(axis=1))
+                           + match @ targets)
+        return old
+
     def lookup_and_update(self, block_id: int, new_leaf: int) -> int:
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
-        old_leaf = 0
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.region, index)
-            match = ct_eq(index, block_id)
-            old_leaf = ct_select(match, int(self.leaves[index]), old_leaf)
-            updated = ct_select(match, new_leaf, int(self.leaves[index]))
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = updated
-        self.ops += 2 * self.num_blocks
-        return int(old_leaf)
+        return int(self._sweep([block_id], [new_leaf])[0])
 
     def refresh(self, block_id: int) -> None:
         """Dummy lookup: the same full read+rewrite scan, values unchanged."""
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.region, index)
-            entry = int(self.leaves[index])
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = entry
-        self.ops += 2 * self.num_blocks
+        self._sweep([block_id])
 
     def lookup(self, block_id: int) -> int:
         """Read a block's entry without changing it — same full R+W scan
         trace as :meth:`lookup_and_update`, so a scheme whose positions
         only change at shuffle time (square-root ORAM) stays trace-
         indistinguishable from one that remaps per access."""
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
-        value = 0
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.region, index)
-            entry = int(self.leaves[index])
-            value = ct_select(ct_eq(index, block_id), entry, value)
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = entry
-        self.ops += 2 * self.num_blocks
-        return int(value)
+        return int(self._sweep([block_id])[0])
 
     def rewrite(self, new_leaves: np.ndarray) -> None:
         """Install a whole new mapping in one data-independent write sweep
@@ -141,11 +132,8 @@ class FlatPositionMap(PositionMap):
             raise ValueError(
                 f"rewrite needs {self.num_blocks} entries, "
                 f"got shape {new_leaves.shape}")
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = int(new_leaves[index])
-        self.ops += self.num_blocks
+        self._sweep((), ops=WRITE)
+        self.leaves = new_leaves.copy()
 
     def work_ops(self) -> int:
         return self.ops
@@ -162,25 +150,7 @@ class FlatPositionMap(PositionMap):
         """
         del pad_to
         ids = _check_batch(block_ids, new_leaves)
-        for block_id in ids:
-            if not 0 <= block_id < self.num_blocks:
-                raise IndexError(f"block {block_id} out of range")
-        targets = [int(leaf) for leaf in new_leaves]
-        old = [0] * len(ids)
-        for index in range(self.num_blocks):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.region, index)
-            entry = int(self.leaves[index])
-            updated = entry
-            for query, (block_id, target) in enumerate(zip(ids, targets)):
-                match = ct_eq(index, block_id)
-                old[query] = ct_select(match, entry, old[query])
-                updated = ct_select(match, target, updated)
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.region, index)
-            self.leaves[index] = updated
-        self.ops += 2 * self.num_blocks
-        return [int(leaf) for leaf in old]
+        return [int(leaf) for leaf in self._sweep(ids, new_leaves)]
 
 
 class OramPositionMap(PositionMap):
@@ -214,14 +184,9 @@ class OramPositionMap(PositionMap):
 
         def update(chunk: np.ndarray) -> np.ndarray:
             # Oblivious in-chunk select/update: every lane participates.
-            old_leaf = 0
-            updated = chunk.copy()
-            for lane in range(self.compression):
-                match = ct_eq(lane, offset)
-                old_leaf = ct_select(match, int(chunk[lane]), old_leaf)
-                updated[lane] = ct_select(match, float(new_leaf), float(chunk[lane]))
-            captured["old_leaf"] = int(old_leaf)
-            return updated
+            match = ct_eq(np.arange(self.compression), offset)
+            captured["old_leaf"] = int((match * chunk).sum())
+            return float(new_leaf) * match + chunk * (1 - match)
 
         self._child.access(chunk_id, update)
         return captured["old_leaf"]

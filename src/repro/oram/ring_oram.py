@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.oblivious.trace import WRITE
 from repro.oram.circuit_oram import bit_reverse
 from repro.oram.controller import OramController, UpdateFn
 from repro.oram.tree import DUMMY
@@ -103,11 +104,7 @@ class RingORAM(OramController):
 
         self._access_counter += 1
         if self._access_counter % self.evict_rate == 0:
-            evict_leaf = bit_reverse(
-                self._evict_counter % self.tree.num_leaves
-                if self.tree.num_leaves > 1 else 0, self.tree.levels)
-            self._evict_counter += 1
-            self._evict_path(evict_leaf)
+            self._evict_next_path()
             self.stats.eviction_passes += 1
 
         # Early reshuffle any bucket whose dummies are exhausted.
@@ -124,11 +121,14 @@ class RingORAM(OramController):
         deterministic schedule, not the caller.
         """
         del leaf
-        evict_leaf = bit_reverse(
-            self._evict_counter % self.tree.num_leaves
-            if self.tree.num_leaves > 1 else 0, self.tree.levels)
+        self._evict_next_path()
+
+    def _evict_next_path(self) -> None:
+        """EvictPath on the next leaf of the reverse-lexicographic order."""
+        leaf = bit_reverse(self._evict_counter % self.tree.num_leaves,
+                           self.tree.levels)
         self._evict_counter += 1
-        self._evict_path(evict_leaf)
+        self._evict_path(leaf)
 
     def _read_path(self, block_id: int, leaf: int) -> np.ndarray:
         """One payload-slot touch per bucket along the path."""
@@ -169,27 +169,24 @@ class RingORAM(OramController):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _live_blocks(self, bucket: int):
-        """(id, leaf, payload) of valid real slots in a bucket."""
-        blocks = []
+    def _slots(self, bucket: int):
+        """Per slot of a bucket: its valid real block as (id, leaf,
+        payload), or ``None`` for a dummy or consumed slot."""
         for slot in range(self.bucket_size):
             block_id = int(self.tree.ids[bucket, slot])
             if block_id != DUMMY and self._valid[bucket, slot]:
-                blocks.append((block_id,
-                               int(self.tree.leaves[bucket, slot]),
-                               self.tree.payloads[bucket, slot].copy()))
-        return blocks
+                yield (block_id, int(self.tree.leaves[bucket, slot]),
+                       self.tree.payloads[bucket, slot].copy())
+            else:
+                yield None
+
+    def _live_blocks(self, bucket: int):
+        """(id, leaf, payload) of valid real slots in a bucket."""
+        return [block for block in self._slots(bucket) if block is not None]
 
     def _write_bucket(self, bucket: int, blocks) -> None:
         """Install up to Z real blocks, refresh dummies/validity/counter."""
-        ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
-        leaves = np.zeros(self.bucket_size, dtype=np.int64)
-        payloads = np.zeros((self.bucket_size, self.block_width))
-        for slot, (block_id, leaf, payload) in enumerate(blocks):
-            ids[slot] = block_id
-            leaves[slot] = leaf
-            payloads[slot] = payload
-        self.tree.write_bucket(bucket, ids, leaves, payloads)
+        self.tree.write_blocks(bucket, blocks)
         self.stats.bucket_writes += 1
         self._valid[bucket] = True
         self._touches[bucket] = 0
@@ -201,22 +198,28 @@ class RingORAM(OramController):
         self._write_bucket(bucket, blocks)
 
     def _evict_path(self, leaf: int) -> None:
-        """Path-ORAM-style eviction of the reverse-lex path."""
+        """Path-ORAM-style eviction of the reverse-lex path.
+
+        Stash traffic is a function of the path length only: one scan per
+        bucket slot on the way in (dummy and consumed slots included) and
+        one per bucket on the way out, however many blocks are live or
+        eligible.
+        """
         path = self.tree.path_indices(leaf)
         for bucket in path:
-            for block in self._live_blocks(bucket):
-                self.stash.add(*block)
+            for block in self._slots(bucket):
+                if block is not None:
+                    self.stash.add(*block)
+                else:
+                    self.stash._scan_trace(WRITE)
             self.stats.bucket_reads += 1
             self._valid[bucket] = False  # everything moved out
         for depth in range(self.tree.levels, -1, -1):
-            bucket = path[depth]
-            eligible = self.stash.evict_matching(
+            chosen = self.stash.take_matching(
                 lambda block_leaf, d=depth:
-                self.tree.common_depth(block_leaf, leaf) >= d)
-            chosen = eligible[: self.bucket_reals]
-            for extra in eligible[self.bucket_reals:]:
-                self.stash.add(*extra)
-            self._write_bucket(bucket, chosen)
+                self.tree.common_depth(block_leaf, leaf) >= d,
+                self.bucket_reals)
+            self._write_bucket(path[depth], chosen)
 
     # ------------------------------------------------------------------
     def total_resident_blocks(self) -> int:

@@ -121,26 +121,8 @@ class SqrtORAM(OramController):
             raise IndexError(
                 f"block {block_id} out of range for ORAM of "
                 f"{self.num_blocks} blocks")
-        registry = get_registry()
-        reads_before = self.stats.bucket_reads
-        writes_before = self.stats.bucket_writes
-        evictions_before = self.stats.eviction_passes
-        try:
-            with registry.span("oram.access", scheme=type(self).__name__,
-                               level=0):
-                result = self._sqrt_access(block_id, update_fn)
-        finally:
-            registry.counter("oram.accesses_total").inc()
-            registry.counter("oram.bucket_reads_total").inc(
-                self.stats.bucket_reads - reads_before)
-            registry.counter("oram.bucket_writes_total").inc(
-                self.stats.bucket_writes - writes_before)
-            registry.counter("oram.eviction_passes_total").inc(
-                self.stats.eviction_passes - evictions_before)
-            registry.gauge("oram.stash_occupancy").set(self.stash.occupancy)
-            registry.gauge("oram.stash_peak_occupancy").set_max(
-                self.stash.peak_occupancy)
-        return result
+        with self._metered("oram.access", level=0):
+            return self._sqrt_access(block_id, update_fn)
 
     def _sqrt_access(self, block_id: int,
                      update_fn: Optional[UpdateFn]) -> np.ndarray:
@@ -186,9 +168,8 @@ class SqrtORAM(OramController):
         """
         total = self.num_blocks + self.num_dummies
         contents = np.zeros((self.num_blocks, self.block_width))
-        for slot in range(total):
-            if self.tracer is not None:
-                self.tracer.record(READ, self.store_region, slot)
+        if self.tracer is not None:
+            self.tracer.record_sweep(self.store_region, total, READ)
         self.stats.bucket_reads += total
         contents[:] = self._store[self._perm[:self.num_blocks]]
         for block_id, _leaf, payload in self.stash.evict_matching(
@@ -197,9 +178,8 @@ class SqrtORAM(OramController):
         self._perm = self.rng.permutation(total).astype(np.int64)
         new_store = np.zeros_like(self._store)
         new_store[self._perm[:self.num_blocks]] = contents
-        for slot in range(total):
-            if self.tracer is not None:
-                self.tracer.record(WRITE, self.store_region, slot)
+        if self.tracer is not None:
+            self.tracer.record_sweep(self.store_region, total, WRITE)
         self.stats.bucket_writes += total
         self._store = new_store
         self.position_map.rewrite(self._perm[:self.num_blocks])

@@ -39,8 +39,16 @@ class Stash:
 
     def _scan_trace(self, op: str) -> None:
         if self.tracer is not None:
-            for slot in range(self.capacity):
-                self.tracer.record(op, self.region, slot)
+            self.tracer.record_sweep(self.region, self.capacity, op)
+
+    def _slot_of(self, block_id: int) -> Optional[int]:
+        """First slot holding ``block_id`` (``DUMMY``: first free slot)."""
+        matches = np.nonzero(self.ids == block_id)[0]
+        return int(matches[0]) if matches.size else None
+
+    def _block(self, slot: int) -> Tuple[int, int, np.ndarray]:
+        return (int(self.ids[slot]), int(self.leaves[slot]),
+                self.payloads[slot].copy())
 
     @property
     def occupancy(self) -> int:
@@ -55,11 +63,10 @@ class Stash:
     def add(self, block_id: int, leaf: int, payload: np.ndarray) -> None:
         """Insert a real block into the first free slot (oblivious scan)."""
         self._scan_trace(WRITE)
-        free = np.nonzero(self.ids == DUMMY)[0]
-        if free.size == 0:
+        slot = self._slot_of(DUMMY)
+        if slot is None:
             raise StashOverflowError(
                 f"stash capacity {self.capacity} exceeded adding block {block_id}")
-        slot = int(free[0])
         self.ids[slot] = block_id
         self.leaves[slot] = leaf
         self.payloads[slot] = payload
@@ -68,32 +75,26 @@ class Stash:
     def remove(self, block_id: int) -> Optional[Tuple[int, np.ndarray]]:
         """Remove and return (leaf, payload) of ``block_id``; None if absent."""
         self._scan_trace(READ)
-        matches = np.nonzero(self.ids == block_id)[0]
-        if matches.size == 0:
+        slot = self._slot_of(block_id)
+        if slot is None:
             return None
-        slot = int(matches[0])
-        leaf = int(self.leaves[slot])
-        payload = self.payloads[slot].copy()
+        found = self._block(slot)[1:]
         self.ids[slot] = DUMMY
-        return leaf, payload
+        return found
 
     def peek(self, block_id: int) -> Optional[Tuple[int, np.ndarray]]:
         """Read a block without removing it (oblivious scan)."""
         self._scan_trace(READ)
-        matches = np.nonzero(self.ids == block_id)[0]
-        if matches.size == 0:
-            return None
-        slot = int(matches[0])
-        return int(self.leaves[slot]), self.payloads[slot].copy()
+        slot = self._slot_of(block_id)
+        return None if slot is None else self._block(slot)[1:]
 
     def update(self, block_id: int, leaf: Optional[int] = None,
                payload: Optional[np.ndarray] = None) -> bool:
         """Update an existing block in place; returns False if absent."""
         self._scan_trace(WRITE)
-        matches = np.nonzero(self.ids == block_id)[0]
-        if matches.size == 0:
+        slot = self._slot_of(block_id)
+        if slot is None:
             return False
-        slot = int(matches[0])
         if leaf is not None:
             self.leaves[slot] = leaf
         if payload is not None:
@@ -104,43 +105,35 @@ class Stash:
     def resident_blocks(self) -> List[Tuple[int, int, np.ndarray]]:
         """All real blocks as (id, leaf, payload) — a full scan."""
         self._scan_trace(READ)
-        out = []
-        for slot in np.nonzero(self.ids != DUMMY)[0]:
-            out.append((int(self.ids[slot]), int(self.leaves[slot]),
-                        self.payloads[slot].copy()))
-        return out
+        return [self._block(slot) for slot in np.nonzero(self.ids != DUMMY)[0]]
 
-    def evict_matching(self, predicate) -> List[Tuple[int, int, np.ndarray]]:
-        """Remove and return every block for which ``predicate(leaf)`` holds."""
-        self._scan_trace(WRITE)
-        taken = []
-        for slot in np.nonzero(self.ids != DUMMY)[0]:
-            if predicate(int(self.leaves[slot])):
-                taken.append((int(self.ids[slot]), int(self.leaves[slot]),
-                              self.payloads[slot].copy()))
-                self.ids[slot] = DUMMY
-        return taken
-
-    def take_matching(self, predicate,
-                      limit: int) -> List[Tuple[int, int, np.ndarray]]:
-        """Remove up to ``limit`` blocks matching ``predicate(leaf)``.
-
-        One oblivious scan regardless of how many blocks match — the fused
-        batched write-back uses this so its stash traffic is bucket-count
-        constant (``evict_matching`` + per-block re-add would leak the
-        overflow count through extra scans).
-        """
-        check_positive("limit", limit)
+    def _take(self, predicate, limit: int) -> List[Tuple[int, int, np.ndarray]]:
+        """One write scan removing up to ``limit`` blocks, slot order."""
         self._scan_trace(WRITE)
         taken: List[Tuple[int, int, np.ndarray]] = []
         for slot in np.nonzero(self.ids != DUMMY)[0]:
             if len(taken) == limit:
                 break
             if predicate(int(self.leaves[slot])):
-                taken.append((int(self.ids[slot]), int(self.leaves[slot]),
-                              self.payloads[slot].copy()))
+                taken.append(self._block(slot))
                 self.ids[slot] = DUMMY
         return taken
+
+    def evict_matching(self, predicate) -> List[Tuple[int, int, np.ndarray]]:
+        """Remove and return every block for which ``predicate(leaf)`` holds."""
+        return self._take(predicate, self.capacity)
+
+    def take_matching(self, predicate,
+                      limit: int) -> List[Tuple[int, int, np.ndarray]]:
+        """Remove up to ``limit`` blocks matching ``predicate(leaf)``.
+
+        One oblivious scan regardless of how many blocks match — the
+        write-backs use this so their stash traffic is bucket-count
+        constant (``evict_matching`` + per-block re-add would leak the
+        overflow count through extra scans).
+        """
+        check_positive("limit", limit)
+        return self._take(predicate, limit)
 
     def grow(self, new_capacity: int) -> None:
         """Extend the physical buffer to ``new_capacity`` slots.

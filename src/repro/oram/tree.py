@@ -95,6 +95,18 @@ class BucketTree:
         self.leaves[bucket] = leaves
         self.payloads[bucket] = payloads
 
+    def write_blocks(self, bucket: int, blocks) -> None:
+        """Write ``bucket`` holding ``blocks`` — at most ``bucket_size``
+        ``(id, leaf, payload)`` tuples — in its first slots, dummies after."""
+        ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
+        leaves = np.zeros(self.bucket_size, dtype=np.int64)
+        payloads = np.zeros((self.bucket_size, self.block_width))
+        for slot, (block_id, leaf, payload) in enumerate(blocks):
+            ids[slot] = block_id
+            leaves[slot] = leaf
+            payloads[slot] = payload
+        self.write_bucket(bucket, ids, leaves, payloads)
+
     def read_bucket_metadata(self, bucket: int) -> Tuple[np.ndarray, np.ndarray]:
         """Metadata-only read (ids, leaves) — Circuit ORAM's scan passes."""
         if self.tracer is not None:

@@ -86,6 +86,29 @@ class TestPrefillDecodeEquivalence:
             step = model.decode_step(tokens[:, t:t + 1], caches).data
             np.testing.assert_allclose(step, full_logits[:, t], atol=1e-9)
 
+    def test_inference_builds_no_graph_and_keeps_the_bits(self, model, rng,
+                                                          monkeypatch):
+        """The KV-cache paths run under ``no_grad``: no ``_parents`` on the
+        logits, values bit-identical to the graph-building computation."""
+        import contextlib
+
+        tokens = rng.integers(0, 50, size=(2, 7))
+
+        def run():
+            caches = model.new_caches()
+            return [model.prefill(tokens[:, :5], caches),
+                    model.decode_step(tokens[:, 5:6], caches),
+                    model.decode_step(tokens[:, 6:7], caches)]
+
+        plain = run()
+        monkeypatch.setattr("repro.models.gpt.no_grad",
+                            contextlib.nullcontext)
+        graphed = run()
+        for lean, full in zip(plain, graphed):
+            assert lean._parents == () and not lean.requires_grad
+            assert full._parents  # the reference really built a graph
+            assert lean.data.tobytes() == full.data.tobytes()
+
     def test_decode_requires_single_token(self, model, rng):
         caches = model.new_caches()
         model.prefill(rng.integers(0, 50, size=(1, 4)), caches)

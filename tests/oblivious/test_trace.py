@@ -23,7 +23,27 @@ class TestMemoryTracer:
     def test_disabled_records_nothing(self):
         tracer = MemoryTracer(enabled=False)
         tracer.record(READ, "t", 1)
+        tracer.record_sweep("t", 4, READ + WRITE)
         assert len(tracer) == 0
+
+    @pytest.mark.parametrize("ops", [READ, WRITE, READ + WRITE])
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_record_sweep_is_the_nested_record_loop(self, ops, count):
+        swept, looped = MemoryTracer(), MemoryTracer()
+        swept.record(WRITE, "other", 9)
+        looped.record(WRITE, "other", 9)
+        swept.record_sweep("t", count, ops)
+        for address in range(count):
+            for op in ops:
+                looped.record(op, "t", address)
+        assert swept.snapshot() == looped.snapshot()
+        assert swept.digest() == looped.digest()
+        assert len(swept) == 1 + count * len(ops)
+
+    def test_record_sweep_defaults_to_a_read_scan(self):
+        tracer = MemoryTracer()
+        tracer.record_sweep("t", 2)
+        assert [str(e) for e in tracer] == ["R t[0]", "R t[1]"]
 
     def test_digest_distinguishes_traces(self):
         a, b = MemoryTracer(), MemoryTracer()

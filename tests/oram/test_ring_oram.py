@@ -76,6 +76,30 @@ class TestProtocolInvariants:
         assert (reals_per_bucket <= oram.bucket_reals).all()
 
 
+    def test_evict_path_stash_traffic_is_one_constant(self):
+        """EvictPath scans the stash once per path-bucket slot on the way
+        in and once per bucket on the way out — never once per live or
+        overflow block, whose counts follow the secret access history."""
+        from repro.oblivious.trace import MemoryTracer
+        from repro.telemetry.audit import contrasting_secrets
+
+        per_pass = set()
+        for seed in range(20):
+            for secret in contrasting_secrets(64, 24):
+                tracer = MemoryTracer()
+                oram = RingORAM(64, 2, rng=seed, tracer=tracer)
+                for block in secret:
+                    oram.read(block)
+                for _ in range(4):
+                    tracer.clear()
+                    oram.background_evict()
+                    per_pass.add(sum(event.region.endswith("stash0")
+                                     for event in tracer))
+                assert oram.total_resident_blocks() == 64
+        scans = (oram.levels + 1) * (oram.bucket_size + 1)
+        assert per_pass == {scans * oram.stash.capacity}
+
+
 class TestBandwidthAdvantage:
     def test_fewer_payload_touches_than_path(self, rng):
         """Ring's single-slot reads beat Path's full-bucket fetches."""

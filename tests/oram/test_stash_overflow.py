@@ -21,6 +21,7 @@ import pytest
 
 from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
+from repro.oram.sqrt_oram import SqrtORAM
 from repro.oram.stash import StashOverflowError
 from repro.telemetry.runtime import use_registry
 
@@ -101,6 +102,46 @@ class TestOverflowSignal:
         assert occupancy > 0
         assert peak >= occupancy
         assert peak >= oram.stash.occupancy
+
+
+def overflow_once(scenario):
+    """Drive one access shape into StashOverflowError; returns the ORAM
+    and how many accesses were attempted, the failing one included."""
+    if scenario == "tree":
+        oram, _ = build_pressured(PathORAM)
+        return oram, force_overflow(oram) + 1
+    if scenario == "sqrt":
+        oram = SqrtORAM(BLOCKS, WIDTH, rng=0)
+        oram.persistent_stash_capacity = 1
+        oram.read(0)
+        with pytest.raises(StashOverflowError):
+            oram.read(1)
+        return oram, 2
+    oram, _ = build_pressured(CircuitORAM)
+    with pytest.raises(StashOverflowError):
+        oram.access_batch(list(range(16)))
+    return oram, 16
+
+
+@pytest.mark.parametrize("scenario", ["tree", "sqrt", "batch"])
+def test_failing_access_still_flushes_its_meters(scenario):
+    """The one metering wrapper (``OramController._metered``) exports the
+    failing access's own work and the stash state that caused it — for a
+    tree access, a square-root access and a batched access alike."""
+    with use_registry() as registry:
+        oram, attempted = overflow_once(scenario)
+    assert registry.counter("oram.accesses_total").value == attempted
+    assert (registry.counter("oram.bucket_reads_total").value
+            == oram.stats.bucket_reads > 0)
+    assert (registry.counter("oram.bucket_writes_total").value
+            == oram.stats.bucket_writes)
+    assert (registry.counter("oram.eviction_passes_total").value
+            == oram.stats.eviction_passes)
+    assert (registry.gauge("oram.stash_occupancy").value
+            == oram.stash.occupancy > 0)
+    assert (registry.gauge("oram.stash_peak_occupancy").value
+            == oram.stash.peak_occupancy)
+    assert registry.counter("oram.stash_overflows_total").value == 1.0
 
 
 @pytest.mark.parametrize("oram_class", [PathORAM, CircuitORAM])

@@ -106,3 +106,37 @@ def test_one_leakage_error_and_no_per_subsystem_gate():
     assert error_classes == [
         (os.path.join("telemetry", "audit", "__init__.py"), "LeakageError")]
     assert wrappers == []
+
+
+def test_full_scans_are_declared_once_not_hand_rolled():
+    """A full oblivious scan is one ``MemoryTracer.record_sweep`` call —
+    no ``for`` loop in the scan modules may contain a ``.record(`` call
+    (there were nine) — and the ORAM access metering lives in one module
+    (``OramController._metered``; there were three copies)."""
+    import ast
+    import os
+
+    import repro
+
+    root = os.path.dirname(repro.__file__)
+    loops = []
+    for relative in ("oram/position_map.py", "oram/stash.py",
+                     "oram/sqrt_oram.py", "oblivious/trace.py"):
+        with open(os.path.join(root, relative), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), relative)
+        for loop in ast.walk(tree):
+            if isinstance(loop, (ast.For, ast.While)):
+                loops += [(relative, call.lineno) for call in ast.walk(loop)
+                          if isinstance(call, ast.Call)
+                          and isinstance(call.func, ast.Attribute)
+                          and call.func.attr == "record"]
+    assert loops == []
+
+    oram = os.path.join(root, "oram")
+    metering = []
+    for name in sorted(os.listdir(oram)):
+        if name.endswith(".py"):
+            with open(os.path.join(oram, name), encoding="utf-8") as handle:
+                if '"oram.bucket_reads_total"' in handle.read():
+                    metering.append(name)
+    assert metering == ["controller.py"]
