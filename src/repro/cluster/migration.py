@@ -39,8 +39,8 @@ from repro.cluster.epoch import PlanEpoch
 from repro.cluster.placement import AUDIT_SECRET_LENGTH
 from repro.oblivious.trace import WRITE, MemoryTracer
 from repro.serving.batcher import BatchingPolicy
-from repro.serving.engine import ArrivalsLike, ServingConfig
-from repro.serving.requests import RequestQueue
+from repro.serving.engine import ServingConfig
+from repro.serving.requests import ArrivalsLike, RequestQueue
 from repro.telemetry.audit import (
     MODE_EXACT,
     AuditSubject,
@@ -438,8 +438,7 @@ class MigrationEngine:
         which is the "route by the epoch a request arrived in" contract
         scaled down to intermediate states.
         """
-        queue = (arrivals if isinstance(arrivals, RequestQueue)
-                 else RequestQueue(arrivals))
+        queue = RequestQueue.coerce(arrivals)
         steps = self.plan_steps()
         report = MigrationReport(
             source_epoch=self.source.epoch, target_epoch=self.target.epoch,

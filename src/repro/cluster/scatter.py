@@ -36,9 +36,9 @@ from repro.resilience.dispatch import ResilientDispatcher
 from repro.resilience.retry import RetryPolicy
 from repro.serving.backends import BackendLike, resolve_backend
 from repro.serving.batcher import BatchingPolicy
-from repro.serving.engine import ArrivalsLike, ExecutionEngine, ServingConfig
+from repro.serving.engine import ExecutionEngine, ServingConfig
 from repro.serving.report import ServingReport
-from repro.serving.requests import RequestQueue
+from repro.serving.requests import ArrivalsLike, RequestQueue
 from repro.telemetry.runtime import get_registry
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_non_negative
@@ -361,8 +361,7 @@ class ScatterGatherEngine:
         overrides the router's assignment for the duration of this trace
         (how a migration serves against a transitioning topology).
         """
-        queue = (arrivals if isinstance(arrivals, RequestQueue)
-                 else RequestQueue(arrivals))
+        queue = RequestQueue.coerce(arrivals)
         if policy is not None and self.retry is not None:
             self.retry.validate_against(policy)
         routed, unroutable = self.current_assignment(0.0, owner_map)

@@ -10,7 +10,7 @@ the engine's backend once per batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,3 +155,29 @@ class DynamicBatcher:
             [batch.size for batch in batches])
         registry.histogram("batcher.service_seconds").observe_many(
             [batch.service_seconds for batch in batches])
+
+
+def settle(batches: Sequence[ScheduledBatch], arrivals: np.ndarray,
+           executed: Optional[Sequence[float]] = None
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Fault-free execution of a schedule: per-request queueing + service.
+
+    Every request of a batch waits from its arrival to the batch start and
+    is then served for the batch's executed time — ``executed[k]`` when
+    given (a cache's per-batch times), else the scheduled slot. This is the
+    one place a schedule becomes per-request ``(queue_delays,
+    service_latencies)``; the fault-aware counterpart is
+    :func:`repro.resilience.policy.execute_with_resilience`.
+    """
+    if executed is None:
+        executed = [batch.service_seconds for batch in batches]
+    elif len(executed) != len(batches):
+        raise ValueError(f"executed has {len(executed)} entries for "
+                         f"{len(batches)} batches")
+    queue_delays = np.empty(len(arrivals), dtype=np.float64)
+    service_latencies = np.empty(len(arrivals), dtype=np.float64)
+    for batch, seconds in zip(batches, executed):
+        window = slice(batch.first, batch.last)
+        queue_delays[window] = batch.start_seconds - arrivals[window]
+        service_latencies[window] = seconds
+    return queue_delays, service_latencies

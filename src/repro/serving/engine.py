@@ -16,15 +16,22 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.costmodel.latency import MLP_OVERHEAD_SECONDS, DheShape
 from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.serving.backends import BackendLike, resolve_backend
-from repro.serving.batcher import BatchingPolicy, DynamicBatcher
+from repro.serving.batcher import (
+    BatchingPolicy,
+    DynamicBatcher,
+    ScheduledBatch,
+    settle,
+)
 from repro.serving.dispatcher import Dispatcher
 from repro.serving.report import ServingReport
-from repro.serving.requests import RequestQueue, batch_boundary_arrivals
+from repro.serving.requests import (
+    ArrivalsLike,
+    RequestQueue,
+    batch_boundary_arrivals,
+)
 from repro.telemetry.runtime import get_registry
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive, check_positive_finite
@@ -48,9 +55,6 @@ class ServingConfig:
         check_positive("batch_size", self.batch_size)
         check_positive("threads", self.threads)
         check_positive_finite("sla_seconds", self.sla_seconds)
-
-
-ArrivalsLike = Union[RequestQueue, Sequence[float], np.ndarray]
 
 
 class ExecutionEngine:
@@ -104,94 +108,26 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # Latency resolution — everything goes through the backend
     # ------------------------------------------------------------------
-    def embedding_latency(self, config: ServingConfig) -> float:
-        """Embedding-generation latency of one batch (features sequential)."""
+    def _price(self, allocations: Sequence[FeatureAllocation],
+               config: ServingConfig, overhead_seconds: float) -> float:
         from repro.hybrid.allocator import allocation_latency
 
-        return allocation_latency(self.allocations(config), self.backend,
+        return allocation_latency(allocations, self.backend,
                                   self.embedding_dim, config.batch_size,
-                                  config.threads, varied=self.varied)
+                                  config.threads, varied=self.varied,
+                                  overhead_seconds=overhead_seconds)
+
+    def embedding_latency(self, config: ServingConfig) -> float:
+        """Embedding-generation latency of one batch (features sequential)."""
+        return self._price(self.allocations(config), config, 0.0)
 
     def batch_latency(self, config: ServingConfig) -> float:
         """End-to-end latency of one batch (MLP overhead + embeddings)."""
-        from repro.hybrid.allocator import allocation_latency
-
-        return allocation_latency(self.allocations(config), self.backend,
-                                  self.embedding_dim, config.batch_size,
-                                  config.threads, varied=self.varied,
-                                  overhead_seconds=self.mlp_overhead_seconds)
+        return self._price(self.allocations(config), config,
+                           self.mlp_overhead_seconds)
 
     # ------------------------------------------------------------------
-    # The request pipeline: queue -> dynamic batcher -> report
-    # ------------------------------------------------------------------
-    def serve(self, config: ServingConfig, arrivals: ArrivalsLike,
-              policy: Optional[BatchingPolicy] = None) -> ServingReport:
-        """Run an arrival trace through the dynamic batcher.
-
-        Partial batches execute at the configured batch shape (the replica
-        pads), so every non-empty batch costs ``batch_latency(config)``.
-        Per-request latency = queueing delay (batch start − arrival) +
-        batch service time.
-
-        Since the pipeline refactor this routes through a one-stage
-        :class:`~repro.serving.pipeline.PipelineEngine`; the one-stage
-        path returns the stage's report verbatim, so the output is
-        bit-for-bit what the pre-pipeline engine produced (regression-
-        pinned in ``tests/serving/test_pipeline.py``).
-        """
-        from repro.serving.pipeline import EngineStage, PipelineEngine
-
-        stage = EngineStage(self, config, policy=policy)
-        return PipelineEngine([stage]).serve(arrivals).end_to_end
-
-    def _serve_queue(self, config: ServingConfig, queue: RequestQueue,
-                     policy: Optional[BatchingPolicy]) -> ServingReport:
-        """One stage's worth of serving: the pre-pipeline ``serve`` body."""
-        if policy is None:
-            policy = BatchingPolicy(max_batch_size=config.batch_size,
-                                    max_wait_seconds=0.0)
-        if self.cache is not None:
-            return self._serve_cached(config, queue, policy)
-        registry = get_registry()
-        with registry.span("serve", requests=len(queue),
-                           batch_size=config.batch_size,
-                           threads=config.threads):
-            with registry.span("serve.price_batch"):
-                service = self.batch_latency(config)
-            with registry.span("serve.schedule"):
-                batches = DynamicBatcher(policy).schedule(
-                    queue.arrivals, lambda size: service)
-            if self.resilience is not None:
-                stats = self._execute_resilient(batches, queue.arrivals,
-                                                service, registry)
-                queue_delays = stats.pop("queue_delays")
-                service_latencies = stats.pop("service_latencies")
-            else:
-                stats = None
-                queue_delays = np.empty(len(queue), dtype=np.float64)
-                service_latencies = np.empty(len(queue), dtype=np.float64)
-                for batch in batches:
-                    window = slice(batch.first, batch.last)
-                    queue_delays[window] = (batch.start_seconds
-                                            - queue.arrivals[window])
-                    service_latencies[window] = batch.service_seconds
-            with registry.span("serve.allocate"):
-                scans, dhes = self.allocation_counts(config)
-            busy_time = math.fsum(batch.service_seconds for batch in batches)
-        report = ServingReport.from_components(
-            queue_delays=queue_delays, service_latencies=service_latencies,
-            num_batches=len(batches), scan_features=scans,
-            dhe_features=dhes, batch_time_total=busy_time)
-        if stats is not None:
-            from repro.resilience.report import ResilientServingReport
-
-            report = ResilientServingReport.from_serving_report(
-                report, **stats["stats"])
-        self._report_serve(registry, report)
-        return report
-
-    # ------------------------------------------------------------------
-    # The opt-in oblivious-safe cached path (repro.cache)
+    # The opt-in oblivious-safe cache (repro.cache)
     # ------------------------------------------------------------------
     @property
     def cache_instance(self) -> Optional[SecretIndependentCache]:
@@ -220,102 +156,117 @@ class ExecutionEngine:
                            uniform_shape=self.uniform_shape,
                            platform=self.platform)
 
-    def _serve_cached(self, config: ServingConfig, queue: RequestQueue,
-                      policy: BatchingPolicy) -> ServingReport:
-        """The cached pipeline: plan admission, schedule, execute lookups.
+    def _cached_batch_seconds(self, cache: SecretIndependentCache,
+                              batches: Sequence[ScheduledBatch],
+                              config: ServingConfig) -> List[float]:
+        """Per-batch *executed* time under the cache's admission plan.
 
-        Scheduling always reserves the cache's (constant) declared service
-        slot, so queueing is never understated by an optimistic hit
-        forecast; per-batch *executed* time is where hits pay off. The
-        uncached :meth:`serve` path is untouched — byte-identical to the
-        pre-cache engine.
+        Keyed on public batch metadata only (arrival epoch, position in the
+        epoch, padded shape); the first batch carries the serve's one-off
+        setup cost.
+        """
+        from repro.cache.policy import BatchMetadata
 
-        When a :class:`~repro.resilience.policy.ResiliencePolicy` is also
-        set, the cache's per-batch executed times become the fault-free
+        epoch_len = cache.epoch_seconds
+        per_epoch_counts: dict = {}
+        executed_times: List[float] = []
+        for batch in batches:
+            epoch = (int(batch.start_seconds // epoch_len)
+                     if math.isfinite(epoch_len) else 0)
+            index_in_epoch = per_epoch_counts.get(epoch, 0)
+            per_epoch_counts[epoch] = index_in_epoch + 1
+            executed_times.append(cache.batch_seconds(BatchMetadata(
+                epoch=epoch, index_in_epoch=index_in_epoch,
+                size=config.batch_size)))
+        if executed_times:
+            executed_times[0] += cache.serve_setup_seconds()
+        return executed_times
+
+    # ------------------------------------------------------------------
+    # The one serving loop: price -> schedule -> settle -> report
+    # ------------------------------------------------------------------
+    def serve(self, config: ServingConfig, arrivals: ArrivalsLike,
+              policy: Optional[BatchingPolicy] = None) -> ServingReport:
+        """Run an arrival trace through the dynamic batcher.
+
+        Partial batches execute at the configured batch shape (the replica
+        pads), so every non-empty batch is scheduled at one priced slot:
+        ``batch_latency(config)``, or the cache's constant declared slot —
+        queueing is never understated by an optimistic hit forecast.
+        Per-request latency = queueing delay (batch start − arrival) +
+        the batch's executed time, which is where cache hits pay off.
+
+        Cache and resilience are the loop's two pluggable steps and they
+        compose: the cache's per-batch executed times become the fault-free
         baseline the resilient executor stacks retries/crashes/hedges on
         (``batch_service_seconds``). Cache counters reflect the admission
         plan and the scheduled batch stream — a retried batch replays its
         already-resolved executed time rather than re-consulting the
         cache, so counters stay a function of the public schedule alone.
         """
-        from repro.cache.policy import BatchMetadata
+        from repro.hybrid.allocator import count_scan_features
 
+        queue = RequestQueue.coerce(arrivals)
+        if policy is None:
+            policy = BatchingPolicy(max_batch_size=config.batch_size,
+                                    max_wait_seconds=0.0)
         cache = self.cache_instance
+        labels = {} if cache is None else {"cache": cache.name}
         registry = get_registry()
         with registry.span("serve", requests=len(queue),
                            batch_size=config.batch_size,
-                           threads=config.threads, cache=cache.name):
+                           threads=config.threads, **labels):
             allocations = self.allocations(config)
-            before = cache.stats.snapshot()
             with registry.span("serve.price_batch"):
-                cache.plan(allocations, config, self._cache_pricer(config))
-                service = cache.schedule_seconds()
+                if cache is None:
+                    service = self._price(allocations, config,
+                                          self.mlp_overhead_seconds)
+                else:
+                    before = cache.stats.snapshot()
+                    cache.plan(allocations, config,
+                               self._cache_pricer(config))
+                    service = cache.schedule_seconds()
             with registry.span("serve.schedule"):
                 batches = DynamicBatcher(policy).schedule(
                     queue.arrivals, lambda size: service)
-            setup = cache.serve_setup_seconds()
-            executed_times: List[float] = []
-            epoch_len = cache.epoch_seconds
-            per_epoch_counts: dict = {}
-            for position, batch in enumerate(batches):
-                epoch = (int(batch.start_seconds // epoch_len)
-                         if math.isfinite(epoch_len) else 0)
-                index_in_epoch = per_epoch_counts.get(epoch, 0)
-                per_epoch_counts[epoch] = index_in_epoch + 1
-                meta = BatchMetadata(epoch=epoch,
-                                     index_in_epoch=index_in_epoch,
-                                     size=config.batch_size)
-                executed = cache.batch_seconds(meta)
-                if position == 0:
-                    executed += setup
-                executed_times.append(executed)
-            if self.resilience is not None:
-                stats = self._execute_resilient(
-                    batches, queue.arrivals, service, registry,
-                    batch_service_seconds=executed_times)
-                queue_delays = stats.pop("queue_delays")
-                service_latencies = stats.pop("service_latencies")
+            executed = ([batch.service_seconds for batch in batches]
+                        if cache is None else
+                        self._cached_batch_seconds(cache, batches, config))
+            stats = None
+            if self.resilience is None:
+                queue_delays, service_latencies = settle(
+                    batches, queue.arrivals, executed)
             else:
-                stats = None
-                queue_delays = np.empty(len(queue), dtype=np.float64)
-                service_latencies = np.empty(len(queue), dtype=np.float64)
-                for batch, executed in zip(batches, executed_times):
-                    window = slice(batch.first, batch.last)
-                    queue_delays[window] = (batch.start_seconds
-                                            - queue.arrivals[window])
-                    service_latencies[window] = executed
+                from repro.resilience.policy import execute_with_resilience
+
+                with registry.span("serve.resilient_execute",
+                                   batches=len(batches)):
+                    result = execute_with_resilience(
+                        batches, queue.arrivals, service, self.resilience,
+                        batch_service_seconds=executed)
+                queue_delays = result["queue_delays"]
+                service_latencies = result["service_latencies"]
+                stats = result["stats"]
             with registry.span("serve.allocate"):
-                scans, dhes = self.allocation_counts(config)
-            busy_time = math.fsum(executed_times)
-        after = cache.stats
+                scans = count_scan_features(allocations)
+        cache_fields = {}
+        if cache is not None:
+            after = cache.stats
+            cache_fields = dict(cache_hits=after.hits - before.hits,
+                                cache_misses=after.misses - before.misses,
+                                cache_bytes_resident=after.bytes_resident)
         report = ServingReport.from_components(
             queue_delays=queue_delays, service_latencies=service_latencies,
             num_batches=len(batches), scan_features=scans,
-            dhe_features=dhes, batch_time_total=busy_time,
-            cache_hits=after.hits - before.hits,
-            cache_misses=after.misses - before.misses,
-            cache_bytes_resident=after.bytes_resident)
+            dhe_features=len(allocations) - scans,
+            batch_time_total=math.fsum(executed), **cache_fields)
         if stats is not None:
             from repro.resilience.report import ResilientServingReport
 
-            report = ResilientServingReport.from_serving_report(
-                report, **stats["stats"])
+            report = ResilientServingReport.from_serving_report(report,
+                                                                **stats)
         self._report_serve(registry, report)
         return report
-
-    def _execute_resilient(self, batches, arrivals, service, registry,
-                           batch_service_seconds=None):
-        """Run the schedule through the fault-aware executor (lazy import)."""
-        from repro.resilience.policy import execute_with_resilience
-
-        with registry.span("serve.resilient_execute",
-                           batches=len(batches)):
-            result = execute_with_resilience(
-                batches, arrivals, service, self.resilience,
-                batch_service_seconds=batch_service_seconds)
-        return {"queue_delays": result["queue_delays"],
-                "service_latencies": result["service_latencies"],
-                "stats": result["stats"]}
 
     def _report_serve(self, registry, report: ServingReport) -> None:
         """Fold one serving run into the engine's metrics."""

@@ -1,16 +1,14 @@
 """Multi-stage serving: a `Stage` protocol and the `PipelineEngine`.
 
-The serving stack grew up single-stage: one :class:`ExecutionEngine`, one
-batcher, one report. LLM serving is not one stage — tokenize, prefill, and
-decode have different cost shapes (throughput-bound vs latency-bound) and,
-at cluster scale, different autoscaled pools. This module lifts the
-single-stage engine into the general shape:
+LLM serving is not one stage — tokenize, prefill, and decode have
+different cost shapes (throughput-bound vs latency-bound) and, at cluster
+scale, different autoscaled pools. This module chains stage bodies:
 
 * :class:`PipelineStage` — anything that turns an arrival trace into a
   :class:`StageResult` (a per-stage :class:`ServingReport` plus the
   departure times that become the next stage's arrivals);
-* :class:`EngineStage` — adapts an :class:`ExecutionEngine` + config, so
-  the existing engine is literally the one-stage special case;
+* :class:`EngineStage` — :meth:`ExecutionEngine.serve` under a fixed
+  config and policy is the stage body;
 * :class:`PricedStage` — a stage priced by an arbitrary per-batch service
   function (the LLM stages in :mod:`repro.llm.stages` are these);
 * :class:`PipelineEngine` — chains stages (stage *k*'s departures are
@@ -25,36 +23,23 @@ composed ``latencies`` equal final departure − original arrival exactly.
 
 For a single-stage pipeline the composed end-to-end report **is** the
 stage's report object, verbatim — no recomposition, no extra telemetry —
-which is what keeps ``ExecutionEngine.serve()`` bit-for-bit identical to
-its pre-pipeline self (pinned in ``tests/serving/test_pipeline.py``) and
-preserves subclasses such as
-:class:`~repro.resilience.report.ResilientServingReport`.
+so a one-stage :class:`EngineStage` pipeline equals ``engine.serve()``
+bit-for-bit (pinned in ``tests/serving/test_pipeline.py``) and subclasses
+such as :class:`~repro.resilience.report.ResilientServingReport` survive.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.serving.batcher import BatchingPolicy, DynamicBatcher
+from repro.serving.batcher import BatchingPolicy, DynamicBatcher, settle
+from repro.serving.engine import ExecutionEngine, ServingConfig
 from repro.serving.report import ServingReport
-from repro.serving.requests import RequestQueue
-
-if TYPE_CHECKING:  # deferred: engine imports this module at runtime
-    from repro.serving.engine import ExecutionEngine, ServingConfig
-
-ArrivalsLike = Union[RequestQueue, Sequence[float], np.ndarray]
+from repro.serving.requests import ArrivalsLike, RequestQueue
 
 
 @dataclass(frozen=True)
@@ -105,7 +90,7 @@ class EngineStage(PipelineStage):
     batch size), exactly as ``ExecutionEngine.serve`` always resolved it.
     """
 
-    def __init__(self, engine: "ExecutionEngine", config: "ServingConfig",
+    def __init__(self, engine: ExecutionEngine, config: ServingConfig,
                  policy: Optional[BatchingPolicy] = None,
                  name: str = "serve") -> None:
         self.engine = engine
@@ -114,7 +99,7 @@ class EngineStage(PipelineStage):
         self.name = name
 
     def serve(self, queue: RequestQueue) -> StageResult:
-        report = self.engine._serve_queue(self.config, queue, self.policy)
+        report = self.engine.serve(self.config, queue, self.policy)
         return StageResult(name=self.name, report=report,
                            departures=self.departures_from(queue, report))
 
@@ -122,10 +107,10 @@ class EngineStage(PipelineStage):
 class PricedStage(PipelineStage):
     """A stage priced by a per-batch service-time function.
 
-    This is the engine's uncached serve loop with the backend swapped for
-    an arbitrary ``service_time(batch_size) -> seconds`` — the shape the
-    LLM stages need (tokenize/prefill/decode each price a batch through
-    the cost model rather than through a DLRM allocation).
+    Schedule → settle with an arbitrary ``service_time(batch_size) ->
+    seconds`` in place of the engine's priced DLRM allocation — the shape
+    the LLM stages need (tokenize/prefill/decode each price a batch
+    through the cost model).
 
     ``on_batch`` (optional) is called with each formed
     :class:`~repro.serving.batcher.ScheduledBatch` *after* scheduling —
@@ -143,13 +128,9 @@ class PricedStage(PipelineStage):
     def serve(self, queue: RequestQueue) -> StageResult:
         batches = DynamicBatcher(self.policy).schedule(queue.arrivals,
                                                        self.service_time)
-        queue_delays = np.empty(len(queue), dtype=np.float64)
-        service_latencies = np.empty(len(queue), dtype=np.float64)
-        for batch in batches:
-            window = slice(batch.first, batch.last)
-            queue_delays[window] = batch.start_seconds - queue.arrivals[window]
-            service_latencies[window] = batch.service_seconds
-            if self.on_batch is not None:
+        queue_delays, service_latencies = settle(batches, queue.arrivals)
+        if self.on_batch is not None:
+            for batch in batches:
                 self.on_batch(batch)
         busy = math.fsum(batch.service_seconds for batch in batches)
         report = ServingReport.from_components(
@@ -170,8 +151,8 @@ class PipelineReport:
     question. Per-stage busy time is still available in ``stages``.
     """
 
-    stages: List[StageResult] = field(default_factory=list)
-    end_to_end: ServingReport = None  # type: ignore[assignment]
+    stages: List[StageResult]
+    end_to_end: ServingReport
 
     def stage(self, name: str) -> StageResult:
         for result in self.stages:
@@ -265,8 +246,7 @@ class PipelineEngine:
         self.stages = stages
 
     def serve(self, arrivals: ArrivalsLike) -> PipelineReport:
-        queue = (arrivals if isinstance(arrivals, RequestQueue)
-                 else RequestQueue(arrivals))
+        queue = RequestQueue.coerce(arrivals)
         results: List[StageResult] = []
         for stage in self.stages:
             result = stage.serve(queue)

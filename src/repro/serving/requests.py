@@ -10,7 +10,7 @@ trace that reproduces the seed behaviour bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,6 +81,11 @@ class RequestQueue:
             arrivals = np.sort(arrivals)
         self.arrivals = arrivals
 
+    @classmethod
+    def coerce(cls, arrivals: "ArrivalsLike") -> "RequestQueue":
+        """``arrivals`` itself if it already is a queue, else a new one."""
+        return arrivals if isinstance(arrivals, cls) else cls(arrivals)
+
     # ------------------------------------------------------------------
     @classmethod
     def deterministic(cls, num_requests: int, interval_seconds: float,
@@ -117,3 +122,7 @@ class RequestQueue:
     def __repr__(self) -> str:
         return (f"RequestQueue(n={len(self)}, "
                 f"span={float(self.arrivals[-1] - self.arrivals[0]):.6f}s)")
+
+
+#: What every ``serve`` entry point accepts as its arrival trace.
+ArrivalsLike = Union[RequestQueue, Sequence[float], np.ndarray]

@@ -239,3 +239,87 @@ class TestEngineConstruction:
         scans, dhes = engine.allocation_counts(ServingConfig(batch_size=32))
         assert scans + dhes == len(TERABYTE_SPEC.table_sizes)
         assert scans > 0 and dhes > 0
+
+
+class _SpyThresholds:
+    """Counts Algorithm-3 resolutions (one ``threshold`` read per allocation)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def threshold(self, dim, batch, threads):
+        self.calls += 1
+        return self.inner.threshold(dim, batch, threads)
+
+
+class TestOneServingLoop:
+    """Plain, cached, resilient and cached+resilient are one loop.
+
+    Every combination goes through ``serve`` → schedule → settle (or the
+    fault-aware executor) → one report, so the same invariants hold on
+    all of them and an inert ``ResiliencePolicy()`` moves no bit.
+    """
+
+    CONFIG = ServingConfig(batch_size=32, threads=1)
+    CACHES = (None, "static-residency", "batch-shared", "decoder-reuse")
+    TRACES = ("closed", "poisson-greedy", "poisson-2ms")
+
+    def build(self, thresholds, cache, resilient):
+        from repro.cache import CachePolicy
+        from repro.resilience import ResiliencePolicy
+
+        return ExecutionEngine(
+            TERABYTE_SPEC.table_sizes, DIM, DLRM_DHE_UNIFORM_64,
+            _SpyThresholds(thresholds), varied=True,
+            cache=None if cache is None else CachePolicy(cache),
+            resilience=ResiliencePolicy() if resilient else None)
+
+    def trace(self, engine, kind):
+        from repro.serving import batch_boundary_arrivals, poisson_arrivals
+
+        if kind == "closed":
+            arrivals = batch_boundary_arrivals(
+                200, self.CONFIG.batch_size,
+                engine.batch_latency(self.CONFIG))
+            return arrivals, BatchingPolicy(max_batch_size=32)
+        wait = 0.002 if kind == "poisson-2ms" else 0.0
+        return (poisson_arrivals(200, 2500.0, rng=13),
+                BatchingPolicy(max_batch_size=32, max_wait_seconds=wait))
+
+    @pytest.mark.parametrize("kind", TRACES)
+    @pytest.mark.parametrize("cache", CACHES)
+    def test_invariants_and_inert_resilience(self, thresholds, cache, kind):
+        import math
+
+        from repro.serving import DynamicBatcher
+
+        reports = {}
+        for resilient in (False, True):
+            engine = self.build(thresholds, cache, resilient)
+            arrivals, policy = self.trace(engine, kind)
+            engine.thresholds.calls = 0
+            report = engine.serve(self.CONFIG, arrivals, policy)
+            assert engine.thresholds.calls == 1  # Algorithm 3 resolved once
+            assert np.array_equal(
+                report.queue_delays + report.service_latencies,
+                report.latencies)
+            assert (report.queue_delays >= 0).all()
+            assert report.tracks_cache == (cache is not None)
+            # Busy time is the fsum of per-batch executed times, re-derived
+            # here from an independent schedule at the priced slot.
+            slot = (engine.batch_latency(self.CONFIG) if cache is None
+                    else engine.cache_instance.schedule_seconds())
+            batches = DynamicBatcher(policy).schedule(arrivals,
+                                                      lambda size: slot)
+            assert report.num_batches == len(batches)
+            assert report.batch_time_total == math.fsum(
+                report.service_latencies[batch.first] for batch in batches)
+            reports[resilient] = report
+        plain, resilient = reports[False], reports[True]
+        assert resilient.retries_total == 0 and resilient.shed_requests == 0
+        for name in ("queue_delays", "service_latencies", "latencies"):
+            assert np.array_equal(getattr(plain, name),
+                                  getattr(resilient, name)), name
+        assert plain.batch_time_total == resilient.batch_time_total
+        assert plain.cache_hits == resilient.cache_hits

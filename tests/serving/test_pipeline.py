@@ -1,10 +1,9 @@
 """Pipeline composition: serve() parity pin + queue-delay-once accounting.
 
-The acceptance pin for the multi-stage refactor: routing
-``ExecutionEngine.serve()`` through a one-stage :class:`PipelineEngine`
-must be bit-for-bit what the pre-pipeline engine produced, and composing
-multi-stage reports must count every inter-stage wait exactly once (as
-the downstream stage's queueing delay).
+A one-stage :class:`PipelineEngine` over an :class:`EngineStage` must be
+bit-for-bit ``ExecutionEngine.serve()`` (the engine is the stage body),
+and composing multi-stage reports must count every inter-stage wait
+exactly once (as the downstream stage's queueing delay).
 """
 
 import json
@@ -21,6 +20,7 @@ from repro.serving import (
     EngineStage,
     ExecutionEngine,
     PipelineEngine,
+    PipelineReport,
     PipelineStage,
     PricedStage,
     ServingConfig,
@@ -77,7 +77,7 @@ class _CannedStage(PipelineStage):
 
 
 class TestServeParityPin:
-    """``serve()`` through the one-stage pipeline == the pre-pipeline body."""
+    """The one-stage ``EngineStage`` pipeline == ``engine.serve()``."""
 
     def assert_bit_identical(self, via_pipeline, direct):
         assert type(via_pipeline) is type(direct)
@@ -97,17 +97,17 @@ class TestServeParityPin:
         config = ServingConfig(batch_size=32, threads=1)
         policy = BatchingPolicy(max_batch_size=32, max_wait_seconds=0.001)
         queue = RequestQueue.poisson(96, 3000.0, rng=11)
-        via_pipeline = engine.serve(config, queue, policy)
-        direct = engine._serve_queue(config, RequestQueue(queue.arrivals),
-                                     policy)
+        via_pipeline = PipelineEngine(
+            [EngineStage(engine, config, policy)]).serve(queue).end_to_end
+        direct = engine.serve(config, queue, policy)
         self.assert_bit_identical(via_pipeline, direct)
 
     def test_default_policy_resolution_unchanged(self, engine):
         config = ServingConfig(batch_size=32, threads=1)
         queue = RequestQueue.poisson(64, 2000.0, rng=5)
-        via_pipeline = engine.serve(config, queue)
-        direct = engine._serve_queue(config, RequestQueue(queue.arrivals),
-                                     None)
+        via_pipeline = PipelineEngine(
+            [EngineStage(engine, config)]).serve(queue).end_to_end
+        direct = engine.serve(config, queue)
         self.assert_bit_identical(via_pipeline, direct)
 
     def test_one_stage_report_is_the_stage_report_verbatim(self, engine):
@@ -248,6 +248,12 @@ class TestComposeGuards:
                             constant(0.01))
         with pytest.raises(ValueError, match="unique"):
             PipelineEngine([stage, stage])
+
+    def test_report_needs_its_stages_and_end_to_end(self):
+        # An empty PipelineReport() used to construct and then raise
+        # TypeError from every method; now it cannot be built.
+        with pytest.raises(TypeError):
+            PipelineReport()
 
     def test_compose_requires_results(self):
         with pytest.raises(ValueError, match="at least one stage"):

@@ -65,6 +65,13 @@ class TestRequestQueue:
         queue = RequestQueue([0.2, 0.0, 0.1])
         np.testing.assert_allclose(queue.arrivals, [0.0, 0.1, 0.2])
 
+    def test_coerce_passes_a_queue_through_and_wraps_a_trace(self):
+        queue = RequestQueue([0.0, 0.1])
+        assert RequestQueue.coerce(queue) is queue
+        wrapped = RequestQueue.coerce([0.0, 0.1])
+        assert isinstance(wrapped, RequestQueue)
+        np.testing.assert_array_equal(wrapped.arrivals, queue.arrivals)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RequestQueue([])

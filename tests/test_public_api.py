@@ -140,3 +140,38 @@ def test_full_scans_are_declared_once_not_hand_rolled():
                 if '"oram.bucket_reads_total"' in handle.read():
                     metering.append(name)
     assert metering == ["controller.py"]
+
+
+def test_one_serving_loop_fills_the_per_request_windows():
+    """A schedule becomes per-request ``queue_delays`` in exactly one
+    function under ``repro.serving`` (``batcher.settle``; there were three
+    hand copies), and the engine is the stage body — it never reaches back
+    for the pipeline that chains it."""
+    import ast
+    import os
+
+    import repro
+
+    serving = os.path.join(os.path.dirname(repro.__file__), "serving")
+    fillers = []
+    for name in sorted(os.listdir(serving)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(serving, name), encoding="utf-8") as handle:
+            source = handle.read()
+        if name == "engine.py":
+            assert "PipelineEngine" not in source
+            assert "EngineStage" not in source
+        for function in ast.walk(ast.parse(source, name)):
+            if not isinstance(function, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                continue
+            targets = [target for node in ast.walk(function)
+                       if isinstance(node, ast.Assign)
+                       for target in node.targets]
+            if any(isinstance(target, ast.Subscript)
+                   and isinstance(target.value, ast.Name)
+                   and target.value.id == "queue_delays"
+                   for target in targets):
+                fillers.append((name, function.name))
+    assert fillers == [("batcher.py", "settle")]
