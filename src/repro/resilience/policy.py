@@ -85,8 +85,9 @@ def execute_with_resilience(batches: Sequence, arrivals: np.ndarray,
     top of that baseline, and the slip a batch contributes is measured
     against its *own* baseline, so a fault-free run reproduces the cached
     plain engine's arrays bit-for-bit. Returns per-request
-    ``queue_delays`` and ``service_latencies`` plus the fault-run
-    accounting that
+    ``queue_delays``, ``service_latencies`` and ``departures`` (one finish
+    time per batch, as :func:`~repro.serving.batcher.settle` emits them)
+    plus the fault-run accounting that
     :class:`~repro.resilience.report.ResilientServingReport` carries.
     """
     if (batch_service_seconds is not None
@@ -102,6 +103,7 @@ def execute_with_resilience(batches: Sequence, arrivals: np.ndarray,
 
     queue_delays = np.empty(arrivals.size, dtype=np.float64)
     service_latencies = np.empty(arrivals.size, dtype=np.float64)
+    departures = np.empty(arrivals.size, dtype=np.float64)
 
     slip = 0.0  # cumulative fault-induced delay; exactly 0.0 fault-free
     attempts_total = 0
@@ -191,6 +193,7 @@ def execute_with_resilience(batches: Sequence, arrivals: np.ndarray,
             elapsed = (max(0.0, deadline - start)
                        if math.isfinite(deadline) else waited)
         service_latencies[window] = elapsed
+        departures[window] = start + elapsed
         slip += max(0.0, elapsed - base)
 
     stats = {
@@ -209,5 +212,6 @@ def execute_with_resilience(batches: Sequence, arrivals: np.ndarray,
     }
     return {"queue_delays": queue_delays,
             "service_latencies": service_latencies,
+            "departures": departures,
             "stats": stats,
             "dispatcher": dispatcher}

@@ -109,4 +109,5 @@ class ResilientServingReport(ServingReport):
                    cache_hits=report.cache_hits,
                    cache_misses=report.cache_misses,
                    cache_bytes_resident=report.cache_bytes_resident,
+                   departures=report.departures,
                    **extras)

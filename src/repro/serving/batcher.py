@@ -159,15 +159,18 @@ class DynamicBatcher:
 
 def settle(batches: Sequence[ScheduledBatch], arrivals: np.ndarray,
            executed: Optional[Sequence[float]] = None
-           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fault-free execution of a schedule: per-request queueing + service.
+           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fault-free execution of a schedule, per request.
 
-    Every request of a batch waits from its arrival to the batch start and
-    is then served for the batch's executed time — ``executed[k]`` when
-    given (a cache's per-batch times), else the scheduled slot. This is the
-    one place a schedule becomes per-request ``(queue_delays,
-    service_latencies)``; the fault-aware counterpart is
-    :func:`repro.resilience.policy.execute_with_resilience`.
+    Every request of a batch waits from its arrival to the batch start, is
+    served for the batch's executed time — ``executed[k]`` when given (a
+    cache's per-batch times), else the scheduled slot — and leaves at the
+    batch's finish. Returns ``(queue_delays, service_latencies,
+    departures)``; departures are one value per batch (start + executed),
+    never rebuilt per request as arrival + latency, which would put
+    co-departing requests 1 ulp apart and split them downstream. This is
+    the one place a schedule becomes per-request arrays; the fault-aware
+    counterpart is :func:`repro.resilience.policy.execute_with_resilience`.
     """
     if executed is None:
         executed = [batch.service_seconds for batch in batches]
@@ -176,8 +179,10 @@ def settle(batches: Sequence[ScheduledBatch], arrivals: np.ndarray,
                          f"{len(batches)} batches")
     queue_delays = np.empty(len(arrivals), dtype=np.float64)
     service_latencies = np.empty(len(arrivals), dtype=np.float64)
+    departures = np.empty(len(arrivals), dtype=np.float64)
     for batch, seconds in zip(batches, executed):
         window = slice(batch.first, batch.last)
         queue_delays[window] = batch.start_seconds - arrivals[window]
         service_latencies[window] = seconds
-    return queue_delays, service_latencies
+        departures[window] = batch.start_seconds + seconds
+    return queue_delays, service_latencies, departures

@@ -234,7 +234,7 @@ class ExecutionEngine:
                         self._cached_batch_seconds(cache, batches, config))
             stats = None
             if self.resilience is None:
-                queue_delays, service_latencies = settle(
+                queue_delays, service_latencies, departures = settle(
                     batches, queue.arrivals, executed)
             else:
                 from repro.resilience.policy import execute_with_resilience
@@ -246,6 +246,7 @@ class ExecutionEngine:
                         batch_service_seconds=executed)
                 queue_delays = result["queue_delays"]
                 service_latencies = result["service_latencies"]
+                departures = result["departures"]
                 stats = result["stats"]
             with registry.span("serve.allocate"):
                 scans = count_scan_features(allocations)
@@ -259,7 +260,8 @@ class ExecutionEngine:
             queue_delays=queue_delays, service_latencies=service_latencies,
             num_batches=len(batches), scan_features=scans,
             dhe_features=len(allocations) - scans,
-            batch_time_total=math.fsum(executed), **cache_fields)
+            batch_time_total=math.fsum(executed), departures=departures,
+            **cache_fields)
         if stats is not None:
             from repro.resilience.report import ResilientServingReport
 

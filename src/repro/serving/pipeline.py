@@ -58,14 +58,23 @@ class StageResult:
             raise ValueError(
                 f"stage {self.name!r}: {departures.size} departures for "
                 f"{self.report.num_requests} requests")
+        late = np.flatnonzero(np.diff(departures) < 0)
+        if late.size:
+            raise ValueError(
+                f"stage {self.name!r}: departures are not non-decreasing "
+                f"(request {late[0]} leaves at {departures[late[0]]!r}, "
+                f"request {late[0] + 1} at {departures[late[0] + 1]!r}); "
+                f"they are the next stage's arrival trace")
         object.__setattr__(self, "departures", departures)
 
 
 class PipelineStage:
     """Protocol: an arrival trace in, a :class:`StageResult` out.
 
-    Subclasses implement :meth:`serve`. Departures must be sorted
-    non-decreasing (requests leave a stage in batch order), because they
+    Subclasses implement :meth:`serve`. Departures are the finish time of
+    the batch each request rode in — one value per batch, so requests that
+    leave together arrive downstream together — and must be non-decreasing
+    (:class:`StageResult` rejects a trace that is not), because they
     become the next stage's arrival trace.
     """
 
@@ -73,14 +82,6 @@ class PipelineStage:
 
     def serve(self, queue: RequestQueue) -> StageResult:
         raise NotImplementedError
-
-    # Helper shared by the concrete stages: per-request departures are the
-    # finish time of the batch each request rode in — equivalently
-    # arrival + latency, since latency = (batch start − arrival) + service.
-    @staticmethod
-    def departures_from(queue: RequestQueue,
-                        report: ServingReport) -> np.ndarray:
-        return queue.arrivals + report.latencies
 
 
 class EngineStage(PipelineStage):
@@ -101,7 +102,7 @@ class EngineStage(PipelineStage):
     def serve(self, queue: RequestQueue) -> StageResult:
         report = self.engine.serve(self.config, queue, self.policy)
         return StageResult(name=self.name, report=report,
-                           departures=self.departures_from(queue, report))
+                           departures=report.departures)
 
 
 class PricedStage(PipelineStage):
@@ -128,7 +129,8 @@ class PricedStage(PipelineStage):
     def serve(self, queue: RequestQueue) -> StageResult:
         batches = DynamicBatcher(self.policy).schedule(queue.arrivals,
                                                        self.service_time)
-        queue_delays, service_latencies = settle(batches, queue.arrivals)
+        queue_delays, service_latencies, departures = settle(
+            batches, queue.arrivals)
         if self.on_batch is not None:
             for batch in batches:
                 self.on_batch(batch)
@@ -136,9 +138,9 @@ class PricedStage(PipelineStage):
         report = ServingReport.from_components(
             queue_delays=queue_delays, service_latencies=service_latencies,
             num_batches=len(batches), scan_features=0, dhe_features=0,
-            batch_time_total=busy)
+            batch_time_total=busy, departures=departures)
         return StageResult(name=self.name, report=report,
-                           departures=self.departures_from(queue, report))
+                           departures=departures)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ class ServingReport:
     cache_hits: Optional[int] = None
     cache_misses: Optional[int] = None
     cache_bytes_resident: Optional[int] = None
+    # When each request left (absolute seconds, one value per batch) — set
+    # by a single serving run so a pipeline stage can hand it downstream;
+    # None on merged, composed and gathered reports:
+    departures: Optional[np.ndarray] = None
 
     @classmethod
     def from_components(cls, queue_delays: np.ndarray,
@@ -44,7 +48,8 @@ class ServingReport:
                         batch_time_total: float,
                         cache_hits: Optional[int] = None,
                         cache_misses: Optional[int] = None,
-                        cache_bytes_resident: Optional[int] = None
+                        cache_bytes_resident: Optional[int] = None,
+                        departures: Optional[np.ndarray] = None
                         ) -> "ServingReport":
         """Build a report from per-request queueing + service arrays."""
         queue_delays = np.asarray(queue_delays, dtype=np.float64)
@@ -61,7 +66,8 @@ class ServingReport:
                    queue_delays=queue_delays,
                    service_latencies=service_latencies,
                    cache_hits=cache_hits, cache_misses=cache_misses,
-                   cache_bytes_resident=cache_bytes_resident)
+                   cache_bytes_resident=cache_bytes_resident,
+                   departures=departures)
 
     @classmethod
     def merge(cls, reports: Sequence["ServingReport"]) -> "ServingReport":

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serving.batcher import BatchingPolicy, DynamicBatcher
+from repro.serving.batcher import BatchingPolicy, DynamicBatcher, settle
 
 
 class TestBatchingPolicy:
@@ -218,3 +220,53 @@ class TestNonFiniteArrivals:
         batcher = DynamicBatcher(BatchingPolicy(4, 0.1))
         with pytest.raises(ValueError, match="finite"):
             batcher.schedule([0.0, float("inf")], lambda n: 0.1)
+
+
+#: Sorted traces with exact ties, sub-ulp-scale gaps and idle stretches.
+TRACES = st.lists(st.sampled_from([0.0, 0.0, 1e-9, 1e-4, 7e-4, 0.003, 0.05]),
+                  min_size=1, max_size=60).map(np.cumsum)
+POLICIES = st.builds(BatchingPolicy,
+                     max_batch_size=st.integers(1, 9),
+                     max_wait_seconds=st.sampled_from([0.0, 1e-4, 0.002]))
+SERVICES = st.sampled_from([3e-4, 0.001, 0.0123])
+
+
+class TestSettle:
+    """``settle`` is the one place a schedule becomes per-request arrays."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(TRACES, POLICIES, SERVICES, st.booleans())
+    def test_windows_tile_the_trace(self, arrivals, policy, service,
+                                    size_priced):
+        price = (lambda n: service * n) if size_priced else (lambda n: service)
+        batches = DynamicBatcher(policy).schedule(arrivals, price)
+        queue_delays, service_latencies, departures = settle(batches,
+                                                             arrivals)
+        assert (queue_delays >= 0).all()
+        assert (np.diff(departures) >= 0).all()
+        for batch in batches:
+            window = slice(batch.first, batch.last)
+            # Co-departing requests leave at one instant, bit for bit.
+            assert (departures[window] == batch.finish_seconds).all()
+            assert (service_latencies[window] == batch.service_seconds).all()
+            np.testing.assert_array_equal(
+                queue_delays[window], batch.start_seconds - arrivals[window])
+        np.testing.assert_allclose(
+            departures, arrivals + (queue_delays + service_latencies),
+            rtol=0, atol=1e-12)
+
+    def test_executed_times_override_the_scheduled_slot(self):
+        batches = DynamicBatcher(BatchingPolicy(2, 0.0)).schedule(
+            np.zeros(4), lambda n: 1.0)
+        queue_delays, service_latencies, departures = settle(
+            batches, np.zeros(4), executed=[0.25, 0.5])
+        np.testing.assert_array_equal(queue_delays, [0.0, 0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(service_latencies,
+                                      [0.25, 0.25, 0.5, 0.5])
+        np.testing.assert_array_equal(departures, [0.25, 0.25, 1.5, 1.5])
+
+    def test_executed_length_is_checked(self):
+        batches = DynamicBatcher(BatchingPolicy(2, 0.0)).schedule(
+            np.zeros(4), lambda n: 1.0)
+        with pytest.raises(ValueError, match="1 entries for 2 batches"):
+            settle(batches, np.zeros(4), executed=[0.25])
