@@ -177,12 +177,12 @@ def settle(batches: Sequence[ScheduledBatch], arrivals: np.ndarray,
     elif len(executed) != len(batches):
         raise ValueError(f"executed has {len(executed)} entries for "
                          f"{len(batches)} batches")
-    queue_delays = np.empty(len(arrivals), dtype=np.float64)
-    service_latencies = np.empty(len(arrivals), dtype=np.float64)
-    departures = np.empty(len(arrivals), dtype=np.float64)
-    for batch, seconds in zip(batches, executed):
-        window = slice(batch.first, batch.last)
-        queue_delays[window] = batch.start_seconds - arrivals[window]
-        service_latencies[window] = seconds
-        departures[window] = batch.start_seconds + seconds
-    return queue_delays, service_latencies, departures
+    # Batches tile the trace in order, so one repeat per array replaces a
+    # per-batch window fill (same IEEE operations, element for element).
+    sizes = [batch.size for batch in batches]
+    starts = np.array([batch.start_seconds for batch in batches],
+                      dtype=np.float64)
+    executed = np.asarray(executed, dtype=np.float64)
+    queue_delays = np.repeat(starts, sizes) - arrivals
+    return (queue_delays, np.repeat(executed, sizes),
+            np.repeat(starts + executed, sizes))

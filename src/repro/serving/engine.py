@@ -1,13 +1,17 @@
 """The backend-agnostic execution engine behind every serving question.
 
-One object owns the pipeline the paper's deployment story needs (§VI-B3,
-Fig 13): resolve the live configuration's allocation (Algorithm 3), price a
-batch through an :class:`~repro.serving.backends.ExecutionBackend`, run an
-arrival trace through the :class:`~repro.serving.batcher.DynamicBatcher`,
-and report per-request queueing + service latency. The closed-loop path
-(:meth:`serve_closed`) reproduces the seed simulator's numbers bit-for-bit;
-the open paths (:meth:`serve_poisson`, arbitrary traces) model the queueing
-the seed assumed away.
+:meth:`ExecutionEngine.serve` is the one serving loop the paper's
+deployment story needs (§VI-B3, Fig 13): resolve the live configuration's
+allocation once (Algorithm 3), price the schedule slot through an
+:class:`~repro.serving.backends.ExecutionBackend`, run the arrival trace
+through the :class:`~repro.serving.batcher.DynamicBatcher`, settle the
+schedule into per-request queueing + service latency and build one report.
+A cache (per-batch executed times) and a resilience policy (the fault-aware
+executor in place of :func:`~repro.serving.batcher.settle`) are its two
+pluggable steps; a pipeline stage calls the same method. The closed-loop
+path (:meth:`serve_closed`) reproduces the seed simulator's numbers
+bit-for-bit; the open paths (:meth:`serve_poisson`, arbitrary traces) model
+the queueing the seed assumed away.
 """
 
 from __future__ import annotations

@@ -1,4 +1,8 @@
-"""The cache leakage audit: honest policies pass, the LRU is caught."""
+"""The cache leakage audit: decisions are traced, the LRU is caught.
+
+"Every honest policy passes ``require``" is the ``cache-*`` rows of the
+one table in ``tests/telemetry/test_decision_audits.py``.
+"""
 
 import pytest
 
@@ -30,14 +34,6 @@ FACTORIES = {
 
 
 class TestHonestPolicies:
-    @pytest.mark.parametrize("name", sorted(FACTORIES))
-    def test_exact_mode_audit_passes(self, name):
-        finding = LeakageAuditor().require(
-            cache_subject(FACTORIES[name], name=name))
-        assert finding.passed, finding
-        assert not finding.leak_detected
-        assert finding.divergence == 0.0
-
     @pytest.mark.parametrize("name", sorted(FACTORIES))
     def test_decisions_are_traced(self, name):
         tracer = MemoryTracer()

@@ -1,8 +1,10 @@
-"""Registry wiring + fast paper-shape assertions for cheap experiments.
+"""Registry wiring + the paper-shape assertions of every modelled experiment.
 
-The slow experiments (real training, full grids) are exercised by the
-benchmark harness; here each cheap experiment runs once with reduced
-parameters and its core paper claim is asserted.
+Each table/figure runs through ``run_experiment`` (reduced parameters where
+a claim needs only a corner of the grid, defaults where it needs the whole
+sweep) and its paper claim is asserted. The training-based ones (Table V,
+Fig 14) live in ``test_training_experiments.py``; ``python -m
+repro.experiments.registry <ids> --json PATH`` archives the rendered tables.
 """
 
 import numpy as np
@@ -72,7 +74,9 @@ class TestFig2:
     def test_taxonomy_trade_off(self):
         result = run_experiment("fig2")
         rows = {row[0]: dict(zip(result.headers, row)) for row in result.rows}
-        assert rows["DHE"]["normalized_latency"] > 1.0
+        # Storage: fast & big; computation: slower & tiny (Fig 2's trade-off).
+        assert rows["table lookup"]["normalized_latency"] == 1.0
+        assert rows["DHE"]["normalized_latency"] > 10
         assert rows["DHE"]["memory_mb"] < 0.05 * rows["table lookup"]["memory_mb"]
         assert rows["DHE"]["secure"] == "yes"
         assert rows["table lookup"]["secure"] == "no"
@@ -95,6 +99,11 @@ class TestFig3:
         assert "SUCCESS" in result.notes
         vulnerable = result.column("latency_vulnerable_cycles")
         assert max(vulnerable) > 2 * sorted(vulnerable)[-2]
+        # The victim's set stands out by the miss/hit gap; the linear-scan
+        # defence flattens the probe latencies.
+        assert max(vulnerable) - sorted(vulnerable)[-2] > 100
+        protected = result.column("latency_linear_scan_cycles")
+        assert max(protected) - min(protected) < 10
 
 
 class TestFig4:
@@ -110,6 +119,14 @@ class TestFig4:
         # DHE Uniform flat across sizes.
         assert dhe[0] == dhe[-1]
 
+    def test_circuit_beats_path_at_every_size(self):
+        result = run_experiment("fig4")
+        circuit = result.column("circuit_oram_ms")
+        path = result.column("path_oram_ms")
+        scan = result.column("linear_scan_ms")
+        assert all(c < p for c, p in zip(circuit, path))
+        assert scan[0] < path[0] and scan[-1] > path[-1]
+
 
 class TestFig5:
     def test_dhe_wins_large_batches(self):
@@ -121,6 +138,18 @@ class TestFig5:
         large = rows[(1024, 256)]
         assert large[dhe] < large[circuit]
 
+    def test_prefill_favours_dhe_decode_at_large_dim_favours_circuit(self):
+        result = run_experiment("fig5")
+        rows = {(r[0], r[1]): dict(zip(result.headers, r))
+                for r in result.rows}
+        # Prefill-scale batches: DHE best secure option at GPT-2's dim.
+        big = rows[(1024, 3072)]
+        assert big["dhe_ms"] < big["circuit_oram_ms"] < big["path_oram_ms"]
+        # Decode-scale batch at large dims: Circuit ORAM competitive (the
+        # motivation for the LLM dual representation).
+        small = rows[(8192, 1)]
+        assert small["circuit_oram_ms"] < small["dhe_ms"]
+
 
 class TestFig6:
     def test_threshold_trends(self):
@@ -130,6 +159,55 @@ class TestFig6:
         assert values[(128, 1)] < values[(1, 1)]
         assert values[(1, 16)] > values[(1, 1)]
 
+    def test_paper_anchor_and_monotone_grid(self):
+        result = run_experiment("fig6")
+        values = {(b, t): v for b, t, v in result.rows}
+        assert 2000 < values[(32, 1)] < 5000  # paper: ~3300 rows
+        for threads in (1, 16):
+            assert values[(1, threads)] > values[(32, threads)] \
+                > values[(128, threads)]
+        for batch in (1, 32, 128):
+            assert values[(batch, 16)] > values[(batch, 1)]
+
+
+class TestFig7:
+    def test_allocation_bands(self):
+        result = run_experiment("fig7")
+        by_dataset = {row[0]: dict(zip(result.headers, row))
+                      for row in result.rows}
+        for stats in by_dataset.values():
+            assert stats["always_scan"] + stats["hybrid_eligible"] \
+                + stats["always_dhe"] == 26
+            # Paper: only a handful of tables are configuration-sensitive.
+            assert 1 <= stats["hybrid_eligible"] <= 8
+        # Kaggle's big tables always use DHE (paper: 7); Terabyte 9-11.
+        assert by_dataset["criteo-kaggle"]["always_dhe"] >= 6
+        assert by_dataset["criteo-terabyte"]["always_dhe"] >= 8
+
+
+class TestFig8:
+    def test_colocation_inflates_scan_more_than_dhe(self):
+        result = run_experiment("fig8")
+        scan = result.column("scan_ms")
+        dhe = result.column("dhe_ms")
+        for series in (scan, dhe, result.column("circuit_oram_ms")):
+            assert all(a <= b * 1.001 for a, b in zip(series, series[1:]))
+        assert scan[-1] / scan[0] > dhe[-1] / dhe[0]
+
+
+class TestFig9:
+    def test_mixed_allocation_sweep(self):
+        from repro.experiments.fig09_allocation_sweep import \
+            colocated_crossover
+
+        rows = {row[0]: row[1:] for row in run_experiment("fig9").rows}
+        # Small tables: all-scan (first column) beats all-DHE (last).
+        assert rows[1000][0] < rows[1000][-1]
+        # Large tables: all-DHE wins.
+        assert rows[1_000_000][-1] < rows[1_000_000][0]
+        # Paper: co-located crossover ~4500, near the single-model 3300.
+        assert 1500 < colocated_crossover() < 20_000
+
 
 class TestFig10:
     def test_optimizations_reduce_latency(self):
@@ -137,6 +215,10 @@ class TestFig10:
         for row in result.rows:
             original, gramine, opt = row[2:]
             assert original > gramine > opt
+        # Paper: the Gramine step helps Circuit (60%) more than Path (20%).
+        by_scheme = {row[1]: row for row in result.rows}
+        assert (by_scheme["circuit"][2] / by_scheme["circuit"][3]
+                > by_scheme["path"][2] / by_scheme["path"][3])
 
 
 class TestFig11:
@@ -147,6 +229,8 @@ class TestFig11:
         best = int(np.argmin(latencies))
         profiled = flags.index("<-- profiled")
         assert abs(best - profiled) <= 1  # paper: within +-1 table
+        # The sweep spans orders of magnitude (all-scan is catastrophic).
+        assert max(latencies) > 50 * min(latencies)
 
 
 class TestFig12:
@@ -157,32 +241,72 @@ class TestFig12:
         assert speedups[1] > speedups[0]
         assert speedups[3] > speedups[2]
 
+    def test_speedup_over_circuit_passes_2x_at_batch_128(self):
+        result = run_experiment("fig12")
+        by_key = {(row[0], row[1]): dict(zip(result.headers, row))
+                  for row in result.rows}
+        for dataset in ("criteo-kaggle", "criteo-terabyte"):
+            speedups = [by_key[(dataset, batch)]["hybrid_speedup_vs_circuit"]
+                        for batch in (1, 8, 32, 128)]
+            assert speedups[-1] > speedups[1] > speedups[0]
+            assert speedups[-1] > 2.0  # paper: 2.61x / 3.08x
+
+
+class TestFig13:
+    """§VI-B3: under the 20 ms SLA the hybrid sustains more throughput."""
+
+    @staticmethod
+    def best_under_sla(result, technique):
+        return max(tp for latency, tp in
+                   zip(result.column(f"{technique}_ms"),
+                       result.column(f"{technique}_ips"))
+                   if latency <= 20.0)
+
+    def test_hybrid_beats_all_dhe_under_the_sla(self):
+        result = run_experiment("fig13")
+        assert "Hybrid" in result.notes
+        assert (self.best_under_sla(result, "hybrid_varied")
+                > self.best_under_sla(result, "dhe_varied"))  # paper: 1.4x
+
+    def test_kaggle_variant(self):
+        from repro.data import KAGGLE_SPEC
+
+        assert "Hybrid" in run_experiment("fig13", spec=KAGGLE_SPEC).notes
+
 
 class TestTable7:
     def test_paper_ordering(self):
         result = run_experiment("table7")
-        latencies = dict(zip(result.column("technique"),
-                             result.column("terabyte_ms")))
-        assert latencies["index_lookup"] < latencies["hybrid_varied"]
-        assert latencies["hybrid_varied"] < latencies["circuit_oram"]
-        assert latencies["circuit_oram"] < latencies["path_oram"]
-        assert latencies["path_oram"] < latencies["linear_scan"]
+        for dataset in ("kaggle", "terabyte"):
+            latencies = dict(zip(result.column("technique"),
+                                 result.column(f"{dataset}_ms")))
+            assert latencies["index_lookup"] < latencies["hybrid_varied"]
+            assert latencies["hybrid_varied"] < latencies["circuit_oram"]
+            assert latencies["circuit_oram"] < latencies["path_oram"]
+            assert latencies["path_oram"] < latencies["linear_scan"]
 
     def test_hybrid_speedup_in_paper_range(self):
         result = run_experiment("table7")
-        speedups = dict(zip(result.column("technique"),
-                            result.column("terabyte_vs_circuit")))
-        assert 1.5 < speedups["hybrid_varied"] < 4.5  # paper: 2.28x
+        for dataset in ("kaggle", "terabyte"):  # paper: 2.01x / 2.28x
+            speedups = dict(zip(result.column("technique"),
+                                result.column(f"{dataset}_vs_circuit")))
+            assert 1.5 < speedups["hybrid_varied"] < 4.5
 
 
 class TestTable6:
     def test_footprint_story(self):
         result = run_experiment("table6")
-        pct = dict(zip(result.column("representation"),
-                       result.column("terabyte_pct")))
-        assert pct["tree_oram"] > 250  # paper: 336.9%
-        assert pct["dhe_varied"] < 5
-        assert pct["hybrid_varied"] <= pct["dhe_uniform"]
+        for dataset in ("kaggle", "terabyte"):
+            pct = dict(zip(result.column("representation"),
+                           result.column(f"{dataset}_pct")))
+            assert 250 < pct["tree_oram"] < 450  # paper: ~330%
+            assert pct["dhe_varied"] < 5 and pct["dhe_uniform"] < 5
+            assert pct["hybrid_varied"] <= pct["dhe_uniform"]
+        # Paper: reduction vs Tree-ORAM reaches 100x+ (Kaggle) / 1000x+ (TB).
+        for dataset, floor in (("kaggle", 100), ("terabyte", 500)):
+            mb = dict(zip(result.column("representation"),
+                          result.column(f"{dataset}_mb")))
+            assert mb["tree_oram"] / mb["hybrid_varied"] > floor
 
 
 class TestTable8:
@@ -193,8 +317,16 @@ class TestTable8:
         speedup = dict(zip(result.column("technique"),
                            result.column("vs_circuit")))
         # paper: hybrid varied 2.4x faster, >2500x smaller than tables
-        assert speedup["hybrid_varied"] > 1.5
+        assert 1.5 < speedup["hybrid_varied"] < 4.0
         assert memory["index_lookup"] / memory["hybrid_varied"] > 250
+        latency = dict(zip(result.column("technique"),
+                           result.column("latency_ms")))
+        assert 500 < latency["circuit_oram"] < 3000  # paper: ~1.3 s
+        # Paper: tables ~910 GB, ORAM ~3 TB; only the hybrid fits the
+        # 64 GB EPC.
+        assert memory["path_oram"] > 2.5 * memory["index_lookup"]
+        epc_mb = 64 * 1024
+        assert memory["hybrid_varied"] < epc_mb < memory["circuit_oram"]
 
 
 class TestFig15:
@@ -209,6 +341,17 @@ class TestFig15:
         assert rows[(12, "decode")]["dhe_vs_circuit"] > 1.0
         assert abs(rows[(1, "decode")]["dhe_vs_circuit"] - 1.0) < 0.1
 
+    def test_prefill_ordering_at_every_batch(self):
+        result = run_experiment("fig15")
+        rows = {(r[0], r[1]): dict(zip(result.headers, r))
+                for r in result.rows}
+        for batch in (1, 8, 12):
+            prefill = rows[(batch, "prefill")]
+            # DHE best secure technique; Path worst (paper Fig 15).
+            assert prefill["dhe"] < prefill["circuit_oram"] \
+                < prefill["path_oram"]
+            assert prefill["dhe"] < prefill["linear_scan"]
+
 
 class TestLlmFootprint:
     def test_paper_numbers(self):
@@ -219,6 +362,11 @@ class TestLlmFootprint:
         assert parts["oram (circuit)"] == pytest.approx(513.6, rel=0.1)
         assert parts["dhe (+tied head table)"] == pytest.approx(56.0,
                                                                 rel=0.1)
+        # Paper: DHE +4% model overhead; ORAM tens of percent.
+        overhead = dict(zip(result.column("scheme"),
+                            result.column("overhead_vs_table_pct")))
+        assert overhead["dhe (+tied head table)"] < 8
+        assert overhead["oram (circuit)"] > 15
 
 
 class TestCluster:

@@ -1,8 +1,11 @@
 """ExecutionEngine: seed-parity regression, open-system queueing, search."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.cache import CachePolicy
 from repro.costmodel.latency import (
     DLRM_DHE_UNIFORM_64,
     MLP_OVERHEAD_SECONDS,
@@ -18,11 +21,15 @@ from repro.hybrid import (
     colocation_sweep,
     dlrm_tenant,
 )
+from repro.resilience import ResiliencePolicy
 from repro.serving import (
     BatchingPolicy,
+    DynamicBatcher,
     ExecutionEngine,
     SecureDlrmServer,
     ServingConfig,
+    batch_boundary_arrivals,
+    poisson_arrivals,
 )
 
 BATCHES = (1, 32, 128)
@@ -266,9 +273,6 @@ class TestOneServingLoop:
     TRACES = ("closed", "poisson-greedy", "poisson-2ms")
 
     def build(self, thresholds, cache, resilient):
-        from repro.cache import CachePolicy
-        from repro.resilience import ResiliencePolicy
-
         return ExecutionEngine(
             TERABYTE_SPEC.table_sizes, DIM, DLRM_DHE_UNIFORM_64,
             _SpyThresholds(thresholds), varied=True,
@@ -276,8 +280,6 @@ class TestOneServingLoop:
             resilience=ResiliencePolicy() if resilient else None)
 
     def trace(self, engine, kind):
-        from repro.serving import batch_boundary_arrivals, poisson_arrivals
-
         if kind == "closed":
             arrivals = batch_boundary_arrivals(
                 200, self.CONFIG.batch_size,
@@ -290,10 +292,6 @@ class TestOneServingLoop:
     @pytest.mark.parametrize("kind", TRACES)
     @pytest.mark.parametrize("cache", CACHES)
     def test_invariants_and_inert_resilience(self, thresholds, cache, kind):
-        import math
-
-        from repro.serving import DynamicBatcher
-
         reports = {}
         for resilient in (False, True):
             engine = self.build(thresholds, cache, resilient)

@@ -142,18 +142,19 @@ def test_full_scans_are_declared_once_not_hand_rolled():
     assert metering == ["controller.py"]
 
 
-def test_one_serving_loop_fills_the_per_request_windows():
+def test_one_serving_loop_settles_the_schedule():
     """A schedule becomes per-request ``queue_delays`` in exactly one
     function under ``repro.serving`` (``batcher.settle``; there were three
-    hand copies), and the engine is the stage body — it never reaches back
-    for the pipeline that chains it."""
+    hand copies, each reading ``batch.start_seconds`` into a
+    ``queue_delays`` window), and the engine is the stage body — it never
+    reaches back for the pipeline that chains it."""
     import ast
     import os
 
     import repro
 
     serving = os.path.join(os.path.dirname(repro.__file__), "serving")
-    fillers = []
+    settlers = []
     for name in sorted(os.listdir(serving)):
         if not name.endswith(".py"):
             continue
@@ -163,15 +164,13 @@ def test_one_serving_loop_fills_the_per_request_windows():
             assert "PipelineEngine" not in source
             assert "EngineStage" not in source
         for function in ast.walk(ast.parse(source, name)):
-            if not isinstance(function, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
+            if not isinstance(function, ast.FunctionDef):
                 continue
-            targets = [target for node in ast.walk(function)
-                       if isinstance(node, ast.Assign)
-                       for target in node.targets]
-            if any(isinstance(target, ast.Subscript)
-                   and isinstance(target.value, ast.Name)
-                   and target.value.id == "queue_delays"
-                   for target in targets):
-                fillers.append((name, function.name))
-    assert fillers == [("batcher.py", "settle")]
+            nodes = list(ast.walk(function))
+            if (any(isinstance(node, ast.Name) and node.id == "queue_delays"
+                    for node in nodes)
+                    and any(isinstance(node, ast.Attribute)
+                            and node.attr == "start_seconds"
+                            for node in nodes)):
+                settlers.append((name, function.name))
+    assert settlers == [("batcher.py", "settle")]
