@@ -7,7 +7,8 @@ poorly with batch size in Fig 12).
 
 These generators are inference-only: training uses the table/DHE
 representation, which is then loaded into the ORAM (the paper trains DHE
-and materialises tables; see Algorithm 2).
+and materialises tables; see Algorithm 2). The table trained *inside* an
+ORAM, :class:`repro.training.OnlineOramEmbedding`, shares their base.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from repro.utils.rng import SeedLike
 
 
 class _OramEmbeddingBase(EmbeddingGenerator):
-    """Shared machinery for the Path/Circuit ORAM embedding generators."""
+    """Shared machinery for the ORAM-table embedding generators."""
 
     is_oblivious = True
     oram_class: Type[OramController] = OramController
-    scheme: str = "abstract"
 
     def __init__(self, num_embeddings: int, embedding_dim: int,
                  weight: Optional[np.ndarray] = None,
@@ -51,6 +51,8 @@ class _OramEmbeddingBase(EmbeddingGenerator):
         self.oram = self.oram_class(num_embeddings, embedding_dim,
                                     initial_payloads=weight, rng=rng,
                                     tracer=tracer, **oram_kwargs)
+        #: the controller's cost-model name (for the analytic models)
+        self.scheme = self.oram.scheme
 
     def forward(self, indices) -> Tensor:
         indices = self._check_indices(indices)
@@ -78,7 +80,6 @@ class PathOramEmbedding(_OramEmbeddingBase):
 
     technique = "path-oram"
     oram_class = PathORAM
-    scheme = "path"
 
 
 class CircuitOramEmbedding(_OramEmbeddingBase):
@@ -86,7 +87,6 @@ class CircuitOramEmbedding(_OramEmbeddingBase):
 
     technique = "circuit-oram"
     oram_class = CircuitORAM
-    scheme = "circuit"
 
 
 class RingOramEmbedding(_OramEmbeddingBase):
@@ -94,4 +94,3 @@ class RingOramEmbedding(_OramEmbeddingBase):
 
     technique = "ring-oram"
     oram_class = RingORAM
-    scheme = "ring"

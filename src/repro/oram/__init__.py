@@ -1,6 +1,6 @@
 """Tree-based ORAM controllers (Path ORAM and Circuit ORAM) with recursion."""
 
-from repro.oram.circuit_oram import CircuitORAM, bit_reverse
+from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.controller import AccessStats, OramController
 from repro.oram.crypto import EncryptedBucketTree, KeystreamCipher
 from repro.oram.lookahead import (
@@ -21,7 +21,7 @@ from repro.oram.position_map import (
     PositionMap,
 )
 from repro.oram.stash import Stash, StashOverflowError
-from repro.oram.tree import DUMMY, BucketTree, tree_levels_for
+from repro.oram.tree import DUMMY, BucketTree, bit_reverse, tree_levels_for
 
 __all__ = [
     "CircuitORAM",

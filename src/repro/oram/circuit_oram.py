@@ -15,20 +15,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.oblivious.trace import READ, WRITE
+from repro.oblivious.trace import READ
 from repro.oram.controller import OramController, UpdateFn
 from repro.oram.tree import DUMMY
 
 _NONE = -10**9  # sentinel for "no level" in the eviction metadata passes
-
-
-def bit_reverse(value: int, bits: int) -> int:
-    """Reverse the low ``bits`` bits of ``value`` (reverse-lex eviction order)."""
-    result = 0
-    for _ in range(bits):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
 
 
 class CircuitORAM(OramController):
@@ -37,10 +28,7 @@ class CircuitORAM(OramController):
     DEFAULT_STASH = 10            # paper: stash size 10 for Circuit ORAM
     DEFAULT_RECURSION_CUTOFF = 1 << 12  # paper: recursion beyond 2^12 blocks
     SUPPORTS_LOOKAHEAD = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._eviction_counter = 0
+    scheme = "circuit"
 
     # ------------------------------------------------------------------
     # Access
@@ -49,9 +37,7 @@ class CircuitORAM(OramController):
                      update_fn: Optional[UpdateFn]) -> np.ndarray:
         payload = self._read_and_remove(block_id, old_leaf)
         result = payload.copy()
-        if update_fn is not None:
-            payload = np.asarray(update_fn(payload), dtype=np.float64)
-        self.stash.add(block_id, new_leaf, payload)
+        self.stash.add(block_id, new_leaf, self._updated(update_fn, payload))
 
         # Two deterministic evictions per access (reverse-lexicographic).
         for _ in range(2):
@@ -59,14 +45,6 @@ class CircuitORAM(OramController):
 
         self._check_stash_bound()
         return result
-
-    def _next_eviction_leaf(self) -> int:
-        """Advance the deterministic reverse-lexicographic eviction order."""
-        leaf = bit_reverse(self._eviction_counter % self.tree.num_leaves
-                           if self.tree.num_leaves > 1 else 0,
-                           self.tree.levels)
-        self._eviction_counter += 1
-        return leaf
 
     def _deterministic_evict_pass(self) -> None:
         """One reverse-lexicographic eviction pass (the per-access schedule)."""
@@ -89,7 +67,9 @@ class CircuitORAM(OramController):
         """Sweep the read path once, extracting the requested block.
 
         Every bucket on the path is read and written back regardless of
-        where the block actually lives (it may also be in the stash).
+        where the block actually lives (it may also be in the stash). Not
+        ``_pull``: the one extracted block bypasses the stash, so there is
+        no per-slot stash touch, and adding one would change the trace.
         """
         payload: Optional[np.ndarray] = None
         stash_hit = self.stash.remove(block_id)
@@ -121,24 +101,9 @@ class CircuitORAM(OramController):
 
     def _lookahead_fetch(self, plan) -> None:
         """One read+write sweep per scheduled bucket, extracting every
-        requested block into the stash. Each of the Z slots costs one
-        stash touch whether or not it is extracted, mirroring the
-        slot-count-constant discipline of the Path ORAM fetch."""
-        wanted = set(plan.unique_ids)
-        for level in plan.schedule:
-            for bucket in level:
-                ids, leaves, payloads = self.tree.read_bucket(bucket)
-                self.stats.bucket_reads += 1
-                for slot in range(self.bucket_size):
-                    slot_id = int(ids[slot])
-                    if slot_id != DUMMY and slot_id in wanted:
-                        self.stash.add(slot_id, int(leaves[slot]),
-                                       payloads[slot])
-                        ids[slot] = DUMMY
-                    else:
-                        self.stash._scan_trace(WRITE)
-                self.tree.write_bucket(bucket, ids, leaves, payloads)
-                self.stats.bucket_writes += 1
+        requested block (and only those) into the stash."""
+        self._pull([bucket for level in plan.schedule for bucket in level],
+                   wanted=set(plan.unique_ids))
 
     def _lookahead_writeback(self, plan) -> int:
         """The per-access eviction budget, fused: two deterministic
@@ -157,6 +122,9 @@ class CircuitORAM(OramController):
         return self.tree.common_depth(block_leaf, eviction_leaf)
 
     def _evict_once(self, eviction_leaf: int) -> None:
+        # Not ``_pull``/``_drain``: the metadata scan reads no payloads and
+        # the write sweep moves at most one block per level past the stash
+        # — routing either through the stash would change the trace.
         path = self.tree.path_indices(eviction_leaf)
         depth_levels = len(path)            # tree levels 0..L
         total = depth_levels + 1            # +1: index 0 is the stash

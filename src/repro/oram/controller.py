@@ -1,9 +1,10 @@
 """Shared controller machinery for the tree-based ORAMs (§IV-A2).
 
-Both Path ORAM and Circuit ORAM subclass :class:`OramController`, which owns
+Path, Circuit and Ring ORAM subclass :class:`OramController`, which owns
 the bucket tree, the stash, the (possibly recursive) position map, access
-statistics, and the public ``read``/``write``/``access`` API. Subclasses
-implement :meth:`_access_impl`.
+statistics, the public ``read``/``write``/``access`` API and the two block
+movers between tree and stash (:meth:`_pull`, :meth:`_drain`). Subclasses
+implement :meth:`_access_impl` from them.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.oblivious.trace import MemoryTracer
+from repro.oblivious.trace import WRITE, MemoryTracer
 from repro.oram.position_map import FlatPositionMap, OramPositionMap, PositionMap
 from repro.oram.stash import Stash, StashOverflowError
-from repro.oram.tree import BucketTree
+from repro.oram.tree import DUMMY, BucketTree, bit_reverse
 from repro.telemetry.runtime import get_registry
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_positive
@@ -56,6 +57,10 @@ class OramController:
     DEFAULT_RECURSION_CUTOFF = 1 << 16
     #: schemes with a batched lookahead mode (see repro.oram.lookahead)
     SUPPORTS_LOOKAHEAD = False
+    #: the scheme's name in the analytic models (repro.costmodel)
+    scheme = "path"
+    #: slots per bucket that may hold real blocks (``None``: all of them)
+    real_slots: Optional[int] = None
 
     def __init__(self, num_blocks: int, block_width: int,
                  initial_payloads: Optional[np.ndarray] = None,
@@ -91,6 +96,7 @@ class OramController:
         self.recursion_cutoff = (recursion_cutoff if recursion_cutoff is not None
                                  else self.DEFAULT_RECURSION_CUTOFF)
         self._recursion_level = _recursion_level
+        self._eviction_counter = 0
 
         prefix = region_prefix or self.__class__.__name__.lower()
         sized_blocks = (num_blocks + pack_factor - 1) // pack_factor
@@ -142,7 +148,8 @@ class OramController:
                 f"({self.num_blocks}, {self.block_width})")
         for block_id in range(self.num_blocks):
             leaf = int(leaves[block_id])
-            if not self.tree.place_initial(block_id, leaf, payloads[block_id]):
+            if not self.tree.place_initial(block_id, leaf, payloads[block_id],
+                                           self.real_slots):
                 self.stash.add(block_id, leaf, payloads[block_id])
 
     def load_blocks(self, payloads: np.ndarray) -> None:
@@ -295,6 +302,71 @@ class OramController:
     def _background_evict_pass(self, leaf: int) -> None:
         """One request-free eviction pass along the path to ``leaf``."""
         raise NotImplementedError
+
+    def _next_eviction_leaf(self) -> int:
+        """Advance the deterministic reverse-lexicographic eviction order."""
+        leaf = bit_reverse(self._eviction_counter % self.tree.num_leaves,
+                           self.tree.levels)
+        self._eviction_counter += 1
+        return leaf
+
+    # ------------------------------------------------------------------
+    # Block movers: every tree <-> stash transfer of a whole bucket
+    # ------------------------------------------------------------------
+    def _pull(self, buckets, wanted=None) -> None:
+        """Move the real blocks of ``buckets`` — only those whose id is in
+        ``wanted`` when given — into the stash.
+
+        Each bucket is read once and written back without the moved
+        blocks. Every slot costs one stash touch whether or not it is
+        moved (dummies included), so stash traffic is slot-count constant.
+        """
+        for bucket in buckets:
+            ids, leaves, payloads = self.tree.read_bucket(bucket)
+            self.stats.bucket_reads += 1
+            for slot in range(self.bucket_size):
+                slot_id = int(ids[slot])
+                if slot_id != DUMMY and (wanted is None or slot_id in wanted):
+                    self.stash.add(slot_id, int(leaves[slot]), payloads[slot])
+                    ids[slot] = DUMMY
+                else:
+                    self.stash._scan_trace(WRITE)
+            self.tree.write_bucket(bucket, ids, leaves, payloads)
+            self.stats.bucket_writes += 1
+
+    def _drain(self, schedule) -> None:
+        """Write back ``schedule`` (the buckets to fill, per tree level),
+        deepest level first, greedily draining the stash of the blocks
+        whose assigned path runs through each bucket.
+
+        One stash scan per bucket however many blocks are eligible: taking
+        all and re-adding the overflow would make the trace length follow
+        the (secret-dependent) overflow count.
+        """
+        bucket_at = self.tree.bucket_at
+        for level in range(len(schedule) - 1, -1, -1):
+            for bucket in schedule[level]:
+                self._write_bucket(bucket, self.stash.take_matching(
+                    lambda leaf: bucket_at(leaf, level) == bucket,
+                    self.real_slots or self.bucket_size))
+
+    def _write_bucket(self, bucket: int, blocks) -> None:
+        """Install ``blocks`` as the whole content of ``bucket``."""
+        self.tree.write_blocks(bucket, blocks)
+        self.stats.bucket_writes += 1
+
+    def _updated(self, update_fn: Optional[UpdateFn],
+                 payload: np.ndarray) -> np.ndarray:
+        """``payload`` after ``update_fn`` (``None``: unchanged), still one
+        block row — a result of another shape would broadcast on write."""
+        if update_fn is None:
+            return payload
+        payload = np.asarray(update_fn(payload), dtype=np.float64)
+        if payload.shape != (self.block_width,):
+            raise ValueError(
+                f"update_fn returned shape {payload.shape} != "
+                f"({self.block_width},)")
+        return payload
 
     # ------------------------------------------------------------------
     # Subclass hook

@@ -64,11 +64,6 @@ ADDR_SERVE = 3000
 ADDR_WRITEBACK = 4000
 
 
-def bucket_at(leaf: int, level: int, levels: int) -> int:
-    """Heap index of the level-``level`` bucket on the path to ``leaf``."""
-    return (1 << level) - 1 + (leaf >> (levels - level))
-
-
 @dataclass
 class BatchPlan:
     """One batch's precomputed decisions: leaves, dedup, fetch schedule."""
@@ -137,14 +132,14 @@ def build_fetch_schedule(oram, plan: BatchPlan) -> None:
     public target count is reached, so the schedule *size* depends only on
     the batch size and the tree depth.
     """
-    levels = oram.tree.levels
+    bucket_at = oram.tree.bucket_at
     batch = plan.batch_size
-    for level in range(levels + 1):
+    for level in range(oram.tree.levels + 1):
         target = min(1 << level, batch)
-        chosen = {bucket_at(leaf, level, levels) for leaf in plan.old_leaves}
+        chosen = {bucket_at(leaf, level) for leaf in plan.old_leaves}
         while len(chosen) < target:
             leaf = int(oram.rng.integers(0, oram.tree.num_leaves))
-            bucket = bucket_at(leaf, level, levels)
+            bucket = bucket_at(leaf, level)
             if bucket not in chosen:
                 chosen.add(bucket)
                 plan.padded_buckets += 1
@@ -239,12 +234,9 @@ def _serve_batch(oram, plan: BatchPlan,
                 f"block {block_id} not found — ORAM invariant broken")
         _, payload = found
         results.append(payload.copy())
-        fn = update_fns[slot]
-        if fn is not None:
-            payload = np.asarray(fn(payload), dtype=np.float64)
         oram.stash.update(
             block_id, leaf=plan.new_leaves[plan.slot_to_unique[slot]],
-            payload=payload)
+            payload=oram._updated(update_fns[slot], payload))
     return results
 
 

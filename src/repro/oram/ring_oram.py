@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from repro.oblivious.trace import WRITE
-from repro.oram.circuit_oram import bit_reverse
 from repro.oram.controller import OramController, UpdateFn
 from repro.oram.tree import DUMMY
 from repro.utils.validation import check_positive
@@ -34,6 +33,7 @@ class RingORAM(OramController):
 
     DEFAULT_STASH = 80
     DEFAULT_RECURSION_CUTOFF = 1 << 16
+    scheme = "ring"
 
     def __init__(self, num_blocks: int, block_width: int,
                  initial_payloads: Optional[np.ndarray] = None,
@@ -42,11 +42,12 @@ class RingORAM(OramController):
         check_positive("bucket_reals", bucket_reals)
         check_positive("bucket_dummies", bucket_dummies)
         check_positive("evict_rate", evict_rate)
-        self.bucket_reals = bucket_reals
+        # Only the Z real slots of a bucket take blocks, at initial
+        # placement and on every write-back alike.
+        self.bucket_reals = self.real_slots = bucket_reals
         self.bucket_dummies = bucket_dummies
         self.evict_rate = evict_rate
         self._access_counter = 0
-        self._evict_counter = 0
         # Recursive position-map construction passes bucket_size through the
         # generic factory; Ring derives its own (Z + S), so drop it.
         kwargs.pop("bucket_size", None)
@@ -61,50 +62,17 @@ class RingORAM(OramController):
         self._touches = np.zeros(self.tree.num_buckets, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Initial placement: respect the Z-real capacity per bucket.
-    # ------------------------------------------------------------------
-    def _load(self, payloads, leaves) -> None:
-        if payloads is None:
-            payloads = np.zeros((self.num_blocks, self.block_width))
-        payloads = np.asarray(payloads, dtype=np.float64)
-        if payloads.shape != (self.num_blocks, self.block_width):
-            raise ValueError(
-                f"initial payloads shape {payloads.shape} != "
-                f"({self.num_blocks}, {self.block_width})")
-        for block_id in range(self.num_blocks):
-            leaf = int(leaves[block_id])
-            placed = False
-            for bucket in reversed(self.tree.path_indices(leaf)):
-                real_used = int((self.tree.ids[bucket, : self.bucket_reals]
-                                 != DUMMY).sum())
-                if real_used < self.bucket_reals:
-                    slot = real_used
-                    self.tree.ids[bucket, slot] = block_id
-                    self.tree.leaves[bucket, slot] = leaf
-                    self.tree.payloads[bucket, slot] = payloads[block_id]
-                    placed = True
-                    break
-            if not placed:
-                self.stash.add(block_id, leaf, payloads[block_id])
-
-    # ------------------------------------------------------------------
     # Access protocol
     # ------------------------------------------------------------------
     def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
                      update_fn: Optional[UpdateFn]) -> np.ndarray:
         payload = self._read_path(block_id, old_leaf)
         result = payload.copy()
-        if update_fn is not None:
-            payload = np.asarray(update_fn(payload), dtype=np.float64)
-            if payload.shape != (self.block_width,):
-                raise ValueError(
-                    f"update produced shape {payload.shape}, expected "
-                    f"({self.block_width},)")
-        self.stash.add(block_id, new_leaf, payload)
+        self.stash.add(block_id, new_leaf, self._updated(update_fn, payload))
 
         self._access_counter += 1
         if self._access_counter % self.evict_rate == 0:
-            self._evict_next_path()
+            self._evict_path(self._next_eviction_leaf())
             self.stats.eviction_passes += 1
 
         # Early reshuffle any bucket whose dummies are exhausted.
@@ -121,14 +89,7 @@ class RingORAM(OramController):
         deterministic schedule, not the caller.
         """
         del leaf
-        self._evict_next_path()
-
-    def _evict_next_path(self) -> None:
-        """EvictPath on the next leaf of the reverse-lexicographic order."""
-        leaf = bit_reverse(self._evict_counter % self.tree.num_leaves,
-                           self.tree.levels)
-        self._evict_counter += 1
-        self._evict_path(leaf)
+        self._evict_path(self._next_eviction_leaf())
 
     def _read_path(self, block_id: int, leaf: int) -> np.ndarray:
         """One payload-slot touch per bucket along the path."""
@@ -140,15 +101,14 @@ class RingORAM(OramController):
             ids, _ = self.tree.read_bucket_metadata(bucket)
             valid = self._valid[bucket]
             target_slots = np.nonzero((ids == block_id) & valid)[0]
-            if payload is None and target_slots.size:
-                slot = int(target_slots[0])
-                payload = self.tree.payloads[bucket, slot].copy()
-            else:
-                slot = self._fresh_dummy_slot(bucket, ids)
+            hit = payload is None and target_slots.size
+            slot = int(target_slots[0]) if hit \
+                else self._fresh_dummy_slot(bucket, ids)
             # Exactly one payload-slot read, whatever it held.
+            row = self.tree.read_slot(bucket, slot)
             self.stats.bucket_reads += 1
-            if self.tracer is not None:
-                self.tracer.record("R", self.tree.region, bucket)
+            if hit:
+                payload = row
             self._valid[bucket, slot] = False
             self._touches[bucket] += 1
         if payload is None:
@@ -186,8 +146,7 @@ class RingORAM(OramController):
 
     def _write_bucket(self, bucket: int, blocks) -> None:
         """Install up to Z real blocks, refresh dummies/validity/counter."""
-        self.tree.write_blocks(bucket, blocks)
-        self.stats.bucket_writes += 1
+        super()._write_bucket(bucket, blocks)
         self._valid[bucket] = True
         self._touches[bucket] = 0
 
@@ -206,6 +165,9 @@ class RingORAM(OramController):
         eligible.
         """
         path = self.tree.path_indices(leaf)
+        # Not ``_pull``: moving a block out is clearing its validity bit,
+        # and the bucket is written once, by the drain — a write-back here
+        # would add a bucket write to the trace.
         for bucket in path:
             for block in self._slots(bucket):
                 if block is not None:
@@ -214,12 +176,7 @@ class RingORAM(OramController):
                     self.stash._scan_trace(WRITE)
             self.stats.bucket_reads += 1
             self._valid[bucket] = False  # everything moved out
-        for depth in range(self.tree.levels, -1, -1):
-            chosen = self.stash.take_matching(
-                lambda block_leaf, d=depth:
-                self.tree.common_depth(block_leaf, leaf) >= d,
-                self.bucket_reals)
-            self._write_bucket(path[depth], chosen)
+        self._drain([[bucket] for bucket in path])
 
     # ------------------------------------------------------------------
     def total_resident_blocks(self) -> int:

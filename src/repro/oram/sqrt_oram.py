@@ -138,12 +138,7 @@ class SqrtORAM(OramController):
         fetched = self._read_store(fetch_slot)
         value = fetched if held is None else held[1]
         result = value.copy()
-        if update_fn is not None:
-            value = np.asarray(update_fn(value.copy()), dtype=np.float64)
-            if value.shape != (self.block_width,):
-                raise ValueError(
-                    f"update_fn returned shape {value.shape} != "
-                    f"({self.block_width},)")
+        value = self._updated(update_fn, value)
         if held is None:
             self.stash.add(block_id, slot, value)
         else:

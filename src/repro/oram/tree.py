@@ -20,6 +20,15 @@ from repro.utils.validation import check_positive
 DUMMY = -1
 
 
+def bit_reverse(value: int, bits: int) -> int:
+    """Reverse the low ``bits`` bits of ``value`` (reverse-lex eviction order)."""
+    result = 0
+    for _ in range(bits):
+        result = (result << 1) | (value & 1)
+        value >>= 1
+    return result
+
+
 def tree_levels_for(num_blocks: int) -> int:
     """Number of levels L such that the tree has ``2**L >= num_blocks`` leaves.
 
@@ -56,17 +65,16 @@ class BucketTree:
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
+    def bucket_at(self, leaf: int, level: int) -> int:
+        """Heap index of the level-``level`` bucket on the path to ``leaf``."""
+        return (1 << level) - 1 + (leaf >> (self.levels - level))
+
     def path_indices(self, leaf: int) -> List[int]:
         """Bucket heap-indices from root to the bucket of ``leaf``."""
         if not 0 <= leaf < self.num_leaves:
             raise IndexError(f"leaf {leaf} out of range (< {self.num_leaves})")
-        index = 0
-        path = [0]
-        for level in range(self.levels):
-            bit = (leaf >> (self.levels - 1 - level)) & 1
-            index = 2 * index + 1 + bit
-            path.append(index)
-        return path
+        return [self.bucket_at(leaf, level)
+                for level in range(self.levels + 1)]
 
     def common_depth(self, leaf_a: int, leaf_b: int) -> int:
         """Deepest level (0..levels) shared by the paths to two leaves."""
@@ -113,6 +121,12 @@ class BucketTree:
             self.tracer.record(READ, self.region, bucket)
         return self.ids[bucket].copy(), self.leaves[bucket].copy()
 
+    def read_slot(self, bucket: int, slot: int) -> np.ndarray:
+        """Read one payload slot of ``bucket`` — Ring ORAM's ReadPath."""
+        if self.tracer is not None:
+            self.tracer.record(READ, self.region, bucket)
+        return self.payloads[bucket, slot].copy()
+
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
@@ -120,20 +134,23 @@ class BucketTree:
         """Total real (non-dummy) blocks stored in the tree."""
         return int((self.ids != DUMMY).sum())
 
-    def find_slot(self, bucket: int) -> Optional[int]:
-        """Index of a free slot in ``bucket``, or ``None`` when full."""
-        free = np.nonzero(self.ids[bucket] == DUMMY)[0]
+    def find_slot(self, bucket: int, usable: Optional[int] = None) -> Optional[int]:
+        """Index of a free slot among the first ``usable`` (default: all)
+        slots of ``bucket``, or ``None`` when they are full."""
+        free = np.nonzero(self.ids[bucket, :usable] == DUMMY)[0]
         return int(free[0]) if free.size else None
 
-    def place_initial(self, block_id: int, leaf: int, payload: np.ndarray) -> bool:
+    def place_initial(self, block_id: int, leaf: int, payload: np.ndarray,
+                      usable: Optional[int] = None) -> bool:
         """Offline placement used at build time: deepest free slot on the path.
 
         Initialization happens before any secret-dependent access, so direct
-        placement leaks nothing. Returns False when the whole path is full
-        (the caller then parks the block in the stash).
+        placement leaks nothing. Only the first ``usable`` slots of a bucket
+        take blocks (Ring ORAM keeps the rest as dummies). Returns False when
+        the whole path is full (the caller then parks the block in the stash).
         """
         for bucket in reversed(self.path_indices(leaf)):
-            slot = self.find_slot(bucket)
+            slot = self.find_slot(bucket, usable)
             if slot is not None:
                 self.ids[bucket, slot] = block_id
                 self.leaves[bucket, slot] = leaf

@@ -29,28 +29,19 @@ from typing import Optional, Type
 
 import numpy as np
 
-from repro.costmodel.latency import oram_latency
-from repro.costmodel.memory import tree_oram_bytes
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
-from repro.embedding.base import EmbeddingGenerator
+from repro.embedding.oram_embedding import _OramEmbeddingBase
 from repro.nn.tensor import Tensor, is_grad_enabled
 from repro.oblivious.trace import MemoryTracer
-from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.controller import OramController
 from repro.oram.path_oram import PathORAM
-from repro.oram.ring_oram import RingORAM
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_positive
 
-#: cost-model scheme name per controller class (for the analytic models)
-_SCHEMES = {PathORAM: "path", CircuitORAM: "circuit", RingORAM: "ring"}
 
-
-class OnlineOramEmbedding(EmbeddingGenerator):
+class OnlineOramEmbedding(_OramEmbeddingBase):
     """Trainable embedding table whose rows live in a tree ORAM."""
 
     technique = "oram-online"
-    is_oblivious = True
 
     def __init__(self, num_embeddings: int, embedding_dim: int,
                  oram_class: Type[OramController] = PathORAM,
@@ -60,26 +51,21 @@ class OnlineOramEmbedding(EmbeddingGenerator):
                  stash_capacity: Optional[int] = None,
                  batched: bool = True,
                  **oram_kwargs) -> None:
-        super().__init__(num_embeddings, embedding_dim)
+        # The weight draw comes first: the ORAM is then built from the
+        # same generator, so one seed fixes both.
         generator = new_rng(rng)
         if weight is None:
             weight = generator.normal(0.0, 0.1,
                                       size=(num_embeddings, embedding_dim))
-        weight = np.asarray(weight, dtype=np.float64)
-        if weight.shape != (num_embeddings, embedding_dim):
-            raise ValueError(
-                f"weight shape {weight.shape} != "
-                f"({num_embeddings}, {embedding_dim})")
-        self.scheme = _SCHEMES.get(oram_class, "path")
         if stash_capacity is None:
             # Batched fetches transiently hold a whole batch's union of
             # paths; a table-sized persistent bound keeps small training
             # tables out of StashOverflowError territory.
             stash_capacity = num_embeddings
-        self.oram = oram_class(num_embeddings, embedding_dim,
-                               initial_payloads=weight, rng=generator,
-                               tracer=tracer, stash_capacity=stash_capacity,
-                               **oram_kwargs)
+        self.oram_class = oram_class
+        super().__init__(num_embeddings, embedding_dim, weight=weight,
+                         rng=generator, tracer=tracer,
+                         stash_capacity=stash_capacity, **oram_kwargs)
         self.batched = batched
         if not batched:
             # Instance attribute shadows the class flag: access_batch takes
@@ -190,12 +176,8 @@ class OnlineOramEmbedding(EmbeddingGenerator):
         self._pending = None
 
     # ------------------------------------------------------------------
-    # Maintenance / cost model
+    # Maintenance
     # ------------------------------------------------------------------
-    def load_weights(self, weight: np.ndarray) -> None:
-        """Refresh all rows (e.g. warm-start from an offline checkpoint)."""
-        self.oram.load_blocks(np.asarray(weight, dtype=np.float64))
-
     def dump_weights(self) -> np.ndarray:
         """Read the full table back out (test/checkpoint convenience).
 
@@ -205,12 +187,3 @@ class OnlineOramEmbedding(EmbeddingGenerator):
         """
         return np.stack([self.oram.read(row)
                          for row in range(self.num_embeddings)])
-
-    def modelled_latency(self, batch: int, threads: int = 1,
-                         platform: PlatformModel = DEFAULT_PLATFORM) -> float:
-        return oram_latency(self.scheme, self.num_embeddings,
-                            self.embedding_dim, batch, threads, platform)
-
-    def footprint_bytes(self) -> int:
-        return tree_oram_bytes(self.num_embeddings, self.embedding_dim,
-                               scheme=self.scheme)

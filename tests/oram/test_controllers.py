@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.oram.circuit_oram import CircuitORAM, bit_reverse
+from repro.oram import bit_reverse
+from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
+from repro.oram.ring_oram import RingORAM
+from repro.oram.sqrt_oram import SqrtORAM
 
 ORAM_CLASSES = [PathORAM, CircuitORAM]
 
@@ -83,6 +86,25 @@ class TestBasicAccess:
         oram = oram_class(8, 2, rng=0)
         with pytest.raises(ValueError):
             oram.load_blocks(np.zeros((7, 2)))
+
+
+@pytest.mark.parametrize("call", ["access", "access_batch"])
+@pytest.mark.parametrize("scheme", [PathORAM, CircuitORAM, RingORAM, SqrtORAM],
+                         ids=["path", "circuit", "ring", "sqrt"])
+@pytest.mark.parametrize("bad", [lambda row: np.array([7.0]),
+                                 lambda row: 1.5,
+                                 lambda row: np.zeros((1, 4))],
+                         ids=["short", "scalar", "2d"])
+def test_update_fn_result_must_be_one_block_row(scheme, call, bad):
+    """Path and Circuit (and the batched write-back the training loop
+    uses) once broadcast a wrong-shaped result across the row: ``[7.]``
+    became ``[7, 7, 7, 7]``, silently."""
+    oram = scheme(16, 4, rng=0)
+    with pytest.raises(ValueError, match="shape"):
+        if call == "access":
+            oram.access(3, bad)
+        else:
+            oram.access_batch([5, 6, 5], [None, bad, None])
 
 
 class TestRecursion:

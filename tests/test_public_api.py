@@ -142,6 +142,49 @@ def test_full_scans_are_declared_once_not_hand_rolled():
     assert metering == ["controller.py"]
 
 
+def _oram_method_calls():
+    """(file, function, names of the methods it calls) for every function
+    under ``src/repro/oram/``."""
+    import ast
+    import os
+
+    import repro
+
+    oram = os.path.join(os.path.dirname(repro.__file__), "oram")
+    for name in sorted(os.listdir(oram)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(oram, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                yield name, function.name, {
+                    call.func.attr for call in ast.walk(function)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)}
+
+
+def test_one_function_drains_the_stash_into_buckets():
+    """Every greedy write-back of a tree ORAM is ``OramController._drain``
+    — the only caller of ``Stash.take_matching`` outside the stash itself
+    (Path's two write-backs and Ring's eviction each had their own)."""
+    drains = [(name, function)
+              for name, function, called in _oram_method_calls()
+              if name != "stash.py" and "take_matching" in called]
+    assert drains == [("controller.py", "_drain")]
+
+
+def test_no_scheme_module_emits_a_memory_event_itself():
+    """Tree and stash events come from ``BucketTree``/``Stash`` methods
+    only; the scheme modules never call the tracer (Ring ORAM hand-placed
+    its slot read beside the array access)."""
+    recorders = [(name, function)
+                 for name, function, called in _oram_method_calls()
+                 if name in ("path_oram.py", "circuit_oram.py", "ring_oram.py")
+                 and called & {"record", "record_sweep"}]
+    assert recorders == []
+
+
 def test_one_serving_loop_settles_the_schedule():
     """A schedule becomes per-request ``queue_delays`` in exactly one
     function under ``repro.serving`` (``batcher.settle``; there were three
