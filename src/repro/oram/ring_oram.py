@@ -129,20 +129,14 @@ class RingORAM(OramController):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _slots(self, bucket: int):
-        """Per slot of a bucket: its valid real block as (id, leaf,
-        payload), or ``None`` for a dummy or consumed slot."""
-        for slot in range(self.bucket_size):
-            block_id = int(self.tree.ids[bucket, slot])
-            if block_id != DUMMY and self._valid[bucket, slot]:
-                yield (block_id, int(self.tree.leaves[bucket, slot]),
-                       self.tree.payloads[bucket, slot].copy())
-            else:
-                yield None
-
-    def _live_blocks(self, bucket: int):
-        """(id, leaf, payload) of valid real slots in a bucket."""
-        return [block for block in self._slots(bucket) if block is not None]
+    def _read_bucket(self, bucket: int) -> list:
+        """One full-bucket read. Per slot: its valid real block as (id,
+        leaf, payload), or ``None`` for a dummy or consumed slot."""
+        ids, leaves, payloads = self.tree.read_bucket(bucket)
+        self.stats.bucket_reads += 1
+        return [(int(ids[slot]), int(leaves[slot]), payloads[slot])
+                if ids[slot] != DUMMY and self._valid[bucket, slot] else None
+                for slot in range(self.bucket_size)]
 
     def _write_bucket(self, bucket: int, blocks) -> None:
         """Install up to Z real blocks, refresh dummies/validity/counter."""
@@ -152,9 +146,8 @@ class RingORAM(OramController):
 
     def _reshuffle_bucket(self, bucket: int) -> None:
         """Early reshuffle: rewrite a bucket whose dummies ran out."""
-        blocks = self._live_blocks(bucket)
-        self.stats.bucket_reads += 1  # full-bucket read
-        self._write_bucket(bucket, blocks)
+        self._write_bucket(bucket, [block for block in self._read_bucket(bucket)
+                                    if block is not None])
 
     def _evict_path(self, leaf: int) -> None:
         """Path-ORAM-style eviction of the reverse-lex path.
@@ -169,18 +162,15 @@ class RingORAM(OramController):
         # and the bucket is written once, by the drain — a write-back here
         # would add a bucket write to the trace.
         for bucket in path:
-            for block in self._slots(bucket):
+            for block in self._read_bucket(bucket):
                 if block is not None:
                     self.stash.add(*block)
                 else:
                     self.stash._scan_trace(WRITE)
-            self.stats.bucket_reads += 1
             self._valid[bucket] = False  # everything moved out
         self._drain([[bucket] for bucket in path])
 
     # ------------------------------------------------------------------
     def total_resident_blocks(self) -> int:
-        live = 0
-        for bucket in range(self.tree.num_buckets):
-            live += len(self._live_blocks(bucket))
-        return live + self.stash.occupancy
+        live = (self.tree.ids != DUMMY) & self._valid
+        return int(live.sum()) + self.stash.occupancy
