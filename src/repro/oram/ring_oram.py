@@ -101,14 +101,14 @@ class RingORAM(OramController):
             ids, _ = self.tree.read_bucket_metadata(bucket)
             valid = self._valid[bucket]
             target_slots = np.nonzero((ids == block_id) & valid)[0]
-            hit = payload is None and target_slots.size
-            slot = int(target_slots[0]) if hit \
-                else self._fresh_dummy_slot(bucket, ids)
             # Exactly one payload-slot read, whatever it held.
-            row = self.tree.read_slot(bucket, slot)
+            if payload is None and target_slots.size:
+                slot = int(target_slots[0])
+                payload = self.tree.read_slot(bucket, slot)
+            else:
+                slot = self._fresh_dummy_slot(bucket, ids)
+                self.tree.read_slot(bucket, slot)
             self.stats.bucket_reads += 1
-            if hit:
-                payload = row
             self._valid[bucket, slot] = False
             self._touches[bucket] += 1
         if payload is None:
