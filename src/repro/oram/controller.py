@@ -57,7 +57,8 @@ class OramController:
     DEFAULT_RECURSION_CUTOFF = 1 << 16
     #: schemes with a batched lookahead mode (see repro.oram.lookahead)
     SUPPORTS_LOOKAHEAD = False
-    #: the scheme's name in the analytic models (repro.costmodel)
+    #: the name the analytic models (repro.costmodel) price this scheme
+    #: under; a scheme that sets none is priced as Path ORAM
     scheme = "path"
     #: slots per bucket that may hold real blocks (``None``: all of them)
     real_slots: Optional[int] = None
@@ -344,11 +345,11 @@ class OramController:
         the (secret-dependent) overflow count.
         """
         bucket_at = self.tree.bucket_at
+        limit = self.real_slots or self.bucket_size
         for level in range(len(schedule) - 1, -1, -1):
             for bucket in schedule[level]:
                 self._write_bucket(bucket, self.stash.take_matching(
-                    lambda leaf: bucket_at(leaf, level) == bucket,
-                    self.real_slots or self.bucket_size))
+                    lambda leaf: bucket_at(leaf, level) == bucket, limit))
 
     def _write_bucket(self, bucket: int, blocks) -> None:
         """Install ``blocks`` as the whole content of ``bucket``."""
