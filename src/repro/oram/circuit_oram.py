@@ -11,11 +11,11 @@ Differences from Path ORAM that the paper leans on:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.oblivious.trace import READ
+from repro.oblivious.trace import READ, WRITE
 from repro.oram.controller import OramController, UpdateFn
 from repro.oram.tree import DUMMY
 
@@ -71,23 +71,22 @@ class CircuitORAM(OramController):
         ``_pull``: the one extracted block bypasses the stash, so there is
         no per-slot stash touch, and adding one would change the trace.
         """
-        payload: Optional[np.ndarray] = None
         stash_hit = self.stash.remove(block_id)
-        if stash_hit is not None:
-            payload = stash_hit[1]
-        for bucket in self.tree.path_indices(old_leaf):
-            ids, leaves, payloads = self.tree.read_bucket(bucket)
-            self.stats.bucket_reads += 1
-            matches = np.nonzero(ids == block_id)[0]
-            if matches.size:
-                slot = int(matches[0])
-                payload = payloads[slot].copy()
-                ids[slot] = DUMMY
-            self.tree.write_bucket(bucket, ids, leaves, payloads)
-            self.stats.bucket_writes += 1
-        if payload is None:
+        path = self.tree.path_indices(old_leaf)
+        ids, leaves, payloads = self.tree.read_buckets(path)
+        levels, slots = np.nonzero(ids == block_id)
+        if levels.size:
+            payload = payloads[levels[0], slots[0]].copy()
+            ids[levels[0], slots[0]] = DUMMY
+        self.tree.write_buckets(path, ids, leaves, payloads)
+        self.tree._trace(READ + WRITE, path)
+        self.stats.bucket_reads += len(path)
+        self.stats.bucket_writes += len(path)
+        if levels.size:
+            return payload
+        if stash_hit is None:
             raise KeyError(f"block {block_id} not found — ORAM invariant broken")
-        return payload
+        return stash_hit[1]
 
     # ------------------------------------------------------------------
     # Batched lookahead hooks (see repro.oram.lookahead)
@@ -103,7 +102,7 @@ class CircuitORAM(OramController):
         """One read+write sweep per scheduled bucket, extracting every
         requested block (and only those) into the stash."""
         self._pull([bucket for level in plan.schedule for bucket in level],
-                   wanted=set(plan.unique_ids))
+                   wanted=plan.unique_ids)
 
     def _lookahead_writeback(self, plan) -> int:
         """The per-access eviction budget, fused: two deterministic
@@ -117,37 +116,34 @@ class CircuitORAM(OramController):
     # ------------------------------------------------------------------
     # Eviction (PrepareDeepest / PrepareTarget / EvictOnceFast)
     # ------------------------------------------------------------------
-    def _legal_depth(self, block_leaf: int, eviction_leaf: int) -> int:
-        """Deepest tree level where a block with ``block_leaf`` may live."""
-        return self.tree.common_depth(block_leaf, eviction_leaf)
-
     def _evict_once(self, eviction_leaf: int) -> None:
         # Not ``_pull``/``_drain``: the metadata scan reads no payloads and
         # the write sweep moves at most one block per level past the stash
-        # — routing either through the stash would change the trace.
-        path = self.tree.path_indices(eviction_leaf)
-        depth_levels = len(path)            # tree levels 0..L
-        total = depth_levels + 1            # +1: index 0 is the stash
+        # — routing either through the stash would change the trace. The
+        # path is gathered once and serves both sweeps: nothing touches it
+        # in between.
+        tree, stash = self.tree, self.stash
+        path = tree.path_indices(eviction_leaf)
+        total = len(path) + 1               # +1: index 0 is the stash
 
         # -- metadata scan (one read sweep) --------------------------------
         # For each position i (0 = stash, i>=1 = tree level i-1): the deepest
-        # legal level-index any resident block can reach on this path.
-        bucket_meta: List[tuple] = []
-        deepest_block_goal = [_NONE] * total
-        stash_blocks = self.stash.resident_blocks()
-        if stash_blocks:
-            deepest_block_goal[0] = max(
-                self._legal_depth(leaf, eviction_leaf) + 1
-                for _, leaf, _ in stash_blocks)
-        for i in range(1, total):
-            ids, leaves = self.tree.read_bucket_metadata(path[i - 1])
-            self.stats.bucket_reads += 1
-            bucket_meta.append((ids, leaves))
-            real = np.nonzero(ids != DUMMY)[0]
-            if real.size:
-                deepest_block_goal[i] = max(
-                    self._legal_depth(int(leaves[slot]), eviction_leaf) + 1
-                    for slot in real)
+        # legal level-index any resident block can reach on this path, and
+        # (first among equals) the block that reaches it.
+        stash_ids, stash_leaves, _ = stash.resident_blocks()
+        ids, leaves, payloads = tree.read_buckets(path)
+        tree._trace(READ, path)
+        self.stats.bucket_reads += len(path)
+        real = ids != DUMMY
+        depth = np.where(real, tree.common_depth(leaves, eviction_leaf), -1)
+        deepest_slot = depth.argmax(axis=1)
+        deepest_block_goal = [_NONE] + np.where(
+            real.any(axis=1), depth.max(axis=1) + 1, _NONE).tolist()
+        has_empty = [False] + (~real).any(axis=1).tolist()
+        if stash_ids.size:
+            stash_depth = tree.common_depth(stash_leaves, eviction_leaf)
+            deepest_in_stash = int(stash_depth.argmax())
+            deepest_block_goal[0] = int(stash_depth[deepest_in_stash]) + 1
 
         # -- PrepareDeepest -------------------------------------------------
         deepest = [_NONE] * total  # deepest[i]: source position feeding level i
@@ -168,61 +164,41 @@ class CircuitORAM(OramController):
             if i == src:
                 target[i] = dest
                 dest, src = _NONE, _NONE
-            has_empty = (i >= 1 and
-                         bool((bucket_meta[i - 1][0] == DUMMY).any()))
-            if ((dest == _NONE and has_empty) or target[i] != _NONE) \
+            if ((dest == _NONE and has_empty[i]) or target[i] != _NONE) \
                     and deepest[i] != _NONE:
                 src = deepest[i]
                 dest = i
 
         # -- EvictOnceFast (one write sweep) ------------------------------
+        # The stash take is two oblivious scans whether or not the stash
+        # feeds the path this round, so the eviction's stash traffic is
+        # pass-count constant.
+        stash._scan_trace(READ)
         hold_block = None   # (id, leaf, payload)
         hold_dest = _NONE
-        for i in range(total):
+        if target[0] != _NONE:
+            block_id = int(stash_ids[deepest_in_stash])
+            hold_block = (block_id, *stash.remove(block_id))
+            hold_dest = target[0]
+        else:
+            stash._scan_trace(READ)
+        for i in range(1, total):
+            level = i - 1
             to_write = None
             if hold_block is not None and i == hold_dest:
                 to_write = hold_block
                 hold_block, hold_dest = None, _NONE
-            if i == 0:
-                if target[0] != _NONE:
-                    hold_block = self._take_deepest_from_stash(eviction_leaf)
-                    hold_dest = target[0]
-                else:
-                    # Dummy take: the same two oblivious scans as a real
-                    # take, so the eviction's stash traffic is pass-count
-                    # constant regardless of whether the stash feeds the
-                    # path this round.
-                    self.stash._scan_trace(READ)
-                    self.stash._scan_trace(READ)
-                continue
-            bucket = path[i - 1]
-            ids, leaves, payloads = self.tree.read_bucket(bucket)
-            self.stats.bucket_reads += 1
             if target[i] != _NONE:
-                slot = self._deepest_slot(ids, leaves, eviction_leaf)
-                hold_block = (int(ids[slot]), int(leaves[slot]),
-                              payloads[slot].copy())
+                slot = deepest_slot[level]
+                hold_block = (ids[level, slot], leaves[level, slot],
+                              payloads[level, slot].copy())
                 hold_dest = target[i]
-                ids[slot] = DUMMY
+                ids[level, slot] = DUMMY
             if to_write is not None:
-                free = np.nonzero(ids == DUMMY)[0]
-                slot = int(free[0])
-                ids[slot], leaves[slot] = to_write[0], to_write[1]
-                payloads[slot] = to_write[2]
-            self.tree.write_bucket(bucket, ids, leaves, payloads)
-            self.stats.bucket_writes += 1
-
-    def _take_deepest_from_stash(self, eviction_leaf: int):
-        """Remove the stash block that can sink deepest on the eviction path."""
-        blocks = self.stash.resident_blocks()
-        best = max(blocks,
-                   key=lambda blk: self._legal_depth(blk[1], eviction_leaf))
-        self.stash.remove(best[0])
-        return best
-
-    def _deepest_slot(self, ids: np.ndarray, leaves: np.ndarray,
-                      eviction_leaf: int) -> int:
-        """Slot index of the bucket block that can sink deepest."""
-        real = np.nonzero(ids != DUMMY)[0]
-        return int(max(real, key=lambda slot: self._legal_depth(
-            int(leaves[slot]), eviction_leaf)))
+                slot = int(np.argmax(ids[level] == DUMMY))
+                ids[level, slot], leaves[level, slot] = to_write[:2]
+                payloads[level, slot] = to_write[2]
+        tree.write_buckets(path, ids, leaves, payloads)
+        tree._trace(READ + WRITE, path)
+        self.stats.bucket_reads += len(path)
+        self.stats.bucket_writes += len(path)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.oblivious.trace import WRITE, MemoryTracer
+from repro.oblivious.trace import READ, WRITE, MemoryTracer
 from repro.oram.position_map import FlatPositionMap, OramPositionMap, PositionMap
 from repro.oram.stash import Stash, StashOverflowError
 from repro.oram.tree import DUMMY, BucketTree, bit_reverse
@@ -318,22 +318,28 @@ class OramController:
         """Move the real blocks of ``buckets`` — only those whose id is in
         ``wanted`` when given — into the stash.
 
-        Each bucket is read once and written back without the moved
-        blocks. Every slot costs one stash touch whether or not it is
-        moved (dummies included), so stash traffic is slot-count constant.
+        One gather, one scatter into the stash's first free slots and one
+        write-back of the buckets without the moved blocks; a stash too
+        full for them raises before anything moves. The protocol this
+        stands for reads a bucket, touches the stash once per slot whether
+        or not it is moved (dummies included, so stash traffic is
+        slot-count constant) and writes the bucket back before the next:
+        the events are declared in that order.
         """
-        for bucket in buckets:
-            ids, leaves, payloads = self.tree.read_bucket(bucket)
-            self.stats.bucket_reads += 1
-            for slot in range(self.bucket_size):
-                slot_id = int(ids[slot])
-                if slot_id != DUMMY and (wanted is None or slot_id in wanted):
-                    self.stash.add(slot_id, int(leaves[slot]), payloads[slot])
-                    ids[slot] = DUMMY
-                else:
-                    self.stash._scan_trace(WRITE)
-            self.tree.write_bucket(bucket, ids, leaves, payloads)
-            self.stats.bucket_writes += 1
+        ids, leaves, payloads = self.tree.read_buckets(buckets)
+        moved = ids != DUMMY
+        if wanted is not None:
+            moved &= np.isin(ids, wanted)
+        self.stash._place(ids[moved], leaves[moved], payloads[moved])
+        ids[moved] = DUMMY
+        self.tree.write_buckets(buckets, ids, leaves, payloads)
+        self.stats.bucket_reads += len(buckets)
+        self.stats.bucket_writes += len(buckets)
+        if self.tracer is not None:
+            for bucket in buckets:
+                self.tree._trace(READ, (bucket,))
+                self.stash._scan_trace(WRITE, self.bucket_size)
+                self.tree._trace(WRITE, (bucket,))
 
     def _drain(self, schedule) -> None:
         """Write back ``schedule`` (the buckets to fill, per tree level),
@@ -348,12 +354,13 @@ class OramController:
         limit = self.real_slots or self.bucket_size
         for level in range(len(schedule) - 1, -1, -1):
             for bucket in schedule[level]:
-                self._write_bucket(bucket, self.stash.take_matching(
-                    lambda leaf: bucket_at(leaf, level) == bucket, limit))
+                self._write_bucket(bucket, *self.stash.take_matching(
+                    lambda leaves: bucket_at(leaves, level) == bucket, limit))
 
-    def _write_bucket(self, bucket: int, blocks) -> None:
-        """Install ``blocks`` as the whole content of ``bucket``."""
-        self.tree.write_blocks(bucket, blocks)
+    def _write_bucket(self, bucket: int, ids: np.ndarray, leaves: np.ndarray,
+                      payloads: np.ndarray) -> None:
+        """Install the given blocks as the whole content of ``bucket``."""
+        self.tree.write_blocks(bucket, ids, leaves, payloads)
         self.stats.bucket_writes += 1
 
     def _updated(self, update_fn: Optional[UpdateFn],

@@ -97,17 +97,35 @@ class EncryptedBucketTree:
         ids, leaves, _ = self.tree.read_bucket(bucket)
         return ids, leaves, self._decrypt_payloads(bucket)
 
-    def write_bucket(self, bucket: int, ids: np.ndarray, leaves: np.ndarray,
-                     payloads: np.ndarray) -> None:
+    def _seal(self, bucket: int, payloads: np.ndarray) -> np.ndarray:
+        """``payloads`` as ``bucket``'s next ciphertext (fresh nonce)."""
         self._write_counters[bucket] += 1
         sealed = self._cipher.encrypt(
             np.ascontiguousarray(payloads, dtype=np.float64).tobytes(),
             self._nonce(bucket))
-        self.tree.write_bucket(bucket, ids, leaves, np.frombuffer(
-            sealed, dtype=np.float64).reshape(payloads.shape))
+        return np.frombuffer(sealed, dtype=np.float64).reshape(payloads.shape)
+
+    def write_bucket(self, bucket: int, ids: np.ndarray, leaves: np.ndarray,
+                     payloads: np.ndarray) -> None:
+        self.tree.write_bucket(bucket, ids, leaves,
+                               self._seal(bucket, payloads))
 
     #: packs the blocks, then seals them through ``write_bucket`` above
     write_blocks = BucketTree.write_blocks
+
+    # The multi-bucket pair must not fall through ``__getattr__`` to the
+    # plain tree: that would hand out ciphertext and store plaintext.
+    def read_buckets(self, buckets) -> Tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+        ids, leaves, _ = self.tree.read_buckets(buckets)
+        return ids, leaves, np.stack(
+            [self._decrypt_payloads(int(bucket)) for bucket in buckets])
+
+    def write_buckets(self, buckets, ids: np.ndarray, leaves: np.ndarray,
+                      payloads: np.ndarray) -> None:
+        self.tree.write_buckets(buckets, ids, leaves, np.stack(
+            [self._seal(int(bucket), rows)
+             for bucket, rows in zip(buckets, payloads)]))
 
     def read_bucket_metadata(self, bucket: int) -> Tuple[np.ndarray,
                                                          np.ndarray]:

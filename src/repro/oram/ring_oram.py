@@ -129,25 +129,25 @@ class RingORAM(OramController):
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def _read_bucket(self, bucket: int) -> list:
-        """One full-bucket read. Per slot: its valid real block as (id,
-        leaf, payload), or ``None`` for a dummy or consumed slot."""
+    def _read_bucket(self, bucket: int):
+        """One full-bucket read: (ids, leaves, payloads, live), ``live``
+        marking the slots that hold a valid real block (not a dummy or a
+        consumed slot)."""
         ids, leaves, payloads = self.tree.read_bucket(bucket)
         self.stats.bucket_reads += 1
-        return [(int(ids[slot]), int(leaves[slot]), payloads[slot])
-                if ids[slot] != DUMMY and self._valid[bucket, slot] else None
-                for slot in range(self.bucket_size)]
+        return ids, leaves, payloads, (ids != DUMMY) & self._valid[bucket]
 
-    def _write_bucket(self, bucket: int, blocks) -> None:
+    def _write_bucket(self, bucket: int, ids: np.ndarray, leaves: np.ndarray,
+                      payloads: np.ndarray) -> None:
         """Install up to Z real blocks, refresh dummies/validity/counter."""
-        super()._write_bucket(bucket, blocks)
+        super()._write_bucket(bucket, ids, leaves, payloads)
         self._valid[bucket] = True
         self._touches[bucket] = 0
 
     def _reshuffle_bucket(self, bucket: int) -> None:
         """Early reshuffle: rewrite a bucket whose dummies ran out."""
-        self._write_bucket(bucket, [block for block in self._read_bucket(bucket)
-                                    if block is not None])
+        ids, leaves, payloads, live = self._read_bucket(bucket)
+        self._write_bucket(bucket, ids[live], leaves[live], payloads[live])
 
     def _evict_path(self, leaf: int) -> None:
         """Path-ORAM-style eviction of the reverse-lex path.
@@ -162,9 +162,11 @@ class RingORAM(OramController):
         # and the bucket is written once, by the drain — a write-back here
         # would add a bucket write to the trace.
         for bucket in path:
-            for block in self._read_bucket(bucket):
-                if block is not None:
-                    self.stash.add(*block)
+            ids, leaves, payloads, live = self._read_bucket(bucket)
+            for slot in range(self.bucket_size):
+                if live[slot]:
+                    self.stash.add(int(ids[slot]), int(leaves[slot]),
+                                   payloads[slot])
                 else:
                     self.stash._scan_trace(WRITE)
             self._valid[bucket] = False  # everything moved out

@@ -167,9 +167,9 @@ class SqrtORAM(OramController):
             self.tracer.record_sweep(self.store_region, total, READ)
         self.stats.bucket_reads += total
         contents[:] = self._store[self._perm[:self.num_blocks]]
-        for block_id, _leaf, payload in self.stash.evict_matching(
-                lambda leaf: True):
-            contents[block_id] = payload
+        sheltered, _leaves, payloads = self.stash.evict_matching(
+            lambda leaves: True)
+        contents[sheltered] = payloads
         self._perm = self.rng.permutation(total).astype(np.int64)
         new_store = np.zeros_like(self._store)
         new_store[self._perm[:self.num_blocks]] = contents

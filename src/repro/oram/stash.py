@@ -7,7 +7,7 @@ tracer under region ``"stash"``), so stash traffic is independent of content.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,9 +37,10 @@ class Stash:
         self.payloads = np.zeros((capacity, block_width), dtype=dtype)
         self.peak_occupancy = 0
 
-    def _scan_trace(self, op: str) -> None:
+    def _scan_trace(self, op: str, sweeps: int = 1) -> None:
         if self.tracer is not None:
-            self.tracer.record_sweep(self.region, self.capacity, op)
+            for _ in range(sweeps):
+                self.tracer.record_sweep(self.region, self.capacity, op)
 
     def _slot_of(self, block_id: int) -> Optional[int]:
         """First slot holding ``block_id`` (``DUMMY``: first free slot)."""
@@ -63,13 +64,21 @@ class Stash:
     def add(self, block_id: int, leaf: int, payload: np.ndarray) -> None:
         """Insert a real block into the first free slot (oblivious scan)."""
         self._scan_trace(WRITE)
-        slot = self._slot_of(DUMMY)
-        if slot is None:
+        self._place([block_id], [leaf], payload)
+
+    def _place(self, ids, leaves, payloads) -> None:
+        """Put blocks (arrays, in order) into the first free slots — the
+        slots one :meth:`add` each would pick. Nothing moves unless all
+        fit. Records no scan: the caller declares one per slot it touched.
+        """
+        free = (self.ids == DUMMY).nonzero()[0][:len(ids)]
+        if free.size < len(ids):
             raise StashOverflowError(
-                f"stash capacity {self.capacity} exceeded adding block {block_id}")
-        self.ids[slot] = block_id
-        self.leaves[slot] = leaf
-        self.payloads[slot] = payload
+                f"stash capacity {self.capacity} exceeded adding "
+                f"{len(ids)} block(s) to {self.occupancy} resident")
+        self.ids[free] = ids
+        self.leaves[free] = leaves
+        self.payloads[free] = payloads
         self._note_occupancy()
 
     def remove(self, block_id: int) -> Optional[Tuple[int, np.ndarray]]:
@@ -102,30 +111,23 @@ class Stash:
         return True
 
     # ------------------------------------------------------------------
-    def resident_blocks(self) -> List[Tuple[int, int, np.ndarray]]:
-        """All real blocks as (id, leaf, payload) — a full scan."""
+    def resident_blocks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All real blocks as (ids, leaves, payloads) arrays in slot order
+        — a full scan."""
         self._scan_trace(READ)
-        return [self._block(slot) for slot in np.nonzero(self.ids != DUMMY)[0]]
+        slots = (self.ids != DUMMY).nonzero()[0]
+        return self.ids[slots], self.leaves[slots], self.payloads[slots]
 
-    def _take(self, predicate, limit: int) -> List[Tuple[int, int, np.ndarray]]:
-        """One write scan removing up to ``limit`` blocks, slot order."""
-        self._scan_trace(WRITE)
-        taken: List[Tuple[int, int, np.ndarray]] = []
-        for slot in np.nonzero(self.ids != DUMMY)[0]:
-            if len(taken) == limit:
-                break
-            if predicate(int(self.leaves[slot])):
-                taken.append(self._block(slot))
-                self.ids[slot] = DUMMY
-        return taken
+    def evict_matching(self, predicate) -> Tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+        """Remove and return every block matching ``predicate``."""
+        return self.take_matching(predicate, self.capacity)
 
-    def evict_matching(self, predicate) -> List[Tuple[int, int, np.ndarray]]:
-        """Remove and return every block for which ``predicate(leaf)`` holds."""
-        return self._take(predicate, self.capacity)
-
-    def take_matching(self, predicate,
-                      limit: int) -> List[Tuple[int, int, np.ndarray]]:
-        """Remove up to ``limit`` blocks matching ``predicate(leaf)``.
+    def take_matching(self, predicate, limit: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Remove up to ``limit`` blocks, first slots first, for which the
+        mask ``predicate(leaves)`` over the whole leaf array holds; returns
+        their (ids, leaves, payloads) arrays.
 
         One oblivious scan regardless of how many blocks match — the
         write-backs use this so their stash traffic is bucket-count
@@ -133,7 +135,12 @@ class Stash:
         overflow count through extra scans).
         """
         check_positive("limit", limit)
-        return self._take(predicate, limit)
+        self._scan_trace(WRITE)
+        slots = ((self.ids != DUMMY)
+                 & predicate(self.leaves)).nonzero()[0][:limit]
+        taken = self.ids[slots], self.leaves[slots], self.payloads[slots]
+        self.ids[slots] = DUMMY
+        return taken
 
     def grow(self, new_capacity: int) -> None:
         """Extend the physical buffer to ``new_capacity`` slots.

@@ -76,14 +76,14 @@ class BucketTree:
         return [self.bucket_at(leaf, level)
                 for level in range(self.levels + 1)]
 
-    def common_depth(self, leaf_a: int, leaf_b: int) -> int:
-        """Deepest level (0..levels) shared by the paths to two leaves."""
-        if self.levels == 0:
-            return 0
+    def common_depth(self, leaf_a, leaf_b):
+        """Deepest level (0..levels) shared by the paths to two leaves;
+        element-wise when either is an int64 array."""
         diff = leaf_a ^ leaf_b
-        if diff == 0:
-            return self.levels
-        return self.levels - diff.bit_length()
+        if isinstance(diff, np.ndarray):
+            # frexp's exponent is the bit length (exact below 2**53)
+            return self.levels - np.frexp(diff)[1]
+        return self.levels - int(diff).bit_length()
 
     # ------------------------------------------------------------------
     # Traced bucket access
@@ -103,17 +103,18 @@ class BucketTree:
         self.leaves[bucket] = leaves
         self.payloads[bucket] = payloads
 
-    def write_blocks(self, bucket: int, blocks) -> None:
-        """Write ``bucket`` holding ``blocks`` — at most ``bucket_size``
-        ``(id, leaf, payload)`` tuples — in its first slots, dummies after."""
-        ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
-        leaves = np.zeros(self.bucket_size, dtype=np.int64)
-        payloads = np.zeros((self.bucket_size, self.block_width))
-        for slot, (block_id, leaf, payload) in enumerate(blocks):
-            ids[slot] = block_id
-            leaves[slot] = leaf
-            payloads[slot] = payload
-        self.write_bucket(bucket, ids, leaves, payloads)
+    def write_blocks(self, bucket: int, ids: np.ndarray, leaves: np.ndarray,
+                     payloads: np.ndarray) -> None:
+        """Write ``bucket`` holding the given blocks — arrays of at most
+        ``bucket_size`` rows — in its first slots, dummies after."""
+        count = len(ids)
+        slot_ids = np.full(self.bucket_size, DUMMY, dtype=np.int64)
+        slot_leaves = np.zeros(self.bucket_size, dtype=np.int64)
+        slot_payloads = np.zeros((self.bucket_size, self.block_width))
+        slot_ids[:count] = ids
+        slot_leaves[:count] = leaves
+        slot_payloads[:count] = payloads
+        self.write_bucket(bucket, slot_ids, slot_leaves, slot_payloads)
 
     def read_bucket_metadata(self, bucket: int) -> Tuple[np.ndarray, np.ndarray]:
         """Metadata-only read (ids, leaves) — Circuit ORAM's scan passes."""
@@ -126,6 +127,37 @@ class BucketTree:
         if self.tracer is not None:
             self.tracer.record(READ, self.region, bucket)
         return self.payloads[bucket, slot].copy()
+
+    # ------------------------------------------------------------------
+    # Multi-bucket access: one gather / scatter, events declared apart
+    # ------------------------------------------------------------------
+    def read_buckets(self, buckets) -> Tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+        """(ids, leaves, payloads) of ``buckets`` as copies, bucket-major.
+
+        Neither this nor :meth:`write_buckets` records an event: the block
+        movers interleave tree and stash touches bucket by bucket, so they
+        declare each bucket's events with :meth:`_trace` in the order the
+        bucket-at-a-time protocol issues them.
+        """
+        buckets = np.asarray(buckets, dtype=np.int64)
+        return self.ids[buckets], self.leaves[buckets], self.payloads[buckets]
+
+    def write_buckets(self, buckets, ids: np.ndarray, leaves: np.ndarray,
+                      payloads: np.ndarray) -> None:
+        """Install whole ``buckets`` (distinct) from bucket-major arrays."""
+        buckets = np.asarray(buckets, dtype=np.int64)
+        self.ids[buckets] = ids
+        self.leaves[buckets] = leaves
+        self.payloads[buckets] = payloads
+
+    def _trace(self, ops: str, buckets) -> None:
+        """Declare every op of ``ops`` at each of ``buckets`` in turn
+        (``R b0 W b0 R b1 W b1 …`` for ``"RW"``)."""
+        if self.tracer is not None:
+            for bucket in buckets:
+                for op in ops:
+                    self.tracer.record(op, self.region, bucket)
 
     # ------------------------------------------------------------------
     # Bookkeeping

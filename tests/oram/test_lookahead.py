@@ -224,8 +224,10 @@ class TestStashDisciplines:
         for block in range(5):
             stash.add(block, leaf=1, payload=np.zeros(2))
         tracer.clear()
-        taken = stash.take_matching(lambda leaf: leaf == 1, limit=3)
-        assert len(taken) == 3
+        ids, leaves, payloads = stash.take_matching(
+            lambda leaves: leaves == 1, limit=3)
+        assert ids.tolist() == [0, 1, 2]   # the first matching slots
+        assert leaves.shape == (3,) and payloads.shape == (3, 2)
         assert len(tracer.snapshot()) == stash.capacity  # exactly one scan
         assert stash.occupancy == 2
 

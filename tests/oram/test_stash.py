@@ -74,7 +74,9 @@ class TestEvictMatching:
         stash.add(0, leaf=1, payload=np.zeros(2))
         stash.add(1, leaf=2, payload=np.ones(2))
         stash.add(2, leaf=1, payload=2 * np.ones(2))
-        taken = stash.evict_matching(lambda leaf: leaf == 1)
-        assert sorted(block_id for block_id, _, _ in taken) == [0, 2]
+        ids, leaves, payloads = stash.evict_matching(lambda leaf: leaf == 1)
+        assert ids.tolist() == [0, 2]      # slot order
+        assert leaves.tolist() == [1, 1]
+        np.testing.assert_array_equal(payloads, [[0, 0], [2, 2]])
         assert stash.occupancy == 1
         assert stash.peek(1) is not None
