@@ -176,27 +176,58 @@ class OramPositionMap(PositionMap):
         chunks.reshape(-1)[: self.num_blocks] = initial_leaves.astype(np.float64)
         self._child = oram_factory(num_chunks, compression, chunks)
 
-    def lookup_and_update(self, block_id: int, new_leaf: int) -> int:
+    def _locate(self, block_id: int):
+        """(chunk id, lane) holding ``block_id``'s leaf label."""
         if not 0 <= block_id < self.num_blocks:
             raise IndexError(f"block {block_id} out of range")
-        chunk_id, offset = divmod(block_id, self.compression)
-        captured = {}
+        return divmod(block_id, self.compression)
 
+    def _blend(self, lane: int, new_leaf: int, old_leaves: list, slot: int):
+        """The child ``update_fn`` installing ``new_leaf`` in ``lane`` of a
+        chunk and leaving the lane's old label in ``old_leaves[slot]``.
+        Oblivious in-chunk select/update: every lane participates."""
         def update(chunk: np.ndarray) -> np.ndarray:
-            # Oblivious in-chunk select/update: every lane participates.
-            match = ct_eq(np.arange(self.compression), offset)
-            captured["old_leaf"] = int((match * chunk).sum())
+            match = ct_eq(np.arange(self.compression), lane)
+            old_leaves[slot] = int((match * chunk).sum())
             return float(new_leaf) * match + chunk * (1 - match)
+        return update
 
-        self._child.access(chunk_id, update)
-        return captured["old_leaf"]
+    def lookup_and_update(self, block_id: int, new_leaf: int) -> int:
+        chunk_id, lane = self._locate(block_id)
+        old_leaf = [None]
+        self._child.access(chunk_id, self._blend(lane, new_leaf, old_leaf, 0))
+        return old_leaf[0]
 
     def refresh(self, block_id: int) -> None:
         """Dummy lookup: one child-ORAM access with an identity update."""
-        if not 0 <= block_id < self.num_blocks:
-            raise IndexError(f"block {block_id} out of range")
-        chunk_id, _ = divmod(block_id, self.compression)
-        self._child.access(chunk_id, lambda chunk: chunk)
+        self._child.access(self._locate(block_id)[0], lambda chunk: chunk)
+
+    def lookup_and_update_batch(self, block_ids: Sequence[int],
+                                new_leaves: Sequence[int],
+                                pad_to: int = 0) -> List[int]:
+        """One child ``access_batch`` for the whole batch.
+
+        The child batch has exactly ``max(pad_to, len(block_ids))`` slots:
+        one in-chunk blend per id — ids sharing a chunk are served in
+        arrival order by the child's duplicate chaining, each seeing the
+        lanes the earlier ones installed — then identity updates as
+        padding. The child's traffic is therefore a function of the public
+        batch size only, and its own position map recurses the same way.
+        """
+        ids = _check_batch(block_ids, new_leaves)
+        old_leaves: List[int] = [0] * len(ids)
+        chunk_ids, update_fns = [], []
+        for slot, (block_id, new_leaf) in enumerate(zip(ids, new_leaves)):
+            chunk_id, lane = self._locate(block_id)
+            chunk_ids.append(chunk_id)
+            update_fns.append(self._blend(lane, int(new_leaf), old_leaves,
+                                          slot))
+        padding = max(0, pad_to - len(ids))
+        chunk_ids += [chunk_ids[0] if ids else 0] * padding
+        update_fns += [None] * padding
+        if chunk_ids:
+            self._child.access_batch(chunk_ids, update_fns)
+        return old_leaves
 
     def work_ops(self) -> int:
         """Bucket I/O of the child ORAM — the map's memory operations."""
