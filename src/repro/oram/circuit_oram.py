@@ -11,12 +11,10 @@ Differences from Path ORAM that the paper leans on:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.oblivious.trace import READ, WRITE
-from repro.oram.controller import OramController, UpdateFn
+from repro.oram.controller import OramController
 from repro.oram.tree import DUMMY
 
 _NONE = -10**9  # sentinel for "no level" in the eviction metadata passes
@@ -33,18 +31,11 @@ class CircuitORAM(OramController):
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
-    def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
-        payload = self._read_and_remove(block_id, old_leaf)
-        result = payload.copy()
-        self.stash.add(block_id, new_leaf, self._updated(update_fn, payload))
-
+    def _settle(self, old_leaf: int) -> None:
         # Two deterministic evictions per access (reverse-lexicographic).
+        del old_leaf
         for _ in range(2):
             self._deterministic_evict_pass()
-
-        self._check_stash_bound()
-        return result
 
     def _deterministic_evict_pass(self) -> None:
         """One reverse-lexicographic eviction pass (the per-access schedule)."""
@@ -63,7 +54,7 @@ class CircuitORAM(OramController):
         del leaf
         self._evict_once(self._next_eviction_leaf())
 
-    def _read_and_remove(self, block_id: int, old_leaf: int) -> np.ndarray:
+    def _fetch(self, block_id: int, old_leaf: int) -> np.ndarray:
         """Sweep the read path once, extracting the requested block.
 
         Every bucket on the path is read and written back regardless of
@@ -137,9 +128,10 @@ class CircuitORAM(OramController):
         real = ids != DUMMY
         depth = np.where(real, tree.common_depth(leaves, eviction_leaf), -1)
         deepest_slot = depth.argmax(axis=1)
-        deepest_block_goal = [_NONE] + np.where(
-            real.any(axis=1), depth.max(axis=1) + 1, _NONE).tolist()
-        has_empty = [False] + (~real).any(axis=1).tolist()
+        deepest_block_goal = [_NONE] + [
+            best + 1 if best >= 0 else _NONE
+            for best in depth.max(axis=1).tolist()]
+        has_empty = [False] + [not full for full in real.all(axis=1).tolist()]
         if stash_ids.size:
             stash_depth = tree.common_depth(stash_leaves, eviction_leaf)
             deepest_in_stash = int(stash_depth.argmax())

@@ -4,7 +4,7 @@ Path, Circuit and Ring ORAM subclass :class:`OramController`, which owns
 the bucket tree, the stash, the (possibly recursive) position map, access
 statistics, the public ``read``/``write``/``access`` API and the two block
 movers between tree and stash (:meth:`_pull`, :meth:`_drain`). Subclasses
-implement :meth:`_access_impl` from them.
+implement :meth:`_fetch` and :meth:`_settle` from them.
 """
 
 from __future__ import annotations
@@ -179,7 +179,18 @@ class OramController:
             old_leaf = self.position_map.lookup_and_update(block_id, new_leaf)
             self.stats.accesses += 1
             self.stats.revealed_leaves.append(old_leaf)
-            return self._access_impl(block_id, old_leaf, new_leaf, update_fn)
+            payload = self._fetch(block_id, old_leaf)
+            result = payload.copy()
+            try:
+                payload = self._updated(update_fn, payload)
+            finally:
+                # Atomic under a raising ``update_fn``: the block goes back
+                # with its old payload and its remap, and the write-back
+                # runs as for any access, before the error propagates.
+                self.stash.add(block_id, new_leaf, payload)
+                self._settle(old_leaf)
+                self._check_stash_bound()
+            return result
 
     @contextmanager
     def _metered(self, span: str, accesses: int = 1, **labels):
@@ -377,10 +388,16 @@ class OramController:
         return payload
 
     # ------------------------------------------------------------------
-    # Subclass hook
+    # Subclass hooks: the two halves of one access
     # ------------------------------------------------------------------
-    def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
+    def _fetch(self, block_id: int, old_leaf: int) -> np.ndarray:
+        """Take ``block_id`` out of the tree or stash, reading the path to
+        ``old_leaf``; returns its payload."""
+        raise NotImplementedError
+
+    def _settle(self, old_leaf: int) -> None:
+        """The write-back / eviction work that closes an access, run once
+        the (remapped) block is back in the stash."""
         raise NotImplementedError
 
     # Batched lookahead hooks (schemes with SUPPORTS_LOOKAHEAD implement

@@ -196,13 +196,15 @@ def lookahead_access_batch(oram, block_ids: Sequence[int],
                 _record(tracer, READ, ADDR_FETCH + ordinal)
             oram._lookahead_reserve(plan)
             oram._lookahead_fetch(plan)
-            results = _serve_batch(oram, plan, fns, tracer)
+            results, error = _serve_batch(oram, plan, fns, tracer)
             writeback_units = oram._lookahead_writeback(plan)
             for ordinal in range(writeback_units):
                 _record(tracer, WRITE, ADDR_WRITEBACK + ordinal)
             oram.stats.accesses += batch
             oram.stats.revealed_leaves.extend(plan.old_leaves)
             oram._check_stash_bound()
+            if error is not None:
+                raise error
     finally:
         registry.counter("oram.lookahead.batches_total").inc()
         registry.counter("oram.lookahead.batched_accesses_total").inc(batch)
@@ -217,15 +219,22 @@ def lookahead_access_batch(oram, block_ids: Sequence[int],
 
 def _serve_batch(oram, plan: BatchPlan,
                  update_fns: Sequence[Optional[UpdateFn]],
-                 tracer: Optional[MemoryTracer]) -> List[np.ndarray]:
-    """Serve every slot from the stash in arrival order.
+                 tracer: Optional[MemoryTracer]):
+    """Serve every slot from the stash in arrival order; returns the
+    pre-update payloads and the first error an ``update_fn`` raised.
 
     Each slot costs exactly one stash peek plus one stash update —
     duplicates included — so stash traffic never reveals multiplicity.
     Duplicate slots re-install the same fresh leaf (same value, same
     traffic) and see the payload left by earlier same-id slots.
+
+    A raising ``update_fn`` ends the batch like it ends the sequential
+    loop — its slot keeps the old payload and no later update is applied —
+    but every slot is still served and remapped, so the caller runs the
+    usual write-back (same trace) before re-raising.
     """
     results: List[np.ndarray] = []
+    error: Optional[Exception] = None
     for slot, block_id in enumerate(plan.block_ids):
         _record(tracer, READ, ADDR_SERVE + slot)
         found = oram.stash.peek(block_id)
@@ -234,10 +243,15 @@ def _serve_batch(oram, plan: BatchPlan,
                 f"block {block_id} not found — ORAM invariant broken")
         _, payload = found
         results.append(payload.copy())
+        if error is None:
+            try:
+                payload = oram._updated(update_fns[slot], payload)
+            except Exception as raised:  # re-raised after the write-back
+                error = raised
         oram.stash.update(
             block_id, leaf=plan.new_leaves[plan.slot_to_unique[slot]],
-            payload=oram._updated(update_fns[slot], payload))
-    return results
+            payload=payload)
+    return results, error
 
 
 class SequentialLeakingBatcher:

@@ -8,11 +8,9 @@ assigned leaves allow.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.oram.controller import OramController, UpdateFn
+from repro.oram.controller import OramController
 
 
 class PathORAM(OramController):
@@ -22,26 +20,17 @@ class PathORAM(OramController):
     DEFAULT_RECURSION_CUTOFF = 1 << 16  # paper: recursion beyond 2^16 blocks
     SUPPORTS_LOOKAHEAD = True
 
-    def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
-        path = self.tree.path_indices(old_leaf)
-
-        # 1. Fetch the entire path into the stash.
-        self._pull(path)
-
-        # 2. The requested block must now be in the stash.
+    def _fetch(self, block_id: int, old_leaf: int) -> np.ndarray:
+        # The entire path goes into the stash; the block must then be there.
+        self._pull(self.tree.path_indices(old_leaf))
         found = self.stash.remove(block_id)
         if found is None:
             raise KeyError(f"block {block_id} not found — ORAM invariant broken")
-        _, payload = found
-        result = payload.copy()
-        self.stash.add(block_id, new_leaf, self._updated(update_fn, payload))
+        return found[1]
 
-        # 3. Write the path back greedily.
-        self._drain([[bucket] for bucket in path])
-
-        self._check_stash_bound()
-        return result
+    def _settle(self, old_leaf: int) -> None:
+        # Write the path back greedily.
+        self._drain([[bucket] for bucket in self.tree.path_indices(old_leaf)])
 
     # ------------------------------------------------------------------
     # Batched lookahead hooks (see repro.oram.lookahead)
@@ -74,6 +63,5 @@ class PathORAM(OramController):
         removal and remap: stash blocks whose paths intersect the eviction
         path sink back into the tree, relieving stash pressure.
         """
-        path = self.tree.path_indices(leaf)
-        self._pull(path)
-        self._drain([[bucket] for bucket in path])
+        self._pull(self.tree.path_indices(leaf))
+        self._settle(leaf)

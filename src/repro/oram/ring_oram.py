@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.oblivious.trace import WRITE
-from repro.oram.controller import OramController, UpdateFn
+from repro.oram.controller import OramController
 from repro.oram.tree import DUMMY
 from repro.utils.validation import check_positive
 
@@ -64,12 +64,8 @@ class RingORAM(OramController):
     # ------------------------------------------------------------------
     # Access protocol
     # ------------------------------------------------------------------
-    def _access_impl(self, block_id: int, old_leaf: int, new_leaf: int,
-                     update_fn: Optional[UpdateFn]) -> np.ndarray:
-        payload = self._read_path(block_id, old_leaf)
-        result = payload.copy()
-        self.stash.add(block_id, new_leaf, self._updated(update_fn, payload))
-
+    def _settle(self, old_leaf: int) -> None:
+        del old_leaf
         self._access_counter += 1
         if self._access_counter % self.evict_rate == 0:
             self._evict_path(self._next_eviction_leaf())
@@ -78,9 +74,6 @@ class RingORAM(OramController):
         # Early reshuffle any bucket whose dummies are exhausted.
         for bucket in np.nonzero(self._touches >= self.bucket_dummies)[0]:
             self._reshuffle_bucket(int(bucket))
-
-        self._check_stash_bound()
-        return result
 
     def _background_evict_pass(self, leaf: int) -> None:
         """Request-free stash drain: continue the reverse-lex evict order.
@@ -91,7 +84,7 @@ class RingORAM(OramController):
         del leaf
         self._evict_path(self._next_eviction_leaf())
 
-    def _read_path(self, block_id: int, leaf: int) -> np.ndarray:
+    def _fetch(self, block_id: int, leaf: int) -> np.ndarray:
         """One payload-slot touch per bucket along the path."""
         payload: Optional[np.ndarray] = None
         stash_hit = self.stash.remove(block_id)

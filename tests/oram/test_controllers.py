@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.oblivious.trace import MemoryTracer
 from repro.oram import bit_reverse
 from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
@@ -105,6 +106,60 @@ def test_update_fn_result_must_be_one_block_row(scheme, call, bad):
             oram.access(3, bad)
         else:
             oram.access_batch([5, 6, 5], [None, bad, None])
+
+
+def _boom(row):
+    raise RuntimeError("update_fn failed")
+
+
+@pytest.mark.parametrize("call", ["access", "access_batch"])
+@pytest.mark.parametrize("scheme", [PathORAM, CircuitORAM, RingORAM, SqrtORAM],
+                         ids=["path", "circuit", "ring", "sqrt"])
+@pytest.mark.parametrize("bad", [_boom, lambda row: np.zeros(2)],
+                         ids=["raises", "wrong-shape"])
+def test_access_is_atomic_under_a_failing_update_fn(scheme, call, bad):
+    """A raising ``update_fn`` used to leave the block *removed* on Path,
+    Circuit and Ring — and the whole fetched union stranded in the stash,
+    never written back, on the batched path. The access now completes
+    (old payload, remap, write-back) and then the error propagates."""
+    data = np.arange(64, dtype=np.float64).reshape(16, 4)
+    oram = scheme(16, 4, initial_payloads=data.copy(), rng=0)
+    bump = lambda row: row + 100.0
+    with pytest.raises((RuntimeError, ValueError)):
+        if call == "access":
+            oram.access(3, bad)
+        else:
+            # Sequential-loop semantics: slot 0 lands, slot 1 fails and
+            # keeps its row, slot 2 (after the failure) is not applied.
+            oram.access_batch([5, 3, 6], [bump, bad, bump])
+    assert oram.total_resident_blocks() == 16
+    assert oram.stash.occupancy <= oram.persistent_stash_capacity
+    expected = data.copy()
+    if call == "access_batch":
+        expected[5] += 100.0
+    for block in range(16):
+        np.testing.assert_array_equal(oram.read(block), expected[block])
+
+
+@pytest.mark.parametrize("call", ["access", "access_batch"])
+@pytest.mark.parametrize("scheme", [PathORAM, CircuitORAM],
+                         ids=["path", "circuit"])
+def test_failing_update_fn_leaves_the_trace_of_a_successful_access(scheme,
+                                                                   call):
+    digests = []
+    for update_fn in (_boom, lambda row: row + 1.0):
+        tracer = MemoryTracer()
+        oram = scheme(16, 4, rng=0, tracer=tracer)
+        tracer.clear()
+        try:
+            if call == "access":
+                oram.access(3, update_fn)
+            else:
+                oram.access_batch([5, 3, 5], [None, update_fn, None])
+        except RuntimeError:
+            pass
+        digests.append(tracer.digest())
+    assert digests[0] == digests[1]
 
 
 class TestRecursion:
