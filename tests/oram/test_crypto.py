@@ -105,3 +105,45 @@ class TestEncryptedOramIntegration:
                 value = rng.normal(size=4)
                 oram.write(block, value)
                 mirror[block] = value
+
+    @pytest.mark.parametrize("batched", [False, True],
+                             ids=["access", "access_batch"])
+    @pytest.mark.parametrize("scheme", ["path", "circuit"])
+    def test_block_movers_never_bypass_the_cipher(self, rng, scheme, batched):
+        """The multi-bucket read/write the movers use must seal and open
+        like the single-bucket pair: ``__getattr__`` forwarding them to the
+        plain tree would hand out ciphertext and store plaintext."""
+        from repro.oram import CircuitORAM, PathORAM
+
+        oram_class = {"path": PathORAM, "circuit": CircuitORAM}[scheme]
+        data = rng.normal(size=(32, 4))
+        oram = oram_class(32, 4, initial_payloads=data.copy(), rng=1,
+                          stash_capacity=32)
+        sealed = oram.tree = EncryptedBucketTree(oram.tree, KEY)
+        mirror = data.copy()
+        for _ in range(40):
+            counters = sealed._write_counters.copy()
+            served = len(oram.stats.revealed_leaves)
+            if batched:
+                blocks = [int(b) for b in rng.integers(0, 32, size=6)]
+                deltas = rng.normal(size=6)
+                got = oram.access_batch(
+                    blocks, [lambda row, d=d: row + d for d in deltas])
+                for row, block, delta in zip(got, blocks, deltas):
+                    np.testing.assert_allclose(row, mirror[block])
+                    mirror[block] = mirror[block] + delta
+            else:
+                block = int(rng.integers(0, 32))
+                value = rng.normal(size=4)
+                np.testing.assert_allclose(oram.access(
+                    block, lambda row: value), mirror[block])
+                mirror[block] = value
+            # Every bucket on a fetched (hence rewritten) path got a fresh
+            # nonce, and what lies in memory is not what a read returns.
+            for leaf in oram.stats.revealed_leaves[served:]:
+                for bucket in sealed.path_indices(leaf):
+                    assert sealed._write_counters[bucket] > counters[bucket]
+                    assert not np.array_equal(sealed.ciphertext_of(bucket),
+                                              sealed.read_bucket(bucket)[2])
+        for block in range(32):
+            np.testing.assert_allclose(oram.read(block), mirror[block])
