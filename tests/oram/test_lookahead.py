@@ -15,9 +15,20 @@ from repro.oram import (
     contrasting_batches,
     lookahead_subjects,
 )
-from repro.oram.lookahead import ADDR_FETCH, build_fetch_schedule, plan_batch
+from repro.oram.lookahead import (
+    ADDR_FETCH,
+    batched_decision_runner,
+    batched_memory_runner,
+    build_fetch_schedule,
+    plan_batch,
+)
 from repro.oram.position_map import FlatPositionMap, OramPositionMap
-from repro.telemetry.audit import LeakageAuditor
+from repro.telemetry.audit import (
+    MODE_EXACT,
+    MODE_STRUCTURAL,
+    AuditSubject,
+    LeakageAuditor,
+)
 
 N, WIDTH = 32, 4
 SCHEMES = (PathORAM, CircuitORAM)
@@ -203,18 +214,27 @@ class TestBatchedPositionMap:
 
     def test_recursive_fallback_pads_to_batch(self):
         child_leaves = np.arange(64, dtype=np.int64) % 8
+        batches = []
 
-        from repro.oram.path_oram import PathORAM as Cls
+        class Child(PathORAM):
+            def access_batch(self, block_ids, update_fns=None, **kwargs):
+                batches.append(list(block_ids))
+                return super().access_batch(block_ids, update_fns, **kwargs)
 
         def factory(num_chunks, width, payloads):
-            return Cls(num_chunks, width, initial_payloads=payloads, rng=0)
+            return Child(num_chunks, width, initial_payloads=payloads, rng=0)
 
         pm = OramPositionMap(child_leaves, factory)
         accesses_before = pm._child.stats.accesses
-        got = pm.lookup_and_update_batch([3, 5], [1, 2], pad_to=6)
-        # Two real lookups + four dummy refreshes = the public batch size.
-        assert pm._child.stats.accesses - accesses_before >= 6
-        assert len(got) == 2
+        # 3 and 5 share chunk 0, 17 lives in chunk 1.
+        got = pm.lookup_and_update_batch([3, 5, 17], [1, 2, 7], pad_to=6)
+        # One child batch of exactly the public batch size: three real
+        # lookups (chunk 0 twice, chained) + three identity paddings.
+        assert batches == [[0, 0, 1, 0, 0, 0]]
+        assert pm._child.stats.accesses - accesses_before == 6
+        assert got == [3, 5, 1]
+        assert pm.lookup_and_update_batch([3, 5, 17, 4], [0] * 4,
+                                          pad_to=4) == [1, 2, 7, 4]
 
 
 class TestStashDisciplines:
@@ -326,6 +346,47 @@ class TestLeakageAudit:
         assert secrets[0][0] == [0] * 8
         assert secrets[1][0] == [N - 1] * 8
         assert len(set(secrets[2][0])) == 8
+
+
+class TestRecursiveMapAudit:
+    """Batched access over a *recursive* position map — one child
+    ``access_batch`` of the public batch size per recursion level. No
+    standing subject has this shape (``lookahead_subjects`` is flat)."""
+
+    NUM_BLOCKS, CUTOFF, BATCH = 128, 16, 16
+    secrets = contrasting_batches(NUM_BLOCKS, BATCH)  # hammer first / last, sweep
+
+    @classmethod
+    def factory(cls, oram_class, seed):
+        def build(tracer):
+            return oram_class(cls.NUM_BLOCKS, WIDTH, rng=seed,
+                              stash_capacity=cls.NUM_BLOCKS,
+                              recursion_cutoff=cls.CUTOFF, tracer=tracer)
+        return build
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("oram_class", SCHEMES)
+    def test_plan_exact_and_memory_structural(self, oram_class, seed):
+        build = self.factory(oram_class, seed)
+        assert isinstance(build(None).position_map, OramPositionMap)
+        auditor = LeakageAuditor()
+        auditor.require(AuditSubject(
+            "recursive-lookahead-plan", batched_decision_runner(build),
+            self.secrets, mode=MODE_EXACT))
+        auditor.require(AuditSubject(
+            "recursive-lookahead-memory", batched_memory_runner(build),
+            self.secrets, mode=MODE_STRUCTURAL))
+
+    @pytest.mark.parametrize("runner, mode", [
+        (batched_decision_runner, MODE_EXACT),
+        (batched_memory_runner, MODE_STRUCTURAL)])
+    def test_sequential_leaking_batcher_is_still_caught(self, runner, mode):
+        finding = LeakageAuditor().audit(AuditSubject(
+            "recursive-sequential-leaking-batcher",
+            runner(self.factory(PathORAM, 0),
+                   batcher=SequentialLeakingBatcher()),
+            self.secrets, mode=mode, expect_oblivious=False))
+        assert finding.leak_detected
 
 
 class WritebackStalledPathORAM(PathORAM):

@@ -10,36 +10,85 @@ from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
 from repro.oram.ring_oram import RingORAM
 from repro.oram.sqrt_oram import SqrtORAM
+from repro.oram.tree import DUMMY, BucketTree
 
 NUM_BLOCKS = 24
 WIDTH = 2
 
-blocks = st.integers(0, NUM_BLOCKS - 1)
 values = st.floats(-100, 100, allow_nan=False)
-operations = st.lists(
-    st.one_of(
-        st.tuples(st.just("read"), blocks),
-        st.tuples(st.just("write"), blocks, values),
-        # ids from a narrow range, so most batches carry duplicates; a
-        # slot's value is added to its row, ``None`` leaves it alone
-        st.tuples(st.just("batch"), st.lists(
-            st.tuples(st.integers(0, 5), st.none() | values),
-            min_size=1, max_size=8)),
-        st.tuples(st.just("evict"), st.integers(1, 2)),
-    ),
-    min_size=1, max_size=40,
-)
 
 
-def run_model_check(oram_class, ops, seed):
+def operations_over(num_blocks, batch_ids):
+    blocks = st.integers(0, num_blocks - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("read"), blocks),
+            st.tuples(st.just("write"), blocks, values),
+            # ids from a narrow range, so most batches carry duplicates
+            # (and, over a recursive map, ids sharing a 16-label chunk); a
+            # slot's value is added to its row, ``None`` leaves it alone
+            st.tuples(st.just("batch"), st.lists(
+                st.tuples(st.integers(0, batch_ids - 1), st.none() | values),
+                min_size=1, max_size=8)),
+            st.tuples(st.just("evict"), st.integers(1, 2)),
+        ),
+        min_size=1, max_size=40,
+    )
+
+
+operations = operations_over(NUM_BLOCKS, batch_ids=6)
+
+
+def recursion_levels(oram):
+    """The ORAM and every child ORAM its position map nests."""
+    levels = [oram]
+    while hasattr(levels[-1].position_map, "_child"):
+        levels.append(levels[-1].position_map._child)
+    return levels
+
+
+def resident(oram, field):
+    """Per block id, ``field`` ("leaves" or "payloads") as stored beside
+    the block in the tree or the stash — read without an access."""
+    rows = np.full((oram.num_blocks,)
+                   + getattr(oram.stash, field).shape[1:], -1.0)
+    for store in (oram.tree, oram.stash):
+        real = store.ids != DUMMY
+        rows[store.ids[real]] = getattr(store, field)[real]
+    return rows
+
+
+def check_level_invariants(oram):
+    """At every recursion level: conservation, the stash bound, and the
+    position map naming the leaf stored beside each block."""
+    for level in recursion_levels(oram):
+        assert level.total_resident_blocks() == level.num_blocks
+        assert level.stash.occupancy <= level.persistent_stash_capacity
+        if type(level) not in (PathORAM, CircuitORAM):
+            continue     # Ring keeps consumed copies, sqrt has no tree
+        posmap = level.position_map
+        if hasattr(posmap, "_child"):
+            mapped = resident(posmap._child, "payloads").reshape(-1)
+        else:
+            mapped = posmap.leaves
+        np.testing.assert_array_equal(mapped[:level.num_blocks],
+                                      resident(level, "leaves"))
+
+
+def run_model_check(oram_class, ops, seed, num_blocks=NUM_BLOCKS,
+                    recursion_cutoff=None):
     """Drive ``ops`` against a dict-like mirror, checking after every op:
-    returned values, block conservation, the stash bound, and that each
-    counted bucket read/write emitted its tree (or store) event."""
+    returned values, the per-level invariants above, and that each counted
+    bucket read/write emitted its tree (or store) event."""
     rng = np.random.default_rng(seed)
-    data = rng.normal(size=(NUM_BLOCKS, WIDTH))
-    tracer = MemoryTracer()
-    oram = oram_class(NUM_BLOCKS, WIDTH, initial_payloads=data.copy(),
-                      rng=seed, tracer=tracer)
+    data = rng.normal(size=(num_blocks, WIDTH))
+    # Three Path levels record ~150k events per batch: the event counts are
+    # checked on the flat configurations only.
+    tracer = MemoryTracer(enabled=recursion_cutoff is None)
+    recursive = ({} if recursion_cutoff is None
+                 else {"recursion_cutoff": recursion_cutoff})
+    oram = oram_class(num_blocks, WIDTH, initial_payloads=data.copy(),
+                      rng=seed, tracer=tracer, **recursive)
     region = oram.tree.region if hasattr(oram, "tree") else oram.store_region
     mirror = data.copy()
     for op, *args in ops:
@@ -63,8 +112,9 @@ def run_model_check(oram_class, ops, seed):
                     mirror[block] = mirror[block] + delta
         else:
             oram.background_evict(args[0])
-        assert oram.total_resident_blocks() == NUM_BLOCKS
-        assert oram.stash.occupancy <= oram.persistent_stash_capacity
+        check_level_invariants(oram)
+        if not tracer.enabled:
+            continue
         read_events = sum(event.region == region and event.op == READ
                           for event in tracer)
         write_events = sum(event.region == region and event.op == WRITE
@@ -76,7 +126,7 @@ def run_model_check(oram_class, ops, seed):
             assert read_events == oram.stats.bucket_reads - reads
         assert write_events == oram.stats.bucket_writes - writes
     # Every block still intact at the end.
-    for block in range(NUM_BLOCKS):
+    for block in range(num_blocks):
         np.testing.assert_allclose(oram.read(block), mirror[block],
                                    atol=1e-12)
 
@@ -101,6 +151,32 @@ def test_circuit_oram_is_a_kv_store(ops, seed):
 @settings(max_examples=15, deadline=None)
 def test_sequential_batch_schemes_are_kv_stores(oram_class, ops, seed):
     run_model_check(oram_class, ops, seed)
+
+
+@pytest.mark.parametrize("oram_class", [PathORAM, CircuitORAM],
+                         ids=["path", "circuit"])
+@given(ops=operations_over(300, batch_ids=40), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_tree_orams_over_a_two_level_recursive_map_are_kv_stores(
+        oram_class, ops, seed):
+    """300 blocks at cutoff 16: the map is a 19-chunk ORAM whose own map is
+    a 2-chunk ORAM, and batches go down as one child batch per level."""
+    run_model_check(oram_class, ops, seed, num_blocks=300,
+                    recursion_cutoff=16)
+
+
+@given(levels=st.integers(0, 40), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_common_depth_over_an_array_matches_the_scalar(levels, data):
+    tree = BucketTree.__new__(BucketTree)
+    tree.levels = levels
+    leaf = st.integers(0, (1 << levels) - 1)
+    anchor = data.draw(leaf)
+    others = data.draw(st.lists(leaf, min_size=1, max_size=12)) + [anchor]
+    got = tree.common_depth(np.array(others, dtype=np.int64), anchor)
+    assert got.tolist() == [tree.common_depth(other, anchor)
+                            for other in others]
+    assert tree.common_depth(anchor, anchor) == levels
 
 
 @given(seed=st.integers(0, 2**16))
