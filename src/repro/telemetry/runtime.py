@@ -6,6 +6,12 @@ registry for one experiment run) takes effect everywhere immediately —
 no instrument rebinding. The default is an enabled
 :class:`~repro.telemetry.metrics.MetricsRegistry`; call :func:`disable` (or
 ``set_registry(NullRegistry())``) to reduce every instrument to a no-op.
+
+The import-time default keeps only the first 8192 span records (a process
+that never asked for telemetry should not grow by a record per ORAM
+access); later spans are counted as dropped but still feed their duration
+histograms. :func:`enable`, :func:`use_registry` and a
+bare ``MetricsRegistry()`` keep the 100 000-record default.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from repro.telemetry.metrics import MetricsRegistry, NullRegistry
 #: telemetry off with zero allocation.
 NULL_REGISTRY = NullRegistry()
 
-_registry: MetricsRegistry = MetricsRegistry()
+_registry: MetricsRegistry = MetricsRegistry(max_spans=8192)
 
 
 def get_registry() -> MetricsRegistry:

@@ -160,6 +160,32 @@ class TestMetricsRegistry:
         assert registry.histogram("span.work.seconds").count == 1
         assert len(registry.spans) == 1
 
+    def test_dropped_span_still_feeds_its_histogram(self):
+        """Retention bounds memory, not the metrics: the import-time
+        default registry keeps 8192 records so RSS does not follow the op
+        count, and its histograms must not go quiet after that."""
+        registry = MetricsRegistry(max_spans=2)
+        for _ in range(5):
+            with registry.span("work"):
+                pass
+        assert len(registry.spans) == 2
+        assert registry.spans.dropped == 3
+        assert registry.histogram("span.work.seconds").count == 5
+
+    def test_import_time_default_registry_has_a_small_fixed_retention(self):
+        import subprocess
+        import sys
+
+        # A fresh interpreter: another test may have swapped the registry.
+        retained = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.telemetry.runtime import get_registry, enable\n"
+             "print(get_registry().spans.max_spans, "
+             "enable().spans.max_spans)"],
+            check=True, capture_output=True, text=True).stdout.split()
+        assert retained == ["8192", "100000"]
+        assert MetricsRegistry().spans.max_spans == 100_000
+
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()
