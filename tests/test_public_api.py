@@ -166,12 +166,18 @@ def _oram_method_calls():
 
 def test_one_function_drains_the_stash_into_buckets():
     """Every greedy write-back of a tree ORAM is ``OramController._drain``
-    — the only caller of ``Stash.take_matching`` outside the stash itself
-    (Path's two write-backs and Ring's eviction each had their own)."""
-    drains = [(name, function)
-              for name, function, called in _oram_method_calls()
+    — the only caller of ``Stash.take_matching`` (a mask predicate over the
+    leaf array in, ``(ids, leaves, payloads)`` arrays out) outside the
+    stash itself (Path's two write-backs and Ring's eviction each had
+    their own) — and the array movers replaced their per-block
+    predecessors rather than joining them."""
+    calls = list(_oram_method_calls())
+    drains = [(name, function) for name, function, called in calls
               if name != "stash.py" and "take_matching" in called]
     assert drains == [("controller.py", "_drain")]
+    replaced = {"_take", "_take_deepest_from_stash", "_deepest_slot",
+                "_legal_depth", "_access_impl"}
+    assert not replaced & {function for _, function, _ in calls}
 
 
 def test_no_scheme_module_emits_a_memory_event_itself():
