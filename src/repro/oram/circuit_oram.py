@@ -69,15 +69,21 @@ class CircuitORAM(OramController):
         if levels.size:
             payload = payloads[levels[0], slots[0]].copy()
             ids[levels[0], slots[0]] = DUMMY
+        else:
+            payload = None if stash_hit is None else stash_hit[1]
+        self._rewrite(path, ids, leaves, payloads)
+        if payload is None:
+            raise KeyError(f"block {block_id} not found — ORAM invariant broken")
+        return payload
+
+    def _rewrite(self, path, ids: np.ndarray, leaves: np.ndarray,
+                 payloads: np.ndarray) -> None:
+        """Write a gathered ``path`` back: the sweep it stands for reads and
+        rewrites one bucket after the other."""
         self.tree.write_buckets(path, ids, leaves, payloads)
         self.tree._trace(READ + WRITE, path)
         self.stats.bucket_reads += len(path)
         self.stats.bucket_writes += len(path)
-        if levels.size:
-            return payload
-        if stash_hit is None:
-            raise KeyError(f"block {block_id} not found — ORAM invariant broken")
-        return stash_hit[1]
 
     # ------------------------------------------------------------------
     # Batched lookahead hooks (see repro.oram.lookahead)
@@ -190,7 +196,4 @@ class CircuitORAM(OramController):
                 slot = int(np.argmax(ids[level] == DUMMY))
                 ids[level, slot], leaves[level, slot] = to_write[:2]
                 payloads[level, slot] = to_write[2]
-        tree.write_buckets(path, ids, leaves, payloads)
-        tree._trace(READ + WRITE, path)
-        self.stats.bucket_reads += len(path)
-        self.stats.bucket_writes += len(path)
+        self._rewrite(path, ids, leaves, payloads)

@@ -156,12 +156,8 @@ class RingORAM(OramController):
         # would add a bucket write to the trace.
         for bucket in path:
             ids, leaves, payloads, live = self._read_bucket(bucket)
-            for slot in range(self.bucket_size):
-                if live[slot]:
-                    self.stash.add(int(ids[slot]), int(leaves[slot]),
-                                   payloads[slot])
-                else:
-                    self.stash._scan_trace(WRITE)
+            self.stash._place(ids[live], leaves[live], payloads[live])
+            self.stash._scan_trace(WRITE, self.bucket_size)
             self._valid[bucket] = False  # everything moved out
         self._drain([[bucket] for bucket in path])
 

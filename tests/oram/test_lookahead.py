@@ -354,7 +354,8 @@ class TestRecursiveMapAudit:
     standing subject has this shape (``lookahead_subjects`` is flat)."""
 
     NUM_BLOCKS, CUTOFF, BATCH = 128, 16, 16
-    secrets = contrasting_batches(NUM_BLOCKS, BATCH)  # hammer first / last, sweep
+    # hammer-first, hammer-last and all-distinct batches
+    secrets = contrasting_batches(NUM_BLOCKS, BATCH, num_batches=2)
 
     @classmethod
     def factory(cls, oram_class, seed):
