@@ -17,7 +17,7 @@ from repro.embedding import (
     PathOramEmbedding,
     TableEmbedding,
 )
-from repro.oblivious import MemoryTracer, compare_traces
+from repro.telemetry.audit import AuditSubject, LeakageAuditor
 
 
 def main() -> None:
@@ -51,16 +51,21 @@ def main() -> None:
 
     print("\n=== Trace obliviousness, verified ===\n")
 
-    def scan_run(tracer: MemoryTracer, secret: int) -> None:
-        scan = LinearScanEmbedding(num_rows, dim, weight=trained_rows)
-        scan.generate_traced(np.array([secret]), tracer)
+    auditor = LeakageAuditor()
+    for generator in generators[:2]:
+        def replay(tracer, secret, generator=generator):
+            generator.generate_traced(np.asarray(secret), tracer)
 
-    def table_run(tracer: MemoryTracer, secret: int) -> None:
-        table = TableEmbedding(num_rows, dim, rng=1)
-        table.generate_traced(np.array([secret]), tracer)
-
-    print("linear scan:", compare_traces(scan_run, [1, 500, 999]))
-    print("table lookup:", compare_traces(table_run, [1, 500]))
+        finding = auditor.audit(AuditSubject(
+            generator.technique, replay, [[1], [500], [999]],
+            expect_oblivious=generator.is_oblivious))
+        if finding.observed_oblivious:
+            print(f"{generator.technique}: oblivious over "
+                  f"{finding.num_secrets} secrets "
+                  f"(trace length {finding.trace_length})")
+        else:
+            print(f"{generator.technique}: NOT oblivious — "
+                  f"{finding.first_divergence}")
     print("\nThe table lookup's first access already reveals the index; the "
           "scan's trace is identical for every secret.")
 

@@ -1,8 +1,11 @@
 """Fig 3: PRIME+PROBE recovers the victim's embedding index.
 
 Paper setup: 256-entry table, dim 64, true index 2, 25 primed sets, 10
-measurements averaged. The protected (linear-scan) victim is also run to
-show the defence flattens the signal.
+measurements averaged. The victim is the real generator replayed into the
+cache (:class:`~repro.sidechannel.TraceVictim`); the protected
+(linear-scan) victim is also run to show the defence flattens the signal,
+and a noise-free attacker is then run against every standing technique:
+how often it recovers the index, per technique.
 """
 
 from __future__ import annotations
@@ -10,39 +13,50 @@ from __future__ import annotations
 from repro.experiments.reporting import ExperimentResult
 from repro.sidechannel import (
     CacheConfig,
-    EmbeddingLookupVictim,
     PrimeProbeAttacker,
     SetAssociativeCache,
+    TraceVictim,
 )
+from repro.telemetry.audit import TECHNIQUES
 
 
 def run(victim_index: int = 2, monitored_sets: int = 25, repeats: int = 10,
         num_rows: int = 256, embedding_dim: int = 64,
         noise_cycles: float = 3.0, seed: int = 7) -> ExperimentResult:
     cache = SetAssociativeCache(CacheConfig())
-    victim = EmbeddingLookupVictim(cache, num_rows=num_rows,
-                                   embedding_dim=embedding_dim)
-    attacker = PrimeProbeAttacker(cache, victim,
-                                  monitored_indices=range(monitored_sets),
-                                  noise_cycles=noise_cycles, rng=seed)
+    monitored = range(monitored_sets)
 
+    def victim(technique: str) -> TraceVictim:
+        return TraceVictim.of_technique(technique, cache.access_range,
+                                        num_rows, embedding_dim, seed)
+
+    attacker = PrimeProbeAttacker(cache, victim("lookup"), monitored,
+                                  noise_cycles=noise_cycles, rng=seed)
     vulnerable = attacker.run_trials(victim_index, repeats=repeats)
     protected = attacker.run_trials(victim_index, repeats=repeats,
-                                    victim_op=victim.lookup_linear_scan)
+                                    victim_op=victim("scan").lookup)
 
     result = ExperimentResult(
         experiment_id="fig3",
         title="Eviction-set probe latency per monitored index "
               f"(victim index = {victim_index})",
         headers=("eviction_set", "latency_vulnerable_cycles",
-                 "latency_linear_scan_cycles"),
+                 "latency_linear_scan_cycles", "index_recovery_accuracy"),
         notes=(f"vulnerable lookup: recovered index "
                f"{vulnerable.recovered_index} "
                f"({'SUCCESS' if vulnerable.success else 'fail'}); "
-               f"linear scan leaves all sets indistinguishable"),
+               f"linear scan leaves all sets indistinguishable; accuracy "
+               f"rows: share of {monitored_sets} secret indices a "
+               f"noise-free attacker recovers from the real generator "
+               f"(chance = {1 / monitored_sets:.2f})"),
     )
-    for index in range(monitored_sets):
+    for index in monitored:
         result.add_row(index,
                        round(vulnerable.mean_latencies[index], 1),
-                       round(protected.mean_latencies[index], 1))
+                       round(protected.mean_latencies[index], 1), "")
+    for technique in TECHNIQUES:
+        target = victim(technique)
+        noiseless = PrimeProbeAttacker(cache, target, monitored)
+        result.add_row(target.subject.name, "", "",
+                       noiseless.recovery_accuracy(monitored, repeats=1))
     return result

@@ -1,83 +1,60 @@
 """Table II: the security matrix, computed rather than asserted.
 
-For each embedding generation technique, the data-access column is decided
-by actually running the implementation under the memory tracer and
-comparing traces across secrets; the control-flow column reports the
-mechanism the implementation uses (cmov / branchless AVX analogue / none
-needed).
+The data-access column is the standing leakage audit's finding for each
+technique: the real implementation is replayed under the memory tracer
+(:func:`repro.telemetry.audit.technique_subject`) once per contrasting
+secret and judged by :class:`~repro.telemetry.audit.LeakageAuditor`. The
+control-flow column reports the mechanism the implementation uses (cmov /
+branchless AVX analogue / none needed).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.embedding.dhe import DHEEmbedding
-from repro.embedding.scan import LinearScanEmbedding
-from repro.embedding.table import TableEmbedding
 from repro.experiments.reporting import ExperimentResult
-from repro.oblivious.analysis import compare_traces
-from repro.oblivious.trace import MemoryTracer
-from repro.oram.circuit_oram import CircuitORAM
+from repro.telemetry.audit import (
+    MODE_EXACT,
+    MODE_STRUCTURAL,
+    AuditFinding,
+    LeakageAuditor,
+    technique_subject,
+)
 
 N, D = 32, 8
-SECRETS = [0, 9, 31]
+
+#: Table II row -> (audited technique, implemented control-flow mechanism)
+ROWS = (
+    ("Table: non-secure", "lookup", "n/a (no such code path)"),
+    ("Table: ORAM", "circuit-oram", "cmov (ct_select) in posmap/stash scans"),
+    ("Table: Linear Scan", "scan", "branchless blend (oblivious_copy_row)"),
+    ("DHE (hash)", "dhe", "n/a (vectorised arithmetic)"),
+)
+
+EVIDENCE = {MODE_EXACT: "identical traces",
+            MODE_STRUCTURAL: "constant structure + random remap"}
 
 
-def _table_verdict(weights: np.ndarray) -> str:
-    result = compare_traces(
-        lambda tracer, secret: TableEmbedding(N, D, rng=0)
-        .generate_traced(np.array([secret]), tracer), SECRETS)
-    return "NOT protected (trace leaks index)" if not result.oblivious \
-        else "unexpectedly oblivious"
-
-def _scan_verdict(weights: np.ndarray) -> str:
-    result = compare_traces(
-        lambda tracer, secret: LinearScanEmbedding(N, D, weight=weights)
-        .generate_traced(np.array([secret]), tracer), SECRETS)
-    return "protected (identical traces)" if result.oblivious \
-        else "LEAKS"
-
-
-def _oram_verdict() -> str:
-    structures = []
-    for secret in SECRETS:
-        tracer = MemoryTracer()
-        oram = CircuitORAM(N, D, rng=42, tracer=tracer)
-        tracer.clear()
-        oram.read(secret)
-        structures.append([(e.op, e.region) for e in tracer])
-    constant = all(s == structures[0] for s in structures)
-    return ("protected (constant structure + random remap)"
-            if constant else "LEAKS")
-
-
-def _dhe_verdict() -> str:
-    dhe = DHEEmbedding(N, D, k=8, fc_sizes=(8,), rng=0)
-    shapes = {dhe.encoder.encode(np.array([s])).shape for s in SECRETS}
-    return ("protected (no table; dense compute)" if len(shapes) == 1
-            else "LEAKS")
+def data_access_verdict(finding: AuditFinding) -> str:
+    """The data-access cell, from what the observer saw."""
+    if finding.leak_detected:
+        return "NOT protected (trace leaks index)"
+    return (f"protected ({EVIDENCE[finding.mode]}: {finding.trace_length} "
+            f"events x {finding.num_secrets} secrets)")
 
 
 def run() -> ExperimentResult:
-    rng = np.random.default_rng(0)
-    weights = rng.normal(size=(N, D))
+    auditor = LeakageAuditor()
     result = ExperimentResult(
         experiment_id="table2",
         title="Security of embedding generation techniques (verified live)",
         headers=("technique", "secret_dependent_data_access",
                  "secret_dependent_control_flow"),
-        notes="data-access column decided by trace comparison across "
-              "secrets at runtime; control-flow column is the implemented "
-              "mechanism (Table II)",
+        notes="data-access column is the leakage auditor's finding on the "
+              "real implementation's trace across secrets at runtime; "
+              "control-flow column is the implemented mechanism (Table II)",
     )
-    result.add_row("Table: non-secure", _table_verdict(weights),
-                   "n/a (no such code path)")
-    result.add_row("Table: ORAM", _oram_verdict(),
-                   "cmov (ct_select) in posmap/stash scans")
-    result.add_row("Table: Linear Scan", _scan_verdict(weights),
-                   "branchless blend (oblivious_copy_row)")
-    result.add_row("DHE (hash)", _dhe_verdict(),
-                   "n/a (vectorised arithmetic)")
+    for label, technique, control_flow in ROWS:
+        finding = auditor.audit(technique_subject(technique, N, D))
+        result.add_row(label, data_access_verdict(finding), control_flow)
     result.add_row("DHE (FC)", "n/a (no table access)",
                    "branchless ReLU ((x+|x|)/2)")
     return result

@@ -1,10 +1,6 @@
-"""Data-oblivious computing primitives and the trace-equivalence verifier."""
+"""Data-oblivious computing primitives and the memory tracer that observes
+them (the trace-equivalence judge is :mod:`repro.telemetry.audit`)."""
 
-from repro.oblivious.analysis import (
-    TraceComparison,
-    assert_trace_oblivious,
-    compare_traces,
-)
 from repro.oblivious.linear_scan import (
     linear_scan_batch,
     linear_scan_batch_vectorized,
@@ -41,9 +37,6 @@ from repro.oblivious.trace import (
 )
 
 __all__ = [
-    "TraceComparison",
-    "assert_trace_oblivious",
-    "compare_traces",
     "linear_scan_batch",
     "linear_scan_batch_vectorized",
     "linear_scan_lookup",

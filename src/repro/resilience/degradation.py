@@ -22,10 +22,8 @@ security argument:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
@@ -172,54 +170,10 @@ class DegradationLadder:
     # ------------------------------------------------------------------
     def _audit_technique(self, technique: str):
         """Leakage-audit a small live instance of ``technique``."""
-        from repro.telemetry.audit import (
-            MODE_EXACT,
-            MODE_STRUCTURAL,
-            AuditSubject,
-            LeakageAuditor,
-            contrasting_secrets,
-        )
+        from repro.telemetry.audit import LeakageAuditor, technique_subject
 
-        rows, dim = self.audit_rows, self.audit_dim
-        length, seed = self.audit_secret_length, self.audit_seed
-        secrets = contrasting_secrets(rows, length)
-
-        if technique in ("path-oram", "circuit-oram"):
-            from repro.oram.circuit_oram import CircuitORAM
-            from repro.oram.path_oram import PathORAM
-
-            oram_class = PathORAM if technique == "path-oram" else CircuitORAM
-
-            def run(tracer, secret):
-                # Rebuild from the same seed per secret so randomness is
-                # replayed; drop initialisation traffic.
-                oram = oram_class(rows, dim, rng=seed, stash_capacity=rows,
-                                  tracer=tracer)
-                tracer.clear()
-                for block in secret:
-                    oram.read(int(block))
-
-            mode = MODE_STRUCTURAL
-        elif technique in ("dhe-uniform", "dhe-varied"):
-            from repro.embedding.dhe import DHEEmbedding
-
-            dhe = DHEEmbedding(rows, dim, k=16, fc_sizes=(16,),
-                               num_buckets=1024, rng=seed)
-
-            def run(tracer, secret):
-                dhe.generate_traced(np.asarray(secret), tracer)
-
-            mode = MODE_EXACT
-        else:  # "scan" — the chain validator admits nothing else
-            from repro.embedding.scan import LinearScanEmbedding
-
-            scan = LinearScanEmbedding(rows, dim, rng=seed)
-
-            def run(tracer, secret):
-                scan.generate_traced(np.asarray(secret), tracer)
-
-            mode = MODE_EXACT
-
-        subject = AuditSubject(f"degraded-{technique}", run, secrets,
-                               mode=mode)
-        return LeakageAuditor().audit(subject)
+        subject = technique_subject(technique, self.audit_rows,
+                                    self.audit_dim, self.audit_secret_length,
+                                    self.audit_seed)
+        return LeakageAuditor().audit(
+            replace(subject, name=f"degraded-{technique}"))

@@ -1,4 +1,5 @@
-"""Cache side-channel substrate: LLC model, victim, PRIME+PROBE attacker."""
+"""Side-channel substrate: LLC and page observers, PRIME+PROBE and
+controlled-channel attackers, and the trace-replay victim they attack."""
 
 from repro.sidechannel.attacker import (
     AggregatedAttack,
@@ -9,16 +10,14 @@ from repro.sidechannel.cache import CacheConfig, SetAssociativeCache
 from repro.sidechannel.pagefault import (
     PAGE_SIZE,
     ControlledChannelAttacker,
-    PageChannelVictim,
     PageFaultObserver,
     combined_channel_candidates,
 )
-from repro.sidechannel.victim import EmbeddingLookupVictim
+from repro.sidechannel.replay import TraceVictim
 
 __all__ = [
     "PAGE_SIZE",
     "ControlledChannelAttacker",
-    "PageChannelVictim",
     "PageFaultObserver",
     "combined_channel_candidates",
     "AggregatedAttack",
@@ -26,5 +25,5 @@ __all__ = [
     "PrimeProbeAttacker",
     "CacheConfig",
     "SetAssociativeCache",
-    "EmbeddingLookupVictim",
+    "TraceVictim",
 ]

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 
 from repro.sidechannel.cache import SetAssociativeCache
-from repro.sidechannel.victim import EmbeddingLookupVictim
+from repro.sidechannel.replay import TraceVictim
 from repro.utils.rng import SeedLike, new_rng
 
 
@@ -41,7 +41,7 @@ class PrimeProbeAttacker:
     ATTACKER_BASE = 0x4000_0000
 
     def __init__(self, cache: SetAssociativeCache,
-                 victim: EmbeddingLookupVictim,
+                 victim: TraceVictim,
                  monitored_indices: Sequence[int],
                  noise_cycles: float = 0.0,
                  rng: SeedLike = None) -> None:
@@ -120,6 +120,15 @@ class PrimeProbeAttacker:
                                 recovered_index=recovered,
                                 true_index=victim_index,
                                 trial_success_rate=successes / repeats)
+
+
+    def recovery_accuracy(self, secrets: Sequence[int], repeats: int = 3,
+                          victim_op: Optional[Callable[[int], None]] = None
+                          ) -> float:
+        """Share of ``secrets`` the averaged probe recovers exactly."""
+        hits = sum(self.run_trials(secret, repeats, victim_op).success
+                   for secret in secrets)
+        return hits / len(secrets)
 
 
 @dataclass

@@ -10,8 +10,9 @@ within it). Both steps are modelled here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
+from repro.sidechannel.replay import TraceVictim
 from repro.utils.validation import check_positive
 
 PAGE_SIZE = 4096
@@ -44,72 +45,32 @@ class PageFaultObserver:
         self.log = PageFaultLog()
 
 
-class PageChannelVictim:
-    """Embedding lookup whose page-level accesses the OS can observe."""
-
-    def __init__(self, observer: PageFaultObserver, num_rows: int,
-                 embedding_dim: int, element_bytes: int = 4,
-                 base_address: int = 0x10_0000) -> None:
-        check_positive("num_rows", num_rows)
-        self.observer = observer
-        self.num_rows = num_rows
-        self.row_bytes = embedding_dim * element_bytes
-        self.base_address = base_address
-
-    def row_address(self, index: int) -> int:
-        if not 0 <= index < self.num_rows:
-            raise IndexError(f"index {index} out of range")
-        return self.base_address + index * self.row_bytes
-
-    def rows_per_page(self) -> float:
-        return self.observer.page_size / self.row_bytes
-
-    def lookup(self, index: int) -> None:
-        self.observer.touch(self.row_address(index), self.row_bytes)
-
-    def lookup_linear_scan(self, index: int) -> None:
-        if not 0 <= index < self.num_rows:
-            raise IndexError(f"index {index} out of range")
-        self.observer.touch(self.base_address, self.num_rows * self.row_bytes)
-
-
 class ControlledChannelAttacker:
     """Recovers the candidate index range from observed page faults."""
 
-    def __init__(self, victim: PageChannelVictim) -> None:
+    def __init__(self, observer: PageFaultObserver,
+                 victim: TraceVictim) -> None:
+        self.observer = observer
         self.victim = victim
 
     def observe_lookup(self, index: int) -> Tuple[int, int]:
         """Run one victim lookup; return the inferred [low, high) index range."""
-        observer = self.victim.observer
-        observer.reset()
+        self.observer.reset()
         self.victim.lookup(index)
-        pages = sorted(observer.log.distinct())
-        return self._range_from_pages(pages)
-
-    def _range_from_pages(self, pages: Sequence[int]) -> Tuple[int, int]:
-        page_size = self.victim.observer.page_size
+        pages = sorted(self.observer.log.distinct())
+        page_size = self.observer.page_size
         base = self.victim.base_address
         row_bytes = self.victim.row_bytes
         first_byte = pages[0] * page_size
         last_byte = (pages[-1] + 1) * page_size - 1
-        low = max(0, (first_byte - base - row_bytes + 1 + row_bytes - 1)
-                  // row_bytes)
+        low = max(0, (first_byte - base) // row_bytes)
         high = min(self.victim.num_rows, (last_byte - base) // row_bytes + 1)
         return int(low), int(high)
 
     def candidates_after_lookup(self, index: int) -> int:
-        """Size of the candidate set the page channel leaves."""
+        """Size of the candidate set the page channel leaves (the whole
+        table against a victim that sweeps it)."""
         low, high = self.observe_lookup(index)
-        return high - low
-
-    def observe_scan(self, index: int) -> int:
-        """Candidate-set size against the linear-scan defence (= whole table)."""
-        observer = self.victim.observer
-        observer.reset()
-        self.victim.lookup_linear_scan(index)
-        pages = sorted(observer.log.distinct())
-        low, high = self._range_from_pages(pages)
         return high - low
 
 

@@ -30,7 +30,10 @@ an :class:`AuditSubject`; judging it is always
 (a finding, or :class:`LeakageError` naming the first diverging event),
 and :func:`contrasting_secrets` is the one hot-head / hot-tail / sweep
 generator those replays contrast. ``docs/SECURITY.md`` ("Audited
-decisions") lists every subject and its in-tree negative control.
+decisions") lists every subject and its in-tree negative control. An
+embedding *technique* is replayed by :func:`technique_subject` only: the
+standing audit, the degradation ladder, Table II and the side-channel
+attackers' :class:`~repro.sidechannel.TraceVictim` all share its runners.
 
 Run the standing audit from the command line::
 
@@ -330,6 +333,11 @@ class LeakageAuditor:
                 tracer = MemoryTracer()
                 subject.run(tracer, secret)
                 traces.append(tracer.snapshot())
+            if not any(traces):
+                raise ValueError(
+                    f"subject {subject.name!r} recorded no memory event "
+                    "under any secret: its replay is not wired to the "
+                    "tracer, which is not the same as being oblivious")
             exact = all(traces_equal(traces[0], trace)
                         for trace in traces[1:])
             reference_structure = trace_structure(traces[0])
@@ -381,14 +389,24 @@ class LeakageAuditor:
 # ----------------------------------------------------------------------
 # The standing audit: every technique in the paper's comparison.
 # ----------------------------------------------------------------------
-def standard_subjects(num_embeddings: int = 16, embedding_dim: int = 4,
-                      sequence_length: int = 12,
-                      seed: int = 0) -> List[AuditSubject]:
-    """Scan, Path/Circuit/square-root ORAM, DHE — plus the leaky lookup.
+#: the techniques :func:`technique_subject` can put under the observer
+#: (``repro.embedding``'s ``technique`` names), in standing-audit order
+TECHNIQUES = ("scan", "path-oram", "circuit-oram", "sqrt-oram", "dhe",
+              "lookup")
 
-    Secrets are the three :func:`contrasting_secrets` over the rows.
-    Randomised defences are rebuilt from the same seed per replay so
-    structural equivalence is meaningful.
+
+def technique_subject(technique: str, num_embeddings: int = 16,
+                      embedding_dim: int = 4, sequence_length: int = 12,
+                      seed: int = 0) -> AuditSubject:
+    """The one way a technique is replayed under a tracer.
+
+    ``technique`` is one of :data:`TECHNIQUES` (``dhe-uniform`` /
+    ``dhe-varied`` are the same generator at audit scale). Secrets are the
+    three :func:`contrasting_secrets` over the rows. A randomised defence
+    is rebuilt from the same seed per replay so structural equivalence is
+    meaningful. The standing audit, the degradation ladder, Table II and
+    the side-channel :class:`~repro.sidechannel.TraceVictim` all replay
+    this subject's ``run``.
     """
     from repro.embedding.dhe import DHEEmbedding
     from repro.embedding.scan import LinearScanEmbedding
@@ -398,44 +416,50 @@ def standard_subjects(num_embeddings: int = 16, embedding_dim: int = 4,
     from repro.oram.sqrt_oram import SqrtORAM
 
     secrets = contrasting_secrets(num_embeddings, sequence_length)
-
-    scan = LinearScanEmbedding(num_embeddings, embedding_dim, rng=seed)
-    dhe = DHEEmbedding(num_embeddings, embedding_dim, k=16, fc_sizes=(16,),
-                       num_buckets=1024, rng=seed)
-    table = TableEmbedding(num_embeddings, embedding_dim, rng=seed)
-
-    def run_scan(tracer: MemoryTracer, secret: Sequence[int]) -> None:
-        scan.generate_traced(np.asarray(secret), tracer)
-
-    def run_dhe(tracer: MemoryTracer, secret: Sequence[int]) -> None:
-        dhe.generate_traced(np.asarray(secret), tracer)
-
-    def run_table(tracer: MemoryTracer, secret: Sequence[int]) -> None:
-        table.generate_traced(np.asarray(secret), tracer)
-
-    def oram_runner(oram_class) -> Runner:
-        def run(tracer: MemoryTracer, secret: Sequence[int]) -> None:
+    orams = {"path-oram": PathORAM, "circuit-oram": CircuitORAM,
+             "sqrt-oram": SqrtORAM}
+    if technique in orams:
+        def run_oram(tracer: MemoryTracer, secret: Sequence[int]) -> None:
             # Rebuild from the same seed per secret so the controller's
             # randomness is replayed, then drop initialisation traffic.
-            oram = oram_class(num_embeddings, embedding_dim, rng=seed,
-                              stash_capacity=num_embeddings, tracer=tracer)
+            oram = orams[technique](num_embeddings, embedding_dim, rng=seed,
+                                    stash_capacity=num_embeddings,
+                                    tracer=tracer)
             tracer.clear()
             for block in secret:
                 oram.read(int(block))
-        return run
 
-    return [
-        AuditSubject("linear-scan", run_scan, secrets, mode=MODE_EXACT),
-        AuditSubject("path-oram", oram_runner(PathORAM), secrets,
-                     mode=MODE_STRUCTURAL),
-        AuditSubject("circuit-oram", oram_runner(CircuitORAM), secrets,
-                     mode=MODE_STRUCTURAL),
-        AuditSubject("sqrt-oram", oram_runner(SqrtORAM), secrets,
-                     mode=MODE_STRUCTURAL),
-        AuditSubject("dhe", run_dhe, secrets, mode=MODE_EXACT),
-        AuditSubject("table-lookup", run_table, secrets, mode=MODE_EXACT,
-                     expect_oblivious=False),
-    ]
+        return AuditSubject(technique, run_oram, secrets,
+                            mode=MODE_STRUCTURAL)
+
+    if technique == "scan":
+        name, generator = "linear-scan", LinearScanEmbedding(
+            num_embeddings, embedding_dim, rng=seed)
+    elif technique in ("dhe", "dhe-uniform", "dhe-varied"):
+        name, generator = "dhe", DHEEmbedding(
+            num_embeddings, embedding_dim, k=16, fc_sizes=(16,),
+            num_buckets=1024, rng=seed)
+    elif technique == "lookup":
+        name, generator = "table-lookup", TableEmbedding(
+            num_embeddings, embedding_dim, rng=seed)
+    else:
+        raise ValueError(f"unknown technique {technique!r}; "
+                         f"expected one of {TECHNIQUES}")
+
+    def run(tracer: MemoryTracer, secret: Sequence[int]) -> None:
+        generator.generate_traced(np.asarray(secret), tracer)
+
+    return AuditSubject(name, run, secrets, mode=MODE_EXACT,
+                        expect_oblivious=generator.is_oblivious)
+
+
+def standard_subjects(num_embeddings: int = 16, embedding_dim: int = 4,
+                      sequence_length: int = 12,
+                      seed: int = 0) -> List[AuditSubject]:
+    """Scan, Path/Circuit/square-root ORAM, DHE — plus the leaky lookup."""
+    return [technique_subject(technique, num_embeddings, embedding_dim,
+                              sequence_length, seed)
+            for technique in TECHNIQUES]
 
 
 def standard_audit(registry: Optional[MetricsRegistry] = None,

@@ -9,7 +9,8 @@ from repro.embedding import (
     LinearScanEmbedding,
     TableEmbedding,
 )
-from repro.oblivious import MemoryTracer, assert_trace_oblivious
+from repro.oblivious import MemoryTracer
+from repro.telemetry.audit import AuditSubject, LeakageAuditor
 
 N, D = 30, 6
 
@@ -145,4 +146,5 @@ class TestPooledObliviousness:
             # traced path: one scan per bag element, content-independent
             scan.generate_traced(np.asarray(secret_bag).reshape(-1), tracer)
 
-        assert_trace_oblivious(fn, [[0, 1, 2], [29, 15, 7], [3, 3, 3]])
+        LeakageAuditor().require(AuditSubject(
+            "scan-pooled", fn, [[0, 1, 2], [29, 15, 7], [3, 3, 3]]))

@@ -12,7 +12,7 @@ from repro.embedding.tensor_train import (
     balanced_factors,
     exact_factors,
 )
-from repro.oblivious.analysis import compare_traces
+from repro.telemetry.audit import AuditSubject, LeakageAuditor
 
 
 class TestFactorisation:
@@ -80,11 +80,11 @@ class TestTTEmbedding:
         assert loss.item() < 0.05
 
     def test_not_oblivious_by_trace(self, tt):
-        result = compare_traces(
-            lambda tracer, secret: tt.generate_traced(np.array([secret]),
-                                                      tracer),
-            [0, 500, 999])
-        assert not result.oblivious
+        finding = LeakageAuditor().audit(AuditSubject(
+            "tt", lambda tracer, secret: tt.generate_traced(
+                np.array([secret]), tracer),
+            [0, 500, 999], expect_oblivious=tt.is_oblivious))
+        assert finding.passed and finding.leak_detected
 
     def test_flagged_insecure(self, tt):
         assert not tt.is_oblivious

@@ -81,31 +81,24 @@ class TestDramRowBufferChannel:
     """§III-A2 also cites the DRAM row-buffer channel: identical mechanics
     at 8 KiB granularity. The page-fault observer generalises directly."""
 
-    def test_row_buffer_granularity(self):
-        from repro.sidechannel.pagefault import (
+    @staticmethod
+    def attacker(page_size):
+        from repro.sidechannel import (
             ControlledChannelAttacker,
-            PageChannelVictim,
             PageFaultObserver,
+            TraceVictim,
         )
 
-        observer = PageFaultObserver(page_size=8192)  # one DRAM row
-        victim = PageChannelVictim(observer, num_rows=4096, embedding_dim=64)
-        attacker = ControlledChannelAttacker(victim)
-        low, high = attacker.observe_lookup(1234)
+        observer = PageFaultObserver(page_size=page_size)
+        return ControlledChannelAttacker(observer, TraceVictim.of_technique(
+            "lookup", observer.touch, num_rows=4096))
+
+    def test_row_buffer_granularity(self):
+        low, high = self.attacker(8192).observe_lookup(1234)  # one DRAM row
         assert low <= 1234 < high
         # 8 KiB / 256 B rows = 32 candidates per DRAM row (+ straddle).
         assert high - low <= 2 * 8192 // 256 + 1
 
     def test_coarser_channel_leaves_more_candidates(self):
-        from repro.sidechannel.pagefault import (
-            ControlledChannelAttacker,
-            PageChannelVictim,
-            PageFaultObserver,
-        )
-
-        fine = ControlledChannelAttacker(PageChannelVictim(
-            PageFaultObserver(page_size=4096), 4096, 64))
-        coarse = ControlledChannelAttacker(PageChannelVictim(
-            PageFaultObserver(page_size=65536), 4096, 64))
-        assert coarse.candidates_after_lookup(1000) > \
-            fine.candidates_after_lookup(1000)
+        assert self.attacker(65536).candidates_after_lookup(1000) > \
+            self.attacker(4096).candidates_after_lookup(1000)

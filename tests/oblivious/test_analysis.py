@@ -1,10 +1,18 @@
-"""Trace-equivalence verifier tests."""
+"""Trace-equivalence verdicts on hand-made traced functions.
+
+The judge is :class:`repro.telemetry.audit.LeakageAuditor` — the only one.
+"""
 
 import numpy as np
 import pytest
 
-from repro.oblivious.analysis import assert_trace_oblivious, compare_traces
 from repro.oblivious.trace import TracedArray
+from repro.telemetry.audit import (
+    AuditSubject,
+    Divergence,
+    LeakageAuditor,
+    LeakageError,
+)
 
 
 def oblivious_fn(tracer, secret):
@@ -19,40 +27,54 @@ def leaky_fn(tracer, secret):
 
 class TestCompareTraces:
     def test_oblivious_function_passes(self):
-        result = compare_traces(oblivious_fn, [0, 2, 4])
-        assert result.oblivious
-        assert result.trace_length == 5
-        assert "oblivious over 3 secrets" in str(result)
+        finding = LeakageAuditor().audit(
+            AuditSubject("sweep", oblivious_fn, [0, 2, 4]))
+        assert finding.observed_oblivious and finding.exact_equivalent
+        assert finding.trace_length == 5
+        assert finding.num_secrets == 3
+        assert finding.first_divergence is None
 
     def test_leaky_function_caught(self):
-        result = compare_traces(leaky_fn, [1, 3])
-        assert not result.oblivious
-        secret, position, ref, got = result.first_divergence
-        assert secret == 1
-        assert position == 0
-        assert ref == "R t[1]"
-        assert got == "R t[3]"
-        assert "NOT oblivious" in str(result)
+        finding = LeakageAuditor().audit(
+            AuditSubject("gather", leaky_fn, [1, 3]))
+        assert finding.leak_detected
+        assert finding.first_divergence == Divergence(
+            secret=1, ordinal=0, reference=("R", "t", 1),
+            observed=("R", "t", 3))
+        assert "R t[3] vs R t[1]" in str(finding.first_divergence)
 
     def test_length_divergence_caught(self):
         def fn(tracer, secret):
             arr = TracedArray(np.zeros((5, 1)), "t", tracer)
             for i in range(secret):
                 arr.read(0)
-        result = compare_traces(fn, [2, 3])
-        assert not result.oblivious
-        assert result.first_divergence[3] == "<end>" or \
-            result.first_divergence[2] == "<end>"
+        finding = LeakageAuditor().audit(AuditSubject("loop", fn, [2, 3]))
+        assert finding.leak_detected
+        assert finding.first_divergence.ordinal == 2
+        assert finding.first_divergence.reference is None
+        assert "end of trace" in str(finding.first_divergence)
 
     def test_needs_two_secrets(self):
         with pytest.raises(ValueError):
-            compare_traces(oblivious_fn, [1])
+            AuditSubject("sweep", oblivious_fn, [1])
+
+    def test_untraced_replay_is_a_wiring_error(self):
+        """Zero events under every secret is not 'oblivious': the replay
+        never reached the tracer (an ORAM built without ``tracer=``)."""
+        noop = AuditSubject("noop", lambda tracer, secret: None, [[0], [1]])
+        with pytest.raises(ValueError, match="'noop' recorded no memory"):
+            LeakageAuditor().require(noop)
+        with pytest.raises(ValueError, match="'noop'"):
+            LeakageAuditor().audit(noop)
 
 
 class TestAssertTraceOblivious:
     def test_passes_silently(self):
-        assert_trace_oblivious(oblivious_fn, [0, 1])
+        finding = LeakageAuditor().require(
+            AuditSubject("sweep", oblivious_fn, [0, 1]))
+        assert finding.passed
 
     def test_raises_on_leak(self):
-        with pytest.raises(AssertionError, match="NOT oblivious"):
-            assert_trace_oblivious(leaky_fn, [0, 1])
+        with pytest.raises(LeakageError, match="depends on its secret"):
+            LeakageAuditor().require(
+                AuditSubject("gather", leaky_fn, [0, 1]))

@@ -18,13 +18,9 @@ from scipy import stats
 from repro.oblivious.trace import MemoryTracer
 from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
+from repro.telemetry.audit import trace_structure
 
 ORAM_CLASSES = [PathORAM, CircuitORAM]
-
-
-def trace_structure(events):
-    """The op/region sequence with addresses erased."""
-    return [(e.op, e.region) for e in events]
 
 
 @pytest.fixture(params=ORAM_CLASSES, ids=["path", "circuit"])

@@ -74,6 +74,23 @@ class TestAuditedTransitions:
             assert event.audit_passed
             assert event.audit_divergence == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("technique", sorted(OBLIVIOUS_TECHNIQUES))
+    def test_rung_audit_is_the_standing_technique_subject(self, technique):
+        """The ladder has no runner of its own: every legal rung's finding
+        is ``technique_subject``'s at the ladder's audit geometry, under
+        the ``degraded-`` name."""
+        from dataclasses import replace
+
+        from repro.telemetry.audit import LeakageAuditor, technique_subject
+
+        ladder = DegradationLadder(table_size=1000)
+        expected = LeakageAuditor().audit(replace(
+            technique_subject(technique, ladder.audit_rows, ladder.audit_dim,
+                              ladder.audit_secret_length, ladder.audit_seed),
+            name=f"degraded-{technique}"))
+        assert ladder._audit_technique(technique) == expected
+        assert expected.passed and expected.trace_length > 0
+
     def test_transitions_land_in_telemetry(self):
         with use_registry() as registry:
             ladder = DegradationLadder(table_size=1000)

@@ -4,16 +4,23 @@ import pytest
 
 from repro.sidechannel.attacker import PrimeProbeAttacker
 from repro.sidechannel.cache import CacheConfig, SetAssociativeCache
-from repro.sidechannel.victim import EmbeddingLookupVictim
+from repro.sidechannel.replay import TraceVictim
+from repro.telemetry.audit import AuditSubject
 
 
 @pytest.fixture
 def setup():
     cache = SetAssociativeCache(CacheConfig(num_sets=1024, ways=12))
-    victim = EmbeddingLookupVictim(cache, num_rows=256, embedding_dim=64)
+    victim = TraceVictim.of_technique("lookup", cache.access_range)
     attacker = PrimeProbeAttacker(cache, victim,
                                   monitored_indices=range(25), rng=0)
     return cache, victim, attacker
+
+
+@pytest.fixture
+def scan_victim(setup):
+    """``LinearScanEmbedding`` sharing the lookup victim's cache."""
+    return TraceVictim.of_technique("scan", setup[0].access_range)
 
 
 class TestVictim:
@@ -21,12 +28,31 @@ class TestVictim:
         _, victim, _ = setup
         assert victim.row_address(1) - victim.row_address(0) == 256
 
-    def test_out_of_range(self, setup):
+    def test_out_of_range(self, setup, scan_victim):
         _, victim, _ = setup
         with pytest.raises(IndexError):
             victim.lookup(256)
         with pytest.raises(IndexError):
-            victim.lookup_linear_scan(-1)
+            scan_victim.lookup(-1)
+        with pytest.raises(IndexError):
+            victim.row_address(256)
+
+    def test_replays_every_event_at_region_base_plus_row(self):
+        """Two regions, two bases: fixed by name on first touch and never
+        moved by the addresses (the secret) that follow."""
+        def run(tracer, secret):
+            tracer.record("R", "a", secret[0])
+            tracer.record("W", "b", 1)
+
+        touched = []
+        victim = TraceVictim(AuditSubject("two-regions", run, [[0], [1]]),
+                             lambda *span: touched.append(span),
+                             num_rows=8, embedding_dim=4, base_address=0)
+        victim.lookup(3)
+        victim.lookup(0)
+        stride = TraceVictim.REGION_STRIDE
+        assert touched == [(3 * 16, 16), (stride + 16, 16),
+                           (0, 16), (stride + 16, 16)]
 
 
 class TestEvictionSets:
@@ -73,26 +99,23 @@ class TestAttack:
         result = noisy.run_trials(5, repeats=10)
         assert result.recovered_index == 5
 
-    def test_linear_scan_defence_flattens_signal(self, setup):
-        _, victim, attacker = setup
+    def test_linear_scan_defence_flattens_signal(self, setup, scan_victim):
+        _, _, attacker = setup
         result = attacker.run_trials(2, repeats=10,
-                                     victim_op=victim.lookup_linear_scan)
+                                     victim_op=scan_victim.lookup)
         values = list(result.mean_latencies.values())
         spread = max(values) - min(values)
         miss_hit_gap = 160.0
         assert spread < 0.05 * miss_hit_gap
 
-    def test_linear_scan_defeats_recovery_statistically(self, setup):
+    def test_linear_scan_defeats_recovery_statistically(self, setup,
+                                                        scan_victim):
         """Under the defence the recovered index is unrelated to the secret:
         over several secrets the attacker should not do better than chance
         would suggest for correlated recoveries."""
-        _, victim, attacker = setup
-        hits = 0
-        for secret in range(10):
-            result = attacker.run_trials(secret, repeats=3,
-                                         victim_op=victim.lookup_linear_scan)
-            hits += int(result.recovered_index == secret)
-        assert hits <= 2
+        _, _, attacker = setup
+        assert attacker.recovery_accuracy(
+            range(10), repeats=3, victim_op=scan_victim.lookup) <= 0.2
 
     def test_requires_monitored_indices(self, setup):
         cache, victim, _ = setup
@@ -112,15 +135,11 @@ class TestNoiseRobustness:
 
     def _success_rate(self, noise, repeats, trials=10):
         cache = SetAssociativeCache(CacheConfig(num_sets=1024, ways=12))
-        victim = EmbeddingLookupVictim(cache, num_rows=256, embedding_dim=64)
+        victim = TraceVictim.of_technique("lookup", cache.access_range)
         attacker = PrimeProbeAttacker(cache, victim,
                                       monitored_indices=range(25),
                                       noise_cycles=noise, rng=99)
-        hits = 0
-        for secret in range(trials):
-            result = attacker.run_trials(secret, repeats=repeats)
-            hits += int(result.success)
-        return hits / trials
+        return attacker.recovery_accuracy(range(trials), repeats=repeats)
 
     def test_clean_channel_perfect(self):
         assert self._success_rate(noise=0.0, repeats=1) == 1.0

@@ -5,18 +5,25 @@ import pytest
 from repro.sidechannel.pagefault import (
     PAGE_SIZE,
     ControlledChannelAttacker,
-    PageChannelVictim,
     PageFaultObserver,
     combined_channel_candidates,
 )
+from repro.sidechannel.replay import TraceVictim
+
+NUM_ROWS = 1024
+
+
+def channel(technique):
+    """Observer, replayed real generator, attacker — for one technique."""
+    observer = PageFaultObserver()
+    # dim 64 rows = 256 B => 16 rows per 4 KiB page.
+    victim = TraceVictim.of_technique(technique, observer.touch, NUM_ROWS)
+    return observer, victim, ControlledChannelAttacker(observer, victim)
 
 
 @pytest.fixture
 def setup():
-    observer = PageFaultObserver()
-    # dim 64 rows = 256 B => 16 rows per 4 KiB page.
-    victim = PageChannelVictim(observer, num_rows=1024, embedding_dim=64)
-    return observer, victim, ControlledChannelAttacker(victim)
+    return channel("lookup")
 
 
 class TestObserver:
@@ -34,12 +41,13 @@ class TestObserver:
 
 class TestControlledChannel:
     def test_narrows_to_one_page_of_rows(self, setup):
-        _, victim, attacker = setup
+        observer, victim, attacker = setup
+        rows_per_page = observer.page_size / victim.row_bytes
         for index in (0, 100, 1023):
             low, high = attacker.observe_lookup(index)
             assert low <= index < high
             # 16 rows/page; a row can straddle two pages => <= ~33 candidates
-            assert high - low <= 2 * victim.rows_per_page() + 1
+            assert high - low <= 2 * rows_per_page + 1
 
     def test_candidate_set_far_smaller_than_table(self, setup):
         _, victim, attacker = setup
@@ -51,17 +59,18 @@ class TestControlledChannel:
         range_high = attacker.observe_lookup(1000)
         assert range_low != range_high
 
-    def test_linear_scan_defence(self, setup):
+    def test_linear_scan_defence(self):
         """Against the scan, the page channel sees the entire table."""
-        _, victim, attacker = setup
-        assert attacker.observe_scan(3) == victim.num_rows
+        _, victim, attacker = channel("scan")
+        assert attacker.candidates_after_lookup(3) == victim.num_rows
+        assert attacker.observe_lookup(3) == attacker.observe_lookup(1000)
 
     def test_out_of_range(self, setup):
         _, victim, _ = setup
         with pytest.raises(IndexError):
             victim.lookup(1024)
         with pytest.raises(IndexError):
-            victim.lookup_linear_scan(-1)
+            channel("scan")[1].lookup(-1)
 
 
 class TestCombinedChannels:

@@ -99,6 +99,33 @@ class TestLeakageAuditor:
         assert not auditor.audit(bad).passed
         assert registry.counter("audit.failures_total").value == 1.0
 
+    def test_untraced_oram_replay_is_rejected_not_passed(self):
+        """An ORAM replayed without ``tracer=`` records nothing under any
+        secret; that used to audit as ``passed=True, trace_length=0``."""
+        from repro.oram.path_oram import PathORAM
+
+        def run(tracer, secret):
+            oram = PathORAM(16, 4, rng=0)  # tracer not attached
+            for block in secret:
+                oram.read(block)
+
+        registry = MetricsRegistry()
+        subject = AuditSubject("unwired-oram", run, [[0, 0], [15, 15]],
+                               mode=MODE_STRUCTURAL)
+        with pytest.raises(ValueError, match="'unwired-oram' recorded no"):
+            LeakageAuditor(registry=registry).audit(subject)
+        assert registry.counter("audit.subjects_total").value == 0.0
+
+    def test_one_silent_secret_is_a_divergence_not_an_error(self):
+        def run(tracer, secret):
+            for index in secret:
+                tracer.record("read", "table", 0)
+
+        finding = LeakageAuditor(registry=MetricsRegistry()).audit(
+            AuditSubject("sometimes-silent", run, [[], [1]],
+                         expect_oblivious=False))
+        assert finding.leak_detected and finding.passed
+
     def test_structural_mode_tolerates_randomised_addresses(self):
         def run(tracer, secret):
             # same (op, region) shape, secret-dependent addresses but

@@ -223,3 +223,45 @@ def test_one_serving_loop_settles_the_schedule():
                             for node in nodes)):
                 settlers.append((name, function.name))
     assert settlers == [("batcher.py", "settle")]
+
+
+def test_one_judge_and_one_victim():
+    """Traces are compared in ``repro.telemetry.audit`` only (there was a
+    second judge in ``repro.oblivious.analysis`` and two more inside Table
+    II), and the attackers' only victim is ``TraceVictim`` replaying the
+    real generators — no hand-written linear-scan lookup method standing
+    in for the defence (there were two)."""
+    import ast
+    import os
+
+    import repro
+
+    root = os.path.dirname(repro.__file__)
+    stand_in = "_".join(("lookup", "linear", "scan"))  # spelled nowhere else
+    judges, victims, stand_ins = set(), [], []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            where = os.path.relpath(path, root)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id",
+                                    getattr(node.func, "attr", None))
+                        == "traces_equal"):
+                    judges.add(where)
+                elif (isinstance(node, ast.ClassDef)
+                        and node.name.endswith("Victim")):
+                    victims.append((where, node.name))
+                elif (isinstance(node, ast.FunctionDef)
+                        and node.name == stand_in):
+                    stand_ins.append(where)
+    assert judges == {os.path.join("telemetry", "audit", "__init__.py")}
+    assert victims == [(os.path.join("sidechannel", "replay.py"),
+                        "TraceVictim")]
+    assert stand_ins == []
+    assert not os.path.exists(os.path.join(root, "oblivious", "analysis.py"))
+    assert not os.path.exists(os.path.join(root, "sidechannel", "victim.py"))
