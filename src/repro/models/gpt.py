@@ -29,7 +29,7 @@ from repro.embedding.table import TableEmbedding
 from repro.nn.attention import KVCache, TransformerBlock
 from repro.nn.layers import LayerNorm
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.oblivious.primitives import oblivious_argmax_vectorized
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_positive
@@ -128,18 +128,20 @@ class GPT(Module):
     # Two-stage inference
     # ------------------------------------------------------------------
     def new_caches(self) -> List[KVCache]:
-        return [KVCache() for _ in self.blocks]
+        return [KVCache(self.config.context_length) for _ in self.blocks]
 
     def _cached_logits(self, tokens: np.ndarray, caches: List[KVCache],
                        position_offset: int) -> Tensor:
-        """Last-position logits through the KV caches. Inference-only: no
-        autograd graph is built (``forward`` is the training path)."""
-        with no_grad():
-            x = self._embed(tokens, position_offset=position_offset)
-            for block, cache in zip(self.blocks, caches):
-                x = block(x, cache=cache)
-            x = self.ln_f(x)
-            return x[:, -1, :] @ self.lm_head_weight.transpose()
+        """Last-position logits through the KV caches, on plain ndarrays
+        from the embedding output to the logits (``forward`` is the
+        training path). Eval semantics only: live dropout is refused."""
+        if self.training and self.config.dropout > 0:
+            raise ValueError("call eval() before prefill/decode_step")
+        x = self._embed(tokens, position_offset=position_offset).data
+        for block, cache in zip(self.blocks, caches):
+            x = block(x, cache=cache)
+        x = self.ln_f.infer(x)
+        return Tensor(x[:, -1, :] @ self.lm_head_weight.data.T)
 
     def prefill(self, tokens: np.ndarray,
                 caches: List[KVCache]) -> Tensor:

@@ -10,7 +10,6 @@ two inference stages the paper distinguishes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -23,25 +22,56 @@ from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_positive
 
 
-@dataclass
 class KVCache:
-    """Per-layer cached keys and values, shape (batch, heads, time, head_dim)."""
+    """Per-layer cached keys and values.
 
-    keys: Optional[np.ndarray] = None
-    values: Optional[np.ndarray] = None
+    The buffers, shape (batch, heads, capacity, head_dim), are allocated on
+    the first :meth:`append` and written in place; :attr:`keys` and
+    :attr:`values` are views of the filled prefix. ``GPT.new_caches``
+    sizes ``capacity`` from the model's context length.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        check_positive("capacity", capacity)
+        self.capacity = capacity
+        self.length = 0
+        self._keys: Optional[np.ndarray] = None
+        self._values: Optional[np.ndarray] = None
 
     def append(self, k: np.ndarray, v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Append new keys/values along the time axis and return the full cache."""
-        if self.keys is None:
-            self.keys, self.values = k, v
-        else:
-            self.keys = np.concatenate([self.keys, k], axis=2)
-            self.values = np.concatenate([self.values, v], axis=2)
+        """Write new keys/values after the cached ones; return views of
+        the whole filled cache."""
+        end = self.length + k.shape[2]
+        if end > self.capacity:
+            raise ValueError(f"KV cache of capacity {self.capacity} cannot "
+                             f"hold {end} positions")
+        if self._keys is None:
+            batch, heads, _, head_dim = k.shape
+            self._keys = np.empty((batch, heads, self.capacity, head_dim), k.dtype)
+            self._values = np.empty_like(self._keys)
+        self._keys[:, :, self.length:end] = k
+        self._values[:, :, self.length:end] = v
+        self.length = end
         return self.keys, self.values
 
     @property
-    def length(self) -> int:
-        return 0 if self.keys is None else self.keys.shape[2]
+    def keys(self) -> Optional[np.ndarray]:
+        return None if self._keys is None else self._keys[:, :, :self.length]
+
+    @property
+    def values(self) -> Optional[np.ndarray]:
+        return None if self._values is None else self._values[:, :, :self.length]
+
+
+def _check_cached_input(module: Module, x, dropouts) -> None:
+    """The cached path takes ndarrays and has eval semantics: refuse a
+    ``Tensor`` and refuse live dropout rather than skip it silently."""
+    if isinstance(x, Tensor):
+        raise TypeError("a cached forward takes an np.ndarray, not a Tensor "
+                        "(it builds no autograd graph)")
+    if module.training and any(dropout.p > 0 for dropout in dropouts):
+        raise ValueError("call eval() before a cached forward: dropout is "
+                         "live in training mode")
 
 
 class MultiHeadSelfAttention(Module):
@@ -63,37 +93,45 @@ class MultiHeadSelfAttention(Module):
         self.proj = Linear(embed_dim, embed_dim, rng=generator)
         self.attn_dropout = Dropout(dropout, rng=generator)
 
-    def _split_heads(self, x: Tensor, batch: int, time: int) -> Tensor:
-        # (B, T, C) -> (B, H, T, Hd)
+    def _split_heads(self, x, batch: int, time: int):
+        # (B, T, C) -> (B, H, T, Hd), on a Tensor or an ndarray
         return x.reshape(batch, time, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(self, x: Tensor, cache: Optional[KVCache] = None) -> Tensor:
+    def forward(self, x, cache: Optional[KVCache] = None):
         """Attend over ``x`` (and the cache, if given).
 
-        With a cache, ``x`` holds only the *new* positions (decode step);
-        cached keys/values supply the history. Cached paths run without
-        autograd (inference only).
+        Without a cache, ``x`` is a :class:`Tensor` and the autograd graph
+        is built. With a cache, ``x`` is an ``np.ndarray`` holding only the
+        *new* positions (prefill or decode step), cached keys/values supply
+        the history, and the result is an ndarray: inference only, in eval
+        mode, byte-equal to the Tensor ops.
         """
+        if cache is None:
+            return self._attend(x)
+        _check_cached_input(self, x, (self.attn_dropout,))
+        batch, time, _ = x.shape
+        qkv = self.qkv.infer(x)
+        q = self._split_heads(qkv[:, :, : self.embed_dim], batch, time)
+        past = cache.length
+        k, v = cache.append(
+            self._split_heads(qkv[:, :, self.embed_dim: 2 * self.embed_dim], batch, time),
+            self._split_heads(qkv[:, :, 2 * self.embed_dim:], batch, time))
+        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.head_dim))
+        if time > 1:
+            scores = scores + F.causal_mask(time, past)
+        out = F.softmax_array(scores, axis=-1) @ v  # (B, H, T, Hd)
+        out = out.transpose(0, 2, 1, 3).reshape(batch, time, self.embed_dim)
+        return self.proj.infer(out)
+
+    def _attend(self, x: Tensor) -> Tensor:
         batch, time, _ = x.shape
         qkv = self.qkv(x)
         q = self._split_heads(qkv[:, :, : self.embed_dim], batch, time)
         k = self._split_heads(qkv[:, :, self.embed_dim: 2 * self.embed_dim], batch, time)
         v = self._split_heads(qkv[:, :, 2 * self.embed_dim:], batch, time)
-
-        past = 0
-        if cache is not None:
-            past = cache.length
-            k_full, v_full = cache.append(k.data, v.data)
-            k, v = Tensor(k_full), Tensor(v_full)
-
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.head_dim))
-        total = past + time
         if time > 1:
-            # Causal mask for the new block: query i may see keys 0..past+i.
-            mask = np.zeros((time, total))
-            for i in range(time):
-                mask[i, past + i + 1:] = -np.inf
-            scores = scores + Tensor(mask)
+            scores = scores + Tensor(F.causal_mask(time))
         attn = F.softmax(scores, axis=-1)
         attn = self.attn_dropout(attn)
         out = attn @ v  # (B, H, T, Hd)
@@ -121,7 +159,13 @@ class TransformerBlock(Module):
         )
         self.resid_dropout = Dropout(dropout, rng=generator)
 
-    def forward(self, x: Tensor, cache: Optional[KVCache] = None) -> Tensor:
-        x = x + self.resid_dropout(self.attn(self.ln1(x), cache=cache))
-        x = x + self.resid_dropout(self.mlp(self.ln2(x)))
-        return x
+    def forward(self, x, cache: Optional[KVCache] = None):
+        """A ``Tensor`` through the autograd graph, or, with a cache, an
+        ``np.ndarray`` through the inference path (see
+        :meth:`MultiHeadSelfAttention.forward`)."""
+        if cache is None:
+            x = x + self.resid_dropout(self.attn(self.ln1(x)))
+            return x + self.resid_dropout(self.mlp(self.ln2(x)))
+        _check_cached_input(self, x, (self.resid_dropout,))
+        x = x + self.attn(self.ln1.infer(x), cache=cache)
+        return x + self.mlp.infer(self.ln2.infer(x))

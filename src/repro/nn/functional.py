@@ -1,4 +1,11 @@
-"""Functional neural-network operations built on :class:`repro.nn.Tensor`."""
+"""Functional neural-network operations built on :class:`repro.nn.Tensor`.
+
+The ``*_array`` functions at the end (with ``Linear.infer``) are the
+plain-ndarray twins the KV-cache inference path runs, with no autograd
+``Tensor`` per op. Each repeats its Tensor op's float sequence exactly —
+mean as ``sum * (1.0 / n)``, ``a / b`` as ``a * b ** -1.0``, ``a - b`` as
+``a + (b * -1.0)`` — so both give the same bytes.
+"""
 
 from __future__ import annotations
 
@@ -74,8 +81,32 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator,
     return x * Tensor(mask)
 
 
-def causal_mask(length: int) -> np.ndarray:
-    """Additive causal attention mask: 0 on/below diagonal, -inf above."""
-    mask = np.zeros((length, length))
-    mask[np.triu_indices(length, k=1)] = -np.inf
+def causal_mask(time: int, past: int = 0) -> np.ndarray:
+    """Additive causal mask for ``time`` new queries after ``past`` cached
+    keys, shape (time, past + time): query ``i`` sees keys ``0..past+i``
+    (0 there, -inf beyond)."""
+    mask = np.zeros((time, past + time))
+    mask[np.triu_indices(time, k=past + 1, m=past + time)] = -np.inf
     return mask
+
+
+# ----------------------------------------------------------------------
+# ndarray twins (inference only)
+# ----------------------------------------------------------------------
+def gelu_array(x: np.ndarray) -> np.ndarray:
+    c = math.sqrt(2.0 / math.pi)
+    inner = (x + x * x * x * 0.044715) * c
+    return x * 0.5 * (np.tanh(inner) + 1.0)
+
+
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    exps = np.exp(x + (x.max(axis=axis, keepdims=True) * -1.0))
+    return exps * exps.sum(axis=axis, keepdims=True) ** -1.0
+
+
+def layer_norm_array(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                     eps: float = 1e-5) -> np.ndarray:
+    scale = 1.0 / x.shape[-1]
+    centered = x + (x.sum(axis=-1, keepdims=True) * scale) * -1.0
+    variance = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    return centered * (variance + eps) ** -0.5 * weight + bias

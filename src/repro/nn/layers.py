@@ -36,6 +36,10 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data.T
+        return out if self.bias is None else out + self.bias.data
+
     def __repr__(self) -> str:
         return f"Linear({self.in_features}, {self.out_features}, bias={self.bias is not None})"
 
@@ -48,6 +52,9 @@ class ReLU(Module):
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.gelu(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return F.gelu_array(x)
 
 
 class Sigmoid(Module):
@@ -88,6 +95,10 @@ class LayerNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return F.layer_norm_array(x, self.weight.data, self.bias.data,
+                                  eps=self.eps)
+
 
 class Sequential(Module):
     """Chain of modules applied in order."""
@@ -101,6 +112,11 @@ class Sequential(Module):
     def forward(self, x: Tensor) -> Tensor:
         for module in self._ordered:
             x = module(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for module in self._ordered:
+            x = module.infer(x)
         return x
 
     def __iter__(self):

@@ -43,6 +43,13 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Eval-mode forward on a plain ndarray, no autograd ``Tensor``
+        built: the KV-cache inference path calls this. Bytes equal
+        ``self(Tensor(x)).data`` in eval mode."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no ndarray inference path")
+
     # ------------------------------------------------------------------
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
         for name, param in self._parameters.items():

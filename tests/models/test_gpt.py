@@ -86,28 +86,44 @@ class TestPrefillDecodeEquivalence:
             step = model.decode_step(tokens[:, t:t + 1], caches).data
             np.testing.assert_allclose(step, full_logits[:, t], atol=1e-9)
 
-    def test_inference_builds_no_graph_and_keeps_the_bits(self, model, rng,
-                                                          monkeypatch):
-        """The KV-cache paths run under ``no_grad``: no ``_parents`` on the
-        logits, values bit-identical to the graph-building computation."""
-        import contextlib
+    def test_inference_builds_no_graph_and_keeps_the_bits(self, model, rng):
+        """The KV-cache paths run on plain ndarrays: the logits carry no
+        graph, and their bytes are the ones the Tensor-with-cache path of
+        commit 720d9bf produced (sha256 of prefill + 2 decode steps,
+        recorded there)."""
+        import hashlib
 
         tokens = rng.integers(0, 50, size=(2, 7))
+        caches = model.new_caches()
+        logits = [model.prefill(tokens[:, :5], caches),
+                  model.decode_step(tokens[:, 5:6], caches),
+                  model.decode_step(tokens[:, 6:7], caches)]
+        digest = hashlib.sha256()
+        for step in logits:
+            assert step._parents == () and not step.requires_grad
+            digest.update(step.data.tobytes())
+        assert digest.hexdigest() == (
+            "f52a444d074c4b042835a169478cba369339f0865227ee4c39d09d5fe956a751")
 
-        def run():
-            caches = model.new_caches()
-            return [model.prefill(tokens[:, :5], caches),
-                    model.decode_step(tokens[:, 5:6], caches),
-                    model.decode_step(tokens[:, 6:7], caches)]
+    def test_training_mode_with_dropout_is_refused(self, rng):
+        """With live dropout the cached path used to apply it under
+        ``no_grad`` (two calls, two different logits); it now has eval
+        semantics only and says so."""
+        config = GPTConfig(vocab_size=50, embed_dim=16, num_layers=2,
+                           num_heads=2, context_length=32, dropout=0.2)
+        model = GPT(config, rng=0)
+        tokens = rng.integers(0, 50, size=(1, 5))
+        for _ in range(2):
+            with pytest.raises(ValueError,
+                               match=r"call eval\(\) before prefill/decode_step"):
+                model.prefill(tokens, model.new_caches())
+        model.eval()
+        first = model.prefill(tokens, model.new_caches()).data
+        again = model.prefill(tokens, model.new_caches()).data
+        assert first.tobytes() == again.tobytes()
 
-        plain = run()
-        monkeypatch.setattr("repro.models.gpt.no_grad",
-                            contextlib.nullcontext)
-        graphed = run()
-        for lean, full in zip(plain, graphed):
-            assert lean._parents == () and not lean.requires_grad
-            assert full._parents  # the reference really built a graph
-            assert lean.data.tobytes() == full.data.tobytes()
+    def test_caches_hold_the_context_length(self, model):
+        assert [cache.capacity for cache in model.new_caches()] == [32, 32]
 
     def test_decode_requires_single_token(self, model, rng):
         caches = model.new_caches()

@@ -265,3 +265,32 @@ def test_one_judge_and_one_victim():
     assert stand_ins == []
     assert not os.path.exists(os.path.join(root, "oblivious", "analysis.py"))
     assert not os.path.exists(os.path.join(root, "sidechannel", "victim.py"))
+
+
+def test_kv_cache_inference_runs_on_ndarrays():
+    """``GPT.prefill``/``decode_step`` run on plain ndarrays from the
+    embedding output to the logits: ``_cached_logits`` wraps only the final
+    logits in a ``Tensor`` (it used to run every op as an autograd Tensor
+    under ``no_grad``), the cache writes into a preallocated buffer (no
+    whole-cache ``np.concatenate`` per step), and the cached attention
+    branch builds no ``Tensor``."""
+    import ast
+    import inspect
+    import textwrap
+
+    from repro.models.gpt import GPT
+    from repro.nn import attention
+
+    def calls(function):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        return [node.func for node in ast.walk(tree)
+                if isinstance(node, ast.Call)]
+
+    cached = calls(GPT._cached_logits)
+    assert [func.id for func in cached if isinstance(func, ast.Name)
+            and func.id in ("Tensor", "no_grad")] == ["Tensor"]
+    assert "concatenate" not in {func.attr for func in calls(attention)
+                                 if isinstance(func, ast.Attribute)}
+    assert "Tensor" not in {func.id for func in
+                            calls(attention.MultiHeadSelfAttention.forward)
+                            if isinstance(func, ast.Name)}
