@@ -7,7 +7,7 @@ and breaker-driven failover (:mod:`repro.cluster.router`), cross-shard
 scatter-gather execution (:mod:`repro.cluster.scatter`), the plan-epoch
 control plane with live, audited table migration
 (:mod:`repro.cluster.epoch`, :mod:`repro.cluster.migration`), the
-self-healing elastic autoscaler (:mod:`repro.cluster.autoscale`), and the
+self-healing elastic fleet (:mod:`repro.cluster.autoscale`), and the
 gated sweeps (``python -m repro.cluster.sim``,
 ``python -m repro.cluster.migrate``,
 ``python -m repro.cluster.autoscale``).
@@ -18,10 +18,11 @@ from repro.cluster.autoscale import (
     Autoscaler,
     AutoscaleConfig,
     ClusterSignals,
+    ElasticFleet,
     HotLoadChasingController,
     ScaleDecision,
     SignalPlane,
-    Supervisor,
+    heal_moves,
     scaling_subject,
 )
 from repro.cluster.epoch import (
@@ -46,6 +47,7 @@ from repro.cluster.placement import (
     PLACEMENT_REGION,
     FrequencyKeyedPlanner,
     PlacementError,
+    PlanBook,
     RingPlanner,
     ShardPlan,
     ShardPlanner,
@@ -68,10 +70,11 @@ __all__ = [
     "Autoscaler",
     "AutoscaleConfig",
     "ClusterSignals",
+    "ElasticFleet",
     "HotLoadChasingController",
     "ScaleDecision",
     "SignalPlane",
-    "Supervisor",
+    "heal_moves",
     "scaling_subject",
     "EpochControlPlane",
     "PlanEpoch",
@@ -90,6 +93,7 @@ __all__ = [
     "PLACEMENT_REGION",
     "FrequencyKeyedPlanner",
     "PlacementError",
+    "PlanBook",
     "RingPlanner",
     "ShardPlan",
     "ShardPlanner",

@@ -5,10 +5,10 @@ A secret-free control loop: the :class:`~repro.cluster.autoscale.signals
 the :class:`~repro.cluster.autoscale.controller.Autoscaler` derives
 target node counts with hysteresis and cooldown (audited: decisions must
 replay byte-identically under contrasting skew profiles), and the
-:class:`~repro.cluster.autoscale.supervisor.Supervisor` re-replicates
-dead nodes' tables through the same audited migration path every planned
-reshape uses. The gated storm lives in ``python -m
-repro.cluster.autoscale``.
+:class:`~repro.cluster.autoscale.fleet.ElasticFleet` turns decisions into
+audited plan epochs and migrations — and dead nodes into heals through the
+same path. The gated storm lives in ``python -m repro.cluster.autoscale``;
+the LLM stage pools are the same fleet object.
 """
 
 from repro.cluster.autoscale.controller import (
@@ -23,8 +23,12 @@ from repro.cluster.autoscale.controller import (
     ScaleDecision,
     scaling_subject,
 )
+from repro.cluster.autoscale.fleet import (
+    KIND_HEAL,
+    ElasticFleet,
+    heal_moves,
+)
 from repro.cluster.autoscale.signals import ClusterSignals, SignalPlane
-from repro.cluster.autoscale.supervisor import Supervisor
 
 # repro.cluster.autoscale.sim is deliberately NOT imported here: it is the
 # ``python -m repro.cluster.autoscale`` entry point (via __main__) and
@@ -42,7 +46,9 @@ __all__ = [
     "HotLoadChasingController",
     "ScaleDecision",
     "scaling_subject",
+    "KIND_HEAL",
+    "ElasticFleet",
+    "heal_moves",
     "ClusterSignals",
     "SignalPlane",
-    "Supervisor",
 ]

@@ -5,10 +5,12 @@ clock: a Poisson load ramp pushes a 2-node fleet into saturation, the
 :class:`~repro.cluster.autoscale.controller.Autoscaler` grows it through
 successive plan epochs (each cutover executed live by the
 :class:`~repro.cluster.migration.MigrationEngine` under bandwidth
-contention), a node is killed mid-run and the
-:class:`~repro.cluster.autoscale.supervisor.Supervisor` re-replicates its
-tables before the controller is allowed to scale back down. The gates are
-the elastic counterpart of ``repro.cluster.sim``'s:
+contention), a node is killed mid-run and the fleet heals it —
+re-replicating its tables — before the controller is allowed to scale
+back down. Plans, reshapes and heals all go through one
+:class:`~repro.cluster.autoscale.fleet.ElasticFleet`, the same object each
+LLM stage pool is. The gates are the elastic counterpart of
+``repro.cluster.sim``'s:
 
 * **convergence** — after the ramp hits peak rate, achieved throughput
   recovers to >= ``CONVERGENCE_FLOOR`` x offered within
@@ -44,27 +46,18 @@ CLI::
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.cluster.autoscale.controller import (
     ACTION_DOWN,
     ACTION_UP,
-    Autoscaler,
     AutoscaleConfig,
     HotLoadChasingController,
     scaling_subject,
 )
-from repro.cluster.autoscale.signals import ClusterSignals, SignalPlane
-from repro.cluster.autoscale.supervisor import Supervisor
-from repro.cluster.epoch import EpochControlPlane, PlanEpoch
-from repro.cluster.migration import (
-    BandwidthContentionModel,
-    MigrationEngine,
-    migration_subject,
-)
-from repro.cluster.placement import AUDIT_SECRET_LENGTH, placement_subject
+from repro.cluster.autoscale.fleet import KIND_HEAL, ElasticFleet, event_key
+from repro.cluster.placement import AUDIT_SECRET_LENGTH, RingPlanner
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
-from repro.cluster.sim import plan_digest
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
 from repro.hybrid import dlrm_threshold_model
@@ -145,67 +138,33 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     sizes = spec.table_sizes
     uniform, thresholds = dlrm_threshold_model(dim, batch)
     skews = contrasting_secrets(len(sizes), AUDIT_SECRET_LENGTH)
-    auditor = LeakageAuditor()
-
-    # ------------------------------------------------------------------
-    # Plans come from the ring planner (incremental reshards) and every
-    # node count's plan passes the placement audit before it may serve.
-    base_planner = None
-    plans: Dict[int, object] = {}
-    plan_audits: List[Dict[str, object]] = []
-    placement_ok = True
-
-    def plan_for(nodes: int):
-        nonlocal base_planner, placement_ok
-        if nodes not in plans:
-            from repro.cluster.placement import RingPlanner
-
-            if base_planner is None:
-                base_planner = RingPlanner(nodes, thresholds, dim, uniform)
-            planner = (base_planner if base_planner.num_nodes == nodes
-                       else base_planner.for_nodes(nodes))
-            finding = auditor.require(placement_subject(
-                planner, sizes, config, workloads=skews))
-            placement_ok = placement_ok and finding.passed
-            plans[nodes] = planner.plan(sizes, config)
-            plan_audits.append({
-                "num_nodes": nodes,
-                "plan_digest": plan_digest(plans[nodes]),
-                "audit_divergence": finding.divergence,
-                "audit_passed": finding.passed,
-            })
-        return plans[nodes]
 
     dispatcher = ResilientDispatcher(num_replicas=START_NODES,
                                      min_replicas=MIN_NODES)
-    epoch0 = PlanEpoch.create(0, plan_for(START_NODES),
-                              replication=REPLICATION)
-    control = EpochControlPlane(epoch0, dispatcher=dispatcher)
-    engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
-                                 epoch0.router, retry=retry,
-                                 dispatcher=dispatcher)
     autoscale_config = AutoscaleConfig(
         min_nodes=MIN_NODES, max_nodes=MAX_NODES,
         high_utilisation=HIGH_UTILISATION,
         low_utilisation=LOW_UTILISATION, breach_ticks=BREACH_TICKS,
         cooldown_ticks=COOLDOWN_TICKS)
-    autoscaler = Autoscaler(autoscale_config)
-    supervisor = Supervisor(dispatcher, confirm_ticks=1)
-    plane = SignalPlane(dispatcher, interval_seconds=INTERVAL_SECONDS)
-    contention = BandwidthContentionModel()
+    # Plans come from the ring planner (incremental reshards); the fleet
+    # audits each node count's plan before it may serve.
+    fleet = ElasticFleet(RingPlanner(START_NODES, thresholds, dim, uniform),
+                         sizes, config, autoscale_config,
+                         start_nodes=START_NODES, replication=REPLICATION,
+                         dispatcher=dispatcher,
+                         interval_seconds=INTERVAL_SECONDS,
+                         step_size=STEP_SIZE)
+    control = fleet.control
+    engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
+                                 control.current.router, retry=retry,
+                                 dispatcher=dispatcher)
 
-    pending: Optional[MigrationEngine] = None
-    pending_kind: Optional[str] = None
-    pending_dead: List[int] = []
     # Event counters accumulate here and are stamped onto the next serve
     # interval's report, so the merged fleet report sums to the run total.
     stamp = {"scale_up_events": 0, "scale_down_events": 0, "heal_events": 0}
 
-    timeline: List[ClusterSignals] = []
     cells: List[Dict[str, object]] = []
     interval_reports: List[ClusterServingReport] = []
-    migration_audits: List[Dict[str, object]] = []
-    migration_ok = True
     steady_p99 = 0.0
     p99_events_ok = True
     kill_shed = 0
@@ -229,24 +188,21 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
             "killed": tick == KILL_TICK,
         }
 
-        if pending is not None:
-            migration = pending.execute(engine, config, queue, policy)
-            control.retire_through(
-                control.current.epoch - 1,
-                shrink_dispatcher=pending_kind == ACTION_DOWN)
-            if pending_kind == "heal":
-                supervisor.mark_replaced(pending_dead)
+        if fleet.pending is not None:
+            kind = fleet.pending_kind
+            migration = fleet.pending.execute(engine, config, queue, policy)
+            fleet.complete()
+            if kind == KIND_HEAL:
                 heal_shed += migration.shed_requests
                 heal_unroutable += migration.unroutable_events
                 health = dispatcher.health_summary(now)
                 replication_restored = (health["healthy"]
                                         == health["num_replicas"])
-                pending_dead = []
             capacity = _fleet_capacity(engine, config,
                                        control.current.router)
             answered = max(0, migration.num_requests
                            - migration.shed_requests)
-            signals = plane.snapshot(
+            signals = fleet.plane.snapshot(
                 offered_rps=rate,
                 achieved_rps=answered / INTERVAL_SECONDS,
                 capacity_rps=capacity,
@@ -262,7 +218,7 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
             p99_events_ok = (p99_events_ok
                              and inflation <= P99_EVENT_CEILING)
             cell.update({
-                "kind": pending_kind,
+                "kind": kind,
                 "source_epoch": migration.source_epoch,
                 "target_epoch": migration.target_epoch,
                 "tables_moved": migration.tables_moved,
@@ -274,8 +230,6 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                 "steady_p99_seconds": steady_p99,
                 "p99_inflation": inflation,
             })
-            pending = None
-            pending_kind = None
         else:
             result = engine.serve(config, queue, policy,
                                   owner_map=control.current.router)
@@ -285,7 +239,7 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
             stamp = {"scale_up_events": 0, "scale_down_events": 0,
                      "heal_events": 0}
             interval_reports.append(result)
-            signals = plane.observe(
+            signals = fleet.plane.observe(
                 result, offered_rps=rate,
                 replication=control.current.replication,
                 current_nodes=control.current.num_nodes,
@@ -303,53 +257,14 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                 "mean_queue_delay_seconds": result.report.mean_queue_delay,
             })
 
-        timeline.append(signals)
-        decision = autoscaler.decide(signals)
-        if decision.action in (ACTION_UP, ACTION_DOWN):
-            source = control.current
-            target = control.advance(plan_for(decision.target_nodes))
-            candidate = MigrationEngine(source, target,
-                                        step_size=STEP_SIZE,
-                                        contention=contention)
-            if candidate.move_set():
-                finding = auditor.audit(migration_subject(
-                    candidate, name=f"{decision.action}-tick{tick}"))
-                migration_ok = migration_ok and finding.passed
-                migration_audits.append({
-                    "tick": tick,
-                    "kind": decision.action,
-                    "tables": len(candidate.move_set()),
-                    "audit_divergence": finding.divergence,
-                    "audit_passed": finding.passed,
-                })
-                pending = candidate
-                pending_kind = decision.action
-            else:
-                # Nothing to copy: the cutover is immediate.
-                control.retire_through(
-                    control.current.epoch - 1,
-                    shrink_dispatcher=decision.action == ACTION_DOWN)
-            key = ("scale_up_events" if decision.action == ACTION_UP
-                   else "scale_down_events")
-            stamp[key] += 1
+        decision = fleet.decide(signals)
+        if decision.scales:
+            fleet.reshape(decision)
+            stamp[event_key(decision.action)] += 1
 
-        dead = supervisor.observe(now)
-        if dead and pending is None:
-            candidate = supervisor.heal(control, dead, step_size=STEP_SIZE,
-                                        contention=contention)
-            finding = auditor.audit(migration_subject(
-                candidate, name=f"heal-tick{tick}"))
-            migration_ok = migration_ok and finding.passed
-            migration_audits.append({
-                "tick": tick,
-                "kind": "heal",
-                "tables": len(candidate.move_set()),
-                "audit_divergence": finding.divergence,
-                "audit_passed": finding.passed,
-            })
-            pending = candidate
-            pending_kind = "heal"
-            pending_dead = list(dead)
+        dead = fleet.dead_nodes(now)
+        if dead and fleet.pending is None:
+            fleet.heal(dead, tick)
             stamp["heal_events"] += 1
 
         cell["signals"] = signals.to_dict()
@@ -391,10 +306,9 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # ------------------------------------------------------------------
     # Gate: scale decisions are skew-invariant (exact mode) and the
     # workload-chasing controller is caught.
-    scaling_finding = auditor.require(scaling_subject(
-        lambda: Autoscaler(autoscale_config), timeline, skews))
-    negative = auditor.audit(scaling_subject(
-        lambda: HotLoadChasingController(autoscale_config), timeline,
+    scaling_finding = fleet.scaling_audit(skews)
+    negative = LeakageAuditor().audit(scaling_subject(
+        lambda: HotLoadChasingController(autoscale_config), fleet.timeline,
         skews, name="hot-load-chasing", expect_oblivious=False))
 
     # ------------------------------------------------------------------
@@ -420,8 +334,8 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         plateau=plateau_ok,
         p99_events=p99_events_ok,
         heal_zero_loss=heal_ok,
-        placement_audit=placement_ok,
-        migration_audit=migration_ok,
+        placement_audit=fleet.placement_ok,
+        migration_audit=fleet.migration_ok,
         scaling_audit=scaling_finding.passed,
         leak_detector_teeth=negative.leak_detected,
         event_counters_merged=counters_ok,
@@ -438,17 +352,17 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "victim": VICTIM,
         "replication": REPLICATION,
         "autoscale_config": autoscale_config.to_dict(),
-        "contention": contention.to_dict(),
+        "contention": fleet.contention.to_dict(),
         "convergence_floor": CONVERGENCE_FLOOR,
         "convergence_budget_ticks": CONVERGENCE_BUDGET_TICKS,
         "p99_event_ceiling": P99_EVENT_CEILING,
         "first_peak_tick": first_peak,
         "converged_tick": converged_tick,
-        "final_nodes": control.current.num_nodes,
+        "final_nodes": fleet.nodes,
         "final_epoch": control.current.epoch,
         "events": events,
-        "plan_audits": plan_audits,
-        "migration_audits": migration_audits,
+        "plan_audits": fleet.plans.audits,
+        "migration_audits": fleet.migration_audits,
         "scaling_audit": scaling_finding.to_dict(),
         "negative_audit": negative.to_dict(),
         "intervals": cells,

@@ -46,9 +46,8 @@ from repro.cluster.migration import (
     MigrationEngine,
     migration_subject,
 )
-from repro.cluster.placement import RingPlanner, placement_subject
+from repro.cluster.placement import PlanBook, RingPlanner
 from repro.cluster.scatter import ScatterGatherEngine
-from repro.cluster.sim import plan_digest
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
 from repro.hybrid import dlrm_threshold_model
@@ -152,27 +151,14 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     sizes = spec.table_sizes
     uniform, thresholds = dlrm_threshold_model(dim, batch)
     arrivals = RequestQueue.poisson(num_requests, rate_rps, rng=seed)
-    auditor = LeakageAuditor()
 
     # ------------------------------------------------------------------
     # Per-epoch placement audit: every plan that any epoch will serve
     # passes the exact-mode leakage gate first.
     node_counts = sorted({nodes_before, nodes_after})
-    base = RingPlanner(node_counts[0], thresholds, dim, uniform)
-    plans: Dict[int, object] = {}
-    epoch_audits: List[Dict[str, object]] = []
-    audits_passed = True
-    for nodes in node_counts:
-        planner = base if nodes == node_counts[0] else base.for_nodes(nodes)
-        finding = auditor.require(placement_subject(planner, sizes, config))
-        audits_passed = audits_passed and finding.passed
-        plans[nodes] = planner.plan(sizes, config)
-        epoch_audits.append({
-            "num_nodes": nodes,
-            "plan_digest": plan_digest(plans[nodes]),
-            "audit_divergence": finding.divergence,
-            "audit_passed": finding.passed,
-        })
+    book = PlanBook(RingPlanner(node_counts[0], thresholds, dim, uniform),
+                    sizes, config)
+    plans = {nodes: book.plan_for(nodes) for nodes in node_counts}
 
     # ------------------------------------------------------------------
     # The sweep: add and remove directions x replication x step size.
@@ -243,12 +229,12 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     target = source.successor(plans[nodes_after])
     hot = MigrationEngine(source, target, step_size=1,
                           planner=HotFirstMigrationPlanner())
-    negative = auditor.audit(migration_subject(
+    negative = LeakageAuditor().audit(migration_subject(
         hot, name="hot-first-migration", expect_oblivious=False))
     negative_ok = negative.leak_detected
 
     gates = gated.gate_dict(
-        per_epoch_placement_audit=audits_passed,
+        per_epoch_placement_audit=book.passed,
         migration_audit=migration_audit_ok,
         zero_loss_r2=zero_loss_ok,
         p99_inflation=p99_ok,
@@ -270,7 +256,7 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "step_sizes": list(step_sizes),
         "p99_inflation_ceiling": P99_INFLATION_CEILING,
         "move_slack": MOVE_SLACK,
-        "epoch_audits": epoch_audits,
+        "epoch_audits": book.audits,
         "cells": cells,
         "failover": failover,
         "negative_audit": negative.to_dict(),

@@ -28,6 +28,8 @@ representation.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,6 +47,7 @@ from repro.serving.engine import ServingConfig
 from repro.telemetry.audit import (
     MODE_EXACT,
     AuditSubject,
+    LeakageAuditor,
     contrasting_secrets,
 )
 from repro.telemetry.runtime import get_registry
@@ -138,6 +141,11 @@ class ShardPlan:
                                      for node in range(self.num_nodes)],
             "placements": [p.to_dict() for p in self.placements],
         }
+
+    def digest(self) -> str:
+        """Content hash of the plan (what the skew-invariance gate compares)."""
+        payload = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 class ShardPlanner:
@@ -342,3 +350,48 @@ def placement_subject(planner: ShardPlanner, table_sizes: Sequence[int],
 
     return AuditSubject(name, run, workloads, mode=MODE_EXACT,
                         expect_oblivious=expect_oblivious)
+
+
+class PlanBook:
+    """One memoised plan per node count, each placement-audited first.
+
+    Every fleet that resizes asks the book, never the planner: the first
+    request for a node count derives that planner
+    (:meth:`ShardPlanner.for_nodes`), passes
+    ``LeakageAuditor().require(placement_subject(...))`` and records the
+    verdict in :attr:`audits`; later requests return the same plan object.
+    A ``name`` labels every record with ``"pool"`` (a fleet that is one of
+    several).
+    """
+
+    def __init__(self, planner: ShardPlanner, table_sizes: Sequence[int],
+                 config: ServingConfig, name: Optional[str] = None) -> None:
+        self.planner = planner
+        self.table_sizes = list(table_sizes)
+        self.config = config
+        self.name = name
+        self._plans: Dict[int, ShardPlan] = {}
+        self.audits: List[Dict[str, object]] = []
+
+    @property
+    def passed(self) -> bool:
+        return all(audit["audit_passed"] for audit in self.audits)
+
+    def plan_for(self, nodes: int) -> ShardPlan:
+        if nodes not in self._plans:
+            planner = (self.planner if self.planner.num_nodes == nodes
+                       else self.planner.for_nodes(nodes))
+            finding = LeakageAuditor().require(placement_subject(
+                planner, self.table_sizes, self.config))
+            plan = self._plans[nodes] = planner.plan(self.table_sizes,
+                                                     self.config)
+            audit: Dict[str, object] = {
+                "num_nodes": nodes,
+                "plan_digest": plan.digest(),
+                "audit_divergence": finding.divergence,
+                "audit_passed": finding.passed,
+            }
+            if self.name is not None:
+                audit["pool"] = self.name
+            self.audits.append(audit)
+        return self._plans[nodes]

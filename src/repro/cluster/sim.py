@@ -31,14 +31,11 @@ CLI::
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.placement import (
     AUDIT_SECRET_LENGTH,
     FrequencyKeyedPlanner,
-    ShardPlan,
     ShardPlanner,
     placement_subject,
 )
@@ -75,12 +72,6 @@ CACHE_BUDGET_BYTES = 64 * 1024 * 1024
 
 #: the skew profiles the sweep replays placement under
 SKEW_NAMES = ("hot-head", "hot-tail", "uniform")
-
-
-def plan_digest(plan: ShardPlan) -> str:
-    """Content hash of a plan (what the skew-invariance gate compares)."""
-    payload = json.dumps(plan.to_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _cell(nodes: int, replication: int,
@@ -128,15 +119,15 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
             planner, sizes, config, workloads=list(skews.values())))
         audits_passed = audits_passed and finding.passed
         # Skew invariance: the plan digest must not move with the workload.
-        digests = {name: plan_digest(planner.plan(sizes, config,
-                                                  workload=workload))
+        digests = {name: planner.plan(sizes, config,
+                                      workload=workload).digest()
                    for name, workload in skews.items()}
         invariant = len(set(digests.values())) == 1
         skew_invariant = skew_invariant and invariant
         plan = planner.plan(sizes, config)
         topologies.append({
             "nodes": nodes,
-            "plan_digest": plan_digest(plan),
+            "plan_digest": plan.digest(),
             "plan_digests_by_skew": digests,
             "skew_invariant": invariant,
             "audit_divergence": finding.divergence,

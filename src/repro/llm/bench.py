@@ -108,29 +108,28 @@ def build_pools(spec: LlmServingSpec,
     Every pool plans the same dataset's table set through the standing
     threshold model (the pool's state shards — vocabulary, weights, KV
     partitions — priced like any other placed tables), so all three share
-    the ring planner's incrementality and the one migration audit path.
+    the ring planner's incrementality and the one
+    :class:`~repro.cluster.autoscale.fleet.ElasticFleet` audit path.
     """
     uniform, thresholds = dlrm_threshold_model(dataset.embedding_dim,
                                                spec.prefill_batch)
     config = ServingConfig(batch_size=spec.prefill_batch, threads=1,
                            sla_seconds=0.020)
-    skews = contrasting_secrets(len(dataset.table_sizes),
-                                AUDIT_SECRET_LENGTH)
     pools: Dict[str, StagePool] = {}
     for name, (start, low, high) in POOL_SIZING.items():
-        planner = RingPlanner(start, thresholds,
-                              dataset.embedding_dim, uniform)
         pools[name] = StagePool(
-            name=name, planner=planner,
-            table_sizes=dataset.table_sizes, config=config,
+            name=name,
             per_node_capacity_rps=per_node_capacity_rps(spec, name),
+            planner=RingPlanner(start, thresholds, dataset.embedding_dim,
+                                uniform),
+            table_sizes=dataset.table_sizes, config=config,
             autoscale_config=AutoscaleConfig(
                 min_nodes=low, max_nodes=high,
                 high_utilisation=HIGH_UTILISATION,
                 low_utilisation=LOW_UTILISATION,
                 breach_ticks=BREACH_TICKS,
                 cooldown_ticks=COOLDOWN_TICKS),
-            start_nodes=start, replication=REPLICATION, skews=skews,
+            start_nodes=start, replication=REPLICATION,
             interval_seconds=INTERVAL_SECONDS, step_size=STEP_SIZE)
     return pools
 

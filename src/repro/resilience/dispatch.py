@@ -101,7 +101,7 @@ class ResilientDispatcher:
             self._cursor %= num_replicas
 
     def replace_replica(self, replica: int) -> None:
-        """Swap a fresh machine into a dead slot (the supervisor's heal).
+        """Swap a fresh machine into a dead slot (the elastic fleet's heal).
 
         The replacement joins healthy — new breaker, no crash window, zero
         dispatch/failure counters — because it *is* a different machine;

@@ -1,21 +1,24 @@
-"""The autoscale control loop: signals, controller, supervisor, audits."""
+"""The autoscale control loop: signals, controller, elastic fleet, audits."""
 
 import math
 
 import pytest
 
 from repro.cluster.autoscale import (
+    ACTION_DOWN,
     AUTOSCALE_REGION,
+    KIND_HEAL,
     Autoscaler,
     AutoscaleConfig,
     ClusterSignals,
+    ElasticFleet,
     HotLoadChasingController,
+    ScaleDecision,
     SignalPlane,
-    Supervisor,
+    heal_moves,
     scaling_subject,
 )
-from repro.cluster.epoch import EpochControlPlane, PlanEpoch
-from repro.cluster.migration import BandwidthContentionModel
+from repro.cluster.epoch import PlanEpoch
 from repro.cluster.placement import RingPlanner
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC
@@ -223,28 +226,44 @@ def epoch4(thresholds):
     return PlanEpoch.create(0, plan, replication=2)
 
 
-class TestSupervisor:
-    def test_detection_needs_confirm_ticks(self):
-        dispatcher = ResilientDispatcher(num_replicas=3)
-        supervisor = Supervisor(dispatcher, confirm_ticks=2)
-        dispatcher.mark_down(2, until_seconds=FOREVER, now_seconds=0.0)
-        assert supervisor.observe(0.0) == []      # first sighting
-        assert supervisor.observe(0.25) == [2]    # confirmed
+@pytest.fixture
+def make_fleet(thresholds):
+    """An R=2 fleet over a fresh dispatcher, as the autoscale storm builds."""
+    from repro.serving import ServingConfig
 
-    def test_recovered_replica_clears_the_streak(self):
-        dispatcher = ResilientDispatcher(num_replicas=3)
-        supervisor = Supervisor(dispatcher, confirm_ticks=2)
-        dispatcher.mark_down(2, until_seconds=0.1, now_seconds=0.0)
-        assert supervisor.observe(0.0) == []
+    def make(nodes=4, confirm_ticks=1):
+        planner = RingPlanner(nodes, thresholds, DIM,
+                              uniform_shape=DLRM_DHE_UNIFORM_64)
+        return ElasticFleet(planner, SIZES,
+                            ServingConfig(batch_size=32, threads=1), CONFIG,
+                            start_nodes=nodes, replication=2,
+                            dispatcher=ResilientDispatcher(
+                                num_replicas=nodes, min_replicas=2),
+                            confirm_ticks=confirm_ticks)
+    return make
+
+
+class TestSupervisor:
+    """Dead-replica detection and heals, on the one elastic fleet."""
+
+    def test_detection_needs_confirm_ticks(self, make_fleet):
+        fleet = make_fleet(nodes=3, confirm_ticks=2)
+        fleet.dispatcher.mark_down(2, until_seconds=FOREVER, now_seconds=0.0)
+        assert fleet.dead_nodes(0.0) == []      # first sighting
+        assert fleet.dead_nodes(0.25) == [2]    # confirmed
+
+    def test_recovered_replica_clears_the_streak(self, make_fleet):
+        fleet = make_fleet(nodes=3, confirm_ticks=2)
+        fleet.dispatcher.mark_down(2, until_seconds=0.1, now_seconds=0.0)
+        assert fleet.dead_nodes(0.0) == []
         # The crash window has lapsed: not dead, streak resets.
-        assert supervisor.observe(0.25) == []
-        dispatcher.mark_down(2, until_seconds=FOREVER, now_seconds=0.5)
-        assert supervisor.observe(0.5) == []
+        assert fleet.dead_nodes(0.25) == []
+        fleet.dispatcher.mark_down(2, until_seconds=FOREVER,
+                                   now_seconds=0.5)
+        assert fleet.dead_nodes(0.5) == []
 
     def test_heal_moves_cover_exactly_the_dead_nodes_tables(self, epoch4):
-        dispatcher = ResilientDispatcher(num_replicas=4)
-        supervisor = Supervisor(dispatcher)
-        moves = supervisor.heal_moves(epoch4, [1])
+        moves = heal_moves(epoch4, [1])
         expected = [table_id for table_id in range(NUM_TABLES)
                     if 1 in epoch4.owners(table_id)]
         assert [move.table_id for move in moves] == expected
@@ -254,32 +273,81 @@ class TestSupervisor:
             assert set(move.to_owners) == set(epoch4.owners(move.table_id))
             assert move.bytes_modelled == epoch4.footprint_of(move.table_id)
 
-    def test_heal_issues_same_plan_successor_epoch(self, epoch4):
-        dispatcher = ResilientDispatcher(num_replicas=4)
-        control = EpochControlPlane(epoch4, dispatcher=dispatcher)
-        supervisor = Supervisor(dispatcher)
-        dispatcher.mark_down(1, until_seconds=FOREVER, now_seconds=0.0)
-        assert supervisor.observe(0.0) == [1]
-        migrator = supervisor.heal(control, [1],
-                                   contention=BandwidthContentionModel())
-        assert control.current.epoch == epoch4.epoch + 1
-        assert migrator.target.plan is epoch4.plan
+    def test_heal_issues_same_plan_successor_epoch(self, make_fleet):
+        fleet = make_fleet()
+        source = fleet.control.current
+        fleet.dispatcher.mark_down(1, until_seconds=FOREVER, now_seconds=0.0)
+        assert fleet.dead_nodes(0.0) == [1]
+        migrator = fleet.heal([1], tick=0)
+        assert fleet.control.current.epoch == source.epoch + 1
+        assert migrator.target.plan is source.plan
         assert migrator.move_set()                 # explicit override set
         # The epoch diff alone would be empty — the override carries it.
         assert all(move.new_owners == (1,) for move in migrator.move_set())
+        assert (fleet.pending, fleet.pending_kind) == (migrator, KIND_HEAL)
+        assert fleet.migration_audits[-1]["kind"] == KIND_HEAL
+        assert fleet.migration_ok
 
-    def test_heal_without_dead_nodes_rejected(self, epoch4):
-        dispatcher = ResilientDispatcher(num_replicas=4)
-        control = EpochControlPlane(epoch4, dispatcher=dispatcher)
-        supervisor = Supervisor(dispatcher)
+    def test_heal_without_dead_nodes_rejected(self, make_fleet):
+        fleet = make_fleet()
         with pytest.raises(ValueError, match="at least one dead node"):
-            supervisor.heal(control, [])
+            fleet.heal([], tick=0)
 
-    def test_mark_replaced_restores_health(self, epoch4):
-        dispatcher = ResilientDispatcher(num_replicas=4)
-        supervisor = Supervisor(dispatcher)
-        dispatcher.mark_down(1, until_seconds=FOREVER, now_seconds=0.0)
-        assert supervisor.observe(0.0) == [1]
-        supervisor.mark_replaced([1])
-        assert dispatcher.health_summary(0.0)["healthy"] == 4
-        assert supervisor.observe(0.25) == []
+    def test_mark_replaced_restores_health(self, make_fleet):
+        fleet = make_fleet()
+        fleet.dispatcher.mark_down(1, until_seconds=FOREVER, now_seconds=0.0)
+        assert fleet.dead_nodes(0.0) == [1]
+        fleet.heal([1], tick=0)
+        fleet.complete()
+        assert fleet.dispatcher.health_summary(0.0)["healthy"] == 4
+        assert fleet.dead_nodes(0.25) == []
+        assert fleet.control.live_epochs == [fleet.control.current.epoch]
+
+    def test_released_slot_forgets_its_crash_streak(self, make_fleet):
+        # A slot a scale-down releases comes back as a fresh machine: its
+        # first crash is a first sighting, not the corpse's second.
+        fleet = make_fleet(nodes=3, confirm_ticks=2)
+        dispatcher = fleet.dispatcher
+        dispatcher.mark_down(2, until_seconds=FOREVER, now_seconds=0.0)
+        assert fleet.dead_nodes(0.0) == []
+        dispatcher.ensure_replicas(2, allow_shrink=True)
+        assert fleet.dead_nodes(0.25) == []
+        dispatcher.ensure_replicas(3)
+        dispatcher.mark_down(2, until_seconds=FOREVER, now_seconds=0.5)
+        assert fleet.dead_nodes(0.5) == []
+        assert fleet.dead_nodes(0.75) == [2]
+
+
+class TestElasticFleet:
+    def test_scale_down_releases_slots_only_on_complete(self, make_fleet):
+        fleet = make_fleet()
+        migration = fleet.reshape(ScaleDecision(0, ACTION_DOWN,
+                                                "low-utilisation", 4, 3))
+        assert migration is fleet.pending and migration.move_set()
+        assert fleet.nodes == 3
+        # The old epoch still routes in-flight traffic to slot 3.
+        assert fleet.dispatcher.num_replicas == 4
+        assert fleet.control.live_epochs == [0, 1]
+        fleet.complete()
+        assert fleet.dispatcher.num_replicas == 3
+        assert fleet.control.live_epochs == [1]
+        assert fleet.events == {"scale_up_events": 0,
+                                "scale_down_events": 1}
+        assert [audit["num_nodes"] for audit in fleet.plans.audits] == [4, 3]
+
+    def test_one_migration_at_a_time(self, make_fleet):
+        fleet = make_fleet()
+        fleet.reshape(ScaleDecision(0, ACTION_DOWN, "low-utilisation", 4, 3))
+        with pytest.raises(RuntimeError, match="still pending"):
+            fleet.heal([0], tick=1)
+        fleet.complete()
+        with pytest.raises(RuntimeError, match="no pending migration"):
+            fleet.complete()
+
+    def test_hold_does_not_reshape(self, make_fleet):
+        fleet = make_fleet()
+        decision = fleet.decide(signals_for(0, 0.5, nodes=4))
+        assert fleet.reshape(decision) is None
+        assert fleet.pending is None
+        assert fleet.control.current.epoch == 0
+        assert len(fleet.timeline) == 1

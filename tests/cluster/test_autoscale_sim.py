@@ -1,5 +1,6 @@
 """Autoscale simulator: gates, storm storyline, determinism, CLI."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,17 @@ class TestGates:
         for audit in report["plan_audits"] + report["migration_audits"]:
             assert audit["audit_passed"]
             assert audit["audit_divergence"] == 0.0
+
+    def test_reshape_ledger_matches_the_pre_fleet_sim(self, report):
+        """Plan audits, migration audits, events and the final fleet are
+        unchanged since the storm ran its own plan/reshape/heal loop (digest
+        recorded at 4f3c48d)."""
+        ledger = json.dumps({key: report[key] for key in (
+            "plan_audits", "migration_audits", "events", "final_nodes",
+            "final_epoch")}, sort_keys=True)
+        assert (hashlib.sha256(ledger.encode("utf-8")).hexdigest()
+                == "0f24bfca95df1af4133956f5ac535362"
+                   "810fc6f7e109deab4e69d4e458ec381a")
 
     def test_scaling_decisions_are_skew_invariant(self, report):
         audit = report["scaling_audit"]

@@ -1,11 +1,13 @@
 """StagePool: per-pool scaling over the shared audited cluster machinery."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.cluster.autoscale import ElasticFleet
 from repro.data import KAGGLE_SPEC
-from repro.llm.bench import build_pools
+from repro.llm.bench import INTERVAL_SECONDS, build_pools, rate_schedule
 from repro.llm.stages import LlmServingSpec
 from repro.telemetry.audit import contrasting_secrets
 
@@ -62,11 +64,39 @@ class TestAuditPath:
 
     def test_plans_are_memoised_and_placement_audited(self, pools):
         pool = pools["decode"]
-        first = pool.plan_for(3)
-        audits_after_first = len(pool.plan_audits)
-        assert pool.plan_for(3) is first
-        assert len(pool.plan_audits) == audits_after_first
+        first = pool.plans.plan_for(3)
+        audits_after_first = len(pool.plans.audits)
+        assert pool.plans.plan_for(3) is first
+        assert len(pool.plans.audits) == audits_after_first
         assert pool.placement_ok
+        assert pool.plans.audits[-1] == {
+            "pool": "decode", "num_nodes": 3,
+            "plan_digest": first.digest(), "audit_divergence": 0.0,
+            "audit_passed": True}
+
+    def test_pools_are_the_autoscale_fleet(self, pools):
+        # One plan / reshape / heal object: a pool only adds its pricing.
+        assert all(isinstance(pool, ElasticFleet) for pool in pools.values())
+        assert all(pool.dead_nodes(0.0) == [] for pool in pools.values())
+
+    def test_ramp_ledger_matches_the_pre_fleet_pools(self, spec):
+        """The bench ramp's plan and migration ledger, byte for byte.
+
+        The digest was recorded at 4f3c48d, before the pools became
+        :class:`ElasticFleet` s; decisions read utilisation only, so the
+        pipeline's queue delays are not needed to replay them.
+        """
+        pools = build_pools(spec)
+        for tick, rate in enumerate(rate_schedule()):
+            for pool in pools.values():
+                pool.tick(offered_rps=rate, queue_delay_seconds=0.0,
+                          now_seconds=tick * INTERVAL_SECONDS)
+        ledger = json.dumps({name: pool.to_dict()
+                             for name, pool in pools.items()},
+                            sort_keys=True)
+        assert (hashlib.sha256(ledger.encode("utf-8")).hexdigest()
+                == "41d07e51992dfce912ed28223533f694"
+                   "ae5b223cd23f7033bfbdd01d6017dd5b")
 
     def test_decision_timeline_replays_skew_invariantly(self, pools):
         pool = pools["decode"]

@@ -294,3 +294,48 @@ def test_kv_cache_inference_runs_on_ndarrays():
     assert "Tensor" not in {func.id for func in
                             calls(attention.MultiHeadSelfAttention.forward)
                             if isinstance(func, ast.Name)}
+
+
+def test_one_elastic_fleet_plans_reshapes_and_heals():
+    """Every resizing fleet is a ``repro.cluster.autoscale.fleet
+    .ElasticFleet``: epochs advance and migrations are built there (the
+    autoscale storm, each LLM stage pool and the ``Supervisor`` each had a
+    copy), outside only the two-epoch sweep of ``repro.cluster.migrate``;
+    plans are memoised by ``PlanBook.plan_for`` alone (there were three
+    ``plan_for`` copies), and the plan hash is ``ShardPlan.digest``."""
+    import ast
+    import os
+
+    import repro
+    from repro.cluster import sim
+
+    root = os.path.dirname(repro.__file__)
+    advancers, builders, plan_fors = set(), set(), []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            where = os.path.relpath(path, root)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if (isinstance(func, ast.Attribute)
+                            and func.attr == "advance"):
+                        advancers.add(where)
+                    elif (isinstance(func, ast.Name)
+                            and func.id == "MigrationEngine"):
+                        builders.add(where)
+                elif (isinstance(node, ast.FunctionDef)
+                        and node.name == "plan_for"):
+                    plan_fors.append(where)
+    allowed = {os.path.join("cluster", "autoscale", "fleet.py"),
+               os.path.join("cluster", "migrate.py")}
+    assert advancers == allowed
+    assert builders == allowed
+    assert plan_fors == [os.path.join("cluster", "placement.py")]
+    assert not os.path.exists(
+        os.path.join(root, "cluster", "autoscale", "supervisor.py"))
+    assert not hasattr(sim, "plan_digest")
