@@ -11,9 +11,10 @@ one stage at a time:
   :class:`~repro.serving.PricedStage`\\ s over the cost model (prefill
   throughput-bound batched DHE, decode latency-bound Circuit ORAM with a
   per-token loop), plus their decision-trace audit subjects;
-* :mod:`repro.llm.pools` — one independently autoscaled pool per stage:
-  each owns its plan epochs, secret-free signal plane and hysteresis
-  controller, all three sharing the audited migration path;
+* :mod:`repro.llm.pools` — one independently autoscaled pool per stage,
+  each an :class:`~repro.cluster.autoscale.ElasticFleet` (its own plan
+  epochs, secret-free signal plane and hysteresis controller) priced as
+  fluid per-node capacity;
 * :mod:`repro.llm.bench` — the gated simulator
   (``python -m repro.llm.bench``; registry id ``llm``).
 """
