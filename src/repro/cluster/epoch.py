@@ -1,4 +1,4 @@
-"""Plan epochs: versioned, immutable plan snapshots + epoch-aware routing.
+"""Plan epochs: versioned, immutable plan snapshots routed by arrival epoch.
 
 The static ``ShardPlan`` answered "where does table t live?" once, at
 construction time. A live fleet replans — nodes join, nodes drain — and
@@ -10,11 +10,12 @@ decision public and deterministic:
   increasing epoch number, the plan, and the router bound to it. Nothing
   about an epoch ever mutates; "changing the plan" means *deriving the
   successor epoch*;
-* the :class:`EpochControlPlane` owns the epoch sequence and routes every
-  request **by the epoch it arrived in**: a request admitted under epoch
-  k is served by epoch k's owner map even if epoch k+1 cuts over while it
-  is in flight, so routing depends only on (public) arrival time, never
-  on request content;
+* the :class:`EpochControlPlane` owns the epoch sequence, and a request
+  is routed **by the epoch it arrived in**: one admitted under epoch k is
+  served against ``control.epoch(k).router`` (or a migration's owner map)
+  even if epoch k+1 cuts over while it is in flight. Both route through
+  :func:`~repro.cluster.router.route_tables`, so routing depends only on
+  table id, the (public) arrival epoch and replica health;
 * replica health carries over: the control plane holds one
   :class:`~repro.resilience.dispatch.ResilientDispatcher` shared by every
   epoch, grown in place when an epoch adds nodes
@@ -24,7 +25,7 @@ decision public and deterministic:
 
 The move from epoch k to k+1 — who copies which table when — is the
 :class:`~repro.cluster.migration.MigrationEngine`'s job; the control plane
-only versions, routes, and retires.
+only versions and retires.
 """
 
 from __future__ import annotations
@@ -58,28 +59,18 @@ class PlanEpoch:
             raise ValueError(
                 f"router spans {self.router.num_nodes} nodes but the plan "
                 f"places onto {self.plan.num_nodes}")
-        # Bind the router to this epoch: its memoized owner sets are only
-        # valid for the plan it was built from.
-        self.router.set_epoch(self.epoch)
 
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, epoch: int, plan: ShardPlan, replication: int = 1,
-               virtual_nodes: int = 32) -> "PlanEpoch":
-        """Snapshot a plan: build the router bound to this epoch."""
-        router = ShardRouter(plan.num_nodes, replication=replication,
-                             virtual_nodes=virtual_nodes, plan=plan,
-                             epoch=epoch)
-        return cls(epoch=epoch, plan=plan, router=router)
+    def create(cls, epoch: int, plan: ShardPlan,
+               replication: int = 1) -> "PlanEpoch":
+        """Snapshot a plan: build the router over it."""
+        return cls(epoch=epoch, plan=plan,
+                   router=ShardRouter(plan.num_nodes, replication, plan))
 
-    def successor(self, plan: ShardPlan,
-                  replication: Optional[int] = None) -> "PlanEpoch":
-        """Derive epoch k+1 from a new plan (same replication by default)."""
-        return PlanEpoch.create(
-            self.epoch + 1, plan,
-            replication=(self.router.replication if replication is None
-                         else replication),
-            virtual_nodes=self.router.virtual_nodes)
+    def successor(self, plan: ShardPlan) -> "PlanEpoch":
+        """Derive epoch k+1 from a new plan at the same replication."""
+        return PlanEpoch.create(self.epoch + 1, plan, self.replication)
 
     # ------------------------------------------------------------------
     @property
@@ -95,7 +86,7 @@ class PlanEpoch:
         return len(self.plan.placements)
 
     def owners(self, table_id: int) -> Tuple[int, ...]:
-        return self.router.owners_for(table_id)
+        return self.router.owners(table_id)
 
     def footprint_of(self, table_id: int) -> int:
         for placement in self.plan.placements:
@@ -115,7 +106,7 @@ class PlanEpoch:
 
 
 class EpochControlPlane:
-    """The epoch sequence: issue, route-by-arrival-epoch, retire.
+    """The epoch sequence: issue, look up by arrival epoch, retire.
 
     One dispatcher is shared across every epoch so per-replica breaker and
     crash state survives plan changes; :meth:`advance` grows it in place
@@ -149,10 +140,9 @@ class EpochControlPlane:
                 f"epochs: {self.live_epochs}") from None
 
     # ------------------------------------------------------------------
-    def advance(self, plan: ShardPlan,
-                replication: Optional[int] = None) -> PlanEpoch:
+    def advance(self, plan: ShardPlan) -> PlanEpoch:
         """Issue the successor epoch; replica health carries over."""
-        nxt = self.current.successor(plan, replication=replication)
+        nxt = self.current.successor(plan)
         if self.dispatcher is not None:
             self.dispatcher.ensure_replicas(nxt.num_nodes)
         self._epochs[nxt.epoch] = nxt
@@ -183,20 +173,6 @@ class EpochControlPlane:
             span = max(epoch.num_nodes for epoch in self._epochs.values())
             self.dispatcher.ensure_replicas(
                 max(span, self.dispatcher.min_replicas), allow_shrink=True)
-
-    # ------------------------------------------------------------------
-    def route(self, table_id: int, epoch: Optional[int] = None,
-              now_seconds: float = 0.0) -> Optional[int]:
-        """First live owner of the table *under the request's epoch*.
-
-        ``epoch`` is the epoch the request arrived in (default: current).
-        Routing by arrival epoch means an in-flight request's fan-out is a
-        pure function of public metadata — the epoch counter at its
-        arrival — never of anything learned since.
-        """
-        plan_epoch = self.current if epoch is None else self.epoch(epoch)
-        return plan_epoch.router.route(table_id, now_seconds=now_seconds,
-                                       dispatcher=self.dispatcher)
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.cluster.epoch import PlanEpoch
 from repro.cluster.placement import AUDIT_SECRET_LENGTH
+from repro.cluster.router import route_tables
 from repro.oblivious.trace import WRITE, MemoryTracer
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.engine import ServingConfig
@@ -189,10 +190,10 @@ class TransitioningOwnerMap:
     the target epoch, and in-flight tables are **double-served**: both the
     first live source-side owner and the first live target-side owner
     carry the table, so a request finds it as long as either side has a
-    live replica. Exposes the same ``assignment`` contract as
-    :class:`~repro.cluster.router.ShardRouter`, which is what lets the
-    scatter-gather engine fan out against a transition without knowing one
-    is happening.
+    live replica. Its ``assignment`` is the router's own walk
+    (:func:`~repro.cluster.router.route_tables`) over two owner groups per
+    in-flight table, which is what lets the scatter-gather engine fan out
+    against a transition without knowing one is happening.
     """
 
     def __init__(self, source: PlanEpoch, target: PlanEpoch,
@@ -208,14 +209,10 @@ class TransitioningOwnerMap:
     # ------------------------------------------------------------------
     def owners(self, table_id: int) -> Tuple[int, ...]:
         """Every node holding the table right now (source side first)."""
-        if table_id in self.moved:
-            return self.target.owners(table_id)
-        if table_id in self.in_flight:
-            combined = list(self.source.owners(table_id))
-            combined += [node for node in self.target.owners(table_id)
-                         if node not in combined]
-            return tuple(combined)
-        return self.source.owners(table_id)
+        combined: List[int] = []
+        for group in self._owner_groups(table_id):
+            combined += [node for node in group if node not in combined]
+        return tuple(combined)
 
     def _owner_groups(self, table_id: int) -> List[Tuple[int, ...]]:
         """The owner sets that each independently serve the table."""
@@ -236,24 +233,8 @@ class TransitioningOwnerMap:
         inflation gate prices — and is unroutable only when every owner on
         both sides is out.
         """
-        check_positive("num_tables", num_tables)
-        admitted = (None if dispatcher is None
-                    else set(dispatcher.admitted(now_seconds)))
-        routed: Dict[int, List[int]] = {}
-        unroutable: List[int] = []
-        for table_id in range(num_tables):
-            nodes: List[int] = []
-            for group in self._owner_groups(table_id):
-                live = (group[0] if admitted is None
-                        else next((owner for owner in group
-                                   if owner in admitted), None))
-                if live is not None and live not in nodes:
-                    nodes.append(live)
-            if not nodes:
-                unroutable.append(table_id)
-            for node in nodes:
-                routed.setdefault(node, []).append(table_id)
-        return routed, unroutable
+        return route_tables(self._owner_groups, num_tables, now_seconds,
+                            dispatcher)
 
     def to_dict(self) -> Dict[str, object]:
         return {

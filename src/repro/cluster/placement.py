@@ -322,9 +322,8 @@ class RingPlanner(ShardPlanner):
                 workload: Optional[Sequence[int]]) -> Dict[int, int]:
         from repro.cluster.router import ShardRouter
 
-        ring = ShardRouter(self.num_nodes, replication=1,
-                           virtual_nodes=32)
-        return {cost.table_id: ring.owners_for(cost.table_id)[0]
+        ring = ShardRouter(self.num_nodes)
+        return {cost.table_id: ring.owners(cost.table_id)[0]
                 for cost in costs}
 
 

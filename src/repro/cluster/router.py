@@ -6,23 +6,26 @@ primary (when a :class:`~repro.cluster.placement.ShardPlan` is given)
 followed by successors on a consistent-hash ring of virtual nodes, hashed
 with SHA-256 over *table id* — never over request content. Liveness is
 delegated to a :class:`~repro.resilience.dispatch.ResilientDispatcher`
-whose per-node breakers/crash windows decide admission: routing walks the
-owner list and returns the first admitted owner, which is what makes a
+whose per-node breakers/crash windows decide admission: :func:`route_tables`
+serves each table from its first admitted owner, which is what makes a
 node kill invisible at replication >= 2 (the sim's zero-loss gate).
 
 Consistent hashing keeps reshards incremental: adding a node remaps only
-the tables whose ring arc it captures, which is the seam the ROADMAP's
-rebalancing/migration follow-on will build on.
+the tables whose ring arc it captures, which keeps a migration's move-set
+small.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.placement import ShardPlan
 from repro.resilience.dispatch import ResilientDispatcher
 from repro.utils.validation import check_positive
+
+#: ring points per node, fixed so every epoch hashes onto the same ring
+VIRTUAL_NODES_PER_NODE = 32
 
 
 def ring_hash(key: str) -> int:
@@ -31,16 +34,43 @@ def ring_hash(key: str) -> int:
                           "big")
 
 
+def route_tables(owner_groups: Callable[[int], Sequence[Tuple[int, ...]]],
+                 num_tables: int, now_seconds: float = 0.0,
+                 dispatcher: Optional[ResilientDispatcher] = None
+                 ) -> Tuple[Dict[int, List[int]], List[int]]:
+    """(node -> served table ids, unroutable table ids) right now.
+
+    The one place owner sets meet replica health: each owner group of a
+    table serves it from its first admitted owner (first owner without a
+    dispatcher), and a table is unroutable only when every group is out.
+    """
+    check_positive("num_tables", num_tables)
+    admitted = (None if dispatcher is None
+                else set(dispatcher.admitted(now_seconds)))
+    routed: Dict[int, List[int]] = {}
+    unroutable: List[int] = []
+    for table_id in range(num_tables):
+        nodes: List[int] = []
+        for group in owner_groups(table_id):
+            live = (group[0] if admitted is None
+                    else next((owner for owner in group
+                               if owner in admitted), None))
+            if live is not None and live not in nodes:
+                nodes.append(live)
+        if not nodes:
+            unroutable.append(table_id)
+        for node in nodes:
+            routed.setdefault(node, []).append(table_id)
+    return routed, unroutable
+
+
 class ShardRouter:
     """Maps table ids to replica owner sets and routes around dead nodes."""
 
     def __init__(self, num_nodes: int, replication: int = 1,
-                 virtual_nodes: int = 32,
-                 plan: Optional[ShardPlan] = None,
-                 epoch: int = 0) -> None:
+                 plan: Optional[ShardPlan] = None) -> None:
         check_positive("num_nodes", num_nodes)
         check_positive("replication", replication)
-        check_positive("virtual_nodes", virtual_nodes)
         if replication > num_nodes:
             raise ValueError(
                 f"replication {replication} exceeds num_nodes {num_nodes}; "
@@ -49,35 +79,18 @@ class ShardRouter:
             raise ValueError(
                 f"plan places onto {plan.num_nodes} nodes but the router "
                 f"has {num_nodes}")
-        if epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {epoch}")
         self.num_nodes = num_nodes
         self.replication = replication
-        self.virtual_nodes = virtual_nodes
         self.plan = plan
-        self.epoch = epoch
         ring: List[Tuple[int, int]] = []
         for node in range(num_nodes):
-            for virtual in range(virtual_nodes):
+            for virtual in range(VIRTUAL_NODES_PER_NODE):
                 ring.append((ring_hash(f"node-{node}#vn-{virtual}"), node))
         ring.sort()
         self._ring = ring
-        # owners_for memoisation: the ring walk is pure in table id for a
-        # fixed epoch, so the owner set is computed once per table and
-        # dropped whenever the router is rebound to a new plan epoch.
+        # The plan is fixed at construction, so each table's owner set is
+        # computed once and kept for the router's lifetime.
         self._owners_cache: Dict[int, Tuple[int, ...]] = {}
-
-    # ------------------------------------------------------------------
-    def set_epoch(self, epoch: int) -> None:
-        """Bind the router to a plan epoch; the owner cache is invalidated."""
-        if epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {epoch}")
-        if epoch != self.epoch:
-            self.epoch = epoch
-            self.invalidate_owners_cache()
-
-    def invalidate_owners_cache(self) -> None:
-        self._owners_cache.clear()
 
     # ------------------------------------------------------------------
     def _successors(self, table_id: int) -> List[int]:
@@ -108,13 +121,8 @@ class ShardRouter:
             ordered = successors
         return tuple(ordered[:self.replication])
 
-    def owners_for(self, table_id: int) -> Tuple[int, ...]:
-        """The table's ordered replica set (primary first), memoized.
-
-        Owner sets are pure in (table id, plan, epoch), so the ring walk
-        runs once per table; :meth:`set_epoch` invalidates the cache when
-        the router is rebound to a new plan epoch.
-        """
+    def owners(self, table_id: int) -> Tuple[int, ...]:
+        """The table's ordered replica set (primary first), memoized."""
         table_id = int(table_id)
         cached = self._owners_cache.get(table_id)
         if cached is None:
@@ -122,43 +130,12 @@ class ShardRouter:
             self._owners_cache[table_id] = cached
         return cached
 
-    # the historical name; both spellings resolve to the memoized path
-    def owners(self, table_id: int) -> Tuple[int, ...]:
-        return self.owners_for(table_id)
-
-    # ------------------------------------------------------------------
-    def route(self, table_id: int, now_seconds: float = 0.0,
-              dispatcher: Optional[ResilientDispatcher] = None
-              ) -> Optional[int]:
-        """First live owner of the table (None when every owner is out).
-
-        With no dispatcher the primary owner is returned unconditionally;
-        with one, admission (breaker not OPEN, not crashed) decides — the
-        failover path a replica kill exercises.
-        """
-        owner_set = self.owners(table_id)
-        if dispatcher is None:
-            return owner_set[0]
-        admitted = set(dispatcher.admitted(now_seconds))
-        for owner in owner_set:
-            if owner in admitted:
-                return owner
-        return None
-
     def assignment(self, num_tables: int, now_seconds: float = 0.0,
                    dispatcher: Optional[ResilientDispatcher] = None
                    ) -> Tuple[Dict[int, List[int]], List[int]]:
         """(node -> routed table ids, unroutable table ids) right now."""
-        check_positive("num_tables", num_tables)
-        routed: Dict[int, List[int]] = {}
-        unroutable: List[int] = []
-        for table_id in range(num_tables):
-            node = self.route(table_id, now_seconds, dispatcher)
-            if node is None:
-                unroutable.append(table_id)
-            else:
-                routed.setdefault(node, []).append(table_id)
-        return routed, unroutable
+        return route_tables(lambda table_id: (self.owners(table_id),),
+                            num_tables, now_seconds, dispatcher)
 
     # ------------------------------------------------------------------
     def ownership_counts(self, num_tables: int) -> List[int]:
@@ -173,9 +150,7 @@ class ShardRouter:
         digest: Dict[str, object] = {
             "num_nodes": self.num_nodes,
             "replication": self.replication,
-            "virtual_nodes": self.virtual_nodes,
             "planned": self.plan is not None,
-            "epoch": self.epoch,
         }
         if num_tables is not None:
             digest["owners"] = {str(table_id): list(self.owners(table_id))

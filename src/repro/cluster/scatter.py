@@ -334,20 +334,6 @@ class ScatterGatherEngine:
                 cache=self.cache)
         return self._engines[key]
 
-    def current_assignment(self, now_seconds: float = 0.0, owner_map=None
-                           ) -> Tuple[Dict[int, List[int]], List[int]]:
-        """Live (node -> tables, unroutable tables) via the owner map.
-
-        ``owner_map`` defaults to the engine's router; during an epoch
-        transition the caller passes the
-        :class:`~repro.cluster.migration.TransitioningOwnerMap` instead,
-        and in-flight tables fan out to both their source and target
-        owners (double-serve).
-        """
-        source = self.router if owner_map is None else owner_map
-        return source.assignment(len(self.table_sizes), now_seconds,
-                                 self.dispatcher)
-
     # ------------------------------------------------------------------
     def serve(self, config: ServingConfig, arrivals: ArrivalsLike,
               policy: Optional[BatchingPolicy] = None,
@@ -358,13 +344,17 @@ class ScatterGatherEngine:
         :class:`~repro.serving.batcher.DynamicBatcher` run priced at the
         shard's table subset); a request completes when its slowest shard
         does, plus the front-end MLP + gather overhead. ``owner_map``
-        overrides the router's assignment for the duration of this trace
-        (how a migration serves against a transitioning topology).
+        overrides the router for the duration of this trace: a migration
+        passes its :class:`~repro.cluster.migration.TransitioningOwnerMap`,
+        whose in-flight tables fan out to both their source and target
+        owners (double-serve). Replica health is read at time 0.
         """
         queue = RequestQueue.coerce(arrivals)
         if policy is not None and self.retry is not None:
             self.retry.validate_against(policy)
-        routed, unroutable = self.current_assignment(0.0, owner_map)
+        owners = self.router if owner_map is None else owner_map
+        routed, unroutable = owners.assignment(len(self.table_sizes), 0.0,
+                                               self.dispatcher)
         if not routed:
             raise ClusterUnavailableError(
                 "no live shard can serve any table; the fleet is out")

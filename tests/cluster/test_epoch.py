@@ -21,6 +21,13 @@ TRIPPY = BreakerConfig(failure_threshold=2, cooldown_seconds=1e6,
                        probe_successes=1)
 
 
+def primaries(router):
+    """table id -> the node serving it with every replica healthy."""
+    routed, _ = router.assignment(NUM_TABLES)
+    return {table_id: node for node, tables in routed.items()
+            for table_id in tables}
+
+
 @pytest.fixture(scope="module")
 def plans(thresholds):
     planner = RingPlanner(4, thresholds, DIM,
@@ -35,7 +42,9 @@ def plans(thresholds):
 class TestPlanEpoch:
     def test_create_binds_router_to_epoch(self, plans):
         epoch = PlanEpoch.create(3, plans[4], replication=2)
-        assert epoch.router.epoch == 3
+        assert epoch.epoch == 3
+        assert epoch.router.plan is plans[4]
+        assert epoch.router.replication == 2
         assert epoch.num_nodes == 4
         assert epoch.replication == 2
         assert epoch.num_tables == NUM_TABLES
@@ -96,10 +105,11 @@ class TestControlPlane:
         moved = [table_id for table_id in range(NUM_TABLES)
                  if before.owners(table_id) != after.owners(table_id)]
         assert moved  # the 4->5 reshard moves some tables
+        old_routes = primaries(before.router)
+        new_routes = primaries(after.router)
         for table_id in moved:
-            assert control.route(table_id, epoch=0) == \
-                before.owners(table_id)[0]
-            assert control.route(table_id) == after.owners(table_id)[0]
+            assert old_routes[table_id] == before.owners(table_id)[0]
+            assert new_routes[table_id] == after.owners(table_id)[0]
 
     def test_unknown_epoch_raises(self, plans):
         control = EpochControlPlane(PlanEpoch.create(0, plans[4]))
@@ -129,8 +139,8 @@ class TestRapidDerivation:
         control = EpochControlPlane(PlanEpoch.create(0, plans[3],
                                                      replication=2),
                                     dispatcher=dispatcher)
-        control.advance(plans[4], replication=2)
-        control.advance(plans[5], replication=2)
+        control.advance(plans[4])
+        control.advance(plans[5])
         return control
 
     def test_three_back_to_back_epochs_stay_live(self, plans):
@@ -144,17 +154,17 @@ class TestRapidDerivation:
         epochs = {e: control.epoch(e) for e in (0, 1, 2)}
         # requests that arrived under each epoch keep that epoch's owners,
         # even while two newer plans are already live
-        for table_id in range(NUM_TABLES):
-            for epoch_id, plan_epoch in epochs.items():
-                assert control.route(table_id, epoch=epoch_id) == \
-                    plan_epoch.owners(table_id)[0]
+        for epoch_id, plan_epoch in epochs.items():
+            routes = primaries(plan_epoch.router)
+            for table_id in range(NUM_TABLES):
+                assert routes[table_id] == plan_epoch.owners(table_id)[0]
 
     def test_drain_then_retire_in_order(self, plans):
         control = self._three_epochs(plans)
         control.retire_through(0)
         assert control.live_epochs == [1, 2]
         # epoch 1 traffic still in flight: must stay routable
-        assert control.route(0, epoch=1) is not None
+        assert control.epoch(1).router.assignment(NUM_TABLES)[1] == []
         control.retire_through(1)
         assert control.live_epochs == [2]
 
@@ -165,9 +175,7 @@ class TestRapidDerivation:
         for stale in (0, 1):
             with pytest.raises(UnknownEpochError):
                 control.epoch(stale)
-            with pytest.raises(UnknownEpochError):
-                control.route(0, epoch=stale)
-        assert control.route(0, epoch=2) is not None
+        assert control.epoch(2).router.assignment(NUM_TABLES)[1] == []
 
     def test_retire_through_skips_already_retired(self, plans):
         control = self._three_epochs(plans)
@@ -181,7 +189,7 @@ class TestRapidDerivation:
         dispatcher = ResilientDispatcher(num_replicas=3, min_replicas=2)
         control = self._three_epochs(plans, dispatcher=dispatcher)
         assert dispatcher.num_replicas == 5  # advance() grew the fleet
-        down = control.advance(plans[4], replication=2)
+        down = control.advance(plans[4])
         assert down.epoch == 3
         control.retire_through(1, shrink_dispatcher=True)
         # epoch 2 (5 nodes) is still draining: no shrink yet
@@ -214,10 +222,12 @@ class TestDispatcherCarryOver:
         control = EpochControlPlane(PlanEpoch.create(0, plans[4],
                                                      replication=2),
                                     dispatcher=dispatcher)
-        control.advance(plans[5], replication=2)
+        control.advance(plans[5])
         victim = control.epoch(0).owners(0)[0]
         dispatcher.mark_down(victim, until_seconds=1e6, now_seconds=0.0)
         for epoch_id in (0, 1):
-            owner = control.route(0, epoch=epoch_id)
-            assert owner is not None
-            assert owner != victim
+            routed, unroutable = control.epoch(epoch_id).router.assignment(
+                NUM_TABLES, 0.0, dispatcher)
+            assert unroutable == []
+            assert victim not in routed
+            assert any(0 in tables for tables in routed.values())

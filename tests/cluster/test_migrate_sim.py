@@ -1,5 +1,6 @@
 """Migration simulator: gates, determinism, and the CLI contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -143,3 +144,20 @@ class TestCli:
                      "--step-size", "2"]) == 0
         out = capsys.readouterr().out
         assert "3<->4 nodes" in out
+
+
+class TestRoutingLedger:
+    def test_step_routing_matches_the_pre_walk_owner_map(self):
+        """Every step's in-flight set, unroutable count and sheds.
+
+        The digest was recorded at 6159a12, before the transitioning owner
+        map and the router shared one owner walk.
+        """
+        report = run_migration(seed=0)
+        ledger = json.dumps([[{key: step[key] for key in (
+            "tables_in_flight", "unroutable_tables", "shed_requests")}
+            for step in cell["steps"]] for cell in report["cells"]],
+            sort_keys=True)
+        assert (hashlib.sha256(ledger.encode("utf-8")).hexdigest()
+                == "a7ff18208bd52d06d09be760dbbbed4d"
+                   "fc6b81ffb03f6f4cce5e0a8c1b9b7b28")

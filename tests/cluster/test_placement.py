@@ -111,9 +111,9 @@ class TestRingPlanner:
         plan = RingPlanner(4, thresholds, DIM,
                            uniform_shape=DLRM_DHE_UNIFORM_64
                            ).plan(SIZES, config)
-        ring = ShardRouter(4, replication=1, virtual_nodes=32)
+        ring = ShardRouter(4)
         for table_id in range(len(SIZES)):
-            assert plan.node_of(table_id) == ring.owners_for(table_id)[0]
+            assert plan.node_of(table_id) == ring.owners(table_id)[0]
 
     def test_ring_placement_passes_the_audit(self, thresholds, config):
         from repro.cluster.placement import RingPlanner

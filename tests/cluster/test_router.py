@@ -66,24 +66,27 @@ class TestOwnership:
 class TestRouting:
     def test_routes_to_primary_without_dispatcher(self):
         router = ShardRouter(4, replication=2)
+        routed, _ = router.assignment(NUM_TABLES)
         for table_id in range(NUM_TABLES):
-            assert router.route(table_id) == router.owners(table_id)[0]
+            assert table_id in routed[router.owners(table_id)[0]]
 
     def test_fails_over_to_replica_when_primary_down(self):
         router = ShardRouter(4, replication=2)
         dispatcher = ResilientDispatcher(num_replicas=4)
         victim = router.owners(0)[0]
         dispatcher.mark_down(victim, until_seconds=1e9, now_seconds=0.0)
-        routed = router.route(0, now_seconds=0.0, dispatcher=dispatcher)
-        assert routed == router.owners(0)[1]
+        routed, _ = router.assignment(NUM_TABLES, 0.0, dispatcher)
+        assert 0 in routed[router.owners(0)[1]]
+        assert victim not in routed
 
     def test_route_none_when_all_owners_down(self):
         router = ShardRouter(2, replication=2)
         dispatcher = ResilientDispatcher(num_replicas=2)
         for node in range(2):
             dispatcher.mark_down(node, until_seconds=1e9, now_seconds=0.0)
-        assert router.route(0, now_seconds=0.0,
-                            dispatcher=dispatcher) is None
+        routed, unroutable = router.assignment(NUM_TABLES, 0.0, dispatcher)
+        assert routed == {}
+        assert unroutable == list(range(NUM_TABLES))
 
     def test_assignment_partitions_routable_tables(self):
         router = ShardRouter(4, replication=2)
@@ -128,8 +131,7 @@ class TestOwnersMemoisation:
         # set equals the unmemoized ring walk
         router = ShardRouter(4, replication=2)
         for table_id in range(NUM_TABLES):
-            assert router.owners_for(table_id) == \
-                router._compute_owners(table_id)
+            assert router.owners(table_id) == router._compute_owners(table_id)
 
     def test_memoized_owners_match_with_plan_primary(self, thresholds,
                                                      config):
@@ -138,41 +140,20 @@ class TestOwnersMemoisation:
                             ).plan(SIZES, config)
         router = ShardRouter(4, replication=2, plan=plan)
         for table_id in range(NUM_TABLES):
-            assert router.owners_for(table_id) == \
-                router._compute_owners(table_id)
+            assert router.owners(table_id) == router._compute_owners(table_id)
 
     def test_cache_fills_once_per_table(self):
         router = ShardRouter(4, replication=2)
         for _ in range(3):
             for table_id in range(NUM_TABLES):
-                router.owners_for(table_id)
+                router.owners(table_id)
         assert len(router._owners_cache) == NUM_TABLES
 
-    def test_set_epoch_invalidates_cache(self):
-        router = ShardRouter(4, replication=2, epoch=0)
-        router.owners_for(0)
-        assert router._owners_cache
-        router.set_epoch(1)
-        assert not router._owners_cache
-        assert router.epoch == 1
-
-    def test_same_epoch_keeps_cache_warm(self):
-        router = ShardRouter(4, replication=2, epoch=5)
-        router.owners_for(0)
-        router.set_epoch(5)
-        assert 0 in router._owners_cache
-
     def test_owners_alias_resolves_to_memoized_path(self):
+        # one spelling: owners() fills the memo the walk and the
+        # provisioning view both read
         router = ShardRouter(4, replication=2)
-        assert router.owners(7) == router.owners_for(7)
+        assert router.owners(7) == router._compute_owners(7)
         assert 7 in router._owners_cache
-
-    def test_negative_epoch_rejected(self):
-        with pytest.raises(ValueError, match="epoch must be >= 0"):
-            ShardRouter(4, epoch=-1)
-        router = ShardRouter(4)
-        with pytest.raises(ValueError, match="epoch must be >= 0"):
-            router.set_epoch(-2)
-
-    def test_to_dict_reports_epoch(self):
-        assert ShardRouter(2, epoch=3).to_dict(num_tables=1)["epoch"] == 3
+        assert router.assignment(NUM_TABLES)[1] == []
+        assert len(router._owners_cache) == NUM_TABLES

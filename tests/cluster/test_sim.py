@@ -1,5 +1,6 @@
 """ClusterSimulator: gates, determinism, and the CLI contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -110,3 +111,22 @@ class TestPlanDigest:
         for topology in report["topologies"]:
             assert len(topology["plan_digest"]) == 64
             int(topology["plan_digest"], 16)
+
+
+class TestRoutingLedger:
+    def test_routing_matches_the_per_table_router(self):
+        """Every cell's routing and the failover block, byte for byte.
+
+        The digest was recorded at 6159a12, while ``ShardRouter`` still
+        routed each table through its own ``route`` call; the one owner
+        walk must reproduce it.
+        """
+        report = run_cluster(seed=0)
+        ledger = json.dumps({
+            "cells": [{key: cell[key] for key in (
+                "assignment", "unroutable_tables", "num_shards",
+                "shed_requests")} for cell in report["cells"]],
+            "failover": report["failover"]}, sort_keys=True)
+        assert (hashlib.sha256(ledger.encode("utf-8")).hexdigest()
+                == "298c74e1a0bc6d173b1c0a81f4edaa96"
+                   "b597ef0af3bfebf0fc975ed55bcc94f2")

@@ -339,3 +339,44 @@ def test_one_elastic_fleet_plans_reshapes_and_heals():
     assert not os.path.exists(
         os.path.join(root, "cluster", "autoscale", "supervisor.py"))
     assert not hasattr(sim, "plan_digest")
+
+
+def test_one_owner_walk():
+    """Owner sets meet replica health in one function under
+    ``repro.cluster`` (``router.route_tables``; ``ShardRouter.route``,
+    ``EpochControlPlane.route`` and ``TransitioningOwnerMap.assignment``
+    each walked them), routers carry no epoch (``set_epoch`` and the
+    ``owners_for`` spelling are gone) and the ring's virtual-node count is
+    a constant, not a knob."""
+    import ast
+    import os
+
+    import repro
+
+    root = os.path.join(os.path.dirname(repro.__file__), "cluster")
+    admitters, seams, knobs = [], [], []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            where = os.path.relpath(path, root)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    if node.name in ("route", "set_epoch", "owners_for"):
+                        seams.append((where, node.name))
+                    if any(isinstance(call, ast.Call)
+                           and isinstance(call.func, ast.Attribute)
+                           and call.func.attr == "admitted"
+                           for call in ast.walk(node)):
+                        admitters.append((where, node.name))
+                identifier = (getattr(node, "id", None)
+                              or getattr(node, "attr", None)
+                              or getattr(node, "arg", None))
+                if identifier == "virtual_nodes":
+                    knobs.append(where)
+    assert admitters == [("router.py", "route_tables")]
+    assert seams == []
+    assert knobs == []
