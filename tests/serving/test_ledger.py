@@ -1,0 +1,132 @@
+"""Serving ledger: one sha256 over every report the serving layer folds.
+
+The digest covers the three ``ExecutionEngine.serve`` shapes (plain,
+cached, resilient under a fault storm), a cached scatter-gather run at
+4 nodes with R = 2, the LLM pipeline, and the two merges
+(:meth:`ServingReport.merge` of the engine reports,
+:meth:`ClusterServingReport.merge` of two scatter runs). It was recorded
+at ed4eb07, while merge, stage composition and the gathered cache counters still
+lived in three modules (``compose_stage_reports``,
+``_gathered_cache_fields``); the one report fold must reproduce it.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from repro.cache import CachePolicy
+from repro.cluster.placement import ShardPlanner
+from repro.cluster.router import ShardRouter
+from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
+from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
+from repro.data import TERABYTE_SPEC
+from repro.hybrid import OfflineProfiler, build_threshold_database
+from repro.llm.stages import build_llm_pipeline
+from repro.resilience import (
+    FaultInjector,
+    LatencySpikeFault,
+    ReplicaCrashFault,
+    ResiliencePolicy,
+    RetryPolicy,
+    TransientErrorFault,
+)
+from repro.serving import (
+    BatchingPolicy,
+    ExecutionEngine,
+    RequestQueue,
+    ServingConfig,
+    ServingReport,
+)
+
+DIM = 64
+BATCH = 32
+SLA = 0.020
+SIZES = TERABYTE_SPEC.table_sizes
+
+
+@pytest.fixture(scope="module")
+def thresholds():
+    profile = OfflineProfiler(DLRM_DHE_UNIFORM_64).profile(
+        techniques=("scan", "dhe-varied"), dims=(DIM,), batches=(BATCH,),
+        threads_list=(1,))
+    return build_threshold_database(profile, dhe_technique="dhe-varied",
+                                    dims=(DIM,), batches=(BATCH,),
+                                    threads_list=(1,))
+
+
+def storm() -> ResiliencePolicy:
+    return ResiliencePolicy(
+        injector=FaultInjector(
+            seed=5,
+            crash=ReplicaCrashFault(probability=0.05,
+                                    downtime_seconds=0.040),
+            spike=LatencySpikeFault(probability=0.15, multiplier=4.0),
+            transient=TransientErrorFault(probability=0.15)),
+        retry=RetryPolicy(deadline_seconds=0.500), num_replicas=3)
+
+
+def entry(report: ServingReport) -> dict:
+    """Every field of a report: arrays as sha256 of their bytes."""
+    out = {"type": type(report).__name__}
+    for item in dataclasses.fields(report):
+        value = getattr(report, item.name)
+        if isinstance(value, np.ndarray):
+            value = hashlib.sha256(value.tobytes()).hexdigest()
+        elif item.name == "degradation_events":
+            value = [event.to_dict() for event in value]
+        elif isinstance(value, float):
+            value = repr(value)
+        out[item.name] = value
+    return out
+
+
+def serving_ledger(thresholds) -> str:
+    config = ServingConfig(batch_size=BATCH, threads=1, sla_seconds=SLA)
+    policy = BatchingPolicy(max_batch_size=BATCH, max_wait_seconds=0.002)
+    trace = RequestQueue.poisson(512, 2000.0, rng=11)
+    engines = [
+        ExecutionEngine(SIZES, DIM, DLRM_DHE_UNIFORM_64, thresholds),
+        ExecutionEngine(SIZES, DIM, DLRM_DHE_UNIFORM_64, thresholds,
+                        cache=CachePolicy("static-residency")),
+        ExecutionEngine(SIZES, DIM, DLRM_DHE_UNIFORM_64, thresholds,
+                        resilience=storm()),
+    ]
+    reports = [engine.serve(config, trace, policy) for engine in engines]
+
+    plan = ShardPlanner(4, thresholds, DIM, DLRM_DHE_UNIFORM_64).plan(
+        SIZES, config)
+    scatter = ScatterGatherEngine(
+        SIZES, DIM, DLRM_DHE_UNIFORM_64, thresholds,
+        ShardRouter(4, replication=2, plan=plan),
+        retry=RetryPolicy(deadline_seconds=0.250),
+        cache=CachePolicy("static-residency"))
+    runs = [scatter.serve(config, RequestQueue.poisson(256, rate, rng=seed),
+                          policy)
+            for seed, rate in ((3, 2000.0), (4, 6000.0))]
+
+    pipeline = build_llm_pipeline().serve(
+        RequestQueue.poisson(200, 150.0, rng=9))
+
+    ledger = {
+        "engine": [entry(report) for report in reports],
+        "engine_merge": entry(ServingReport.merge(reports)),
+        "scatter": runs[0].to_dict(SLA),
+        "scatter_reports": [entry(report) for run in runs
+                            for report in (run.report, run.fleet)],
+        "scatter_merge": ClusterServingReport.merge(runs).to_dict(SLA),
+        "pipeline": pipeline.to_dict(),
+        "pipeline_end_to_end": entry(pipeline.end_to_end),
+    }
+    return json.dumps(ledger, sort_keys=True, allow_nan=False)
+
+
+class TestServingLedger:
+    def test_report_folds_match_the_pre_fold_serving_layer(self,
+                                                           thresholds):
+        ledger = serving_ledger(thresholds)
+        assert (hashlib.sha256(ledger.encode("utf-8")).hexdigest()
+                == "276530545d90f78e2103e72c6cd53487"
+                   "7ee02d216eb42fb55c7dca0be2607414")
