@@ -37,33 +37,13 @@ from repro.resilience.retry import RetryPolicy
 from repro.serving.backends import BackendLike, resolve_backend
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.engine import ExecutionEngine, ServingConfig
-from repro.serving.report import ServingReport
+from repro.serving.report import ServingReport, summed_cache_fields
 from repro.serving.requests import ArrivalsLike, RequestQueue
 from repro.telemetry.runtime import get_registry
-from repro.utils.rng import SeedLike
 from repro.utils.validation import check_non_negative
 
 if TYPE_CHECKING:  # runtime import deferred (repro.cache imports serving)
     from repro.cache.policy import CachePolicy
-
-
-def _gathered_cache_fields(shard_reports) -> Dict[str, Optional[int]]:
-    """Summed cache counters for the gathered front-end report.
-
-    Mirrors :meth:`ServingReport.merge`: counters sum across shards, and
-    the gathered report stays uncached (all ``None``) only when no shard
-    tracked a cache.
-    """
-    reports = list(shard_reports.values())
-    if not any(r.tracks_cache for r in reports):
-        return {"cache_hits": None, "cache_misses": None,
-                "cache_bytes_resident": None}
-    return {
-        "cache_hits": sum(r.cache_hits or 0 for r in reports),
-        "cache_misses": sum(r.cache_misses or 0 for r in reports),
-        "cache_bytes_resident": sum(r.cache_bytes_resident or 0
-                                    for r in reports),
-    }
 
 
 class ClusterUnavailableError(RuntimeError):
@@ -116,16 +96,16 @@ class ClusterServingReport:
 
     @property
     def p50(self) -> float:
-        return 0.0 if self.report.num_requests == 0 else self.report.p50
+        return self.report.p50
 
     @property
     def p95(self) -> float:
-        return 0.0 if self.report.num_requests == 0 else self.report.p95
+        return self.report.p95
 
     @property
     def p99(self) -> float:
         """Gathered p99 (0.0, not NaN, when nothing was served)."""
-        return 0.0 if self.report.num_requests == 0 else self.report.p99
+        return self.report.p99
 
     @property
     def bottleneck_busy_seconds(self) -> float:
@@ -390,14 +370,6 @@ class ScatterGatherEngine:
             return 0.0
         return config.batch_size / bottleneck
 
-    def serve_poisson(self, num_requests: int, rate_rps: float,
-                      config: ServingConfig,
-                      policy: Optional[BatchingPolicy] = None,
-                      rng: SeedLike = None) -> ClusterServingReport:
-        """Open-system scatter-gather: Poisson arrivals across the fleet."""
-        queue = RequestQueue.poisson(num_requests, rate_rps, rng)
-        return self.serve(config, queue, policy)
-
     # ------------------------------------------------------------------
     def _gather(self, queue: RequestQueue,
                 shard_reports: Dict[int, ServingReport],
@@ -436,7 +408,7 @@ class ScatterGatherEngine:
             dhe_features=sum(r.dhe_features for r in shard_reports.values()),
             batch_time_total=max(r.batch_time_total
                                  for r in shard_reports.values()),
-            **_gathered_cache_fields(shard_reports))
+            **summed_cache_fields(list(shard_reports.values())))
         fleet = ServingReport.merge(list(shard_reports.values()))
         registry = get_registry()
         if registry.enabled:

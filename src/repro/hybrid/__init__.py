@@ -15,9 +15,7 @@ from repro.hybrid.deployment import (
 )
 from repro.hybrid.colocation_planner import (
     ModelTenant,
-    colocation_sweep,
     dlrm_tenant,
-    latency_bounded_throughput,
     mixed_allocation_latency,
 )
 from repro.hybrid.profiler import (
@@ -53,9 +51,7 @@ __all__ = [
     "apply_allocations",
     "count_scan_features",
     "ModelTenant",
-    "colocation_sweep",
     "dlrm_tenant",
-    "latency_bounded_throughput",
     "mixed_allocation_latency",
     "DEFAULT_SIZE_GRID",
     "TECHNIQUES",

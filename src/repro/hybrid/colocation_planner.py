@@ -1,20 +1,20 @@
 """Co-located deployment planning (§IV-C2, Figs 8, 9, 13).
 
 Builds tenant-demand descriptions for whole DLRM models (per-feature
-scan/DHE mixes included) and evaluates latency/throughput as model copies
-are added, using the contention model in :mod:`repro.costmodel.colocation`.
+scan/DHE mixes included); :class:`repro.serving.dispatcher.Dispatcher`
+evaluates latency/throughput as copies of one are added, using the
+contention model in :mod:`repro.costmodel.colocation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.costmodel.colocation import (
     TenantDemand,
     colocated_latencies,
     dhe_demand,
-    replicated_latencies,
     scan_demand,
 )
 from repro.costmodel.latency import DheShape, dhe_varied_shape
@@ -69,29 +69,6 @@ def dlrm_tenant(table_sizes: Sequence[int], dim: int,
                           bandwidth_bytes=bandwidth, llc_bytes=llc)
     return ModelTenant(demand=demand, num_scan_features=num_scan,
                        num_dhe_features=len(table_sizes) - num_scan)
-
-
-def colocation_sweep(tenant: ModelTenant, max_copies: int, batch: int,
-                     platform: PlatformModel = DEFAULT_PLATFORM
-                     ) -> List[Tuple[int, float, float]]:
-    """(copies, per-model latency, aggregate throughput) as copies grow."""
-    check_positive("max_copies", max_copies)
-    results = []
-    for copies in range(1, max_copies + 1):
-        latencies = replicated_latencies(tenant.demand, copies, platform)
-        latency = max(latencies)
-        throughput = sum(batch / lat for lat in latencies)
-        results.append((copies, latency, throughput))
-    return results
-
-
-def latency_bounded_throughput(sweep: Sequence[Tuple[int, float, float]],
-                               sla_seconds: float) -> float:
-    """Best throughput among co-location points meeting the SLA (Fig 13)."""
-    check_positive("sla_seconds", sla_seconds)
-    feasible = [throughput for _, latency, throughput in sweep
-                if latency <= sla_seconds]
-    return max(feasible) if feasible else 0.0
 
 
 def mixed_allocation_latency(table_size: int, dim: int, total_models: int,

@@ -10,7 +10,7 @@ serialize byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -98,16 +98,5 @@ class ResilientServingReport(ServingReport):
     def from_serving_report(cls, report: ServingReport,
                             **extras) -> "ResilientServingReport":
         """Lift a plain report into the resilient shape."""
-        return cls(num_requests=report.num_requests,
-                   num_batches=report.num_batches,
-                   latencies=report.latencies,
-                   scan_features=report.scan_features,
-                   dhe_features=report.dhe_features,
-                   batch_time_total=report.batch_time_total,
-                   queue_delays=report.queue_delays,
-                   service_latencies=report.service_latencies,
-                   cache_hits=report.cache_hits,
-                   cache_misses=report.cache_misses,
-                   cache_bytes_resident=report.cache_bytes_resident,
-                   departures=report.departures,
-                   **extras)
+        return cls(**{item.name: getattr(report, item.name)
+                      for item in fields(ServingReport)}, **extras)

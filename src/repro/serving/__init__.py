@@ -29,15 +29,12 @@ from repro.serving.report import ServingReport
 from repro.serving.dispatcher import Dispatcher
 from repro.serving.engine import ExecutionEngine, ServingConfig
 from repro.serving.pipeline import (
-    EngineStage,
     PipelineEngine,
     PipelineReport,
     PipelineStage,
     PricedStage,
     StageResult,
-    compose_stage_reports,
 )
-from repro.serving.server import SecureDlrmServer
 
 __all__ = [
     "BACKEND_NAMES",
@@ -59,12 +56,9 @@ __all__ = [
     "Dispatcher",
     "ExecutionEngine",
     "ServingConfig",
-    "EngineStage",
     "PipelineEngine",
     "PipelineReport",
     "PipelineStage",
     "PricedStage",
     "StageResult",
-    "compose_stage_reports",
-    "SecureDlrmServer",
 ]

@@ -8,7 +8,7 @@ use, not a private copy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.costmodel.colocation import TenantDemand, replicated_latencies
 from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
@@ -35,15 +35,6 @@ class Dispatcher:
         """
         return replicated_latencies(self.demand, replicas, self.platform)
 
-    def batch_latency(self, replicas: int = 1) -> float:
-        """Worst-replica batch latency (what an SLA sees)."""
-        return max(self.replica_latencies(replicas))
-
-    def throughput(self, replicas: int) -> float:
-        """Aggregate inferences/second across the fleet."""
-        return sum(self.batch_size / latency
-                   for latency in self.replica_latencies(replicas))
-
     # ------------------------------------------------------------------
     def sweep(self, max_replicas: int) -> List[Tuple[int, float, float]]:
         """(copies, worst latency, aggregate throughput) as replicas grow."""
@@ -63,40 +54,6 @@ class Dispatcher:
             registry.histogram(
                 "dispatcher.replica_latency_seconds").observe_many(worst)
         return results
-
-    def min_replicas(self, rate_rps: float, sla_seconds: float,
-                     max_replicas: int,
-                     min_replicas: int = 1) -> Optional[int]:
-        """Smallest fleet that sustains ``rate_rps`` within the SLA.
-
-        Replica selection for an offered load: walk the fleet sizes upward
-        and return the first whose aggregate throughput covers the rate
-        while the worst replica still meets the latency SLA. Returns None
-        when no fleet up to ``max_replicas`` qualifies (co-location
-        interference can make throughput non-monotonic, so infeasibility at
-        ``max_replicas`` does not imply a larger fleet would fail too —
-        but within the searched range nothing works).
-
-        ``min_replicas`` is a redundancy floor: fleets smaller than it are
-        never selected even when they would meet the load. A floor above
-        ``max_replicas`` is a configuration contradiction and raises.
-        """
-        check_positive_finite("rate_rps", rate_rps)
-        check_positive_finite("sla_seconds", sla_seconds)
-        check_positive("max_replicas", max_replicas)
-        check_positive("min_replicas", min_replicas)
-        if min_replicas > max_replicas:
-            raise ValueError(
-                f"min_replicas {min_replicas} exceeds max_replicas "
-                f"{max_replicas}; the selection window is empty")
-        for copies, latency, throughput in self.sweep(max_replicas):
-            if copies < min_replicas:
-                continue
-            if latency <= sla_seconds and throughput >= rate_rps:
-                get_registry().gauge("dispatcher.selected_replicas").set(
-                    copies)
-                return copies
-        return None
 
     def sla_bounded_throughput(self, sla_seconds: float,
                                max_replicas: int) -> float:

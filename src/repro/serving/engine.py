@@ -8,10 +8,10 @@ through the :class:`~repro.serving.batcher.DynamicBatcher`, settle the
 schedule into per-request queueing + service latency and build one report.
 A cache (per-batch executed times) and a resilience policy (the fault-aware
 executor in place of :func:`~repro.serving.batcher.settle`) are its two
-pluggable steps; a pipeline stage calls the same method. The closed-loop
-path (:meth:`serve_closed`) reproduces the seed simulator's numbers
-bit-for-bit; the open paths (:meth:`serve_poisson`, arbitrary traces) model
-the queueing the seed assumed away.
+pluggable steps; every scatter-gather shard calls the same method. The
+closed-loop path (:meth:`serve_closed`) reproduces the seed simulator's
+numbers bit-for-bit; the open paths (:meth:`serve_poisson`, arbitrary
+traces) model the queueing the seed assumed away.
 """
 
 from __future__ import annotations
@@ -120,10 +120,6 @@ class ExecutionEngine:
                                   self.embedding_dim, config.batch_size,
                                   config.threads, varied=self.varied,
                                   overhead_seconds=overhead_seconds)
-
-    def embedding_latency(self, config: ServingConfig) -> float:
-        """Embedding-generation latency of one batch (features sequential)."""
-        return self._price(self.allocations(config), config, 0.0)
 
     def batch_latency(self, config: ServingConfig) -> float:
         """End-to-end latency of one batch (MLP overhead + embeddings)."""

@@ -7,25 +7,18 @@ scale, different autoscaled pools. This module chains stage bodies:
 * :class:`PipelineStage` — anything that turns an arrival trace into a
   :class:`StageResult` (a per-stage :class:`ServingReport` plus the
   departure times that become the next stage's arrivals);
-* :class:`EngineStage` — :meth:`ExecutionEngine.serve` under a fixed
-  config and policy is the stage body;
 * :class:`PricedStage` — a stage priced by an arbitrary per-batch service
   function (the LLM stages in :mod:`repro.llm.stages` are these);
 * :class:`PipelineEngine` — chains stages (stage *k*'s departures are
-  stage *k+1*'s arrivals) and composes the per-stage reports into a
-  :class:`PipelineReport`.
+  stage *k+1*'s arrivals) and folds the per-stage reports into a
+  :class:`PipelineReport` with :meth:`ServingReport.compose`.
 
 Accounting invariant: the wait between stage *k* finishing a request and
 stage *k+1* starting it is measured **once**, as stage *k+1*'s queueing
-delay (downstream batch start − upstream departure). Summing per-stage
-``queue_delays`` therefore never double-counts an idle interval, and the
-composed ``latencies`` equal final departure − original arrival exactly.
-
-For a single-stage pipeline the composed end-to-end report **is** the
-stage's report object, verbatim — no recomposition, no extra telemetry —
-so a one-stage :class:`EngineStage` pipeline equals ``engine.serve()``
-bit-for-bit (pinned in ``tests/serving/test_pipeline.py``) and subclasses
-such as :class:`~repro.resilience.report.ResilientServingReport` survive.
+delay (downstream batch start − upstream departure), so the composed
+``latencies`` equal final departure − original arrival exactly. For a
+single-stage pipeline the end-to-end report **is** the stage's report
+object, subclass and all.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.serving.batcher import BatchingPolicy, DynamicBatcher, settle
-from repro.serving.engine import ExecutionEngine, ServingConfig
 from repro.serving.report import ServingReport
 from repro.serving.requests import ArrivalsLike, RequestQueue
 
@@ -84,27 +76,6 @@ class PipelineStage:
         raise NotImplementedError
 
 
-class EngineStage(PipelineStage):
-    """The existing :class:`ExecutionEngine` as a pipeline stage.
-
-    ``policy=None`` keeps the engine's default (greedy at the config's
-    batch size), exactly as ``ExecutionEngine.serve`` always resolved it.
-    """
-
-    def __init__(self, engine: ExecutionEngine, config: ServingConfig,
-                 policy: Optional[BatchingPolicy] = None,
-                 name: str = "serve") -> None:
-        self.engine = engine
-        self.config = config
-        self.policy = policy
-        self.name = name
-
-    def serve(self, queue: RequestQueue) -> StageResult:
-        report = self.engine.serve(self.config, queue, self.policy)
-        return StageResult(name=self.name, report=report,
-                           departures=report.departures)
-
-
 class PricedStage(PipelineStage):
     """A stage priced by a per-batch service-time function.
 
@@ -147,10 +118,9 @@ class PricedStage(PipelineStage):
 class PipelineReport:
     """Per-stage reports plus the composed end-to-end view.
 
-    ``end_to_end.batch_time_total`` is the **bottleneck** stage's busy
-    time (max, not sum): a pipeline's sustained throughput is set by its
-    slowest stage, so ``end_to_end.throughput()`` answers the fleet-level
-    question. Per-stage busy time is still available in ``stages``.
+    ``end_to_end`` carries the **bottleneck** stage's busy time
+    (:meth:`ServingReport.compose`), so ``end_to_end.throughput()`` answers
+    the fleet-level question. Per-stage busy time is still in ``stages``.
     """
 
     stages: List[StageResult]
@@ -188,53 +158,6 @@ class PipelineReport:
         }
 
 
-def compose_stage_reports(results: Sequence[StageResult]) -> ServingReport:
-    """Fold per-stage reports into one end-to-end :class:`ServingReport`.
-
-    * ``latencies`` sum elementwise — each stage's latency covers the
-      contiguous interval [stage arrival, stage departure], and stage
-      *k+1*'s arrival *is* stage *k*'s departure, so the sum is exactly
-      final departure − original arrival with every inter-stage wait
-      counted once (as the downstream stage's queueing delay).
-    * The queue/service decomposition is kept only when every stage
-      carries it (same rule as :meth:`ServingReport.merge`).
-    * ``batch_time_total`` is the max over stages (bottleneck busy time).
-    * Cache counters sum when any stage tracks them.
-    """
-    if not results:
-        raise ValueError("compose needs at least one stage result")
-    reports = [result.report for result in results]
-    first = reports[0]
-    if any(r.num_requests != first.num_requests for r in reports):
-        raise ValueError("stages disagree on the request population")
-    latencies = first.latencies.copy()
-    for report in reports[1:]:
-        latencies += report.latencies
-    queue_delays: Optional[np.ndarray] = None
-    service_latencies: Optional[np.ndarray] = None
-    if all(r.queue_delays is not None for r in reports):
-        queue_delays = np.sum([r.queue_delays for r in reports], axis=0)
-    if all(r.service_latencies is not None for r in reports):
-        service_latencies = np.sum([r.service_latencies for r in reports],
-                                   axis=0)
-    cache_hits = cache_misses = cache_bytes = None
-    if any(r.tracks_cache for r in reports):
-        cache_hits = sum(r.cache_hits or 0 for r in reports)
-        cache_misses = sum(r.cache_misses or 0 for r in reports)
-        cache_bytes = sum(r.cache_bytes_resident or 0 for r in reports)
-    return ServingReport(
-        num_requests=first.num_requests,
-        num_batches=sum(r.num_batches for r in reports),
-        latencies=latencies,
-        scan_features=sum(r.scan_features for r in reports),
-        dhe_features=sum(r.dhe_features for r in reports),
-        batch_time_total=max(r.batch_time_total for r in reports),
-        queue_delays=queue_delays,
-        service_latencies=service_latencies,
-        cache_hits=cache_hits, cache_misses=cache_misses,
-        cache_bytes_resident=cache_bytes)
-
-
 class PipelineEngine:
     """Chain stages: each stage's departures feed the next stage's queue."""
 
@@ -254,10 +177,5 @@ class PipelineEngine:
             result = stage.serve(queue)
             results.append(result)
             queue = RequestQueue(result.departures)
-        if len(results) == 1:
-            # The one-stage special case: the stage's report IS the
-            # end-to-end report, object-identical (subclass and all).
-            return PipelineReport(stages=results,
-                                  end_to_end=results[0].report)
-        return PipelineReport(stages=results,
-                              end_to_end=compose_stage_reports(results))
+        end_to_end = ServingReport.compose([r.report for r in results])
+        return PipelineReport(stages=results, end_to_end=end_to_end)

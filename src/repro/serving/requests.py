@@ -86,23 +86,10 @@ class RequestQueue:
         """``arrivals`` itself if it already is a queue, else a new one."""
         return arrivals if isinstance(arrivals, cls) else cls(arrivals)
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def deterministic(cls, num_requests: int, interval_seconds: float,
-                      start_seconds: float = 0.0) -> "RequestQueue":
-        return cls(deterministic_arrivals(num_requests, interval_seconds,
-                                          start_seconds))
-
     @classmethod
     def poisson(cls, num_requests: int, rate_rps: float,
                 rng: SeedLike = None) -> "RequestQueue":
         return cls(poisson_arrivals(num_requests, rate_rps, rng))
-
-    @classmethod
-    def batch_boundary(cls, num_requests: int, batch_size: int,
-                       batch_latency_seconds: float) -> "RequestQueue":
-        return cls(batch_boundary_arrivals(num_requests, batch_size,
-                                           batch_latency_seconds))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

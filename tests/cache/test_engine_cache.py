@@ -1,4 +1,4 @@
-"""Cache wiring through ExecutionEngine, SecureDlrmServer, and the cluster."""
+"""Cache wiring through ExecutionEngine and the cluster."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from repro.hybrid import OfflineProfiler, build_threshold_database
 from repro.serving import (
     BatchingPolicy,
     ExecutionEngine,
-    SecureDlrmServer,
     ServingConfig,
 )
 from repro.serving.requests import RequestQueue
@@ -180,10 +179,10 @@ class TestEngineCaching:
 
 class TestServerPassThrough:
     def test_server_accepts_cache_policy(self, thresholds, config):
-        server = SecureDlrmServer(TERABYTE_SPEC.table_sizes, DIM,
-                                  DLRM_DHE_UNIFORM_64, thresholds,
-                                  cache=CachePolicy("static-residency"))
-        report = server.serve_poisson(128, 2000.0, config, rng=3)
+        engine = make_engine(thresholds,
+                             cache=CachePolicy("static-residency"))
+        report = engine.serve(config, RequestQueue.poisson(128, 2000.0,
+                                                           rng=3))
         assert report.tracks_cache
         assert report.cache_hits > 0
 

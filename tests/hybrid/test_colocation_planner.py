@@ -1,15 +1,18 @@
-"""Co-location planner tests (Figs 9 and 13 mechanisms)."""
+"""Co-location planner tests (Figs 9 and 13 mechanisms).
+
+A tenant's fleet is evaluated by :class:`repro.serving.dispatcher.Dispatcher`
+(the one sweep Fig 13 uses); these tests drive it with planner tenants.
+"""
 
 import pytest
 
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
 from repro.hybrid.allocator import allocate_by_threshold
 from repro.hybrid.colocation_planner import (
-    colocation_sweep,
     dlrm_tenant,
-    latency_bounded_throughput,
     mixed_allocation_latency,
 )
+from repro.serving.dispatcher import Dispatcher
 
 SIZES = (100, 1000, 50_000, 2_000_000)
 DIM = 64
@@ -19,6 +22,10 @@ def make_tenant(threshold):
     allocations = allocate_by_threshold(SIZES, threshold)
     return dlrm_tenant(SIZES, DIM, allocations, DLRM_DHE_UNIFORM_64,
                        batch=32, varied=True)
+
+
+def fleet(tenant):
+    return Dispatcher(tenant.demand, batch_size=32)
 
 
 class TestDlrmTenant:
@@ -48,33 +55,33 @@ class TestDlrmTenant:
 class TestColocationSweep:
     def test_throughput_monotone_until_contention(self):
         tenant = make_tenant(1000)
-        sweep = colocation_sweep(tenant, max_copies=8, batch=32)
+        sweep = fleet(tenant).sweep(8)
         throughputs = [tp for _, _, tp in sweep]
         assert throughputs == sorted(throughputs)
 
     def test_latency_never_below_solo(self):
         tenant = make_tenant(1000)
-        sweep = colocation_sweep(tenant, max_copies=32, batch=32)
+        sweep = fleet(tenant).sweep(32)
         assert all(latency >= tenant.demand.solo_latency * 0.999
                    for _, latency, _ in sweep)
 
 
 class TestLatencyBoundedThroughput:
-    def test_filters_by_sla(self):
+    def test_filters_by_sla(self, monkeypatch):
+        dispatcher = fleet(make_tenant(1000))
         sweep = [(1, 0.010, 100.0), (2, 0.019, 190.0), (3, 0.030, 250.0)]
-        assert latency_bounded_throughput(sweep, 0.020) == 190.0
+        monkeypatch.setattr(dispatcher, "sweep", lambda max_replicas: sweep)
+        assert dispatcher.sla_bounded_throughput(0.020, 3) == 190.0
 
     def test_no_feasible_point(self):
-        assert latency_bounded_throughput([(1, 0.5, 10.0)], 0.020) == 0.0
+        assert fleet(make_tenant(1000)).sla_bounded_throughput(1e-9, 4) == 0.0
 
     def test_fig13_hybrid_beats_all_dhe(self):
         """The paper's headline: hybrid lifts SLA-bounded throughput."""
         hybrid = make_tenant(1000)
         all_dhe = make_tenant(0)
-        hybrid_tp = latency_bounded_throughput(
-            colocation_sweep(hybrid, 28, 32), 0.020)
-        dhe_tp = latency_bounded_throughput(
-            colocation_sweep(all_dhe, 28, 32), 0.020)
+        hybrid_tp = fleet(hybrid).sla_bounded_throughput(0.020, 28)
+        dhe_tp = fleet(all_dhe).sla_bounded_throughput(0.020, 28)
         assert hybrid_tp > dhe_tp
 
 

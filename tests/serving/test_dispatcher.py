@@ -1,13 +1,11 @@
-"""Dispatcher: fleet evaluation, replica selection, skewed offered load."""
+"""Dispatcher: fleet evaluation as replicas grow and the SLA bound."""
 
-import numpy as np
 import pytest
 
 from repro.costmodel.colocation import (
     TenantDemand,
     dhe_demand,
     replicated_latencies,
-    scan_demand,
 )
 from repro.costmodel.latency import DheShape
 from repro.serving.dispatcher import Dispatcher
@@ -22,23 +20,19 @@ def dhe_dispatcher():
     return Dispatcher(dhe_demand(shape, BATCH), batch_size=BATCH)
 
 
-@pytest.fixture
-def scan_dispatcher():
-    return Dispatcher(scan_demand(2_000_000, 64, BATCH), batch_size=BATCH)
-
-
 class TestFleetEvaluation:
     def test_latencies_match_cost_model(self, dhe_dispatcher):
         assert dhe_dispatcher.replica_latencies(3) == \
             replicated_latencies(dhe_dispatcher.demand, 3)
 
     def test_batch_latency_is_worst_replica(self, dhe_dispatcher):
-        assert dhe_dispatcher.batch_latency(4) == \
-            max(dhe_dispatcher.replica_latencies(4))
+        _, latency, _ = dhe_dispatcher.sweep(4)[3]
+        assert latency == max(dhe_dispatcher.replica_latencies(4))
 
     def test_throughput_sums_replicas(self, dhe_dispatcher):
         latencies = dhe_dispatcher.replica_latencies(4)
-        assert dhe_dispatcher.throughput(4) == pytest.approx(
+        _, _, throughput = dhe_dispatcher.sweep(4)[3]
+        assert throughput == pytest.approx(
             sum(BATCH / lat for lat in latencies))
 
     def test_sweep_shape_and_telemetry(self, dhe_dispatcher):
@@ -55,94 +49,11 @@ class TestFleetEvaluation:
         with pytest.raises(ValueError):
             Dispatcher(dhe_dispatcher.demand, batch_size=0)
 
-
-class TestMinReplicas:
-    def test_smallest_feasible_fleet(self, dhe_dispatcher):
-        # Feasible by construction: ask for just under what two copies give
-        # within a latency bound three copies still meet.
-        sweep = dhe_dispatcher.sweep(8)
-        _, latency_two, throughput_two = sweep[1]
-        chosen = dhe_dispatcher.min_replicas(
-            rate_rps=0.99 * throughput_two,
-            sla_seconds=2.0 * latency_two, max_replicas=8)
-        assert chosen == 2
-
-    def test_single_copy_suffices_for_tiny_rate(self, dhe_dispatcher):
-        _, latency_one, throughput_one = dhe_dispatcher.sweep(1)[0]
-        assert dhe_dispatcher.min_replicas(
-            rate_rps=0.5 * throughput_one,
-            sla_seconds=2.0 * latency_one, max_replicas=4) == 1
-
-    def test_infeasible_returns_none(self, dhe_dispatcher):
-        assert dhe_dispatcher.min_replicas(
-            rate_rps=1e12, sla_seconds=1e-9, max_replicas=4) is None
-
-    def test_selection_recorded_as_gauge(self, dhe_dispatcher):
-        _, latency_one, throughput_one = dhe_dispatcher.sweep(1)[0]
-        with use_registry() as registry:
-            chosen = dhe_dispatcher.min_replicas(
-                rate_rps=0.5 * throughput_one,
-                sla_seconds=2.0 * latency_one, max_replicas=4)
-        assert registry.snapshot()["gauges"][
-            "dispatcher.selected_replicas"] == float(chosen)
-
-    def test_inputs_validated(self, dhe_dispatcher):
+    def test_sla_bounded_throughput_validates_sla(self, dhe_dispatcher):
         with pytest.raises(ValueError):
-            dhe_dispatcher.min_replicas(0.0, 1.0, 4)
+            dhe_dispatcher.sla_bounded_throughput(float("nan"), 4)
         with pytest.raises(ValueError):
-            dhe_dispatcher.min_replicas(1.0, 0.0, 4)
-
-
-class TestSkewedArrivals:
-    """Replica selection driven by arrival traces rather than flat rates.
-
-    The offered rate a fleet must absorb is the *peak windowed* rate of the
-    trace, not its long-run mean; a skewed trace with the same request
-    count forces a larger fleet.
-    """
-
-    @staticmethod
-    def peak_rate(arrivals: np.ndarray, window: float) -> float:
-        counts = [np.count_nonzero((arrivals >= start)
-                                   & (arrivals < start + window))
-                  for start in np.arange(0.0, arrivals.max() + window,
-                                         window)]
-        return max(counts) / window
-
-    def test_bursty_trace_needs_more_replicas(self, dhe_dispatcher):
-        horizon, n = 10.0, 400
-        uniform = np.linspace(0.0, horizon, n, endpoint=False)
-        rng = np.random.default_rng(7)
-        # same request count, 90% of it squeezed into the first second
-        bursty = np.sort(np.concatenate([
-            rng.uniform(0.0, 1.0, int(0.9 * n)),
-            rng.uniform(1.0, horizon, n - int(0.9 * n))]))
-
-        window = 1.0
-        uniform_rate = self.peak_rate(uniform, window)
-        bursty_rate = self.peak_rate(bursty, window)
-        assert bursty_rate > 5 * uniform_rate
-
-        # Scale both rates into the dispatcher's feasible band so the
-        # comparison is about fleet sizing, not raw units.
-        _, latency_one, throughput_one = dhe_dispatcher.sweep(1)[0]
-        scale = 0.8 * throughput_one / uniform_rate
-        sla = 4.0 * latency_one
-        for_uniform = dhe_dispatcher.min_replicas(
-            scale * uniform_rate, sla, max_replicas=16)
-        for_bursty = dhe_dispatcher.min_replicas(
-            scale * bursty_rate, sla, max_replicas=16)
-        assert for_uniform == 1
-        assert for_bursty is not None and for_bursty > for_uniform
-
-    def test_scan_fleet_saturates_under_skew(self, scan_dispatcher):
-        # Bandwidth-bound scans stop scaling: past some fleet size the
-        # worst-replica latency blows through any reasonable SLA, so a
-        # skewed burst can be infeasible at every fleet size.
-        _, latency_one, throughput_one = scan_dispatcher.sweep(1)[0]
-        assert scan_dispatcher.min_replicas(
-            rate_rps=100.0 * throughput_one,
-            sla_seconds=2.0 * latency_one, max_replicas=12) is None
+            dhe_dispatcher.sla_bounded_throughput(0.0, 4)
 
 
 class TestTenantDemandPlumbing:
@@ -151,35 +62,6 @@ class TestTenantDemandPlumbing:
         dispatcher = Dispatcher(demand, batch_size=8)
         (only,) = dispatcher.replica_latencies(1)
         assert only == pytest.approx(0.001)
-
-
-class TestMinReplicasValidation:
-    def test_floor_raises_result(self, dhe_dispatcher):
-        unfloored = dhe_dispatcher.min_replicas(1.0, 1.0, max_replicas=8)
-        floored = dhe_dispatcher.min_replicas(1.0, 1.0, max_replicas=8,
-                                              min_replicas=3)
-        assert unfloored == 1
-        assert floored == 3
-
-    def test_min_above_max_raises(self, dhe_dispatcher):
-        with pytest.raises(ValueError, match="min_replicas 9 exceeds"):
-            dhe_dispatcher.min_replicas(1.0, 1.0, max_replicas=8,
-                                        min_replicas=9)
-
-    @pytest.mark.parametrize("rate,sla", [
-        (float("nan"), 1.0), (float("inf"), 1.0), (0.0, 1.0), (-5.0, 1.0),
-        (1.0, float("nan")), (1.0, float("inf")), (1.0, 0.0), (1.0, -0.02),
-    ])
-    def test_non_positive_or_non_finite_inputs_raise(self, dhe_dispatcher,
-                                                     rate, sla):
-        with pytest.raises(ValueError):
-            dhe_dispatcher.min_replicas(rate, sla, max_replicas=8)
-
-    def test_sla_bounded_throughput_validates_sla(self, dhe_dispatcher):
-        with pytest.raises(ValueError):
-            dhe_dispatcher.sla_bounded_throughput(float("nan"), 4)
-        with pytest.raises(ValueError):
-            dhe_dispatcher.sla_bounded_throughput(0.0, 4)
 
 
 class TestServingConfigValidation:

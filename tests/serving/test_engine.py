@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cache import CachePolicy
+from repro.costmodel.colocation import replicated_latencies
 from repro.costmodel.latency import (
     DLRM_DHE_UNIFORM_64,
     MLP_OVERHEAD_SECONDS,
@@ -18,7 +19,6 @@ from repro.hybrid import (
     OfflineProfiler,
     allocate_by_threshold,
     build_threshold_database,
-    colocation_sweep,
     dlrm_tenant,
 )
 from repro.resilience import ResiliencePolicy
@@ -26,7 +26,6 @@ from repro.serving import (
     BatchingPolicy,
     DynamicBatcher,
     ExecutionEngine,
-    SecureDlrmServer,
     ServingConfig,
     batch_boundary_arrivals,
     poisson_arrivals,
@@ -103,15 +102,6 @@ class TestSeedParity:
         assert np.array_equal(disabled.latencies, enabled.latencies)
         assert disabled.throughput() == enabled.throughput()
         assert registry.counter("serving.requests_total").value == 100.0
-
-    def test_facade_matches_engine(self, engine, thresholds):
-        server = SecureDlrmServer(TERABYTE_SPEC.table_sizes, DIM,
-                                  DLRM_DHE_UNIFORM_64, thresholds)
-        config = ServingConfig(batch_size=32, threads=1)
-        via_server = server.serve(100, config)
-        via_engine = engine.serve_closed(100, config)
-        assert np.array_equal(via_server.latencies, via_engine.latencies)
-        assert via_server.throughput() == via_engine.throughput()
 
     @pytest.mark.parametrize("batch,threads,num_requests",
                              [(1, 1, 10), (32, 1, 100), (128, 1, 1024)])
@@ -220,8 +210,14 @@ class TestDispatcherIntegration:
         tenant = dlrm_tenant(TERABYTE_SPEC.table_sizes, DIM, allocations,
                              DLRM_DHE_UNIFORM_64, config.batch_size,
                              varied=True)
-        assert dispatcher.sweep(6) == colocation_sweep(tenant, 6,
-                                                       config.batch_size)
+        assert dispatcher.demand == tenant.demand
+        expected = []
+        for copies in range(1, 7):
+            latencies = replicated_latencies(tenant.demand, copies)
+            expected.append((copies, max(latencies),
+                             sum(config.batch_size / latency
+                                 for latency in latencies)))
+        assert dispatcher.sweep(6) == expected
 
     def test_explicit_allocation_override(self, engine):
         config = ServingConfig(batch_size=32, threads=1)

@@ -81,13 +81,15 @@ class TestRequestQueue:
             RequestQueue([-0.1, 0.2])
 
     def test_offered_load(self):
-        queue = RequestQueue.deterministic(11, interval_seconds=0.1)
+        queue = RequestQueue(deterministic_arrivals(11, interval_seconds=0.1))
         assert queue.offered_load_rps() == pytest.approx(10.0)
         assert RequestQueue([0.5, 0.5]).offered_load_rps() is None
 
     def test_classmethods(self):
-        assert len(RequestQueue.poisson(10, 100.0, rng=0)) == 10
-        assert len(RequestQueue.batch_boundary(10, 4, 0.1)) == 10
+        queue = RequestQueue.poisson(10, 100.0, rng=0)
+        np.testing.assert_array_equal(queue.arrivals,
+                                      poisson_arrivals(10, 100.0, rng=0))
+        assert len(RequestQueue(batch_boundary_arrivals(10, 4, 0.1))) == 10
 
 
 class TestNonFiniteArrivals:

@@ -211,7 +211,6 @@ def test_one_serving_loop_settles_the_schedule():
             source = handle.read()
         if name == "engine.py":
             assert "PipelineEngine" not in source
-            assert "EngineStage" not in source
         for function in ast.walk(ast.parse(source, name)):
             if not isinstance(function, ast.FunctionDef):
                 continue
@@ -380,3 +379,43 @@ def test_one_owner_walk():
     assert admitters == [("router.py", "route_tables")]
     assert seams == []
     assert knobs == []
+
+
+def test_one_report_fold():
+    """Reports combine in one module: ``repro.serving.report`` owns merge,
+    compose and the summed cache counters (``compose_stage_reports`` and
+    the scatter-gather's ``_gathered_cache_fields`` each re-summed them),
+    and the serving seams no caller used are gone — the
+    ``SecureDlrmServer`` facade, ``EngineStage`` and the co-location
+    planner's second copy of ``Dispatcher.sweep``."""
+    import ast
+    import os
+
+    import repro
+
+    root = os.path.dirname(repro.__file__)
+    summers, seams = [], []
+    retired = {"SecureDlrmServer", "EngineStage", "compose_stage_reports",
+               "_gathered_cache_fields", "colocation_sweep",
+               "latency_bounded_throughput"}
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            where = os.path.relpath(path, root)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if node.name in retired:
+                        seams.append((where, node.name))
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "sum"
+                        and any(isinstance(inner, ast.Attribute)
+                                and inner.attr == "cache_bytes_resident"
+                                for inner in ast.walk(node))):
+                    summers.append(where)
+    assert summers == [os.path.join("serving", "report.py")]
+    assert seams == []
