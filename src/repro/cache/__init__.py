@@ -7,26 +7,21 @@ See :mod:`repro.cache.policy` for the admission policies,
 
 from repro.cache.audit import cache_subject, replay_cache
 from repro.cache.policy import (
-    CACHE_KINDS,
     CACHE_REGION,
     BatchMetadata,
     BatchResultCache,
-    CachePolicy,
     CachePricer,
     CacheStats,
     DecoderWeightCache,
     IndexKeyedLRUCache,
     SecretIndependentCache,
     StaticResidencyCache,
-    resolve_cache,
 )
 
 __all__ = [
-    "CACHE_KINDS",
     "CACHE_REGION",
     "BatchMetadata",
     "BatchResultCache",
-    "CachePolicy",
     "CachePricer",
     "CacheStats",
     "DecoderWeightCache",
@@ -35,5 +30,4 @@ __all__ = [
     "StaticResidencyCache",
     "cache_subject",
     "replay_cache",
-    "resolve_cache",
 ]

@@ -28,7 +28,8 @@ Every admission/eviction decision is recorded in the ``cache.admission``
 contrasting skew profiles (:mod:`repro.cache.audit`): a compliant policy
 produces the identical decision trace for every workload.
 :class:`IndexKeyedLRUCache` — the "natural" hot-index LRU — is kept in
-tree as the caught-by-construction negative control; never serve traffic
+tree as the caught-by-construction negative control;
+:class:`~repro.serving.engine.ExecutionEngine` refuses to serve traffic
 with it.
 """
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.costmodel.latency import dhe_varied_shape
@@ -49,9 +50,6 @@ from repro.utils.validation import check_positive, check_positive_finite
 
 #: tracer region every admission/eviction/lookup decision is recorded under
 CACHE_REGION = "cache.admission"
-
-#: the admission policies :class:`CachePolicy` can build
-CACHE_KINDS = ("static-residency", "decoder-reuse", "batch-shared")
 
 #: per-decoder fixed fetch overhead (page-in + pointer swizzle), seconds
 DECODER_FETCH_OVERHEAD_SECONDS = 5e-5
@@ -440,9 +438,6 @@ class DecoderWeightCache(SecretIndependentCache):
         self._record(WRITE, _stable_address(key) * 2 + int(hit))
         return generator
 
-    def generators_built(self) -> int:
-        return len(self._generators)
-
     def shared_runtime(self):
         """One lazy runtime (and so one captured-graph cache) per policy."""
         if self._runtime is None:
@@ -533,8 +528,8 @@ class IndexKeyedLRUCache(SecretIndependentCache):
     stream, so its admission trace diverges between skew profiles and the
     :class:`~repro.telemetry.audit.LeakageAuditor` flags it. Kept in tree
     only as the negative control for :mod:`repro.cache.audit` and its
-    regression tests; :class:`CachePolicy` refuses to build it and it must
-    never serve traffic.
+    regression tests; :class:`~repro.serving.engine.ExecutionEngine`
+    refuses it, so it never serves traffic.
     """
 
     name = "index-keyed-lru"
@@ -580,65 +575,3 @@ class IndexKeyedLRUCache(SecretIndependentCache):
                 self.stats.bytes_resident -= self._row_bytes
                 self._record(WRITE, victim)
         return self._service_seconds
-
-
-@dataclass(frozen=True)
-class CachePolicy:
-    """Opt-in cache configuration for engines and servers.
-
-    ``kind`` selects one of the three secret-independent admission
-    policies (:data:`CACHE_KINDS`); the remaining fields parameterise it.
-    The index-keyed LRU is deliberately *not* buildable here — it exists
-    only as the audit's negative control.
-    """
-
-    kind: str
-    budget_bytes: int = 64 * 1024 * 1024      # static-residency pin budget
-    epoch_seconds: float = 0.05               # batch-shared arrival epoch
-    keep_generations: int = 1                 # batch-shared retention
-
-    def __post_init__(self) -> None:
-        if self.kind not in CACHE_KINDS:
-            raise ValueError(
-                f"unknown cache kind {self.kind!r}; known: "
-                + ", ".join(repr(kind) for kind in CACHE_KINDS)
-                + " (the index-keyed LRU is a side channel and cannot be "
-                  "served)")
-        check_positive("budget_bytes", self.budget_bytes)
-        check_positive_finite("epoch_seconds", self.epoch_seconds)
-        check_positive("keep_generations", self.keep_generations)
-
-    def build(self, tracer: Optional[MemoryTracer] = None
-              ) -> SecretIndependentCache:
-        """Instantiate the configured policy (optionally traced)."""
-        if self.kind == "static-residency":
-            return StaticResidencyCache(self.budget_bytes, tracer=tracer)
-        if self.kind == "decoder-reuse":
-            return DecoderWeightCache(tracer=tracer)
-        return BatchResultCache(epoch_seconds=self.epoch_seconds,
-                                keep_generations=self.keep_generations,
-                                tracer=tracer)
-
-
-CacheLike = object  # CachePolicy | SecretIndependentCache
-
-
-def resolve_cache(cache: Optional[CacheLike],
-                  tracer: Optional[MemoryTracer] = None
-                  ) -> Optional[SecretIndependentCache]:
-    """Turn a :class:`CachePolicy` or cache instance into a cache instance.
-
-    Engines accept either: a policy builds a private instance, while a
-    pre-built instance is shared verbatim (how the bench shares one
-    decoder-weight cache across per-epoch engines).
-    """
-    if cache is None:
-        return None
-    if isinstance(cache, CachePolicy):
-        return cache.build(tracer=tracer)
-    if isinstance(cache, SecretIndependentCache):
-        return cache
-    required = ("plan", "schedule_seconds", "batch_seconds")
-    if all(hasattr(cache, method) for method in required):
-        return cache  # duck-typed policies pass through, like backends do
-    raise TypeError(f"not a cache policy or cache instance: {cache!r}")

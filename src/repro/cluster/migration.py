@@ -515,28 +515,6 @@ class MigrationEngine:
         }
         return inflated, shed, contended
 
-    # ------------------------------------------------------------------
-    def degrade_in_flight(self, table_id: int, ladder, cause: str,
-                          batch_index: int = -1):
-        """Degrade a table that is mid-move, counting the transition once.
-
-        A table in its double-serve window is materialised on both its
-        source and target owners, but a technique degradation is one
-        logical event: the ladder is stepped exactly once and the audit
-        gate runs exactly once, regardless of how many replicas currently
-        hold the table. Raises if the table has no move (nothing is in
-        flight for it).
-        """
-        if all(move.table_id != table_id for move in self.move_set()):
-            raise ValueError(
-                f"table {table_id} is not part of this migration's "
-                f"move-set; nothing is in flight for it")
-        event = ladder.degrade(cause, batch_index)
-        if event is not None:
-            get_registry().counter(
-                "cluster.migration.degradations_total").inc()
-        return event
-
 
 # ----------------------------------------------------------------------
 # The migration-level leakage check (judged by LeakageAuditor).

@@ -109,9 +109,6 @@ class ShardPlan:
                 return placement.node
         raise KeyError(f"no placement for table {table_id}")
 
-    def tables_on(self, node: int) -> List[int]:
-        return [p.table_id for p in self.placements if p.node == node]
-
     def node_latency_seconds(self, node: int) -> float:
         return sum(p.latency_seconds for p in self.placements
                    if p.node == node)

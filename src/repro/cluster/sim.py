@@ -203,28 +203,28 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # ------------------------------------------------------------------
     # Gate: oblivious-safe caching on the top topology. Static whole-table
     # residency (audited: occupancy ignores the request stream) must cut
-    # fleet busy time without inflating the gathered p99.
-    from repro.cache import CachePolicy, StaticResidencyCache, cache_subject
+    # fleet busy time without inflating the gathered p99. One factory: the
+    # audit calls it with a tracer, the fleet once per shard without one,
+    # so the audited policy is the one served.
+    from repro.cache import StaticResidencyCache, cache_subject
 
-    cache_policy = CachePolicy("static-residency",
-                               budget_bytes=CACHE_BUDGET_BYTES)
+    cache_factory = functools.partial(StaticResidencyCache,
+                                      CACHE_BUDGET_BYTES)
     cache_finding = auditor.require(cache_subject(
-        lambda tracer: StaticResidencyCache(cache_policy.budget_bytes,
-                                            tracer=tracer),
-        name="static-residency"))
+        cache_factory, name=StaticResidencyCache.name))
     cached_planner = ShardPlanner(top_nodes, thresholds, dim, uniform)
     cached_router = ShardRouter(top_nodes, replication=top_repl,
                                 plan=cached_planner.plan(sizes, config))
     cached_engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
                                         cached_router, retry=retry,
-                                        cache=cache_policy)
+                                        cache=cache_factory)
     cached = cached_engine.serve(config, arrivals, policy)
     cache_ok = (cached.p99 <= top.p99
                 and (cached.report.cache_hits or 0) > 0
                 and cached.fleet.batch_time_total < top.fleet.batch_time_total)
     caching = {
-        "policy": cache_policy.kind,
-        "budget_bytes": cache_policy.budget_bytes,
+        "policy": StaticResidencyCache.name,
+        "budget_bytes": CACHE_BUDGET_BYTES,
         "audit_passed": cache_finding.passed,
         "audit_divergence": cache_finding.divergence,
         "cache_hits": cached.report.cache_hits,

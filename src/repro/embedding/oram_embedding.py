@@ -61,10 +61,6 @@ class _OramEmbeddingBase(EmbeddingGenerator):
             if flat.size else np.zeros((0, self.embedding_dim))
         return Tensor(rows.reshape(*indices.shape, self.embedding_dim))
 
-    def load_weights(self, weight: np.ndarray) -> None:
-        """Refresh all rows (e.g. after retraining the table offline)."""
-        self.oram.load_blocks(np.asarray(weight, dtype=np.float64))
-
     def modelled_latency(self, batch: int, threads: int = 1,
                          platform: PlatformModel = DEFAULT_PLATFORM) -> float:
         return oram_latency(self.scheme, self.num_embeddings,

@@ -93,11 +93,6 @@ class OfflineProfiler:
         """Short backend identifier (``"modelled"`` / ``"measured"``)."""
         return self._backend.name
 
-    @property
-    def execution_backend(self):
-        """The :class:`~repro.serving.backends.ExecutionBackend` in use."""
-        return self._backend
-
     # ------------------------------------------------------------------
     def profile(self, techniques: Iterable[str] = ("scan", "dhe-uniform"),
                 sizes: Sequence[int] = DEFAULT_SIZE_GRID,

@@ -153,16 +153,6 @@ class OramController:
                                            self.real_slots):
                 self.stash.add(block_id, leaf, payloads[block_id])
 
-    def load_blocks(self, payloads: np.ndarray) -> None:
-        """Bulk-overwrite all block payloads (offline, data-independent)."""
-        payloads = np.asarray(payloads, dtype=np.float64)
-        if payloads.shape != (self.num_blocks, self.block_width):
-            raise ValueError(
-                f"payload shape {payloads.shape} != "
-                f"({self.num_blocks}, {self.block_width})")
-        for block_id in range(self.num_blocks):
-            self.write(block_id, payloads[block_id])
-
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------

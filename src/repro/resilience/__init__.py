@@ -1,6 +1,7 @@
 """Fault tolerance for the oblivious serving stack.
 
-Fault injection (:mod:`~repro.resilience.faults`), retry/deadline budgets
+Fault injection (:mod:`~repro.resilience.faults`, read only by the
+resilient executor in :mod:`~repro.resilience.policy`), retry/deadline budgets
 (:mod:`~repro.resilience.retry`), per-replica circuit breakers
 (:mod:`~repro.resilience.breaker`), health-aware dispatch with hedging
 (:mod:`~repro.resilience.dispatch`), obliviousness-preserving degradation
@@ -27,17 +28,15 @@ from repro.resilience.degradation import (
 )
 from repro.resilience.dispatch import ReplicaState, ResilientDispatcher
 from repro.resilience.faults import (
-    FaultInjectingBackend,
     FaultInjector,
     LatencySpikeFault,
     ReplicaCrashFault,
     StashPressureFault,
-    TransientBackendError,
     TransientErrorFault,
 )
 from repro.resilience.policy import ResiliencePolicy, execute_with_resilience
 from repro.resilience.report import ResilientServingReport
-from repro.resilience.retry import DeadlineBudget, DeadlineExceeded, RetryPolicy
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "CLOSED",
@@ -53,17 +52,13 @@ __all__ = [
     "DegradationLadder",
     "ReplicaState",
     "ResilientDispatcher",
-    "FaultInjectingBackend",
     "FaultInjector",
     "LatencySpikeFault",
     "ReplicaCrashFault",
     "StashPressureFault",
-    "TransientBackendError",
     "TransientErrorFault",
     "ResiliencePolicy",
     "execute_with_resilience",
     "ResilientServingReport",
-    "DeadlineBudget",
-    "DeadlineExceeded",
     "RetryPolicy",
 ]

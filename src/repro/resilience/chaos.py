@@ -58,8 +58,7 @@ def _build_engine(spec: DlrmDatasetSpec, batch: int,
                            varied=True, resilience=resilience)
 
 
-def _scenarios(seed: int, spec: DlrmDatasetSpec
-               ) -> List[Dict[str, object]]:
+def _scenarios(seed: int) -> List[Dict[str, object]]:
     """The escalating fault scenarios, all keyed off one seed."""
     return [
         {
@@ -82,11 +81,8 @@ def _scenarios(seed: int, spec: DlrmDatasetSpec
             "injector": FaultInjector(
                 seed=seed,
                 transient=TransientErrorFault(probability=0.02),
-                stash=StashPressureFault(probability=0.60,
-                                         capacity_fraction=0.25)),
-            "ladder": DegradationLadder(table_size=max(spec.table_sizes),
-                                        trigger_after=2,
-                                        audit_seed=seed),
+                stash=StashPressureFault(probability=0.60)),
+            "ladder": DegradationLadder(trigger_after=2, audit_seed=seed),
         },
     ]
 
@@ -109,7 +105,7 @@ def run_chaos(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     scenario_digests: List[Dict[str, object]] = []
     all_available = True
     all_audits_passed = True
-    for scenario in _scenarios(seed, spec):
+    for scenario in _scenarios(seed):
         injector: FaultInjector = scenario["injector"]
         resilience = ResiliencePolicy(
             injector=injector,

@@ -73,7 +73,6 @@ class DegradationLadder:
     enough to run inline on every transition.
     """
 
-    table_size: int
     chain: Sequence[str] = DEFAULT_CHAIN
     trigger_after: int = 3
     audit_rows: int = 16
@@ -83,7 +82,6 @@ class DegradationLadder:
     events: List[DegradationEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        check_positive("table_size", self.table_size)
         check_positive("trigger_after", self.trigger_after)
         if not self.chain:
             raise ValueError("degradation chain cannot be empty")
@@ -113,13 +111,6 @@ class DegradationLadder:
     @property
     def degradations(self) -> int:
         return len(self.events)
-
-    def current_latency(self, backend, dim: int, batch: int,
-                        threads: int = 1) -> float:
-        """Price the current rung through an execution backend."""
-        return backend.technique_latency(self.current_technique,
-                                         self.table_size, dim, batch,
-                                         threads)
 
     # ------------------------------------------------------------------
     def record_pressure(self, cause: str,
@@ -161,11 +152,6 @@ class DegradationLadder:
         if not event.audit_passed:
             registry.counter("resilience.degradation_audit_failures_total").inc()
         return event
-
-    def reset(self) -> None:
-        """Back to the top rung (after the underlying fault cleared)."""
-        self._position = 0
-        self._pressure_streak = 0
 
     # ------------------------------------------------------------------
     def _audit_technique(self, technique: str):

@@ -134,10 +134,6 @@ class ResilientDispatcher:
     def healthy_count(self, now_seconds: float) -> int:
         return len(self.admitted(now_seconds))
 
-    def below_min(self, now_seconds: float) -> bool:
-        """Has the fleet shrunk below its redundancy floor?"""
-        return self.healthy_count(now_seconds) < self.min_replicas
-
     def select(self, now_seconds: float,
                exclude: tuple = ()) -> Optional[int]:
         """Round-robin pick among admitted replicas (None if all out)."""

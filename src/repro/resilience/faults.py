@@ -12,21 +12,17 @@ order, identical across replays of the same seed, and enumerable up front
 (:meth:`FaultInjector.schedule`) — which is exactly what the chaos
 harness's determinism gate asserts.
 
-The injector hooks the two seams the paper's serving stack exposes:
-
-* the :class:`~repro.serving.backends.ExecutionBackend` protocol, via
-  :class:`FaultInjectingBackend` (latency multiplied, or
-  :class:`TransientBackendError` raised);
-* the ORAM controller, via :meth:`FaultInjector.stash_pressure` (the
-  persistent stash bound temporarily tightened, forcing the overflow
-  signal and the recovery/degradation machinery to engage).
+The injector is read in one place,
+:func:`~repro.resilience.policy.execute_with_resilience`: crashes,
+transient errors and spikes per (replica, batch, attempt), and stash
+pressure per batch, which feeds the
+:class:`~repro.resilience.degradation.DegradationLadder`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -40,10 +36,6 @@ _KIND_IDS = {
     "stash": 4,
     "jitter": 5,
 }
-
-
-class TransientBackendError(RuntimeError):
-    """An injected, retryable backend failure (the fault model's 5xx)."""
 
 
 @dataclass(frozen=True)
@@ -84,16 +76,12 @@ class TransientErrorFault:
 
 @dataclass(frozen=True)
 class StashPressureFault:
-    """ORAM stash pressure: the persistent bound temporarily tightens."""
+    """A batch runs under ORAM stash pressure (a degradation-ladder signal)."""
 
-    probability: float = 0.0        # per pressure-window event
-    capacity_fraction: float = 0.25  # fraction of the bound that survives
+    probability: float = 0.0        # per batch
 
     def __post_init__(self) -> None:
         check_probability("probability", self.probability)
-        if not 0.0 < self.capacity_fraction <= 1.0:
-            raise ValueError(f"capacity_fraction must be in (0, 1], got "
-                             f"{self.capacity_fraction!r}")
 
 
 class FaultInjector:
@@ -156,7 +144,7 @@ class FaultInjector:
                           attempt) < self.transient.probability
 
     def stash_pressured(self, event: int) -> bool:
-        """Does pressure-window ``event`` come under stash pressure?"""
+        """Does batch ``event`` run under stash pressure?"""
         if self.stash is None or self.stash.probability == 0.0:
             return False
         return self._draw("stash", event) < self.stash.probability
@@ -197,75 +185,3 @@ class FaultInjector:
                         transients.append(coords)
         return {"crashes": crashes, "spikes": spikes,
                 "transients": transients, "stash_pressure": pressured}
-
-    # ------------------------------------------------------------------
-    # The ORAM hook
-    # ------------------------------------------------------------------
-    @contextmanager
-    def stash_pressure(self, controller, event: int) -> Iterator[bool]:
-        """Tighten ``controller``'s persistent stash bound for one window.
-
-        Yields whether pressure actually fired for ``event``. While the
-        window is open, accesses that exceed the tightened bound raise
-        :class:`~repro.oram.stash.StashOverflowError` through the
-        controller's overflow signal; the original bound is always
-        restored on exit.
-        """
-        fired = self.stash_pressured(event)
-        if not fired:
-            yield False
-            return
-        original = controller.persistent_stash_capacity
-        controller.persistent_stash_capacity = max(
-            1, int(original * self.stash.capacity_fraction))
-        try:
-            yield True
-        finally:
-            controller.persistent_stash_capacity = original
-
-
-class FaultInjectingBackend:
-    """An :class:`ExecutionBackend` decorator that injects faults.
-
-    Wraps any backend satisfying the protocol. Each latency resolution is
-    one fault event: a transient fault raises
-    :class:`TransientBackendError`, a latency spike multiplies the inner
-    backend's answer. Events are numbered by an internal counter, so a
-    fixed call sequence (the engine's per-table pricing loop is one)
-    replays identically under the same seed.
-    """
-
-    def __init__(self, inner, injector: FaultInjector,
-                 replica: int = 0) -> None:
-        if not (hasattr(inner, "technique_latency")
-                and hasattr(inner, "generator_latency")):
-            raise TypeError(f"not an execution backend: {inner!r}")
-        self.inner = inner
-        self.injector = injector
-        self.replica = int(replica)
-        self._event = 0
-        self.name = f"fault-injecting({getattr(inner, 'name', '?')})"
-
-    def _next_event(self) -> int:
-        event = self._event
-        self._event += 1
-        return event
-
-    def _resolve(self, base_latency: float) -> float:
-        event = self._next_event()
-        if self.injector.transient_error(self.replica, event, 0):
-            raise TransientBackendError(
-                f"injected transient backend error (replica "
-                f"{self.replica}, event {event})")
-        return base_latency * self.injector.spike_multiplier(
-            self.replica, event, 0)
-
-    def technique_latency(self, technique: str, table_size: int, dim: int,
-                          batch: int, threads: int = 1) -> float:
-        return self._resolve(self.inner.technique_latency(
-            technique, table_size, dim, batch, threads))
-
-    def generator_latency(self, generator, batch: int,
-                          threads: int = 1) -> float:
-        return self._resolve(self.inner.generator_latency(
-            generator, batch, threads))

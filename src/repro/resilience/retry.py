@@ -20,10 +20,6 @@ from repro.utils.validation import (
 )
 
 
-class DeadlineExceeded(RuntimeError):
-    """A request's deadline budget ran out before an attempt could finish."""
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How failed batch attempts are retried.
@@ -90,24 +86,3 @@ class RetryPolicy:
                 f"batcher's max_wait_seconds "
                 f"{batching_policy.max_wait_seconds}; the budget would "
                 f"expire during admission")
-
-
-class DeadlineBudget:
-    """The remaining budget of one in-flight request/batch."""
-
-    def __init__(self, deadline_seconds: float) -> None:
-        check_positive_finite("deadline_seconds", deadline_seconds)
-        self.deadline_seconds = deadline_seconds
-
-    def remaining(self, now_seconds: float) -> float:
-        return self.deadline_seconds - now_seconds
-
-    def expired(self, now_seconds: float) -> bool:
-        return now_seconds >= self.deadline_seconds
-
-    def require(self, now_seconds: float) -> None:
-        """Raise :class:`DeadlineExceeded` once the budget is spent."""
-        if self.expired(now_seconds):
-            raise DeadlineExceeded(
-                f"deadline {self.deadline_seconds:.6f}s exceeded at "
-                f"t={now_seconds:.6f}s")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.costmodel.latency import MLP_OVERHEAD_SECONDS, DheShape
 from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
@@ -41,7 +41,7 @@ from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive, check_positive_finite
 
 if TYPE_CHECKING:  # runtime imports are deferred: hybrid imports serving
-    from repro.cache.policy import CachePolicy, SecretIndependentCache
+    from repro.cache.policy import SecretIndependentCache
     from repro.hybrid.allocator import FeatureAllocation
     from repro.hybrid.thresholds import ThresholdDatabase
     from repro.resilience.policy import ResiliencePolicy
@@ -72,11 +72,22 @@ class ExecutionEngine:
                  platform: PlatformModel = DEFAULT_PLATFORM,
                  mlp_overhead_seconds: float = MLP_OVERHEAD_SECONDS,
                  resilience: Optional[ResiliencePolicy] = None,
-                 cache: Optional[Union["CachePolicy",
-                                       "SecretIndependentCache"]] = None
-                 ) -> None:
+                 cache: Optional[SecretIndependentCache] = None) -> None:
         if not table_sizes:
             raise ValueError("engine needs at least one sparse feature")
+        if cache is not None:
+            from repro.cache.policy import (
+                IndexKeyedLRUCache,
+                SecretIndependentCache,
+            )
+
+            if (not isinstance(cache, SecretIndependentCache)
+                    or isinstance(cache, IndexKeyedLRUCache)):
+                # The index-keyed LRU is the audit's negative control: its
+                # residency is the secret request stream.
+                raise TypeError(
+                    f"ExecutionEngine serves through a secret-independent "
+                    f"cache only, not {cache!r}")
         check_positive("embedding_dim", embedding_dim)
         self.table_sizes = tuple(table_sizes)
         self.embedding_dim = embedding_dim
@@ -88,7 +99,6 @@ class ExecutionEngine:
         self.backend = resolve_backend(backend, uniform_shape, platform)
         self.resilience = resilience
         self.cache = cache
-        self._cache_instance: Optional[SecretIndependentCache] = None
 
     # ------------------------------------------------------------------
     # Allocation (Algorithm 3) for the live configuration
@@ -129,22 +139,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
     # The opt-in oblivious-safe cache (repro.cache)
     # ------------------------------------------------------------------
-    @property
-    def cache_instance(self) -> Optional[SecretIndependentCache]:
-        """The live cache (resolved from a :class:`CachePolicy` on first use).
-
-        A pre-built cache instance is shared verbatim — that is how one
-        :class:`~repro.cache.policy.DecoderWeightCache` persists decoder
-        weights across per-epoch engines.
-        """
-        if self.cache is None:
-            return None
-        if self._cache_instance is None:
-            from repro.cache.policy import resolve_cache
-
-            self._cache_instance = resolve_cache(self.cache)
-        return self._cache_instance
-
     def _cache_pricer(self, config: ServingConfig):
         from repro.cache.policy import CachePricer
 
@@ -210,7 +204,7 @@ class ExecutionEngine:
         if policy is None:
             policy = BatchingPolicy(max_batch_size=config.batch_size,
                                     max_wait_seconds=0.0)
-        cache = self.cache_instance
+        cache = self.cache
         labels = {} if cache is None else {"cache": cache.name}
         registry = get_registry()
         with registry.span("serve", requests=len(queue),
@@ -242,8 +236,7 @@ class ExecutionEngine:
                 with registry.span("serve.resilient_execute",
                                    batches=len(batches)):
                     result = execute_with_resilience(
-                        batches, queue.arrivals, service, self.resilience,
-                        batch_service_seconds=executed)
+                        batches, queue.arrivals, executed, self.resilience)
                 queue_delays = result["queue_delays"]
                 service_latencies = result["service_latencies"]
                 departures = result["departures"]

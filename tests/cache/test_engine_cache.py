@@ -4,8 +4,8 @@ import pytest
 
 from repro.cache import (
     BatchResultCache,
-    CachePolicy,
     DecoderWeightCache,
+    IndexKeyedLRUCache,
     StaticResidencyCache,
 )
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
@@ -20,6 +20,7 @@ from repro.serving.requests import RequestQueue
 
 DIM = 64
 BATCH = 32
+BUDGET_BYTES = 64 * 1024 * 1024
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,10 @@ def make_engine(thresholds, cache=None, **kwargs):
                            cache=cache, **kwargs)
 
 
+def residency():
+    return StaticResidencyCache(BUDGET_BYTES)
+
+
 class TestEngineCaching:
     def test_uncached_report_has_no_cache_fields(self, thresholds, config,
                                                  arrivals):
@@ -62,7 +67,7 @@ class TestEngineCaching:
         base = make_engine(thresholds).serve(config, arrivals)
         cached = make_engine(
             thresholds,
-            cache=CachePolicy("static-residency")).serve(config, arrivals)
+            cache=residency()).serve(config, arrivals)
         assert cached.tracks_cache
         assert cached.cache_hits > 0
         assert cached.p50 < base.p50
@@ -71,7 +76,7 @@ class TestEngineCaching:
 
     def test_report_carries_per_serve_deltas(self, thresholds, config,
                                              arrivals):
-        engine = make_engine(thresholds, cache=CachePolicy("static-residency"))
+        engine = make_engine(thresholds, cache=residency())
         first = engine.serve(config, arrivals)
         second = engine.serve(config, arrivals)
         # Stats are cumulative on the instance; reports carry the delta.
@@ -82,7 +87,7 @@ class TestEngineCaching:
                                              arrivals):
         cache = DecoderWeightCache()
         engine = make_engine(thresholds, cache=cache)
-        assert engine.cache_instance is cache
+        assert engine.cache is cache
         cold = engine.serve(config, arrivals)
         assert cold.cache_misses > 0 and cold.cache_hits == 0
         warm_engine = make_engine(thresholds, cache=cache)
@@ -113,9 +118,9 @@ class TestEngineCaching:
 
         plain = make_engine(
             thresholds,
-            cache=CachePolicy("static-residency")).serve(config, arrivals)
+            cache=residency()).serve(config, arrivals)
         composed = make_engine(
-            thresholds, cache=CachePolicy("static-residency"),
+            thresholds, cache=residency(),
             resilience=ResiliencePolicy()).serve(config, arrivals)
         assert isinstance(composed, ResilientServingReport)
         assert np.array_equal(composed.latencies, plain.latencies)
@@ -154,7 +159,7 @@ class TestEngineCaching:
             thresholds, resilience=policy()).serve(config, arrivals)
         composed = make_engine(
             thresholds,
-            cache=CachePolicy("static-residency", budget_bytes=1),
+            cache=StaticResidencyCache(1),
             resilience=policy()).serve(config, arrivals)
         assert composed.cache_hits == 0
         assert np.array_equal(composed.latencies, uncached.latencies)
@@ -171,16 +176,40 @@ class TestEngineCaching:
         base = make_engine(thresholds).serve_closed(64, config)
         cached = make_engine(
             thresholds,
-            cache=CachePolicy("static-residency")).serve_closed(64, config)
+            cache=residency()).serve_closed(64, config)
         assert base.cache_hits is None
         assert cached.tracks_cache
         assert cached.p50 < base.p50
 
 
+class TestLeakyCacheRefused:
+    """The index-keyed LRU is the audit's negative control: its residency
+    is the secret request stream, so an engine must never serve through
+    it. Only a ``SecretIndependentCache`` is accepted."""
+
+    def test_index_keyed_lru_cannot_serve(self, thresholds):
+        with pytest.raises(TypeError, match="secret-independent"):
+            make_engine(thresholds, cache=IndexKeyedLRUCache(8))
+
+    def test_duck_typed_cache_is_refused(self, thresholds):
+        class Fake:
+            def plan(self, *args, **kwargs):
+                pass
+
+            def schedule_seconds(self):
+                return 1.0
+
+            def batch_seconds(self, meta, indices=None):
+                return 1.0
+
+        with pytest.raises(TypeError, match="secret-independent"):
+            make_engine(thresholds, cache=Fake())
+
+
 class TestServerPassThrough:
     def test_server_accepts_cache_policy(self, thresholds, config):
         engine = make_engine(thresholds,
-                             cache=CachePolicy("static-residency"))
+                             cache=residency())
         report = engine.serve(config, RequestQueue.poisson(128, 2000.0,
                                                            rng=3))
         assert report.tracks_cache
@@ -199,14 +228,13 @@ class TestScatterGather:
                                    cache=cache)
 
     def test_takes_policy_not_instance(self, thresholds):
-        with pytest.raises(TypeError, match="CachePolicy"):
+        with pytest.raises(TypeError, match="factory"):
             self.make_cluster_engine(thresholds,
                                      StaticResidencyCache(2 ** 24))
 
     def test_gathered_report_sums_shard_caches(self, thresholds, config,
                                                arrivals):
-        engine = self.make_cluster_engine(
-            thresholds, CachePolicy("static-residency"))
+        engine = self.make_cluster_engine(thresholds, residency)
         result = engine.serve(config, arrivals,
                               BatchingPolicy(max_batch_size=BATCH,
                                              max_wait_seconds=0.002))

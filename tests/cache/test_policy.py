@@ -8,18 +8,16 @@ from repro.cache.audit import (
     audit_pricer,
 )
 from repro.cache.policy import (
-    CACHE_KINDS,
     BatchMetadata,
     BatchResultCache,
-    CachePolicy,
     DecoderWeightCache,
     IndexKeyedLRUCache,
     SecretIndependentCache,
     StaticResidencyCache,
-    resolve_cache,
 )
 from repro.costmodel.memory import table_bytes
-from repro.serving.engine import ServingConfig
+from repro.hybrid.thresholds import ThresholdDatabase
+from repro.serving.engine import ExecutionEngine, ServingConfig
 
 
 @pytest.fixture(scope="module")
@@ -41,60 +39,33 @@ def meta(epoch=0, index=0, size=8):
     return BatchMetadata(epoch=epoch, index_in_epoch=index, size=size)
 
 
+def engine_with(cache):
+    return ExecutionEngine(AUDIT_TABLE_SIZES, 16, None,
+                           ThresholdDatabase("dhe-varied"), cache=cache)
+
+
 class TestCachePolicy:
-    def test_unknown_kind_lists_valid_kinds(self):
-        with pytest.raises(ValueError) as excinfo:
-            CachePolicy("hot-lru")
-        message = str(excinfo.value)
-        for kind in CACHE_KINDS:
-            assert repr(kind) in message
-
-    def test_builds_every_kind(self):
-        built = {kind: CachePolicy(kind).build() for kind in CACHE_KINDS}
-        assert isinstance(built["static-residency"], StaticResidencyCache)
-        assert isinstance(built["decoder-reuse"], DecoderWeightCache)
-        assert isinstance(built["batch-shared"], BatchResultCache)
-
-    def test_index_lru_is_not_buildable(self):
-        with pytest.raises(ValueError, match="side channel"):
-            CachePolicy("index-keyed-lru")
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            CachePolicy("static-residency", budget_bytes=0)
+            StaticResidencyCache(budget_bytes=0)
         with pytest.raises(ValueError):
-            CachePolicy("batch-shared", epoch_seconds=0.0)
+            BatchResultCache(epoch_seconds=0.0)
 
 
 class TestResolveCache:
-    def test_none_passthrough(self):
-        assert resolve_cache(None) is None
+    """An engine's ``cache=`` is ``None`` or a secret-independent instance,
+    kept verbatim; anything else is refused at construction."""
 
-    def test_policy_builds(self):
-        cache = resolve_cache(CachePolicy("decoder-reuse"))
-        assert isinstance(cache, DecoderWeightCache)
+    def test_none_passthrough(self):
+        assert engine_with(None).cache is None
 
     def test_instance_passthrough(self):
         cache = DecoderWeightCache()
-        assert resolve_cache(cache) is cache
-
-    def test_duck_typed_passthrough(self):
-        class Fake:
-            def plan(self, *args, **kwargs):
-                pass
-
-            def schedule_seconds(self):
-                return 1.0
-
-            def batch_seconds(self, meta, indices=None):
-                return 1.0
-
-        fake = Fake()
-        assert resolve_cache(fake) is fake
+        assert engine_with(cache).cache is cache
 
     def test_not_a_cache(self):
-        with pytest.raises(TypeError):
-            resolve_cache(42)
+        with pytest.raises(TypeError, match="secret-independent"):
+            engine_with(42)
 
 
 class TestStaticResidency:
@@ -178,7 +149,6 @@ class TestDecoderWeightCache:
         second = cache.generator(("dhe-varied", 4096, 16), builder)
         assert first is second
         assert len(builds) == 1
-        assert cache.generators_built() == 1
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_shared_runtime_is_singleton(self):

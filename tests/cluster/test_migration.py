@@ -17,7 +17,6 @@ from repro.cluster.scatter import ScatterGatherEngine
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC
 from repro.oblivious.trace import MemoryTracer
-from repro.resilience.degradation import DegradationLadder
 from repro.resilience.retry import RetryPolicy
 from repro.serving.batcher import BatchingPolicy
 from repro.serving.requests import RequestQueue
@@ -319,35 +318,6 @@ class TestMigrationAudit:
         assert set(head) == {move_ids[0]}
         assert set(tail) == {move_ids[-1]}
         assert len(set(uniform)) == NUM_TABLES
-
-
-class TestDegradeInFlight:
-    def test_mid_move_degradation_counted_exactly_once(self, migrator):
-        table_id = migrator.move_set()[0].table_id
-        ladder = DegradationLadder(table_size=SIZES[table_id])
-        with use_registry() as registry:
-            event = migrator.degrade_in_flight(table_id, ladder,
-                                               cause="hot-shard",
-                                               batch_index=2)
-            snapshot = registry.snapshot()
-        assert event is not None
-        assert ladder.degradations == 1
-        # one logical event: the ladder steps once and both the ladder's
-        # counter and the migration counter record exactly one transition,
-        # even though the table is materialised on two owners mid-move.
-        assert snapshot["counters"][
-            "resilience.degradations_total"] == 1.0
-        assert snapshot["counters"][
-            "cluster.migration.degradations_total"] == 1.0
-
-    def test_table_outside_move_set_rejected(self, epochs, migrator):
-        source, target = epochs
-        stationary = next(
-            table_id for table_id in range(NUM_TABLES)
-            if set(source.owners(table_id)) == set(target.owners(table_id)))
-        ladder = DegradationLadder(table_size=SIZES[stationary])
-        with pytest.raises(ValueError, match="not part of this migration"):
-            migrator.degrade_in_flight(stationary, ladder, cause="noise")
 
 
 class TestCustomStepSize:

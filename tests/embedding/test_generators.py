@@ -78,12 +78,6 @@ class TestLinearScanEmbedding:
 
 
 class TestOramEmbedding:
-    def test_load_weights_refreshes(self, rng):
-        generator = CircuitOramEmbedding(16, 4, rng=0)
-        fresh = rng.normal(size=(16, 4))
-        generator.load_weights(fresh)
-        np.testing.assert_allclose(generator.generate(np.arange(16)), fresh)
-
     def test_empty_batch(self, weights):
         generator = CircuitOramEmbedding(N, D, weight=weights, rng=0)
         out = generator.generate(np.array([], dtype=np.int64))

@@ -76,20 +76,29 @@ class TestBackends:
     def test_backend_instance_passthrough(self):
         from repro.serving.backends import ModelledBackend
 
-        backend = ModelledBackend(DLRM_DHE_UNIFORM_64)
-        profiler = OfflineProfiler(DLRM_DHE_UNIFORM_64, backend=backend)
-        assert profiler.execution_backend is backend
+        class Marked(ModelledBackend):
+            def technique_latency(self, *args, **kwargs):
+                return 0.125
+
+        profiler = OfflineProfiler(DLRM_DHE_UNIFORM_64,
+                                   backend=Marked(DLRM_DHE_UNIFORM_64))
         assert profiler.backend == "modelled"
+        profile = profiler.profile(techniques=("scan",), sizes=(10_000,),
+                                   dims=(64,), batches=(32,),
+                                   threads_list=(1,))
+        assert profile.latency("scan", 10_000, 64, 32, 1) == 0.125
 
     def test_shares_engine_latency_seam(self):
         """Profiler entries equal the backend's answers — one accounting."""
-        profiler = OfflineProfiler(DLRM_DHE_UNIFORM_64)
+        from repro.serving.backends import ModelledBackend
+
+        backend = ModelledBackend(DLRM_DHE_UNIFORM_64)
+        profiler = OfflineProfiler(DLRM_DHE_UNIFORM_64, backend=backend)
         profile = profiler.profile(techniques=("scan",), sizes=(10_000,),
                                    dims=(64,), batches=(32,),
                                    threads_list=(1,))
         assert profile.latency("scan", 10_000, 64, 32, 1) == \
-            profiler.execution_backend.technique_latency("scan", 10_000, 64,
-                                                         32, 1)
+            backend.technique_latency("scan", 10_000, 64, 32, 1)
 
     def test_default_grid_spans_dlrm_range(self):
         assert min(DEFAULT_SIZE_GRID) == 100

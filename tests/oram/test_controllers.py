@@ -76,18 +76,6 @@ class TestBasicAccess:
         assert oram.stats.bucket_writes > 0
         assert len(oram.stats.revealed_leaves) == 2
 
-    def test_load_blocks_refreshes(self, oram_class, rng):
-        oram = oram_class(8, 2, rng=0)
-        fresh = rng.normal(size=(8, 2))
-        oram.load_blocks(fresh)
-        for block in range(8):
-            np.testing.assert_allclose(oram.read(block), fresh[block])
-
-    def test_load_blocks_bad_shape(self, oram_class):
-        oram = oram_class(8, 2, rng=0)
-        with pytest.raises(ValueError):
-            oram.load_blocks(np.zeros((7, 2)))
-
 
 @pytest.mark.parametrize("call", ["access", "access_batch"])
 @pytest.mark.parametrize("scheme", [PathORAM, CircuitORAM, RingORAM, SqrtORAM],

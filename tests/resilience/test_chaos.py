@@ -86,8 +86,7 @@ class TestResilientExecution:
         assert first.to_dict(0.020) == second.to_dict(0.020)
 
     def test_ladder_degrades_under_stash_pressure(self, thresholds):
-        ladder = DegradationLadder(table_size=max(TERABYTE_SPEC.table_sizes),
-                                   trigger_after=2)
+        ladder = DegradationLadder(trigger_after=2)
         engine = make_engine(thresholds, storm_policy(seed=7, ladder=ladder))
         config = ServingConfig(batch_size=BATCH, threads=1)
         report = engine.serve_poisson(

@@ -8,23 +8,21 @@ from repro.resilience import (
     OBLIVIOUS_TECHNIQUES,
     DegradationLadder,
 )
-from repro.serving.backends import ModelledBackend
 from repro.telemetry.runtime import use_registry
 
 
 class TestChainValidation:
     def test_raw_lookup_is_never_a_legal_rung(self):
         with pytest.raises(ValueError, match="access-pattern channel"):
-            DegradationLadder(table_size=1000,
-                              chain=("path-oram", FORBIDDEN_TECHNIQUE))
+            DegradationLadder(chain=("path-oram", FORBIDDEN_TECHNIQUE))
 
     def test_unknown_technique_rejected(self):
         with pytest.raises(ValueError, match="oblivious set"):
-            DegradationLadder(table_size=1000, chain=("path-oram", "btree"))
+            DegradationLadder(chain=("path-oram", "btree"))
 
     def test_empty_chain_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            DegradationLadder(table_size=1000, chain=())
+            DegradationLadder(chain=())
 
     def test_default_chain_is_oblivious(self):
         assert set(DEFAULT_CHAIN) <= OBLIVIOUS_TECHNIQUES
@@ -33,7 +31,7 @@ class TestChainValidation:
 
 class TestStepping:
     def test_walks_the_chain_and_exhausts(self):
-        ladder = DegradationLadder(table_size=1000)
+        ladder = DegradationLadder()
         assert ladder.current_technique == "path-oram"
         event = ladder.degrade("stash-overflow", batch_index=4)
         assert (event.from_technique, event.to_technique) == ("path-oram",
@@ -47,28 +45,22 @@ class TestStepping:
         assert ladder.degradations == 2
 
     def test_pressure_streak_trips_after_threshold(self):
-        ladder = DegradationLadder(table_size=1000, trigger_after=3)
+        ladder = DegradationLadder(trigger_after=3)
         assert ladder.record_pressure("stash") is None
         assert ladder.record_pressure("stash") is None
         event = ladder.record_pressure("stash")
         assert event is not None and event.to_technique == "dhe-varied"
 
     def test_recovery_resets_the_streak(self):
-        ladder = DegradationLadder(table_size=1000, trigger_after=2)
+        ladder = DegradationLadder(trigger_after=2)
         ladder.record_pressure("stash")
         ladder.record_recovery()
         assert ladder.record_pressure("stash") is None
 
-    def test_reset_returns_to_top_rung(self):
-        ladder = DegradationLadder(table_size=1000)
-        ladder.degrade("stash")
-        ladder.reset()
-        assert ladder.current_technique == DEFAULT_CHAIN[0]
-
 
 class TestAuditedTransitions:
     def test_every_transition_is_leakage_audited(self):
-        ladder = DegradationLadder(table_size=1000)
+        ladder = DegradationLadder()
         events = [ladder.degrade("stash"), ladder.degrade("stash")]
         for event in events:
             assert event.audit_passed
@@ -83,7 +75,7 @@ class TestAuditedTransitions:
 
         from repro.telemetry.audit import LeakageAuditor, technique_subject
 
-        ladder = DegradationLadder(table_size=1000)
+        ladder = DegradationLadder()
         expected = LeakageAuditor().audit(replace(
             technique_subject(technique, ladder.audit_rows, ladder.audit_dim,
                               ladder.audit_secret_length, ladder.audit_seed),
@@ -93,7 +85,7 @@ class TestAuditedTransitions:
 
     def test_transitions_land_in_telemetry(self):
         with use_registry() as registry:
-            ladder = DegradationLadder(table_size=1000)
+            ladder = DegradationLadder()
             ladder.degrade("stash")
             ladder.degrade("stash")
         assert registry.counter(
@@ -101,22 +93,9 @@ class TestAuditedTransitions:
         assert registry.gauge("resilience.ladder_position").value == 2.0
 
     def test_event_dict_is_json_ready(self):
-        ladder = DegradationLadder(table_size=1000)
+        ladder = DegradationLadder()
         digest = ladder.degrade("stash", batch_index=7).to_dict()
         assert digest["from"] == "path-oram"
         assert digest["to"] == "dhe-varied"
         assert digest["batch_index"] == 7
         assert digest["audit_passed"] is True
-
-
-class TestPricing:
-    def test_current_latency_follows_the_rung(self):
-        backend = ModelledBackend()
-        ladder = DegradationLadder(table_size=100_000)
-        before = ladder.current_latency(backend, dim=64, batch=32)
-        ladder.degrade("stash")
-        ladder.degrade("stash")
-        after = ladder.current_latency(backend, dim=64, batch=32)
-        assert before == backend.technique_latency("path-oram", 100_000, 64,
-                                                   32, 1)
-        assert after == backend.technique_latency("scan", 100_000, 64, 32, 1)

@@ -49,7 +49,7 @@ class TestSelection:
             dispatcher.record_failure(replica, 0.0)
             dispatcher.record_failure(replica, 0.0)
         assert dispatcher.select(0.0) is None
-        assert dispatcher.below_min(0.0)
+        assert dispatcher.healthy_count(0.0) == 0
 
     def test_crash_downtime_evicts_until_deadline(self):
         dispatcher = ResilientDispatcher(num_replicas=2)

@@ -1,19 +1,14 @@
-"""FaultInjector: determinism, coordinates, the backend decorator."""
+"""FaultInjector: determinism, coordinates, fault-model validation."""
 
 import pytest
 
-from repro.oram.path_oram import PathORAM
-from repro.oram.stash import StashOverflowError
 from repro.resilience import (
-    FaultInjectingBackend,
     FaultInjector,
     LatencySpikeFault,
     ReplicaCrashFault,
     StashPressureFault,
-    TransientBackendError,
     TransientErrorFault,
 )
-from repro.serving.backends import ModelledBackend
 
 
 def storm(seed=0):
@@ -84,69 +79,3 @@ class TestFaultModelValidation:
     def test_spike_multiplier_floor(self):
         with pytest.raises(ValueError, match="multiplier"):
             LatencySpikeFault(probability=0.1, multiplier=0.5)
-
-    def test_capacity_fraction_bounds(self):
-        with pytest.raises(ValueError, match="capacity_fraction"):
-            StashPressureFault(probability=0.1, capacity_fraction=0.0)
-
-
-class TestFaultInjectingBackend:
-    def test_rejects_non_backend(self):
-        with pytest.raises(TypeError, match="not an execution backend"):
-            FaultInjectingBackend(object(), FaultInjector())
-
-    def test_inert_injector_passes_latency_through(self):
-        inner = ModelledBackend()
-        wrapped = FaultInjectingBackend(inner, FaultInjector(seed=0))
-        expected = inner.technique_latency("scan", 1000, 64, 32, 1)
-        assert wrapped.technique_latency("scan", 1000, 64, 32, 1) == expected
-
-    def test_spikes_and_transients_fire_deterministically(self):
-        def collect():
-            wrapped = FaultInjectingBackend(
-                ModelledBackend(),
-                FaultInjector(seed=2,
-                              spike=LatencySpikeFault(probability=0.3,
-                                                      multiplier=5.0),
-                              transient=TransientErrorFault(probability=0.3)))
-            outcomes = []
-            for _ in range(30):
-                try:
-                    outcomes.append(
-                        wrapped.technique_latency("scan", 1000, 64, 32, 1))
-                except TransientBackendError:
-                    outcomes.append("error")
-            return outcomes
-
-        first, second = collect(), collect()
-        assert first == second
-        assert "error" in first
-        base = ModelledBackend().technique_latency("scan", 1000, 64, 32, 1)
-        assert any(isinstance(o, float) and o > base for o in first)
-
-
-class TestStashPressureHook:
-    def test_pressure_window_tightens_and_restores_bound(self):
-        oram = PathORAM(64, 4, rng=0, stash_capacity=64)
-        original = oram.persistent_stash_capacity
-        injector = FaultInjector(
-            seed=0, stash=StashPressureFault(probability=1.0,
-                                             capacity_fraction=0.01))
-        fired = False
-        with injector.stash_pressure(oram, event=0) as active:
-            fired = active
-            assert oram.persistent_stash_capacity == 1
-            with pytest.raises(StashOverflowError):
-                # Deterministic (rng=0): within a few hundred accesses the
-                # between-access occupancy exceeds the tightened bound.
-                for step in range(512):
-                    oram.read(step % 64)
-        assert fired
-        assert oram.persistent_stash_capacity == original
-
-    def test_unfired_window_is_a_no_op(self):
-        oram = PathORAM(16, 4, rng=0, stash_capacity=16)
-        injector = FaultInjector(
-            seed=0, stash=StashPressureFault(probability=0.0))
-        with injector.stash_pressure(oram, event=0) as active:
-            assert not active

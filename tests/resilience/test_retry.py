@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.resilience import DeadlineBudget, DeadlineExceeded, RetryPolicy
+from repro.resilience import RetryPolicy
 from repro.serving.batcher import BatchingPolicy
 
 
@@ -57,12 +57,3 @@ class TestDeadlineBudget:
     def test_deadline_anchors_at_arrival(self):
         policy = RetryPolicy(deadline_seconds=0.5)
         assert policy.deadline_for(1.25) == 1.75
-
-    def test_budget_expiry(self):
-        budget = DeadlineBudget(2.0)
-        assert budget.remaining(1.5) == pytest.approx(0.5)
-        assert not budget.expired(1.5)
-        assert budget.expired(2.0)
-        budget.require(1.9)  # no raise
-        with pytest.raises(DeadlineExceeded):
-            budget.require(2.1)

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.cache import CachePolicy
+from repro.cache import (
+    BatchResultCache,
+    DecoderWeightCache,
+    StaticResidencyCache,
+)
 from repro.costmodel.colocation import replicated_latencies
 from repro.costmodel.latency import (
     DLRM_DHE_UNIFORM_64,
@@ -265,14 +269,19 @@ class TestOneServingLoop:
     """
 
     CONFIG = ServingConfig(batch_size=32, threads=1)
-    CACHES = (None, "static-residency", "batch-shared", "decoder-reuse")
+    CACHES = {
+        None: lambda: None,
+        "static-residency": lambda: StaticResidencyCache(64 * 1024 * 1024),
+        "batch-shared": BatchResultCache,
+        "decoder-reuse": DecoderWeightCache,
+    }
     TRACES = ("closed", "poisson-greedy", "poisson-2ms")
 
     def build(self, thresholds, cache, resilient):
         return ExecutionEngine(
             TERABYTE_SPEC.table_sizes, DIM, DLRM_DHE_UNIFORM_64,
             _SpyThresholds(thresholds), varied=True,
-            cache=None if cache is None else CachePolicy(cache),
+            cache=self.CACHES[cache](),
             resilience=ResiliencePolicy() if resilient else None)
 
     def trace(self, engine, kind):
@@ -303,7 +312,7 @@ class TestOneServingLoop:
             # Busy time is the fsum of per-batch executed times, re-derived
             # here from an independent schedule at the priced slot.
             slot = (engine.batch_latency(self.CONFIG) if cache is None
-                    else engine.cache_instance.schedule_seconds())
+                    else engine.cache.schedule_seconds())
             batches = DynamicBatcher(policy).schedule(arrivals,
                                                       lambda size: slot)
             assert report.num_batches == len(batches)

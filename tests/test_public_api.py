@@ -419,3 +419,55 @@ def test_one_report_fold():
                     summers.append(where)
     assert summers == [os.path.join("serving", "report.py")]
     assert seams == []
+
+
+def test_one_fault_path_and_one_cache_handle():
+    """Faults are injected only by ``execute_with_resilience`` (no backend
+    wrapper, no ORAM stash hook, no second deadline object) and an engine
+    takes a cache instance (no ``CachePolicy`` to resolve), so none of the
+    retired seams is defined anywhere under ``repro``, and
+    ``ResiliencePolicy`` carries exactly the five values a caller sets."""
+    import ast
+    import dataclasses
+    import os
+
+    import repro
+    from repro.resilience import DegradationLadder, ResiliencePolicy
+
+    root = os.path.dirname(repro.__file__)
+    retired = {
+        "FaultInjectingBackend", "TransientBackendError", "stash_pressure",
+        "DeadlineBudget", "DeadlineExceeded", "build_dispatcher",
+        "sheds_on_deadline", "current_latency", "below_min",
+        "CachePolicy", "CACHE_KINDS", "resolve_cache", "cache_instance",
+        "degrade_in_flight", "tables_on", "execution_backend",
+        "generators_built", "load_blocks", "load_weights",
+    }
+    defined = []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            where = os.path.relpath(path, root)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    names = [target.id for target in targets
+                             if isinstance(target, ast.Name)]
+                else:
+                    continue
+                defined.extend((where, found) for found in names
+                               if found in retired)
+    assert defined == []
+    assert [item.name for item in dataclasses.fields(ResiliencePolicy)] == [
+        "injector", "retry", "num_replicas", "min_replicas", "ladder"]
+    assert not hasattr(DegradationLadder, "reset")
+    assert "table_size" not in {item.name for item in
+                                dataclasses.fields(DegradationLadder)}
