@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_16
-from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.embedding.hybrid import TECHNIQUE_DHE, TECHNIQUE_SCAN
 from repro.hybrid.allocator import FeatureAllocation
 from repro.oblivious.trace import MemoryTracer
@@ -70,13 +69,11 @@ def audit_allocations(
 def audit_pricer(batch_size: int = AUDIT_BATCH_SIZE,
                  embedding_dim: int = 16) -> CachePricer:
     """A modelled-cost pricer over the fixed audit model."""
-    backend = resolve_backend("modelled", DLRM_DHE_UNIFORM_16,
-                              DEFAULT_PLATFORM)
+    backend = resolve_backend("modelled", DLRM_DHE_UNIFORM_16)
     return CachePricer(backend=backend, embedding_dim=embedding_dim,
                        batch_size=batch_size, threads=1, varied=True,
                        overhead_seconds=0.0,
-                       uniform_shape=DLRM_DHE_UNIFORM_16,
-                       platform=DEFAULT_PLATFORM)
+                       uniform_shape=DLRM_DHE_UNIFORM_16)
 
 
 def replay_cache(cache: SecretIndependentCache, secret: Sequence[int],

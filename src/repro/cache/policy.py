@@ -13,9 +13,9 @@ that satisfy it:
   request arrives; a resident table is served from its pinned private
   copy, the same residency argument the paper already makes for the DHE
   decoder weights;
-* :class:`DecoderWeightCache` — DHE decoder weights and captured lazy
-  graphs are public model state; share them across requests, engines and
-  plan epochs instead of re-materialising them per serve;
+* :class:`DecoderWeightCache` — DHE decoder weights are public model
+  state; share them across requests, engines and plan epochs instead of
+  re-materialising them per serve;
 * :class:`BatchResultCache` — batch-level result sharing whose occupancy
   depends only on public arrival metadata (batch shape, arrival epoch,
   batch sequence number), never on which indices were requested; hedged
@@ -39,10 +39,11 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.costmodel.latency import dhe_varied_shape
 from repro.costmodel.memory import dhe_bytes, table_bytes
+from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.embedding.hybrid import TECHNIQUE_SCAN
 from repro.oblivious.trace import READ, WRITE, MemoryTracer
 from repro.telemetry.runtime import get_registry
@@ -135,7 +136,6 @@ class CachePricer:
     varied: bool = True
     overhead_seconds: float = 0.0   # dense MLP stack per batch
     uniform_shape: Optional[object] = None
-    platform: Optional[object] = None
 
     # ------------------------------------------------------------------
     def _dhe_technique(self) -> str:
@@ -200,13 +200,13 @@ class CachePricer:
             return DECODER_FETCH_OVERHEAD_SECONDS
         shape = (dhe_varied_shape(allocation.table_size, self.uniform_shape)
                  if self.varied else self.uniform_shape)
-        bandwidth = getattr(self.platform, "scan_dram_bw", 8.8e9)
-        return dhe_bytes(shape) / bandwidth + DECODER_FETCH_OVERHEAD_SECONDS
+        return (dhe_bytes(shape) / DEFAULT_PLATFORM.scan_dram_bw
+                + DECODER_FETCH_OVERHEAD_SECONDS)
 
     def result_bytes(self, num_features: int = 1) -> int:
         """Bytes of one shared full-batch result buffer."""
-        element = getattr(self.platform, "element_bytes", 4)
-        return self.batch_size * self.embedding_dim * element * num_features
+        return (self.batch_size * self.embedding_dim
+                * DEFAULT_PLATFORM.element_bytes * num_features)
 
 
 class SecretIndependentCache:
@@ -351,19 +351,13 @@ class StaticResidencyCache(SecretIndependentCache):
 
 
 class DecoderWeightCache(SecretIndependentCache):
-    """DHE decoder weights + captured graphs shared across serves/epochs.
+    """DHE decoder weights shared across serves and plan epochs.
 
-    The decoder MLP weights (and the lazy runtime's captured graphs) are
-    public model state — identical for every request — so sharing one
-    materialised copy across engines, backends and plan epochs leaks
-    nothing. Each plan fetches the decoders its allocation needs: a miss
-    pays the (modelled) materialisation cost once; every later serve hits.
-
-    The same instance also backs the measured backends: pass it as
-    ``MeasuredBackend(weight_cache=...)`` to share live generator objects,
-    and :meth:`shared_runtime` hands the lazy backend one process-wide
-    :class:`~repro.lazy.NumpyRuntime` so captured graphs persist across
-    backend instances.
+    The decoder MLP weights are public model state — identical for every
+    request — so sharing one materialised copy across engines and plan
+    epochs leaks nothing. Each plan fetches the decoders its allocation
+    needs: a miss pays the (modelled) materialisation cost once; every
+    later serve hits.
     """
 
     name = "decoder-reuse"
@@ -371,8 +365,6 @@ class DecoderWeightCache(SecretIndependentCache):
     def __init__(self, tracer: Optional[MemoryTracer] = None) -> None:
         super().__init__(tracer)
         self._decoders: Dict[Hashable, int] = {}     # key -> footprint bytes
-        self._generators: Dict[Hashable, object] = {}
-        self._runtime: Optional[object] = None
         self._service_seconds = 0.0
         self._setup_seconds = 0.0
 
@@ -414,37 +406,6 @@ class DecoderWeightCache(SecretIndependentCache):
     def serve_setup_seconds(self) -> float:
         """Materialisation cost of this plan's decoder misses (one-off)."""
         return self._setup_seconds
-
-    # ------------------------------------------------------------------
-    # Live-object sharing for the measured backends
-    # ------------------------------------------------------------------
-    def generator(self, key: Hashable, builder: Callable[[], object]):
-        """Shared generator store (mirrors ``NumpyRuntime.captured``)."""
-        generator = self._generators.get(key)
-        hit = generator is not None
-        if not hit:
-            generator = builder()
-            self._generators[key] = generator
-            footprint = getattr(generator, "footprint_bytes", None)
-            footprint = int(footprint()) if callable(footprint) else 0
-            self.stats.misses += 1
-            self.stats.admissions += 1
-            self.stats.bytes_resident += footprint
-            self._count("misses")
-            self._count("admissions")
-        else:
-            self.stats.hits += 1
-            self._count("hits")
-        self._record(WRITE, _stable_address(key) * 2 + int(hit))
-        return generator
-
-    def shared_runtime(self):
-        """One lazy runtime (and so one captured-graph cache) per policy."""
-        if self._runtime is None:
-            from repro.lazy import NumpyRuntime
-
-            self._runtime = NumpyRuntime()
-        return self._runtime
 
 
 class BatchResultCache(SecretIndependentCache):
@@ -546,8 +507,7 @@ class IndexKeyedLRUCache(SecretIndependentCache):
     def plan(self, allocations: Sequence, config, pricer: CachePricer,
              workload: Optional[Sequence[int]] = None) -> None:
         self._service_seconds = pricer.batch_seconds(allocations)
-        element = getattr(pricer.platform, "element_bytes", 4)
-        self._row_bytes = pricer.embedding_dim * element
+        self._row_bytes = pricer.embedding_dim * DEFAULT_PLATFORM.element_bytes
 
     def schedule_seconds(self) -> float:
         return self._service_seconds

@@ -101,7 +101,6 @@ class ElasticFleet:
                  start_nodes: int, replication: int = 1,
                  dispatcher: Optional[ResilientDispatcher] = None,
                  interval_seconds: float = 0.25, step_size: int = 4,
-                 contention: Optional[BandwidthContentionModel] = None,
                  confirm_ticks: int = 1,
                  name: Optional[str] = None) -> None:
         check_positive("start_nodes", start_nodes)
@@ -110,8 +109,7 @@ class ElasticFleet:
         self.name = name
         self.autoscale_config = autoscale_config
         self.step_size = step_size
-        self.contention = (BandwidthContentionModel()
-                           if contention is None else contention)
+        self.contention = BandwidthContentionModel()
         self.confirm_ticks = confirm_ticks
         self.plans = PlanBook(planner, table_sizes, config, name=name)
         self.control = EpochControlPlane(

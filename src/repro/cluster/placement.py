@@ -37,12 +37,11 @@ import numpy as np
 
 from repro.costmodel.latency import DheShape, dhe_varied_shape
 from repro.costmodel.memory import dhe_bytes, table_bytes
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.embedding.hybrid import TECHNIQUE_SCAN
 from repro.hybrid.allocator import allocate_for_configuration
 from repro.hybrid.thresholds import ThresholdDatabase
 from repro.oblivious.trace import WRITE, MemoryTracer
-from repro.serving.backends import BackendLike, resolve_backend
+from repro.serving.backends import ModelledBackend
 from repro.serving.engine import ServingConfig
 from repro.telemetry.audit import (
     MODE_EXACT,
@@ -159,9 +158,6 @@ class ShardPlanner:
     def __init__(self, num_nodes: int, thresholds: ThresholdDatabase,
                  embedding_dim: int,
                  uniform_shape: Optional[DheShape] = None,
-                 varied: bool = True,
-                 backend: BackendLike = "modelled",
-                 platform: PlatformModel = DEFAULT_PLATFORM,
                  node_capacity_bytes: Optional[int] = None) -> None:
         check_positive("num_nodes", num_nodes)
         check_positive("embedding_dim", embedding_dim)
@@ -171,9 +167,7 @@ class ShardPlanner:
         self.thresholds = thresholds
         self.embedding_dim = embedding_dim
         self.uniform_shape = uniform_shape
-        self.varied = varied
-        self.backend = resolve_backend(backend, uniform_shape, platform)
-        self.platform = platform
+        self.backend = ModelledBackend(uniform_shape)
         self.node_capacity_bytes = node_capacity_bytes
 
     # ------------------------------------------------------------------
@@ -183,7 +177,6 @@ class ShardPlanner:
         allocations = allocate_for_configuration(
             table_sizes, self.thresholds, self.embedding_dim,
             config.batch_size, config.threads)
-        dhe_technique = "dhe-varied" if self.varied else "dhe-uniform"
         costs = []
         for allocation in allocations:
             if allocation.technique == TECHNIQUE_SCAN:
@@ -191,14 +184,12 @@ class ShardPlanner:
                 footprint = table_bytes(allocation.table_size,
                                         self.embedding_dim)
             else:
-                technique = dhe_technique
+                technique = "dhe-varied"
                 if self.uniform_shape is None:
                     raise ValueError("planner needs the DHE uniform shape "
                                      "to price DHE-allocated tables")
-                shape = (dhe_varied_shape(allocation.table_size,
-                                          self.uniform_shape)
-                         if self.varied else self.uniform_shape)
-                footprint = dhe_bytes(shape)
+                footprint = dhe_bytes(dhe_varied_shape(allocation.table_size,
+                                                       self.uniform_shape))
             latency = self.backend.technique_latency(
                 technique, allocation.table_size, self.embedding_dim,
                 config.batch_size, config.threads)
@@ -240,15 +231,12 @@ class ShardPlanner:
         """A planner with identical static config targeting a new fleet size.
 
         This is the seam the plan-epoch control plane replans through: the
-        cost model, thresholds and backend are shared, only the node count
-        changes, so successive epochs price tables identically.
+        cost model and thresholds are shared, only the node count changes,
+        so successive epochs price tables identically.
         """
-        clone = type(self)(num_nodes, self.thresholds, self.embedding_dim,
-                           uniform_shape=self.uniform_shape,
-                           varied=self.varied, backend=self.backend,
-                           platform=self.platform,
-                           node_capacity_bytes=self.node_capacity_bytes)
-        return clone
+        return type(self)(num_nodes, self.thresholds, self.embedding_dim,
+                          uniform_shape=self.uniform_shape,
+                          node_capacity_bytes=self.node_capacity_bytes)
 
     # ------------------------------------------------------------------
     def plan(self, table_sizes: Sequence[int], config: ServingConfig,

@@ -22,27 +22,34 @@ from repro.costmodel.latency import (
     DheShape,
     dhe_latency,
     linear_scan_latency,
+    oram_access_bytes,
     oram_latency,
 )
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
-from repro.utils.validation import check_positive
+from repro.costmodel.platform import DEFAULT_PLATFORM
+from repro.utils.validation import check_in, check_positive
+
+#: Techniques the contention model prices; the ORAMs are bandwidth-bound.
+TECHNIQUES = ("scan", "dhe", "path", "circuit", "ring")
+ORAM_TECHNIQUES = ("path", "circuit", "ring")
 
 
 @dataclass(frozen=True)
 class TenantDemand:
     """One co-located model's resource demand for its embedding work."""
 
-    technique: str          # "scan" | "dhe" | "path" | "circuit"
+    technique: str          # one of TECHNIQUES
     solo_latency: float     # seconds per batch when running alone
     bandwidth_bytes: float  # bytes streamed from DRAM per batch
     llc_bytes: float        # working set it would like resident in LLC
 
+    def __post_init__(self) -> None:
+        check_in("technique", self.technique, TECHNIQUES)
 
-def scan_demand(num_rows: int, dim: int, batch: int,
-                platform: PlatformModel = DEFAULT_PLATFORM) -> TenantDemand:
-    table = num_rows * dim * platform.element_bytes
-    solo = linear_scan_latency(num_rows, dim, batch, threads=1, platform=platform)
-    if table > platform.llc_bytes:
+
+def scan_demand(num_rows: int, dim: int, batch: int) -> TenantDemand:
+    table = num_rows * dim * DEFAULT_PLATFORM.element_bytes
+    solo = linear_scan_latency(num_rows, dim, batch, threads=1)
+    if table > DEFAULT_PLATFORM.llc_bytes:
         # Streams from DRAM already; no cache residency at stake.
         return TenantDemand("scan", solo, batch * table, 0.0)
     # LLC-resident: modest fill traffic, but residency is what co-located
@@ -50,27 +57,23 @@ def scan_demand(num_rows: int, dim: int, batch: int,
     return TenantDemand("scan", solo, 0.25 * batch * table, table)
 
 
-def dhe_demand(shape: DheShape, batch: int,
-               platform: PlatformModel = DEFAULT_PLATFORM) -> TenantDemand:
-    solo = dhe_latency(shape, batch, threads=1, platform=platform)
-    weights = shape.parameter_bytes(platform.element_bytes)
+def dhe_demand(shape: DheShape, batch: int) -> TenantDemand:
+    solo = dhe_latency(shape, batch, threads=1)
+    weights = shape.parameter_bytes()
     return TenantDemand("dhe", solo, 0.1 * weights * batch / max(batch, 8),
-                        min(weights, platform.llc_bytes // 4))
+                        min(weights, DEFAULT_PLATFORM.llc_bytes // 4))
 
 
-def oram_demand(scheme: str, num_rows: int, dim: int, batch: int,
-                platform: PlatformModel = DEFAULT_PLATFORM) -> TenantDemand:
-    from repro.costmodel.latency import oram_access_bytes
-    solo = oram_latency(scheme, num_rows, dim, batch, platform=platform)
-    per_batch = batch * oram_access_bytes(scheme, num_rows, dim, platform)
+def oram_demand(scheme: str, num_rows: int, dim: int,
+                batch: int) -> TenantDemand:
+    solo = oram_latency(scheme, num_rows, dim, batch)
+    per_batch = batch * oram_access_bytes(scheme, num_rows, dim)
     return TenantDemand(scheme, solo, per_batch,
-                        min(num_rows * dim * platform.element_bytes,
-                            platform.llc_bytes))
+                        min(num_rows * dim * DEFAULT_PLATFORM.element_bytes,
+                            DEFAULT_PLATFORM.llc_bytes))
 
 
-def colocated_latencies(tenants: Sequence[TenantDemand],
-                        platform: PlatformModel = DEFAULT_PLATFORM
-                        ) -> List[float]:
+def colocated_latencies(tenants: Sequence[TenantDemand]) -> List[float]:
     """Per-tenant batch latency when all tenants run concurrently.
 
     Bandwidth: demands are summed and, past the DRAM ceiling, every tenant's
@@ -80,16 +83,16 @@ def colocated_latencies(tenants: Sequence[TenantDemand],
     """
     if not tenants:
         return []
-    if len(tenants) > platform.cores:
-        core_dilation = len(tenants) / platform.cores
+    if len(tenants) > DEFAULT_PLATFORM.cores:
+        core_dilation = len(tenants) / DEFAULT_PLATFORM.cores
     else:
         core_dilation = 1.0
 
     total_bw = sum(t.bandwidth_bytes / max(t.solo_latency, 1e-12) for t in tenants)
-    bw_dilation = max(1.0, total_bw / platform.dram_total_bw)
+    bw_dilation = max(1.0, total_bw / DEFAULT_PLATFORM.dram_total_bw)
 
     total_llc = sum(t.llc_bytes for t in tenants)
-    llc_pressure = max(1.0, total_llc / platform.llc_bytes)
+    llc_pressure = max(1.0, total_llc / DEFAULT_PLATFORM.llc_bytes)
 
     latencies = []
     for tenant in tenants:
@@ -97,9 +100,9 @@ def colocated_latencies(tenants: Sequence[TenantDemand],
         if tenant.technique == "scan":
             # Losing LLC residency pushes the scan toward DRAM bandwidth.
             cache_penalty = min(llc_pressure,
-                                platform.scan_llc_bw / platform.scan_dram_bw)
+                                DEFAULT_PLATFORM.scan_llc_bw / DEFAULT_PLATFORM.scan_dram_bw)
             dilation *= max(bw_dilation, cache_penalty if llc_pressure > 1 else 1.0)
-        elif tenant.technique in ("path", "circuit"):
+        elif tenant.technique in ORAM_TECHNIQUES:
             dilation *= bw_dilation
         else:  # dhe — compute bound, small bandwidth share
             dilation *= 1.0 + 0.25 * (bw_dilation - 1.0) + 0.02 * (llc_pressure - 1.0)
@@ -107,23 +110,19 @@ def colocated_latencies(tenants: Sequence[TenantDemand],
     return latencies
 
 
-def replicated_latencies(demand: TenantDemand, copies: int,
-                         platform: PlatformModel = DEFAULT_PLATFORM
-                         ) -> List[float]:
+def replicated_latencies(demand: TenantDemand, copies: int) -> List[float]:
     """Per-copy latency of ``copies`` identical tenants sharing the host.
 
     The homogeneous-fleet special case used by the co-location sweeps and
     the serving dispatcher (Fig 13).
     """
     check_positive("copies", copies)
-    return colocated_latencies([demand] * copies, platform)
+    return colocated_latencies([demand] * copies)
 
 
 def throughput_inferences_per_second(tenants: Sequence[TenantDemand],
-                                     batch: int,
-                                     platform: PlatformModel = DEFAULT_PLATFORM
-                                     ) -> float:
+                                     batch: int) -> float:
     """System throughput = sum over tenants of batch/latency."""
     check_positive("batch", batch)
-    latencies = colocated_latencies(tenants, platform)
+    latencies = colocated_latencies(tenants)
     return sum(batch / lat for lat in latencies if lat > 0)

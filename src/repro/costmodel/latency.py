@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
+from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.oram.tree import tree_levels_for
 from repro.utils.validation import check_in, check_positive
 
@@ -33,16 +33,22 @@ RING_RECURSION_CUTOFF = 1 << 16
 POSMAP_COMPRESSION = 16
 POSMAP_ENTRY_BYTES = 4
 
+#: Table IV note: DHE Varied scales ``k`` by 0.125x per decade of table size
+#: below 10 M rows, never below 128 hashes.
+VARIED_BASE_SIZE = 1e7
+VARIED_RATE_PER_DECADE = 0.125
+VARIED_MIN_K = 128
+
 
 # ----------------------------------------------------------------------
 # Non-secure lookup
 # ----------------------------------------------------------------------
-def lookup_latency(num_rows: int, dim: int, batch: int, threads: int = 1,
-                   platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+def lookup_latency(num_rows: int, dim: int, batch: int,
+                   threads: int = 1) -> float:
     """Plain gather: one row fetched per query plus a small dispatch cost."""
     check_positive("num_rows", num_rows)
-    row_bytes = dim * platform.element_bytes
-    fetch = batch * row_bytes / platform.scan_bandwidth(
+    row_bytes = dim * DEFAULT_PLATFORM.element_bytes
+    fetch = batch * row_bytes / DEFAULT_PLATFORM.scan_bandwidth(
         num_rows * row_bytes, threads)
     return fetch + 1e-6  # kernel launch / python dispatch floor
 
@@ -50,13 +56,14 @@ def lookup_latency(num_rows: int, dim: int, batch: int, threads: int = 1,
 # ----------------------------------------------------------------------
 # Linear scan
 # ----------------------------------------------------------------------
-def linear_scan_latency(num_rows: int, dim: int, batch: int, threads: int = 1,
-                        platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+def linear_scan_latency(num_rows: int, dim: int, batch: int,
+                        threads: int = 1) -> float:
     """Each query streams the full table through the blend unit."""
     check_positive("num_rows", num_rows)
     check_positive("batch", batch)
-    table_bytes = num_rows * dim * platform.element_bytes
-    return batch * table_bytes / platform.scan_bandwidth(table_bytes, threads)
+    table_bytes = num_rows * dim * DEFAULT_PLATFORM.element_bytes
+    return batch * table_bytes / DEFAULT_PLATFORM.scan_bandwidth(table_bytes,
+                                                                 threads)
 
 
 # ----------------------------------------------------------------------
@@ -84,8 +91,8 @@ class DheShape:
     def parameter_count(self) -> int:
         return sum(a * b + b for a, b in self.layer_dims())
 
-    def parameter_bytes(self, element_bytes: int = 4) -> int:
-        return self.parameter_count() * element_bytes
+    def parameter_bytes(self) -> int:
+        return self.parameter_count() * DEFAULT_PLATFORM.element_bytes
 
     def scaled(self, factor: float, min_width: int = 64) -> "DheShape":
         """Shrink every width by ``sqrt(factor)`` (parameters scale by ``factor``)."""
@@ -109,43 +116,37 @@ DLRM_DHE_UNIFORM_64 = DheShape(k=1024, fc_sizes=(512, 256), out_dim=64)
 LLM_DHE_GPT2_MEDIUM = DheShape(k=2048, fc_sizes=(2048, 2048, 2048), out_dim=1024)
 
 
-def varied_scale_factor(table_size: int, base_size: float = 1e7,
-                        rate_per_decade: float = 0.125) -> float:
+def varied_scale_factor(table_size: int) -> float:
     """DHE Varied sizing rule (Table IV note): the hash count ``k`` shrinks
-    by ``rate_per_decade`` (0.125x) per order of magnitude of table size
-    below ``base_size``."""
+    by ``VARIED_RATE_PER_DECADE`` (0.125x) per order of magnitude of table
+    size below ``VARIED_BASE_SIZE``."""
     check_positive("table_size", table_size)
-    if not 0 < rate_per_decade <= 1:
-        raise ValueError(f"rate_per_decade must be in (0, 1], got {rate_per_decade}")
-    if table_size >= base_size:
+    if table_size >= VARIED_BASE_SIZE:
         return 1.0
-    decades = math.log10(base_size / table_size)
-    return max(rate_per_decade ** decades, 1e-3)
+    decades = math.log10(VARIED_BASE_SIZE / table_size)
+    return max(VARIED_RATE_PER_DECADE ** decades, 1e-3)
 
 
-def dhe_varied_shape(table_size: int, uniform: DheShape,
-                     base_size: float = 1e7, min_k: int = 128) -> DheShape:
+def dhe_varied_shape(table_size: int, uniform: DheShape) -> DheShape:
     """The Varied-DHE stack for a table of ``table_size`` rows.
 
-    Only ``k`` is scaled (0.125x per decade, floored at ``min_k``); the FC
-    decoder widths stay as in the Uniform model. This is what matches the
+    Only ``k`` is scaled (0.125x per decade, floored at ``VARIED_MIN_K``);
+    the FC decoder widths stay as in the Uniform model. This is what matches the
     paper's measured Varied/Uniform ratios — memory 33.4/68.2 MB and
     embedding latency ~0.57x on Kaggle — which an all-width shrink would
     overshoot by an order of magnitude.
     """
-    check_positive("min_k", min_k)
-    factor = varied_scale_factor(table_size, base_size)
-    scaled_k = max(min_k, int(round(uniform.k * factor)))
+    factor = varied_scale_factor(table_size)
+    scaled_k = max(VARIED_MIN_K, int(round(uniform.k * factor)))
     return DheShape(k=scaled_k, fc_sizes=uniform.fc_sizes,
                     out_dim=uniform.out_dim)
 
 
-def dhe_latency(shape: DheShape, batch: int, threads: int = 1,
-                platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+def dhe_latency(shape: DheShape, batch: int, threads: int = 1) -> float:
     """Hash + decode latency for one batch of embeddings."""
     check_positive("batch", batch)
     flops = batch * (shape.flops_per_embedding() + shape.hash_ops_per_embedding())
-    return flops / platform.flop_rate(batch, threads)
+    return flops / DEFAULT_PLATFORM.flop_rate(batch, threads)
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +159,7 @@ def _flat_posmap_rows(num_blocks: int) -> float:
     return 2 * num_blocks
 
 
-def oram_access_bytes(scheme: str, num_rows: int, dim: int,
-                      platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+def oram_access_bytes(scheme: str, num_rows: int, dim: int) -> float:
     """Bytes moved through the oblivious controller per single access.
 
     Derived from the structure of :class:`repro.oram.PathORAM` /
@@ -168,7 +168,7 @@ def oram_access_bytes(scheme: str, num_rows: int, dim: int,
     """
     check_in("scheme", scheme, ("path", "circuit", "ring"))
     check_positive("num_rows", num_rows)
-    row_bytes = dim * platform.element_bytes
+    row_bytes = dim * DEFAULT_PLATFORM.element_bytes
     total = 0.0
     blocks = num_rows
     width_bytes = row_bytes
@@ -217,26 +217,24 @@ def oram_access_bytes(scheme: str, num_rows: int, dim: int,
 
 
 def oram_latency(scheme: str, num_rows: int, dim: int, batch: int,
-                 threads: int = 1,
-                 platform: PlatformModel = DEFAULT_PLATFORM,
-                 variant_factor: float = 1.0) -> float:
+                 threads: int = 1) -> float:
     """Batch latency of a tree ORAM (accesses are inherently sequential).
 
     ``threads`` barely helps (§V-A1: internal structures update sequentially);
-    we allow a small pipelining credit only for the memory streaming.
-    ``variant_factor`` scales for the ZeroTrace optimization levels (Fig 10).
+    we allow a small pipelining credit only for the memory streaming. This
+    is our optimized build; Fig 10 multiplies it by
+    :func:`zerotrace_variant_factor` for the ZeroTrace levels.
     """
     check_positive("batch", batch)
-    per_access_bytes = oram_access_bytes(scheme, num_rows, dim, platform)
+    per_access_bytes = oram_access_bytes(scheme, num_rows, dim)
     # The cmov-hardened controller streams at the oblivious single-thread
     # rate regardless of residency (the scans are predication-bound).
-    per_access = per_access_bytes / platform.scan_dram_bw + platform.oram_fixed_overhead
-    return batch * per_access * variant_factor
+    per_access = (per_access_bytes / DEFAULT_PLATFORM.scan_dram_bw
+                  + DEFAULT_PLATFORM.oram_fixed_overhead)
+    return batch * per_access
 
 
-def sqrt_oram_access_bytes(num_rows: int, dim: int,
-                           platform: PlatformModel = DEFAULT_PLATFORM
-                           ) -> float:
+def sqrt_oram_access_bytes(num_rows: int, dim: int) -> float:
     """Bytes moved per square-root ORAM access, reshuffle amortised.
 
     Mirrors :class:`repro.oram.sqrt_oram.SqrtORAM`: a full position-map
@@ -245,7 +243,7 @@ def sqrt_oram_access_bytes(num_rows: int, dim: int,
     sweep over the n + ⌈√n⌉ store slots.
     """
     check_positive("num_rows", num_rows)
-    row_bytes = dim * platform.element_bytes
+    row_bytes = dim * DEFAULT_PLATFORM.element_bytes
     shelter = math.ceil(math.sqrt(num_rows))
     posmap = 2 * num_rows * POSMAP_ENTRY_BYTES
     shelter_sweeps = 2 * shelter * row_bytes
@@ -254,8 +252,8 @@ def sqrt_oram_access_bytes(num_rows: int, dim: int,
     return posmap + shelter_sweeps + store_read + reshuffle
 
 
-def sqrt_oram_latency(num_rows: int, dim: int, batch: int, threads: int = 1,
-                      platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+def sqrt_oram_latency(num_rows: int, dim: int, batch: int,
+                      threads: int = 1) -> float:
     """Batch latency of the square-root scheme (accesses sequential).
 
     Like the tree ORAMs, the cmov-hardened scans are predication-bound:
@@ -264,9 +262,9 @@ def sqrt_oram_latency(num_rows: int, dim: int, batch: int, threads: int = 1,
     """
     check_positive("batch", batch)
     del threads  # scans are predication-bound; parallelism buys nothing
-    per_access_bytes = sqrt_oram_access_bytes(num_rows, dim, platform)
-    per_access = (per_access_bytes / platform.scan_dram_bw
-                  + platform.oram_fixed_overhead)
+    per_access_bytes = sqrt_oram_access_bytes(num_rows, dim)
+    per_access = (per_access_bytes / DEFAULT_PLATFORM.scan_dram_bw
+                  + DEFAULT_PLATFORM.oram_fixed_overhead)
     return batch * per_access
 
 

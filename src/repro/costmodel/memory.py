@@ -22,17 +22,18 @@ from repro.costmodel.latency import (
     PATH_STASH,
     DheShape,
 )
+from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.utils.validation import check_in, check_positive
 
 BLOCK_METADATA_BYTES = 16  # block id + assigned leaf per slot
 POSMAP_LABEL_BYTES = 4
 
 
-def table_bytes(num_rows: int, dim: int, element_bytes: int = 4) -> int:
+def table_bytes(num_rows: int, dim: int) -> int:
     """Raw embedding-table footprint (also the linear-scan footprint)."""
     check_positive("num_rows", num_rows)
     check_positive("dim", dim)
-    return num_rows * dim * element_bytes
+    return num_rows * dim * DEFAULT_PLATFORM.element_bytes
 
 
 def _tree_slots(num_blocks: int, bucket_size: int = BUCKET_SIZE) -> int:
@@ -43,8 +44,7 @@ def _tree_slots(num_blocks: int, bucket_size: int = BUCKET_SIZE) -> int:
     return buckets * bucket_size
 
 
-def tree_oram_bytes(num_rows: int, dim: int, scheme: str = "circuit",
-                    element_bytes: int = 4) -> int:
+def tree_oram_bytes(num_rows: int, dim: int, scheme: str = "circuit") -> int:
     """Footprint of a table stored in a tree ORAM, recursion included."""
     check_in("scheme", scheme, ("path", "circuit", "ring"))
     cutoff = {"path": PATH_RECURSION_CUTOFF,
@@ -57,7 +57,7 @@ def tree_oram_bytes(num_rows: int, dim: int, scheme: str = "circuit",
         if scheme == "ring" else 1.0
     total = 0
     blocks = num_rows
-    width_bytes = dim * element_bytes
+    width_bytes = dim * DEFAULT_PLATFORM.element_bytes
     while True:
         slots = int(_tree_slots(blocks) * slot_factor) + stash
         total += slots * (width_bytes + BLOCK_METADATA_BYTES)
@@ -69,13 +69,13 @@ def tree_oram_bytes(num_rows: int, dim: int, scheme: str = "circuit",
     return total
 
 
-def dhe_bytes(shape: DheShape, element_bytes: int = 4) -> int:
+def dhe_bytes(shape: DheShape) -> int:
     """Footprint of one DHE stack (hash constants are negligible)."""
-    return shape.parameter_bytes(element_bytes) + shape.k * 4 * 4  # a,b,p,m per hash
+    return shape.parameter_bytes() + shape.k * 4 * 4  # a,b,p,m per hash
 
 
-def mlp_bytes(layer_sizes, element_bytes: int = 4) -> int:
+def mlp_bytes(layer_sizes) -> int:
     """Footprint of a dense MLP given its width chain."""
     sizes = list(layer_sizes)
     params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
-    return params * element_bytes
+    return params * DEFAULT_PLATFORM.element_bytes

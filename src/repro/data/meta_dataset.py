@@ -13,6 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.utils.rng import SeedLike, new_rng
 
 META_NUM_TABLES = 788
@@ -45,7 +46,6 @@ def meta_table_sizes(seed: SeedLike = 2022,
     return tuple(int(s) for s in np.sort(sizes)[::-1])
 
 
-def total_table_bytes(sizes, dim: int = META_EMBEDDING_DIM,
-                      element_bytes: int = 4) -> int:
+def total_table_bytes(sizes, dim: int = META_EMBEDDING_DIM) -> int:
     """Raw table footprint of the whole model (paper quotes ~910 GB)."""
-    return int(sum(sizes)) * dim * element_bytes
+    return int(sum(sizes)) * dim * DEFAULT_PLATFORM.element_bytes

@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -114,8 +113,7 @@ class EmbeddingGenerator(Module):
         return self.forward_pooled(indices, mode=mode, lengths=lengths).data
 
     # ------------------------------------------------------------------
-    def modelled_latency(self, batch: int, threads: int = 1,
-                         platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+    def modelled_latency(self, batch: int, threads: int = 1) -> float:
         """Calibrated analytic latency (seconds) for one batch."""
         raise NotImplementedError
 

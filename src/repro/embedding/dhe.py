@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.costmodel.latency import DheShape, dhe_latency, dhe_varied_shape
 from repro.costmodel.memory import dhe_bytes
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.layers import MLP
 from repro.nn.tensor import Tensor
@@ -167,9 +166,8 @@ class DHEEmbedding(EmbeddingGenerator):
         return rows
 
     # ------------------------------------------------------------------
-    def modelled_latency(self, batch: int, threads: int = 1,
-                         platform: PlatformModel = DEFAULT_PLATFORM) -> float:
-        return dhe_latency(self.shape, batch, threads, platform)
+    def modelled_latency(self, batch: int, threads: int = 1) -> float:
+        return dhe_latency(self.shape, batch, threads)
 
     def footprint_bytes(self) -> int:
         return dhe_bytes(self.shape)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.embedding.base import EmbeddingGenerator
 from repro.embedding.dhe import DHEEmbedding
 from repro.embedding.scan import LinearScanEmbedding
@@ -100,11 +99,10 @@ class HybridEmbedding(EmbeddingGenerator):
             return self._ensure_table()(indices)
         return self.dhe(indices)
 
-    def modelled_latency(self, batch: int, threads: int = 1,
-                         platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+    def modelled_latency(self, batch: int, threads: int = 1) -> float:
         if self._active == TECHNIQUE_SCAN:
-            return self._ensure_table().modelled_latency(batch, threads, platform)
-        return self.dhe.modelled_latency(batch, threads, platform)
+            return self._ensure_table().modelled_latency(batch, threads)
+        return self.dhe.modelled_latency(batch, threads)
 
     def footprint_bytes(self) -> int:
         """Footprint of the *active* representation (Algorithm 2 ships the

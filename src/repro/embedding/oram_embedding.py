@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.costmodel.latency import oram_latency
 from repro.costmodel.memory import tree_oram_bytes
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.tensor import Tensor
 from repro.oblivious.trace import MemoryTracer
@@ -61,10 +60,9 @@ class _OramEmbeddingBase(EmbeddingGenerator):
             if flat.size else np.zeros((0, self.embedding_dim))
         return Tensor(rows.reshape(*indices.shape, self.embedding_dim))
 
-    def modelled_latency(self, batch: int, threads: int = 1,
-                         platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+    def modelled_latency(self, batch: int, threads: int = 1) -> float:
         return oram_latency(self.scheme, self.num_embeddings,
-                            self.embedding_dim, batch, threads, platform)
+                            self.embedding_dim, batch, threads)
 
     def footprint_bytes(self) -> int:
         return tree_oram_bytes(self.num_embeddings, self.embedding_dim,

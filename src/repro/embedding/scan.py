@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.costmodel.latency import linear_scan_latency
 from repro.costmodel.memory import table_bytes
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
@@ -78,10 +77,9 @@ class LinearScanEmbedding(EmbeddingGenerator):
         traced = TracedArray(self.weight.data, name="scan.table", tracer=tracer)
         return linear_scan_batch(traced, indices)
 
-    def modelled_latency(self, batch: int, threads: int = 1,
-                         platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+    def modelled_latency(self, batch: int, threads: int = 1) -> float:
         return linear_scan_latency(self.num_embeddings, self.embedding_dim,
-                                   batch, threads, platform)
+                                   batch, threads)
 
     def footprint_bytes(self) -> int:
         return table_bytes(self.num_embeddings, self.embedding_dim)

@@ -7,7 +7,6 @@ import numpy as np
 
 from repro.costmodel.latency import lookup_latency
 from repro.costmodel.memory import table_bytes
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.layers import EmbeddingTable
 from repro.nn.tensor import Tensor
@@ -39,10 +38,9 @@ class TableEmbedding(EmbeddingGenerator):
         traced = TracedArray(self.weight.data, name="table", tracer=tracer)
         return np.stack([traced.read(int(index)) for index in indices])
 
-    def modelled_latency(self, batch: int, threads: int = 1,
-                         platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+    def modelled_latency(self, batch: int, threads: int = 1) -> float:
         return lookup_latency(self.num_embeddings, self.embedding_dim,
-                              batch, threads, platform)
+                              batch, threads)
 
     def footprint_bytes(self) -> int:
         return table_bytes(self.num_embeddings, self.embedding_dim)

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
+from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
@@ -124,9 +124,8 @@ class TTEmbedding(EmbeddingGenerator):
     def footprint_bytes(self) -> int:
         return self.parameter_count() * 4
 
-    def modelled_latency(self, batch: int, threads: int = 1,
-                         platform: PlatformModel = DEFAULT_PLATFORM) -> float:
+    def modelled_latency(self, batch: int, threads: int = 1) -> float:
         d1, d2, d3 = self.dim_factors
         r = self.rank
         flops = batch * 2 * (d1 * r * d2 * r + d1 * d2 * r * d3)
-        return flops / platform.flop_rate(batch, threads) + 2e-6
+        return flops / DEFAULT_PLATFORM.flop_rate(batch, threads) + 2e-6

@@ -18,7 +18,6 @@ from repro.costmodel.colocation import (
     scan_demand,
 )
 from repro.costmodel.latency import DheShape, dhe_varied_shape
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.embedding.hybrid import TECHNIQUE_SCAN
 from repro.hybrid.allocator import FeatureAllocation
 from repro.utils.validation import check_positive
@@ -36,8 +35,7 @@ class ModelTenant:
 def dlrm_tenant(table_sizes: Sequence[int], dim: int,
                 allocations: Sequence[FeatureAllocation],
                 uniform_shape: DheShape, batch: int,
-                varied: bool = True,
-                platform: PlatformModel = DEFAULT_PLATFORM) -> ModelTenant:
+                varied: bool = True) -> ModelTenant:
     """Fold a model's per-feature demands into one tenant description.
 
     Features execute sequentially inside a model (§IV-C1), so latencies and
@@ -52,13 +50,13 @@ def dlrm_tenant(table_sizes: Sequence[int], dim: int,
     scan_latency = 0.0
     for size, allocation in zip(table_sizes, allocations):
         if allocation.technique == TECHNIQUE_SCAN:
-            part = scan_demand(size, dim, batch, platform)
+            part = scan_demand(size, dim, batch)
             num_scan += 1
             scan_latency += part.solo_latency
         else:
             shape = (dhe_varied_shape(size, uniform_shape) if varied
                      else uniform_shape)
-            part = dhe_demand(shape, batch, platform)
+            part = dhe_demand(shape, batch)
         solo += part.solo_latency
         bandwidth += part.bandwidth_bytes
         llc = max(llc, part.llc_bytes)
@@ -73,9 +71,7 @@ def dlrm_tenant(table_sizes: Sequence[int], dim: int,
 
 def mixed_allocation_latency(table_size: int, dim: int, total_models: int,
                              num_dhe: int, uniform_shape: DheShape,
-                             batch: int, varied: bool = False,
-                             platform: PlatformModel = DEFAULT_PLATFORM
-                             ) -> float:
+                             batch: int, varied: bool = False) -> float:
     """Mean per-model latency when ``num_dhe`` of ``total_models`` copies of
     a single-table model use DHE and the rest linear scan (Fig 9)."""
     check_positive("total_models", total_models)
@@ -83,8 +79,8 @@ def mixed_allocation_latency(table_size: int, dim: int, total_models: int,
         raise ValueError("num_dhe out of range")
     shape = (dhe_varied_shape(table_size, uniform_shape) if varied
              else uniform_shape)
-    tenants = ([dhe_demand(shape, batch, platform)] * num_dhe
-               + [scan_demand(table_size, dim, batch, platform)]
+    tenants = ([dhe_demand(shape, batch)] * num_dhe
+               + [scan_demand(table_size, dim, batch)]
                * (total_models - num_dhe))
-    latencies = colocated_latencies(tenants, platform)
+    latencies = colocated_latencies(tenants)
     return sum(latencies) / len(latencies)

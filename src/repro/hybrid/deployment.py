@@ -51,26 +51,6 @@ class HybridDeployment:
         apply_allocations(self.hybrids, allocations)
         return sum(1 for a in allocations if a.technique == "scan")
 
-    def engine(self, backend="modelled", varied: bool = True,
-               platform=None):
-        """An :class:`~repro.serving.engine.ExecutionEngine` for this bundle.
-
-        The deployed artifact carries everything the engine needs — table
-        sizes, the threshold database, and the per-feature DHE shapes (the
-        widest stack is the Uniform reference the Varied sizing rule scales
-        from) — so serving questions route through the same backend seam as
-        profiling.
-        """
-        from repro.costmodel.platform import DEFAULT_PLATFORM
-        from repro.serving.engine import ExecutionEngine
-
-        uniform = max((hybrid.dhe.shape for hybrid in self.hybrids),
-                      key=lambda shape: shape.k)
-        return ExecutionEngine(
-            self.spec.table_sizes, self.spec.embedding_dim, uniform,
-            self.thresholds, varied=varied, backend=backend,
-            platform=DEFAULT_PLATFORM if platform is None else platform)
-
 
 def _shape_to_json(shape: DheShape) -> Dict:
     return {"k": shape.k, "fc_sizes": list(shape.fc_sizes),

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.costmodel.latency import DheShape
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.serving.backends import BackendLike, resolve_backend
 from repro.utils.validation import check_positive
 
@@ -52,7 +51,6 @@ class ProfileKey:
 class ProfileDatabase:
     """Latency lookups for profiled configurations."""
 
-    platform: PlatformModel
     entries: Dict[ProfileKey, float] = field(default_factory=dict)
 
     def record(self, key: ProfileKey, latency: float) -> None:
@@ -82,11 +80,9 @@ class OfflineProfiler:
     """Builds a :class:`ProfileDatabase` over a configuration grid."""
 
     def __init__(self, uniform_shape: DheShape,
-                 platform: PlatformModel = DEFAULT_PLATFORM,
                  backend: BackendLike = "modelled") -> None:
         self.uniform_shape = uniform_shape
-        self.platform = platform
-        self._backend = resolve_backend(backend, uniform_shape, platform)
+        self._backend = resolve_backend(backend, uniform_shape)
 
     @property
     def backend(self) -> str:
@@ -99,7 +95,7 @@ class OfflineProfiler:
                 dims: Sequence[int] = (16, 64),
                 batches: Sequence[int] = (32,),
                 threads_list: Sequence[int] = (1,)) -> ProfileDatabase:
-        database = ProfileDatabase(platform=self.platform)
+        database = ProfileDatabase()
         for technique, size, dim, batch, threads in itertools.product(
                 techniques, sizes, dims, batches, threads_list):
             check_positive("table size", size)

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.costmodel.latency import sqrt_oram_latency
 from repro.costmodel.llm import LlmShape, decode_latency, stage_latency
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.llm.tokenizer import ObliviousTokenizer, contrasting_prompts
 from repro.oblivious.trace import READ, MemoryTracer
 from repro.oram.circuit_oram import CircuitORAM
@@ -94,42 +93,34 @@ class LlmServingSpec:
 # ----------------------------------------------------------------------
 # Per-batch service-time functions (the cost-model pricing).
 # ----------------------------------------------------------------------
-def tokenize_service_time(spec: LlmServingSpec,
-                          platform: PlatformModel = DEFAULT_PLATFORM
-                          ) -> Callable[[int], float]:
+def tokenize_service_time(spec: LlmServingSpec) -> Callable[[int], float]:
     """``prompt_tokens`` square-root ORAM accesses per request."""
     def price(batch_size: int) -> float:
         return sqrt_oram_latency(spec.shape.vocab_size,
                                  spec.shape.embed_dim,
                                  batch_size * spec.prompt_tokens,
-                                 spec.threads, platform)
+                                 spec.threads)
     return price
 
 
-def prefill_service_time(spec: LlmServingSpec,
-                         platform: PlatformModel = DEFAULT_PLATFORM
-                         ) -> Callable[[int], float]:
+def prefill_service_time(spec: LlmServingSpec) -> Callable[[int], float]:
     """Batched DHE embeddings + dense prompt matmuls (throughput-bound)."""
     def price(batch_size: int) -> float:
         return stage_latency("dhe", "prefill", spec.shape, batch_size,
-                             spec.prompt_tokens, spec.threads, platform)
+                             spec.prompt_tokens, spec.threads)
     return price
 
 
-def decode_service_time(spec: LlmServingSpec,
-                        platform: PlatformModel = DEFAULT_PLATFORM
-                        ) -> Callable[[int], float]:
+def decode_service_time(spec: LlmServingSpec) -> Callable[[int], float]:
     """The per-token loop: ``new_tokens`` Circuit-ORAM decode steps."""
     def price(batch_size: int) -> float:
         return decode_latency("circuit", spec.shape, batch_size,
                               spec.prompt_tokens, spec.new_tokens,
-                              spec.threads, platform)
+                              spec.threads)
     return price
 
 
-def per_node_capacity_rps(spec: LlmServingSpec, stage: str,
-                          platform: PlatformModel = DEFAULT_PLATFORM
-                          ) -> float:
+def per_node_capacity_rps(spec: LlmServingSpec, stage: str) -> float:
     """Fluid capacity of one node: full batch over its service time."""
     pricing = {
         "tokenize": (spec.tokenize_batch, tokenize_service_time),
@@ -137,14 +128,13 @@ def per_node_capacity_rps(spec: LlmServingSpec, stage: str,
         "decode": (spec.decode_batch, decode_service_time),
     }
     batch, factory = pricing[stage]
-    return batch / factory(spec, platform)(batch)
+    return batch / factory(spec)(batch)
 
 
 # ----------------------------------------------------------------------
 # The pipeline itself.
 # ----------------------------------------------------------------------
 def build_llm_pipeline(spec: LlmServingSpec = LlmServingSpec(),
-                       platform: PlatformModel = DEFAULT_PLATFORM,
                        on_decode_batch: Optional[Callable[..., None]] = None,
                        node_counts: Optional[Dict[str, int]] = None
                        ) -> PipelineEngine:
@@ -199,19 +189,18 @@ def build_llm_pipeline(spec: LlmServingSpec = LlmServingSpec(),
         PricedStage("tokenize",
                     BatchingPolicy(max_batch_size=spec.tokenize_batch,
                                    max_wait_seconds=0.0),
-                    fleet(tokenize_service_time(spec, platform),
-                          "tokenize"),
+                    fleet(tokenize_service_time(spec), "tokenize"),
                     on_batch=count("tokenize")),
         PricedStage("prefill",
                     BatchingPolicy(max_batch_size=spec.prefill_batch,
                                    max_wait_seconds=spec
                                    .prefill_wait_seconds),
-                    fleet(prefill_service_time(spec, platform), "prefill"),
+                    fleet(prefill_service_time(spec), "prefill"),
                     on_batch=count("prefill")),
         PricedStage("decode",
                     BatchingPolicy(max_batch_size=spec.decode_batch,
                                    max_wait_seconds=0.0),
-                    fleet(decode_service_time(spec, platform), "decode"),
+                    fleet(decode_service_time(spec), "decode"),
                     on_batch=decode_hook),
     ]
     return PipelineEngine(stages)

@@ -12,6 +12,7 @@ from typing import Dict, Sequence
 
 from repro.costmodel.latency import DheShape, dhe_varied_shape
 from repro.costmodel.memory import dhe_bytes, table_bytes, tree_oram_bytes
+from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.utils.validation import check_positive
 
 MB = 1024 * 1024
@@ -96,7 +97,6 @@ class LlmFootprint:
 
 def gpt2_footprint(vocab_size: int, embed_dim: int, num_layers: int,
                    context_length: int, dhe_shape: DheShape,
-                   element_bytes: int = 4,
                    scheme_for_oram: str = "circuit") -> LlmFootprint:
     """Footprint accounting for a GPT-2-architecture model.
 
@@ -113,9 +113,8 @@ def gpt2_footprint(vocab_size: int, embed_dim: int, num_layers: int,
     base = num_layers * per_block + context_length * d + 2 * d
     token_table = vocab_size * d
     return LlmFootprint(
-        base_model=base * element_bytes,
-        table=token_table * element_bytes,
-        oram_table=tree_oram_bytes(vocab_size, d, scheme=scheme_for_oram,
-                                   element_bytes=element_bytes),
-        dhe=dhe_bytes(dhe_shape, element_bytes),
+        base_model=base * DEFAULT_PLATFORM.element_bytes,
+        table=token_table * DEFAULT_PLATFORM.element_bytes,
+        oram_table=tree_oram_bytes(vocab_size, d, scheme=scheme_for_oram),
+        dhe=dhe_bytes(dhe_shape),
     )

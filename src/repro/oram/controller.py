@@ -37,9 +37,6 @@ class AccessStats:
     stash_overflows: int = 0
     revealed_leaves: list = field(default_factory=list)
 
-    def blocks_touched(self, bucket_size: int) -> int:
-        return (self.bucket_reads + self.bucket_writes) * bucket_size
-
     def reset(self) -> None:
         self.accesses = 0
         self.bucket_reads = 0

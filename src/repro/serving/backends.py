@@ -34,7 +34,6 @@ from repro.costmodel.latency import (
     lookup_latency,
     oram_latency,
 )
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.utils.timing import time_callable
 from repro.utils.validation import check_positive
 
@@ -78,10 +77,8 @@ class ModelledBackend(ExecutionBackend):
 
     name = "modelled"
 
-    def __init__(self, uniform_shape: Optional[DheShape] = None,
-                 platform: PlatformModel = DEFAULT_PLATFORM) -> None:
+    def __init__(self, uniform_shape: Optional[DheShape] = None) -> None:
         self.uniform_shape = uniform_shape
-        self.platform = platform
 
     def _uniform(self) -> DheShape:
         if self.uniform_shape is None:
@@ -93,27 +90,23 @@ class ModelledBackend(ExecutionBackend):
                           batch: int, threads: int = 1) -> float:
         check_positive("table_size", table_size)
         if technique == "lookup":
-            return lookup_latency(table_size, dim, batch, threads,
-                                  self.platform)
+            return lookup_latency(table_size, dim, batch, threads)
         if technique == "scan":
-            return linear_scan_latency(table_size, dim, batch, threads,
-                                       self.platform)
+            return linear_scan_latency(table_size, dim, batch, threads)
         if technique == "dhe-uniform":
-            return dhe_latency(self._uniform(), batch, threads, self.platform)
+            return dhe_latency(self._uniform(), batch, threads)
         if technique == "dhe-varied":
             shape = dhe_varied_shape(table_size, self._uniform())
-            return dhe_latency(shape, batch, threads, self.platform)
+            return dhe_latency(shape, batch, threads)
         if technique == "path-oram":
-            return oram_latency("path", table_size, dim, batch, threads,
-                                self.platform)
+            return oram_latency("path", table_size, dim, batch, threads)
         if technique == "circuit-oram":
-            return oram_latency("circuit", table_size, dim, batch, threads,
-                                self.platform)
+            return oram_latency("circuit", table_size, dim, batch, threads)
         raise ValueError(f"unknown technique {technique!r}")
 
     def generator_latency(self, generator, batch: int,
                           threads: int = 1) -> float:
-        return generator.modelled_latency(batch, threads, self.platform)
+        return generator.modelled_latency(batch, threads)
 
 
 class MeasuredBackend(ExecutionBackend):
@@ -127,14 +120,10 @@ class MeasuredBackend(ExecutionBackend):
     name = "measured"
 
     def __init__(self, uniform_shape: Optional[DheShape] = None,
-                 repeats: int = 3, weight_cache=None) -> None:
+                 repeats: int = 3) -> None:
         check_positive("repeats", repeats)
         self.uniform_shape = uniform_shape
         self.repeats = repeats
-        #: optional :class:`repro.cache.policy.DecoderWeightCache`; when
-        #: set, generator objects (public model state) are shared through
-        #: it across backend instances instead of the private dict.
-        self.weight_cache = weight_cache
         self._generators: Dict[Tuple[str, int, int], object] = {}
 
     def _uniform(self) -> DheShape:
@@ -173,9 +162,6 @@ class MeasuredBackend(ExecutionBackend):
 
     def _generator(self, technique: str, size: int, dim: int):
         key = (technique, size, dim)
-        if self.weight_cache is not None:
-            return self.weight_cache.generator(
-                key, lambda: self._build(technique, size, dim))
         if key not in self._generators:
             self._generators[key] = self._build(technique, size, dim)
         return self._generators[key]
@@ -210,12 +196,8 @@ class LazyMeasuredBackend(MeasuredBackend):
     name = "measured-lazy"
 
     def __init__(self, uniform_shape: Optional[DheShape] = None,
-                 repeats: int = 3, runtime=None, weight_cache=None) -> None:
-        super().__init__(uniform_shape, repeats, weight_cache=weight_cache)
-        if runtime is None and weight_cache is not None:
-            # Captured graphs are public; share one runtime (and so one
-            # graph cache) across every backend built on this cache.
-            runtime = weight_cache.shared_runtime()
+                 repeats: int = 3, runtime=None) -> None:
+        super().__init__(uniform_shape, repeats)
         if runtime is None:
             from repro.lazy import NumpyRuntime
 
@@ -249,8 +231,7 @@ BACKEND_NAMES = ("modelled", "measured", "measured-lazy")
 
 
 def resolve_backend(backend: BackendLike,
-                    uniform_shape: Optional[DheShape] = None,
-                    platform: PlatformModel = DEFAULT_PLATFORM
+                    uniform_shape: Optional[DheShape] = None
                     ) -> ExecutionBackend:
     """Turn a name from :data:`BACKEND_NAMES` or an instance into a backend.
 
@@ -260,7 +241,7 @@ def resolve_backend(backend: BackendLike,
     """
     if isinstance(backend, str):
         if backend == "modelled":
-            return ModelledBackend(uniform_shape, platform)
+            return ModelledBackend(uniform_shape)
         if backend == "measured":
             return MeasuredBackend(uniform_shape)
         if backend == "measured-lazy":

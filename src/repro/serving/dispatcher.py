@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.costmodel.colocation import TenantDemand, replicated_latencies
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive, check_positive_finite
 
@@ -19,12 +18,10 @@ from repro.utils.validation import check_positive, check_positive_finite
 class Dispatcher:
     """Evaluates a replica fleet built from one tenant demand description."""
 
-    def __init__(self, demand: TenantDemand, batch_size: int,
-                 platform: PlatformModel = DEFAULT_PLATFORM) -> None:
+    def __init__(self, demand: TenantDemand, batch_size: int) -> None:
         check_positive("batch_size", batch_size)
         self.demand = demand
         self.batch_size = batch_size
-        self.platform = platform
 
     # ------------------------------------------------------------------
     def replica_latencies(self, replicas: int) -> List[float]:
@@ -33,7 +30,7 @@ class Dispatcher:
         Pure compute — ``sweep`` reports telemetry once per sweep rather
         than per evaluation, keeping this inner loop cheap.
         """
-        return replicated_latencies(self.demand, replicas, self.platform)
+        return replicated_latencies(self.demand, replicas)
 
     # ------------------------------------------------------------------
     def sweep(self, max_replicas: int) -> List[Tuple[int, float, float]]:

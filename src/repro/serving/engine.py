@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.costmodel.latency import MLP_OVERHEAD_SECONDS, DheShape
-from repro.costmodel.platform import DEFAULT_PLATFORM, PlatformModel
 from repro.serving.backends import BackendLike, resolve_backend
 from repro.serving.batcher import (
     BatchingPolicy,
@@ -69,7 +68,6 @@ class ExecutionEngine:
                  thresholds: ThresholdDatabase,
                  varied: bool = True,
                  backend: BackendLike = "modelled",
-                 platform: PlatformModel = DEFAULT_PLATFORM,
                  mlp_overhead_seconds: float = MLP_OVERHEAD_SECONDS,
                  resilience: Optional[ResiliencePolicy] = None,
                  cache: Optional[SecretIndependentCache] = None) -> None:
@@ -94,9 +92,8 @@ class ExecutionEngine:
         self.uniform_shape = uniform_shape
         self.thresholds = thresholds
         self.varied = varied
-        self.platform = platform
         self.mlp_overhead_seconds = mlp_overhead_seconds
-        self.backend = resolve_backend(backend, uniform_shape, platform)
+        self.backend = resolve_backend(backend, uniform_shape)
         self.resilience = resilience
         self.cache = cache
 
@@ -147,8 +144,7 @@ class ExecutionEngine:
                            batch_size=config.batch_size,
                            threads=config.threads, varied=self.varied,
                            overhead_seconds=self.mlp_overhead_seconds,
-                           uniform_shape=self.uniform_shape,
-                           platform=self.platform)
+                           uniform_shape=self.uniform_shape)
 
     def _cached_batch_seconds(self, cache: SecretIndependentCache,
                               batches: Sequence[ScheduledBatch],
@@ -345,7 +341,5 @@ class ExecutionEngine:
             allocations = self.allocations(config)
         tenant = dlrm_tenant(self.table_sizes, self.embedding_dim,
                              allocations, self.uniform_shape,
-                             config.batch_size, varied=self.varied,
-                             platform=self.platform)
-        return Dispatcher(tenant.demand, config.batch_size,
-                          platform=self.platform)
+                             config.batch_size, varied=self.varied)
+        return Dispatcher(tenant.demand, config.batch_size)

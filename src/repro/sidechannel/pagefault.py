@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Set, Tuple
 
+from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.sidechannel.replay import TraceVictim
 from repro.utils.validation import check_positive
 
@@ -76,7 +77,6 @@ class ControlledChannelAttacker:
 
 def combined_channel_candidates(num_rows: int, embedding_dim: int,
                                 cache_line: int = 64,
-                                element_bytes: int = 4,
                                 page_size: int = PAGE_SIZE) -> int:
     """Candidate-set size when page + cache-line channels are combined.
 
@@ -85,6 +85,6 @@ def combined_channel_candidates(num_rows: int, embedding_dim: int,
     for the paper's datasets), that pins the exact index — the "scaling"
     composition of §III-A2.
     """
-    row_bytes = embedding_dim * element_bytes
+    row_bytes = embedding_dim * DEFAULT_PLATFORM.element_bytes
     rows_sharing_a_line = max(1, cache_line // row_bytes)
     return min(num_rows, rows_sharing_a_line)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
+from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.oblivious.trace import MemoryTracer
 from repro.telemetry.audit import AuditSubject, technique_subject
 from repro.utils.validation import check_positive
@@ -30,14 +31,13 @@ class TraceVictim:
     def __init__(self, subject: AuditSubject,
                  sink: Callable[[int, int], object],
                  num_rows: int = 256, embedding_dim: int = 64,
-                 element_bytes: int = 4,
                  base_address: int = 0x10_0000) -> None:
         check_positive("num_rows", num_rows)
         check_positive("embedding_dim", embedding_dim)
         self.subject = subject
         self.sink = sink
         self.num_rows = num_rows
-        self.row_bytes = embedding_dim * element_bytes
+        self.row_bytes = embedding_dim * DEFAULT_PLATFORM.element_bytes
         self.base_address = base_address
         # Layout is by region *name* in first-touch order and is kept for
         # the victim's lifetime; an event's address never moves a base.

@@ -137,24 +137,6 @@ class TestDecoderWeightCache:
         assert cache.stats.hits == dhe
         assert cache.serve_setup_seconds() == 0.0
 
-    def test_generator_store_shares_objects(self):
-        cache = DecoderWeightCache()
-        builds = []
-
-        def builder():
-            builds.append(1)
-            return object()
-
-        first = cache.generator(("dhe-varied", 4096, 16), builder)
-        second = cache.generator(("dhe-varied", 4096, 16), builder)
-        assert first is second
-        assert len(builds) == 1
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-    def test_shared_runtime_is_singleton(self):
-        cache = DecoderWeightCache()
-        assert cache.shared_runtime() is cache.shared_runtime()
-
 
 class TestBatchResultCache:
     def test_same_batch_key_hits(self, allocations, config, pricer):

@@ -5,7 +5,11 @@ import pytest
 
 from repro.cluster.placement import ShardPlanner
 from repro.cluster.router import ShardRouter
-from repro.cluster.scatter import ClusterUnavailableError, ScatterGatherEngine
+from repro.cluster.scatter import (
+    GATHER_OVERHEAD_SECONDS,
+    ClusterUnavailableError,
+    ScatterGatherEngine,
+)
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64, MLP_OVERHEAD_SECONDS
 from repro.data import TERABYTE_SPEC
 from repro.resilience.dispatch import ResilientDispatcher
@@ -56,8 +60,7 @@ class TestGather:
         nodes = sorted(result.shard_reports)
         stacked = np.stack([result.shard_reports[n].latencies
                             for n in nodes])
-        overhead = MLP_OVERHEAD_SECONDS + engine.gather_overhead_seconds * \
-            len(nodes)
+        overhead = MLP_OVERHEAD_SECONDS + GATHER_OVERHEAD_SECONDS * len(nodes)
         np.testing.assert_allclose(result.report.latencies,
                                    stacked.max(axis=0) + overhead)
 

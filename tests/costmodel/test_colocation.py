@@ -1,8 +1,11 @@
 """Co-location contention model tests (Figs 8/9/13 mechanisms)."""
 
+import dataclasses
+
 import pytest
 
 from repro.costmodel.colocation import (
+    TenantDemand,
     colocated_latencies,
     dhe_demand,
     oram_demand,
@@ -66,6 +69,20 @@ class TestColocatedLatencies:
         solo = demand.solo_latency
         crowded = colocated_latencies([demand] * 24)[0]
         assert crowded > 1.5 * solo
+
+    def test_ring_tenant_is_priced_as_bandwidth_bound_oram(self):
+        # Ring ORAM streams its tree like Path and Circuit; it used to fall
+        # through to the compute-bound DHE branch (5.43x vs Path's 6.93x).
+        path = oram_demand("path", 10**6, 64, 32)
+        relabelled = dataclasses.replace(path, technique="ring")
+        copies = 2 * DEFAULT_PLATFORM.cores
+        assert (colocated_latencies([relabelled] * copies)
+                == colocated_latencies([path] * copies))
+
+    @pytest.mark.parametrize("technique", ["sacn", "lookup", "sqrt", ""])
+    def test_unknown_technique_is_refused(self, technique):
+        with pytest.raises(ValueError, match="technique"):
+            TenantDemand(technique, 1e-3, 1e6, 0.0)
 
 
 class TestThroughput:

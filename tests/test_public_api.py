@@ -471,3 +471,69 @@ def test_one_fault_path_and_one_cache_handle():
     assert not hasattr(DegradationLadder, "reset")
     assert "table_size" not in {item.name for item in
                                 dataclasses.fields(DegradationLadder)}
+
+
+def test_one_calibrated_platform():
+    """The cost model prices one testbed: no function parameter or
+    dataclass field under ``repro`` is a ``platform`` or an
+    ``element_bytes`` (``PlatformModel.element_bytes`` is the one width),
+    nothing falls back to a hard-coded width or bandwidth through
+    ``getattr``, and the constructor knobs every caller left at one value
+    are gone."""
+    import ast
+    import inspect
+    import os
+
+    import repro
+    from repro.cluster.autoscale import ElasticFleet
+    from repro.cluster.placement import ShardPlanner
+    from repro.cluster.scatter import ScatterGatherEngine
+    from repro.serving.backends import LazyMeasuredBackend, MeasuredBackend
+
+    root = os.path.dirname(repro.__file__)
+    settable = []
+    fallbacks = []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            where = os.path.relpath(path, root)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    settable.extend(
+                        (where, node.name, arg.arg)
+                        for arg in args.posonlyargs + args.args
+                        + args.kwonlyargs
+                        if arg.arg in ("platform", "element_bytes"))
+                elif isinstance(node, ast.ClassDef):
+                    settable.extend(
+                        (where, node.name, item.target.id)
+                        for item in node.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and item.target.id in ("platform", "element_bytes"))
+                elif (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "getattr"):
+                    fallbacks.extend(
+                        (where, arg.value) for arg in node.args
+                        if isinstance(arg, ast.Constant)
+                        and arg.value in ("element_bytes", "scan_dram_bw"))
+    assert settable == [("costmodel/platform.py", "PlatformModel",
+                         "element_bytes")]
+    assert fallbacks == []
+    removed = {
+        ScatterGatherEngine: {"varied", "backend", "platform",
+                              "mlp_overhead_seconds",
+                              "gather_overhead_seconds"},
+        ShardPlanner: {"varied", "backend", "platform"},
+        ElasticFleet: {"contention"},
+        MeasuredBackend: {"weight_cache"},
+        LazyMeasuredBackend: {"weight_cache"},
+    }
+    for cls, names in removed.items():
+        assert names.isdisjoint(inspect.signature(cls).parameters), cls
