@@ -4,7 +4,8 @@ Two execution modes share the same weights:
 
 * the *performance* mode expresses the scan as ``onehot(indices) @ table``
   (the same arithmetic the AVX-512 blend performs — every row participates
-  in every query), which keeps it differentiable and fast under numpy;
+  in every query), which keeps it differentiable and fast under numpy; in
+  eval mode it runs on plain ndarrays and wraps one ``Tensor`` at the end;
 * the *traced* mode executes the scalar scan against a
   :class:`~repro.oblivious.trace.TracedArray` so security tests can verify
   the full-sweep access pattern row by row.
@@ -22,7 +23,6 @@ from repro.costmodel.memory import table_bytes
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
-from repro.lazy.runtime import get_active_runtime
 from repro.oblivious.linear_scan import linear_scan_batch, linear_scan_batch_vectorized
 from repro.oblivious.trace import MemoryTracer, TracedArray
 from repro.telemetry.runtime import get_registry
@@ -57,9 +57,9 @@ class LinearScanEmbedding(EmbeddingGenerator):
         flat = indices.reshape(-1)
         with registry.span("embedding.scan.forward", batch=int(flat.size),
                            rows=self.num_embeddings):
-            if get_active_runtime() is not None and not self.training:
-                # Same masked matmul, replayed from the lazy graph cache
-                # (bit-identical; inference-only, so no grad graph needed).
+            if not self.training:
+                # The same masked matmul on ndarrays (replayed from the
+                # graph cache under a lazy runtime); no grad graph needed.
                 out = Tensor(linear_scan_batch_vectorized(
                     self.weight.data, flat))
             else:

@@ -48,6 +48,10 @@ class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        # Tensor.relu's product, not np.maximum: negatives become -0.0.
+        return x * (x > 0)
+
 
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
@@ -151,6 +155,9 @@ class MLP(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.body(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return self.body.infer(x)
 
 
 def _make_activation(name: str) -> Module:

@@ -45,7 +45,7 @@ class Module:
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode forward on a plain ndarray, no autograd ``Tensor``
-        built: the KV-cache inference path calls this. Bytes equal
+        built: the KV-cache, DHE and DLRM inference paths call this. Bytes equal
         ``self(Tensor(x)).data`` in eval mode."""
         raise NotImplementedError(
             f"{type(self).__name__} has no ndarray inference path")

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.costmodel.latency import DheShape
-from repro.embedding.dhe import DHEEmbedding, UniversalHashEncoder
+from repro.embedding.dhe import UNIVERSAL_PRIME, DHEEmbedding, UniversalHashEncoder
+
+P = UNIVERSAL_PRIME
+U64_MAX = (1 << 64) - 1
 
 
 class TestUniversalHashEncoder:
@@ -121,3 +124,73 @@ class TestDHEEmbedding:
         a = dhe.encoder.encode(np.array([0, 1, 2]))
         b = dhe.encoder.encode(np.array([999, 500, 123]))
         assert a.shape == b.shape
+
+
+class TestLimbHash:
+    """The uint64-limb hash equals the Python-int formula everywhere."""
+
+    @given(a=st.lists(st.integers(1, P - 1), min_size=1, max_size=4),
+           b=st.integers(0, P - 1),
+           x=st.lists(st.integers(0, U64_MAX), max_size=5),
+           m=st.integers(2, P - 1))
+    @example(a=[P - 1, 1, (1 << 32) - 1, 1 << 32], b=P - 1,
+             x=[0, 1, (1 << 32) - 1, 1 << 32, P - 1], m=1_000_000)
+    @example(a=[P - 1], b=0, x=[P, 1 << 63, U64_MAX], m=P - 1)
+    @example(a=[(1 << 61) - 2, 1 << 60], b=P - 2, x=[P + 1, (1 << 61) - 2],
+             m=2)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_python_int_reference(self, a, b, x, m):
+        encoder = UniversalHashEncoder(len(a), num_buckets=m, rng=0)
+        encoder.a = np.array(a, dtype=np.uint64)
+        encoder.b = np.full(len(a), b, dtype=np.uint64)
+        hashed = encoder.hash_values(np.array(x, dtype=np.uint64))
+        assert hashed.dtype == np.int64 and hashed.shape == (len(x), len(a))
+        expected = [[(aj * xi + b) % P % m for aj in a] for xi in x]
+        assert hashed.tolist() == expected
+
+    def test_other_primes_are_refused(self):
+        with pytest.raises(ValueError, match="2\\^61 - 1"):
+            UniversalHashEncoder(k=4, num_buckets=100, prime=(1 << 31) - 1)
+
+
+class TestIndexValidation:
+    """A float or negative id is an error, never a silently wrong row."""
+
+    @pytest.mark.parametrize("indices", [np.array([1.7]), [1.7], [True]])
+    def test_non_integer_indices_raise(self, indices):
+        dhe = DHEEmbedding(10, 4, k=8, fc_sizes=(8,), rng=0).eval()
+        with pytest.raises(TypeError, match="integers"):
+            dhe.generate(indices)
+        with pytest.raises(TypeError, match="integers"):
+            dhe.encoder.hash_values(indices)
+
+    @pytest.mark.parametrize("indices", [np.array([-1]), [-1], [3, -2]])
+    def test_negative_hash_indices_raise(self, indices):
+        encoder = UniversalHashEncoder(k=4, rng=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            encoder.hash_values(indices)
+
+    def test_empty_index_lists_are_accepted(self):
+        dhe = DHEEmbedding(10, 4, k=8, fc_sizes=(8,), rng=0).eval()
+        assert dhe.generate([]).shape == (0, 4)
+        assert dhe.encoder.hash_values([]).shape == (0, 8)
+
+
+class TestEvalPath:
+    """Eval mode runs on ndarrays and wraps one graph-free Tensor."""
+
+    def test_eval_forward_is_byte_equal_and_graph_free(self):
+        dhe = DHEEmbedding(50, 8, k=16, fc_sizes=(32, 16), rng=3)
+        ids = np.array([[0, 49, 7], [7, 3, 3]])
+        trained = dhe(ids)
+        assert trained._parents
+        served = dhe.eval()(ids)
+        assert not served._parents
+        assert served.shape == (2, 3, 8)
+        assert served.data.tobytes() == trained.data.tobytes()
+
+    def test_materialize_table_is_mode_independent(self):
+        dhe = DHEEmbedding(30, 4, k=8, fc_sizes=(8,), rng=0)
+        trained = dhe.materialize_table(batch_size=7)
+        assert trained.tobytes() == dhe.eval().materialize_table().tobytes()
+        assert trained.tobytes() == dhe.generate(np.arange(30)).tobytes()

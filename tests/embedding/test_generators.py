@@ -88,6 +88,19 @@ class TestOramEmbedding:
             PathOramEmbedding(N, D, weight=np.zeros((N, D + 1)))
 
 
+class TestIndexValidation:
+    def test_float_indices_raise_instead_of_truncating(self, weights):
+        for generator in storage_generators(weights):
+            with pytest.raises(TypeError, match="integers"):
+                generator.generate(np.array([1.7]))
+            with pytest.raises(TypeError, match="integers"):
+                generator.generate([0.0, 2.0])
+
+    def test_empty_index_list_is_accepted(self, weights):
+        for generator in storage_generators(weights):
+            assert generator.generate([]).shape == (0, D)
+
+
 class TestConstructorValidation:
     def test_bad_sizes(self):
         with pytest.raises(ValueError):

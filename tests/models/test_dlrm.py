@@ -5,8 +5,10 @@ import pytest
 
 from repro.data.criteo import DlrmDatasetSpec
 from repro.embedding.dhe import DHEEmbedding
+from repro.embedding.scan import LinearScanEmbedding
 from repro.embedding.table import TableEmbedding
 from repro.models.dlrm import DLRM, dhe_factory, table_factory
+from repro.nn.tensor import Tensor
 
 SPEC = DlrmDatasetSpec("t", 13, (20, 30, 10), embedding_dim=8)
 
@@ -60,6 +62,27 @@ class TestForward:
         with pytest.raises(ValueError):
             DLRM(SPEC, table_factory(rng=0), bottom_sizes=(13, 9),
                  rng=0)
+
+
+def mixed_factory(size, dim):
+    """Scan for the smallest table, DHE for the rest (a hybrid mix)."""
+    if size < 15:
+        return LinearScanEmbedding(size, dim, rng=size)
+    return DHEEmbedding(size, dim, k=16, fc_sizes=(16,), rng=size)
+
+
+class TestEvalInference:
+    @pytest.mark.parametrize("interaction", ["dot", "cat"])
+    def test_eval_forward_is_graph_free_and_byte_equal(self, batch,
+                                                       interaction):
+        model = make_model(mixed_factory, interaction=interaction)
+        trained = model(*batch)
+        assert trained._parents
+        served = model.eval()(*batch)
+        assert isinstance(served, Tensor) and not served._parents
+        assert served.data.tobytes() == trained.data.tobytes()
+        assert model.predict_proba(*batch).tobytes() == \
+            trained.sigmoid().data.tobytes()
 
 
 class TestFactories:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.nn.attention import KVCache, MultiHeadSelfAttention, TransformerBlock
-from repro.nn.layers import GELU, LayerNorm, Linear, Sequential
+from repro.nn.layers import GELU, MLP, LayerNorm, Linear, ReLU, Sequential
 from repro.nn.tensor import Tensor
 
 
@@ -134,12 +134,16 @@ def _layer_norm():
     return norm
 
 
-# Every module on the KV-cache path, built once: its ndarray inference
-# must give exactly the bytes of its Tensor forward.
+# Every module on the KV-cache and DHE/DLRM eval paths, built once: its
+# ndarray inference must give exactly the bytes of its Tensor forward
+# (ReLU's -0.0 for a negative input included).
 INFERENCE_MODULES = {
     "Linear": Linear(8, 12, rng=1),
     "LayerNorm": _layer_norm(),
     "GELU": GELU(),
+    "ReLU": ReLU(),
+    "MLP": MLP((8, 16, 12, 8), rng=6),
+    "MLP-final-relu": MLP((8, 16, 8), final_activation="relu", rng=7),
     "Sequential": Sequential(Linear(8, 32, rng=2), GELU(), Linear(32, 8, rng=2)),
     "MultiHeadSelfAttention": MultiHeadSelfAttention(8, 2, rng=4).eval(),
     "TransformerBlock": TransformerBlock(8, 2, rng=5).eval(),
