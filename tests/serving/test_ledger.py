@@ -13,7 +13,11 @@ lived in three modules (``compose_stage_reports``,
 fault path and the cache handle: the canonical chaos report and the
 cluster report's ``caching`` cell, each at seeds 0 and 7. They were
 recorded at 25c104b, while faults could still be injected through a
-backend wrapper and engines still took a ``CachePolicy``.
+backend wrapper and engines still took a ``CachePolicy``. It also pins
+the full default reports of the cluster, migration, autoscale and cache
+sims at seeds 0 and 7, recorded at 970fcd8, while each of the five Fig 13
+drivers still built its own serving scaffold. Those digests are printed
+(``pytest -s``), so a log shows which report moved.
 """
 
 import dataclasses
@@ -27,6 +31,9 @@ from repro.cache import StaticResidencyCache
 from repro.cluster.placement import ShardPlanner
 from repro.cluster.router import ShardRouter
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
+from repro.cache.bench import run_bench
+from repro.cluster.autoscale.sim import run_autoscale
+from repro.cluster.migrate import run_migration
 from repro.cluster.sim import run_cluster
 from repro.costmodel.latency import DLRM_DHE_UNIFORM_64
 from repro.data import TERABYTE_SPEC
@@ -160,3 +167,26 @@ class TestFaultAndCacheLedger:
     ])
     def test_cluster_caching_cell(self, seed, expected):
         assert digest(run_cluster(seed=seed)["caching"]) == expected
+
+    @pytest.mark.parametrize("run, seed, expected", [
+        (run_cluster, 0,
+         "ec01b2bfc26b3e47c6b4f461a5fcbee456f0bfb7554c92f98ba2891b2efbe524"),
+        (run_cluster, 7,
+         "427ad462655000ea99baa98caadab07dc4dbb62c92d91cc2e0cef2b7b923641c"),
+        (run_migration, 0,
+         "b93101066da870eab23c31a0b8bcbe53c24f991b4560f281b54569e8eb470e64"),
+        (run_migration, 7,
+         "fcf4b38e321803d7ef63f5391200cb2ba2e6c5b2bedf6d16442fe2e607156c09"),
+        (run_autoscale, 0,
+         "e58b97c83e11a1ccfaebfaa633a513285096f9f4b8c944550efe3cc3dc008f15"),
+        (run_autoscale, 7,
+         "4d0028046c99063a25a2f36a8818d1dd052d97771d37e8b8504aff2edebd812a"),
+        (run_bench, 0,
+         "6bf05ef5c8c43c74b4426f2db584b222600b4789d29d1e6f76f8fef0b04fd120"),
+        (run_bench, 7,
+         "3b4a8ce6b9e2cbed260efdfe5e1227d028946fe4b6f3c17a7ca51430430e6268"),
+    ], ids=lambda value: getattr(value, "__module__", None))
+    def test_full_sim_report(self, run, seed, expected):
+        actual = digest(run(seed=seed))
+        print(f"\n{run.__module__} seed {seed} digest {actual}")
+        assert actual == expected
