@@ -56,21 +56,21 @@ from repro.cache.policy import (
 )
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
+from repro.experiments.scenario import (
+    NUM_REQUESTS,
+    RATE_RPS,
+    SKEW_NAMES,
+    Fig13Scenario,
+)
 from repro.oblivious.trace import MemoryTracer
-from repro.serving.batcher import BatchingPolicy
-from repro.serving.engine import ExecutionEngine, ServingConfig
+from repro.serving.engine import ExecutionEngine
 from repro.serving.report import ServingReport
-from repro.serving.requests import RequestQueue
-from repro.hybrid import dlrm_threshold_model
 from repro.telemetry.audit import (
     LeakageAuditor,
     LeakageError,
     contrasting_secrets,
 )
 
-NUM_REQUESTS = 512
-RATE_RPS = 2000.0
-BATCH = 32
 EPOCHS = 3
 #: pin budget of the static-residency scenario
 BUDGET_BYTES = 64 * 1024 * 1024
@@ -78,8 +78,6 @@ BUDGET_BYTES = 64 * 1024 * 1024
 EPOCH_SECONDS = 0.05
 #: capacity of the negative-control index LRU (rows)
 LRU_CAPACITY_ROWS = 256
-
-SKEW_NAMES = ("hot-head", "hot-tail", "uniform")
 
 
 def _summary(name: str, reports: Sequence[ServingReport],
@@ -105,58 +103,50 @@ def _summary(name: str, reports: Sequence[ServingReport],
 
 
 def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
-              num_requests: int = NUM_REQUESTS, rate_rps: float = RATE_RPS,
-              batch: int = BATCH, epochs: int = EPOCHS) -> Dict[str, object]:
+              num_requests: int = NUM_REQUESTS,
+              rate_rps: float = RATE_RPS) -> Dict[str, object]:
     """The full scenario sweep + gates; deterministic for a given seed."""
-    dim = spec.embedding_dim
-    sizes = spec.table_sizes
-    uniform, thresholds = dlrm_threshold_model(dim, batch)
-    config = ServingConfig(batch_size=batch, threads=1)
-    policy = BatchingPolicy(max_batch_size=batch, max_wait_seconds=0.002)
+    fig13 = Fig13Scenario(spec, num_requests, rate_rps)
+    engine = fig13.engine
     # One arrival trace for every scenario and epoch: scenarios differ
     # only in admission policy, epochs model successive plan epochs that
     # replay comparable traffic.
-    arrivals = RequestQueue.poisson(num_requests, rate_rps, rng=seed)
+    arrivals = fig13.arrivals(seed)
 
-    def engine(cache=None) -> ExecutionEngine:
-        return ExecutionEngine(sizes, dim, uniform, thresholds, varied=True,
-                               cache=cache)
+    def serve(server: ExecutionEngine,
+              times: int = 2) -> List[ServingReport]:
+        """``times`` serves of the trace (a primary + mirror by default)."""
+        return [server.serve(fig13.config, arrivals, fig13.policy)
+                for _ in range(times)]
 
     # --- no-cache baseline ---------------------------------------------
-    base_engine = engine()
-    base_reports = [base_engine.serve(config, arrivals, policy)
-                    for _ in range(2 * epochs)]
+    base_reports = serve(engine(), 2 * EPOCHS)
 
     # --- static whole-table residency ----------------------------------
     residency = StaticResidencyCache(BUDGET_BYTES)
     residency_engine = engine(cache=residency)
-    residency_reports = [residency_engine.serve(config, arrivals, policy)
-                         for _ in range(2 * epochs)]
+    residency_reports = serve(residency_engine, 2 * EPOCHS)
 
     # --- decoder-weight reuse: cold per epoch vs shared across epochs ---
     cold_reports: List[ServingReport] = []
     cold_admissions = 0
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         cold_cache = DecoderWeightCache()
-        cold_engine = engine(cache=cold_cache)
-        cold_reports.append(cold_engine.serve(config, arrivals, policy))
-        cold_reports.append(cold_engine.serve(config, arrivals, policy))
+        cold_reports += serve(engine(cache=cold_cache))
         cold_admissions += cold_cache.stats.admissions
     shared_cache = DecoderWeightCache()
     shared_reports: List[ServingReport] = []
-    for _ in range(epochs):
-        shared_engine = engine(cache=shared_cache)  # fresh engine, one cache
-        shared_reports.append(shared_engine.serve(config, arrivals, policy))
-        shared_reports.append(shared_engine.serve(config, arrivals, policy))
+    for _ in range(EPOCHS):
+        # a fresh engine per epoch, one cache across them
+        shared_reports += serve(engine(cache=shared_cache))
 
     # --- batch-level result sharing (primary + hedged mirror) -----------
     batch_cache = BatchResultCache(epoch_seconds=EPOCH_SECONDS,
                                    keep_generations=1)
     batch_engine = engine(cache=batch_cache)
     batch_reports: List[ServingReport] = []
-    for _ in range(epochs):
-        batch_reports.append(batch_engine.serve(config, arrivals, policy))
-        batch_reports.append(batch_engine.serve(config, arrivals, policy))
+    for _ in range(EPOCHS):
+        batch_reports += serve(batch_engine)
         batch_cache.advance_generation()
 
     scenarios = [
@@ -176,10 +166,10 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         and by_name["batch-shared"]["p50_seconds"] < base["p50_seconds"])
 
     # --- gate: decoder reuse (counted builds, not wall-clock) ------------
-    _, num_dhe = residency_engine.allocation_counts(config)
+    _, num_dhe = residency_engine.allocation_counts(fig13.config)
     shared_stats = shared_cache.stats
     decoder_ok = (shared_stats.admissions == num_dhe
-                  and cold_admissions == num_dhe * epochs
+                  and cold_admissions == num_dhe * EPOCHS
                   and shared_stats.hits > 0
                   and by_name["decoder-reuse-shared"]["busy_seconds"]
                   < by_name["decoder-reuse-cold"]["busy_seconds"])
@@ -238,8 +228,8 @@ def run_bench(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "spec": spec.name,
         "num_requests": num_requests,
         "rate_rps": rate_rps,
-        "batch_size": batch,
-        "epochs": epochs,
+        "batch_size": fig13.config.batch_size,
+        "epochs": EPOCHS,
         "budget_bytes": BUDGET_BYTES,
         "epoch_seconds": EPOCH_SECONDS,
         "lru_capacity_rows": LRU_CAPACITY_ROWS,

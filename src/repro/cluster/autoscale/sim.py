@@ -45,6 +45,7 @@ CLI::
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from typing import Dict, List
 
@@ -60,12 +61,9 @@ from repro.cluster.placement import AUDIT_SECRET_LENGTH, RingPlanner
 from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
-from repro.hybrid import dlrm_threshold_model
+from repro.experiments.scenario import FOREVER_SECONDS, Fig13Scenario
 from repro.resilience.dispatch import ResilientDispatcher
-from repro.resilience.retry import RetryPolicy
 from repro.serving import ServingConfig
-from repro.serving.batcher import BatchingPolicy
-from repro.serving.requests import RequestQueue
 from repro.telemetry.audit import LeakageAuditor, contrasting_secrets
 
 #: the autoscale gates CI enforces (ISSUE 8 acceptance criteria)
@@ -92,12 +90,7 @@ BREACH_TICKS = 2
 COOLDOWN_TICKS = 1
 STEP_SIZE = 4                  # tables per migration step
 
-BATCH = 32
-SLA_SECONDS = 0.020
 DEADLINE_SECONDS = 0.050
-
-#: stand-in for "down for the whole run" that stays JSON-representable
-FOREVER_SECONDS = 1e9
 
 
 def rate_schedule() -> List[float]:
@@ -124,19 +117,16 @@ def _fleet_capacity(engine: ScatterGatherEngine, config: ServingConfig,
     return engine.capacity_rps(config, latency)
 
 
-def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
-                  batch: int = BATCH, sla_seconds: float = SLA_SECONDS
+def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC
                   ) -> Dict[str, object]:
     """Run the load ramp + kill storm; return the JSON-stable report."""
     rates = rate_schedule()
     ticks = len(rates)
-    config = ServingConfig(batch_size=batch, threads=1,
-                           sla_seconds=sla_seconds)
-    policy = BatchingPolicy(max_batch_size=batch, max_wait_seconds=0.002)
-    retry = RetryPolicy(deadline_seconds=DEADLINE_SECONDS)
+    fig13 = Fig13Scenario(spec, deadline_seconds=DEADLINE_SECONDS)
+    config, policy = fig13.config, fig13.policy
     dim = spec.embedding_dim
     sizes = spec.table_sizes
-    uniform, thresholds = dlrm_threshold_model(dim, batch)
+    uniform, thresholds = fig13.model
     skews = contrasting_secrets(len(sizes), AUDIT_SECRET_LENGTH)
 
     dispatcher = ResilientDispatcher(num_replicas=START_NODES,
@@ -155,9 +145,7 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                          interval_seconds=INTERVAL_SECONDS,
                          step_size=STEP_SIZE)
     control = fleet.control
-    engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
-                                 control.current.router, retry=retry,
-                                 dispatcher=dispatcher)
+    engine = fig13.scatter(control.current.router, dispatcher=dispatcher)
 
     # Event counters accumulate here and are stamped onto the next serve
     # interval's report, so the merged fleet report sums to the run total.
@@ -176,8 +164,10 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         now = tick * INTERVAL_SECONDS
         rate = rates[tick]
         num_requests = int(round(rate * INTERVAL_SECONDS))
-        queue = RequestQueue.poisson(num_requests, rate,
-                                     rng=seed * 1000 + tick)
+        # Each tick is the Fig 13 workload at that tick's offered rate.
+        queue = dataclasses.replace(
+            fig13, num_requests=num_requests,
+            rate_rps=rate).arrivals(seed * 1000 + tick)
         if tick == KILL_TICK:
             dispatcher.mark_down(VICTIM, until_seconds=FOREVER_SECONDS,
                                  now_seconds=now)
@@ -343,9 +333,9 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     return {
         "seed": seed,
         "spec": spec.name,
-        "batch_size": batch,
-        "sla_seconds": sla_seconds,
-        "deadline_seconds": DEADLINE_SECONDS,
+        "batch_size": config.batch_size,
+        "sla_seconds": config.sla_seconds,
+        "deadline_seconds": fig13.deadline_seconds,
         "interval_seconds": INTERVAL_SECONDS,
         "ticks": ticks,
         "kill_tick": KILL_TICK,
@@ -366,7 +356,7 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "scaling_audit": scaling_finding.to_dict(),
         "negative_audit": negative.to_dict(),
         "intervals": cells,
-        "fleet": merged.to_dict(sla_seconds=sla_seconds),
+        "fleet": merged.to_dict(sla_seconds=config.sla_seconds),
         "gates": gates,
     }
 

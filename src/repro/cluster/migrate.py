@@ -47,33 +47,21 @@ from repro.cluster.migration import (
     migration_subject,
 )
 from repro.cluster.placement import PlanBook, RingPlanner
-from repro.cluster.scatter import ScatterGatherEngine
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
-from repro.hybrid import dlrm_threshold_model
+from repro.experiments.scenario import FOREVER_SECONDS, RATE_RPS, Fig13Scenario
 from repro.resilience.dispatch import ResilientDispatcher
-from repro.resilience.retry import RetryPolicy
-from repro.serving import ServingConfig
-from repro.serving.batcher import BatchingPolicy
-from repro.serving.requests import RequestQueue
 from repro.telemetry.audit import LeakageAuditor
 
 #: the migration gates CI enforces (ISSUE 5 acceptance criteria)
 P99_INFLATION_CEILING = 2.0    # window p99 vs steady state
 MOVE_SLACK = 3                 # tables beyond ceil(tables*R/nodes)
 
-SLA_SECONDS = 0.020
 NUM_REQUESTS = 384
-RATE_RPS = 2000.0
-BATCH = 32
-DEADLINE_SECONDS = 0.500
 NODES_BEFORE = 4
 NODES_AFTER = 5
 REPLICATIONS = (1, 2)
 STEP_SIZES = (2, 4)
-
-#: stand-in for "down for the whole run" that stays JSON-representable
-FOREVER_SECONDS = 1e9
 
 
 def move_bound(num_tables: int, replication: int, num_nodes: int) -> int:
@@ -81,19 +69,19 @@ def move_bound(num_tables: int, replication: int, num_nodes: int) -> int:
     return math.ceil(num_tables * replication / num_nodes) + MOVE_SLACK
 
 
-def _scenario(direction: str, src_nodes: int, dst_nodes: int,
-              replication: int, step_size: int,
-              plans, arrivals, sizes, dim, uniform, thresholds, config,
-              policy, retry, steady_cache: Dict) -> Dict[str, object]:
+def _cell(fig13: Fig13Scenario, arrivals, plans,
+          direction: str, src_nodes: int, dst_nodes: int,
+          replication: int, step_size: int,
+          steady_cache: Dict) -> Dict[str, object]:
     """Run one (direction, R, step size) migration cell end to end."""
+    config, policy = fig13.config, fig13.policy
     key = (direction, replication)
     if key not in steady_cache:
         source = PlanEpoch.create(0, plans[src_nodes],
                                   replication=replication)
         control = EpochControlPlane(source)
         target = control.advance(plans[dst_nodes])
-        engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
-                                     source.router, retry=retry)
+        engine = fig13.scatter(source.router)
         steady = engine.serve(config, arrivals, policy)
         steady_cache[key] = (source, target, engine, steady)
     source, target, engine, steady = steady_cache[key]
@@ -105,7 +93,7 @@ def _scenario(direction: str, src_nodes: int, dst_nodes: int,
                          owner_map=migrator.final_owner_map())
 
     inflation = (report.window_p99 / steady.p99 if steady.p99 > 0 else 0.0)
-    bound = move_bound(len(sizes), replication,
+    bound = move_bound(len(fig13.spec.table_sizes), replication,
                        max(src_nodes, dst_nodes))
     zero_loss = (report.shed_requests == 0 and report.unroutable_events == 0
                  and after.shed_requests == 0)
@@ -131,26 +119,34 @@ def _scenario(direction: str, src_nodes: int, dst_nodes: int,
 
 def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                   num_requests: int = NUM_REQUESTS,
-                  rate_rps: float = RATE_RPS, batch: int = BATCH,
-                  sla_seconds: float = SLA_SECONDS,
+                  rate_rps: float = RATE_RPS,
                   nodes_before: int = NODES_BEFORE,
                   nodes_after: int = NODES_AFTER,
                   replications: Sequence[int] = REPLICATIONS,
                   step_sizes: Sequence[int] = STEP_SIZES
                   ) -> Dict[str, object]:
-    """Run the full migration sweep; return the JSON-stable report."""
+    """Run the full migration sweep; return the JSON-stable report.
+
+    A replication above the smaller fleet is skipped; at least one of
+    ``replications`` must fit ``min(nodes_before, nodes_after)``.
+    """
     if nodes_before == nodes_after:
         raise ValueError("a migration needs nodes_before != nodes_after")
     replications = tuple(sorted(set(replications)))
     step_sizes = tuple(sorted(set(step_sizes)))
-    config = ServingConfig(batch_size=batch, threads=1,
-                           sla_seconds=sla_seconds)
-    policy = BatchingPolicy(max_batch_size=batch, max_wait_seconds=0.002)
-    retry = RetryPolicy(deadline_seconds=DEADLINE_SECONDS)
+    # The replications the sweep runs: every cell places R copies on both
+    # fleets, so R cannot exceed the smaller one.
+    swept = [r for r in replications if r <= min(nodes_before, nodes_after)]
+    if not swept:
+        raise ValueError(
+            f"no replication in {list(replications)} fits the smaller "
+            f"fleet of {min(nodes_before, nodes_after)} node(s)")
+    fig13 = Fig13Scenario(spec, num_requests, rate_rps)
+    config, policy = fig13.config, fig13.policy
     dim = spec.embedding_dim
     sizes = spec.table_sizes
-    uniform, thresholds = dlrm_threshold_model(dim, batch)
-    arrivals = RequestQueue.poisson(num_requests, rate_rps, rng=seed)
+    uniform, thresholds = fig13.model
+    arrivals = fig13.arrivals(seed)
 
     # ------------------------------------------------------------------
     # Per-epoch placement audit: every plan that any epoch will serve
@@ -162,23 +158,20 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
 
     # ------------------------------------------------------------------
     # The sweep: add and remove directions x replication x step size.
-    scenarios = [("add", nodes_before, nodes_after),
-                 ("remove", nodes_after, nodes_before)]
+    directions = [("add", nodes_before, nodes_after),
+                  ("remove", nodes_after, nodes_before)]
     cells: List[Dict[str, object]] = []
     steady_cache: Dict = {}
     migration_audit_ok = True
     zero_loss_ok = True
     p99_ok = True
     incremental_ok = True
-    for direction, src_nodes, dst_nodes in scenarios:
-        for replication in replications:
-            if replication > min(src_nodes, dst_nodes):
-                continue
+    for direction, src_nodes, dst_nodes in directions:
+        for replication in swept:
             for step_size in step_sizes:
-                cell = _scenario(direction, src_nodes, dst_nodes,
-                                 replication, step_size, plans, arrivals,
-                                 sizes, dim, uniform, thresholds, config,
-                                 policy, retry, steady_cache)
+                cell = _cell(fig13, arrivals, plans, direction,
+                             src_nodes, dst_nodes, replication, step_size,
+                             steady_cache)
                 cells.append(cell)
                 migration_audit_ok = migration_audit_ok and cell["audit_passed"]
                 p99_ok = p99_ok and cell["p99_inflation_ok"]
@@ -192,7 +185,7 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     # carried across the epoch change by the shared dispatcher.
     failover: Dict[str, object] = {"applicable": False}
     failover_ok = True
-    if 2 in replications and min(nodes_before, nodes_after) >= 2:
+    if 2 in swept:
         source = PlanEpoch.create(0, plans[nodes_before], replication=2)
         dispatcher = ResilientDispatcher(
             num_replicas=max(nodes_before, nodes_after))
@@ -201,9 +194,7 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         victim = 0
         dispatcher.mark_down(victim, until_seconds=FOREVER_SECONDS,
                              now_seconds=0.0)
-        engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
-                                     source.router, retry=retry,
-                                     dispatcher=dispatcher)
+        engine = fig13.scatter(source.router, dispatcher=dispatcher)
         migrator = MigrationEngine(source, target, step_size=step_sizes[0])
         killed = migrator.execute(engine, config, arrivals, policy)
         failover_ok = (killed.shed_requests == 0
@@ -224,8 +215,7 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
 
     # ------------------------------------------------------------------
     # Gate with teeth: the hot-first anti-pattern must be *caught*.
-    source = PlanEpoch.create(0, plans[nodes_before],
-                              replication=max(replications))
+    source = PlanEpoch.create(0, plans[nodes_before], replication=swept[-1])
     target = source.successor(plans[nodes_after])
     hot = MigrationEngine(source, target, step_size=1,
                           planner=HotFirstMigrationPlanner())
@@ -247,9 +237,9 @@ def run_migration(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "spec": spec.name,
         "num_requests": num_requests,
         "rate_rps": rate_rps,
-        "batch_size": batch,
-        "sla_seconds": sla_seconds,
-        "deadline_seconds": DEADLINE_SECONDS,
+        "batch_size": config.batch_size,
+        "sla_seconds": config.sla_seconds,
+        "deadline_seconds": fig13.deadline_seconds,
         "nodes_before": nodes_before,
         "nodes_after": nodes_after,
         "replications": list(replications),

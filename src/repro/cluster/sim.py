@@ -31,7 +31,7 @@ CLI::
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster.placement import (
     AUDIT_SECRET_LENGTH,
@@ -40,15 +40,17 @@ from repro.cluster.placement import (
     placement_subject,
 )
 from repro.cluster.router import ShardRouter
-from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
+from repro.cluster.scatter import ClusterServingReport
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
-from repro.hybrid import dlrm_threshold_model
+from repro.experiments.scenario import (
+    FOREVER_SECONDS,
+    NUM_REQUESTS,
+    RATE_RPS,
+    SKEW_NAMES,
+    Fig13Scenario,
+)
 from repro.resilience.dispatch import ResilientDispatcher
-from repro.resilience.retry import RetryPolicy
-from repro.serving import ServingConfig
-from repro.serving.batcher import BatchingPolicy
-from repro.serving.requests import RequestQueue
 from repro.telemetry.audit import LeakageAuditor, contrasting_secrets
 
 #: the cluster gates CI enforces (ISSUE 4 acceptance criteria)
@@ -56,59 +58,42 @@ SCALING_FLOOR = 3.0            # 1 -> 4 nodes at replication 2
 P99_INFLATION_CEILING = 2.0    # vs the single-node baseline
 AVAILABILITY_FLOOR = 1.0       # zero loss under a single-node kill at R=2
 
-SLA_SECONDS = 0.020
-NUM_REQUESTS = 512
-RATE_RPS = 2000.0
-BATCH = 32
-DEADLINE_SECONDS = 0.500
 NODE_COUNTS = (1, 2, 4)
 REPLICATIONS = (1, 2)
-
-#: stand-in for "down for the whole run" that stays JSON-representable
-FOREVER_SECONDS = 1e9
 
 #: per-shard pin budget for the sim's static-residency cache cell
 CACHE_BUDGET_BYTES = 64 * 1024 * 1024
 
-#: the skew profiles the sweep replays placement under
-SKEW_NAMES = ("hot-head", "hot-tail", "uniform")
-
-
-def _cell(nodes: int, replication: int,
-          result: ClusterServingReport,
-          sla_seconds: float) -> Dict[str, object]:
-    digest = result.to_dict(sla_seconds=sla_seconds)
-    digest["nodes"] = nodes
-    digest["replication"] = replication
-    return digest
-
 
 def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                 num_requests: int = NUM_REQUESTS,
-                rate_rps: float = RATE_RPS, batch: int = BATCH,
-                sla_seconds: float = SLA_SECONDS,
+                rate_rps: float = RATE_RPS,
                 node_counts: Sequence[int] = NODE_COUNTS,
                 replications: Sequence[int] = REPLICATIONS
                 ) -> Dict[str, object]:
-    """Run the full sweep; return the JSON-stable cluster report."""
+    """Run the full sweep; return the JSON-stable cluster report.
+
+    The sweep's baseline is the single-node cell at replication 1, so
+    ``node_counts`` and ``replications`` must both contain 1.
+    """
     node_counts = tuple(sorted(set(node_counts)))
     replications = tuple(sorted(set(replications)))
-    config = ServingConfig(batch_size=batch, threads=1,
-                           sla_seconds=sla_seconds)
-    policy = BatchingPolicy(max_batch_size=batch, max_wait_seconds=0.002)
-    retry = RetryPolicy(deadline_seconds=DEADLINE_SECONDS)
+    if node_counts[:1] != (1,) or replications[:1] != (1,):
+        raise ValueError("node_counts and replications must both include 1 "
+                         "(the single-node baseline cell)")
+    fig13 = Fig13Scenario(spec, num_requests, rate_rps)
+    config, policy = fig13.config, fig13.policy
     dim = spec.embedding_dim
     sizes = spec.table_sizes
-    uniform, thresholds = dlrm_threshold_model(dim, batch)
+    uniform, thresholds = fig13.model
     # One arrival trace for every topology: cells differ only in sharding.
-    arrivals = RequestQueue.poisson(num_requests, rate_rps, rng=seed)
+    arrivals = fig13.arrivals(seed)
     skews = dict(zip(SKEW_NAMES, contrasting_secrets(len(sizes),
                                                      AUDIT_SECRET_LENGTH)))
     auditor = LeakageAuditor()
 
     cells: List[Dict[str, object]] = []
     topologies: List[Dict[str, object]] = []
-    baseline: Optional[ClusterServingReport] = None
     best: Dict[Tuple[int, int], ClusterServingReport] = {}
     audits_passed = True
     skew_invariant = True
@@ -142,18 +127,18 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
             if replication > nodes:
                 continue
             router = ShardRouter(nodes, replication=replication, plan=plan)
-            engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
-                                         router, retry=retry)
-            result = engine.serve(config, arrivals, policy)
+            result = fig13.scatter(router).serve(config, arrivals, policy)
             best[(nodes, replication)] = result
-            cells.append(_cell(nodes, replication, result, sla_seconds))
-            if nodes == 1 and baseline is None:
-                baseline = result
+            cell = result.to_dict(sla_seconds=config.sla_seconds)
+            cell.update(nodes=nodes, replication=replication)
+            cells.append(cell)
 
-    assert baseline is not None  # node_counts is non-empty and validated
     # ------------------------------------------------------------------
     # Gate: scaling + p99 inflation (largest node count at replication 2,
-    # falling back to the largest available replication for tiny sweeps).
+    # falling back to the largest available replication for tiny sweeps)
+    # against the single-node baseline cell, validated at entry. ``plan``
+    # is the last topology's: the top node count's.
+    baseline = best[(1, 1)]
     top_nodes = node_counts[-1]
     top_repl = max(r for r in replications if r <= top_nodes)
     top = best[(top_nodes, top_repl)]
@@ -173,17 +158,13 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     failover: Dict[str, object] = {"applicable": False}
     failover_ok = True
     if top_nodes >= 2 and 2 in replications:
-        planner = ShardPlanner(top_nodes, thresholds, dim, uniform)
-        plan = planner.plan(sizes, config)
         router = ShardRouter(top_nodes, replication=2, plan=plan)
         dispatcher = ResilientDispatcher(num_replicas=top_nodes)
         victim = 0
         dispatcher.mark_down(victim, until_seconds=FOREVER_SECONDS,
                              now_seconds=0.0)
-        engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
-                                     router, retry=retry,
-                                     dispatcher=dispatcher)
-        killed = engine.serve(config, arrivals, policy)
+        killed = fig13.scatter(router, dispatcher=dispatcher).serve(
+            config, arrivals, policy)
         failover_ok = (killed.shed_requests == 0
                        and not killed.unroutable_tables
                        and killed.availability >= AVAILABILITY_FLOOR)
@@ -212,13 +193,9 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
                                       CACHE_BUDGET_BYTES)
     cache_finding = auditor.require(cache_subject(
         cache_factory, name=StaticResidencyCache.name))
-    cached_planner = ShardPlanner(top_nodes, thresholds, dim, uniform)
-    cached_router = ShardRouter(top_nodes, replication=top_repl,
-                                plan=cached_planner.plan(sizes, config))
-    cached_engine = ScatterGatherEngine(sizes, dim, uniform, thresholds,
-                                        cached_router, retry=retry,
-                                        cache=cache_factory)
-    cached = cached_engine.serve(config, arrivals, policy)
+    cached_router = ShardRouter(top_nodes, replication=top_repl, plan=plan)
+    cached = fig13.scatter(cached_router, cache=cache_factory).serve(
+        config, arrivals, policy)
     cache_ok = (cached.p99 <= top.p99
                 and (cached.report.cache_hits or 0) > 0
                 and cached.fleet.batch_time_total < top.fleet.batch_time_total)
@@ -261,9 +238,9 @@ def run_cluster(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "spec": spec.name,
         "num_requests": num_requests,
         "rate_rps": rate_rps,
-        "batch_size": batch,
-        "sla_seconds": sla_seconds,
-        "deadline_seconds": DEADLINE_SECONDS,
+        "batch_size": config.batch_size,
+        "sla_seconds": config.sla_seconds,
+        "deadline_seconds": fig13.deadline_seconds,
         "node_counts": list(node_counts),
         "replications": list(replications),
         "skews": list(SKEW_NAMES),

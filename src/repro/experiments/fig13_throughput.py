@@ -12,25 +12,18 @@ from __future__ import annotations
 
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments.reporting import ExperimentResult, format_ms
-from repro.hybrid import (
-    allocate_by_threshold,
-    count_scan_features,
-    dlrm_threshold_model,
-)
-from repro.serving import ExecutionEngine, ServingConfig
-
-SLA_SECONDS = 0.020
+from repro.experiments.scenario import BATCH, SLA_SECONDS, Fig13Scenario
+from repro.hybrid import allocate_by_threshold, count_scan_features
 
 
-def run(spec: DlrmDatasetSpec = TERABYTE_SPEC, batch: int = 32,
-        max_copies: int = 28) -> ExperimentResult:
-    dim = spec.embedding_dim
-    uniform, thresholds = dlrm_threshold_model(dim, batch)
+#: the largest co-located fleet the sweep prices
+MAX_COPIES = 28
 
-    engine = ExecutionEngine(spec.table_sizes, dim, uniform, thresholds,
-                             varied=True)
-    config = ServingConfig(batch_size=batch, threads=1,
-                           sla_seconds=SLA_SECONDS)
+
+def run(spec: DlrmDatasetSpec = TERABYTE_SPEC) -> ExperimentResult:
+    scenario = Fig13Scenario(spec)
+    engine = scenario.engine()
+    config = scenario.config
 
     hybrid_alloc = engine.allocations(config)
     all_dhe_alloc = allocate_by_threshold(spec.table_sizes, 0.0)
@@ -41,21 +34,21 @@ def run(spec: DlrmDatasetSpec = TERABYTE_SPEC, batch: int = 32,
     result = ExperimentResult(
         experiment_id="fig13",
         title=f"{spec.name}: co-located latency/throughput "
-              f"(batch={batch}, SLA={SLA_SECONDS * 1e3:.0f} ms)",
+              f"(batch={BATCH}, SLA={SLA_SECONDS * 1e3:.0f} ms)",
         headers=("copies", "dhe_varied_ms", "dhe_varied_ips",
                  "hybrid_varied_ms", "hybrid_varied_ips"),
     )
-    hybrid_sweep = hybrid_dispatcher.sweep(max_copies)
-    dhe_sweep = dhe_dispatcher.sweep(max_copies)
+    hybrid_sweep = hybrid_dispatcher.sweep(MAX_COPIES)
+    dhe_sweep = dhe_dispatcher.sweep(MAX_COPIES)
     for (copies, dhe_lat, dhe_tp), (_, hyb_lat, hyb_tp) in zip(dhe_sweep,
                                                                hybrid_sweep):
         result.add_row(copies, format_ms(dhe_lat), round(dhe_tp),
                        format_ms(hyb_lat), round(hyb_tp))
 
     dhe_bounded = dhe_dispatcher.sla_bounded_throughput(SLA_SECONDS,
-                                                        max_copies)
+                                                        MAX_COPIES)
     hybrid_bounded = hybrid_dispatcher.sla_bounded_throughput(SLA_SECONDS,
-                                                              max_copies)
+                                                              MAX_COPIES)
     gain = hybrid_bounded / dhe_bounded if dhe_bounded else float("inf")
     result.notes = (f"SLA-bounded throughput: DHE {dhe_bounded:.0f} ips, "
                     f"Hybrid {hybrid_bounded:.0f} ips ({gain:.2f}x; paper "

@@ -21,10 +21,11 @@ CLI::
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
+from repro.experiments.scenario import NUM_REQUESTS, RATE_RPS, Fig13Scenario
 from repro.resilience.degradation import DegradationLadder
 from repro.resilience.faults import (
     FaultInjector,
@@ -35,27 +36,9 @@ from repro.resilience.faults import (
 )
 from repro.resilience.policy import ResiliencePolicy
 from repro.resilience.report import ResilientServingReport
-from repro.resilience.retry import RetryPolicy
-from repro.serving import ExecutionEngine, ServingConfig
-from repro.serving.batcher import BatchingPolicy
 
 #: the chaos gates CI enforces
 AVAILABILITY_FLOOR = 0.99
-
-SLA_SECONDS = 0.020
-NUM_REQUESTS = 512
-RATE_RPS = 2000.0
-BATCH = 32
-
-
-def _build_engine(spec: DlrmDatasetSpec, batch: int,
-                  resilience: Optional[ResiliencePolicy]) -> ExecutionEngine:
-    from repro.hybrid import dlrm_threshold_model
-
-    dim = spec.embedding_dim
-    uniform, thresholds = dlrm_threshold_model(dim, batch)
-    return ExecutionEngine(spec.table_sizes, dim, uniform, thresholds,
-                           varied=True, resilience=resilience)
 
 
 def _scenarios(seed: int) -> List[Dict[str, object]]:
@@ -88,19 +71,16 @@ def _scenarios(seed: int) -> List[Dict[str, object]]:
 
 
 def run_chaos(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
-              num_requests: int = NUM_REQUESTS, rate_rps: float = RATE_RPS,
-              batch: int = BATCH,
-              sla_seconds: float = SLA_SECONDS) -> Dict[str, object]:
+              num_requests: int = NUM_REQUESTS,
+              rate_rps: float = RATE_RPS) -> Dict[str, object]:
     """Run every scenario; return the JSON-stable chaos report."""
-    config = ServingConfig(batch_size=batch, threads=1,
-                           sla_seconds=sla_seconds)
-    policy = BatchingPolicy(max_batch_size=batch, max_wait_seconds=0.002)
+    fig13 = Fig13Scenario(spec, num_requests, rate_rps)
+    config, policy = fig13.config, fig13.policy
+    # One arrival trace: the reference and every fault scenario serve it.
+    arrivals = fig13.arrivals(seed)
 
     # Fault-free reference run for p99 inflation.
-    reference = _build_engine(spec, batch, None)
-    baseline_report = reference.serve_poisson(num_requests, rate_rps,
-                                              config, policy=policy,
-                                              rng=seed)
+    baseline_report = fig13.engine().serve(config, arrivals, policy)
 
     scenario_digests: List[Dict[str, object]] = []
     all_available = True
@@ -108,15 +88,13 @@ def run_chaos(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
     for scenario in _scenarios(seed):
         injector: FaultInjector = scenario["injector"]
         resilience = ResiliencePolicy(
-            injector=injector,
-            retry=RetryPolicy(deadline_seconds=0.500),
+            injector=injector, retry=fig13.retry,
             num_replicas=3, min_replicas=1,
             ladder=scenario["ladder"])
-        engine = _build_engine(spec, batch, resilience)
-        report = engine.serve_poisson(num_requests, rate_rps, config,
-                                      policy=policy, rng=seed)
+        report = fig13.engine(resilience=resilience).serve(
+            config, arrivals, policy)
         assert isinstance(report, ResilientServingReport)
-        digest = report.to_dict(sla_seconds=sla_seconds)
+        digest = report.to_dict(sla_seconds=config.sla_seconds)
         digest["name"] = scenario["name"]
         digest["p99_inflation"] = report.p99_inflation(baseline_report)
         digest["fault_schedule"] = injector.schedule(
@@ -134,8 +112,8 @@ def run_chaos(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC,
         "spec": spec.name,
         "num_requests": num_requests,
         "rate_rps": rate_rps,
-        "batch_size": batch,
-        "sla_seconds": sla_seconds,
+        "batch_size": config.batch_size,
+        "sla_seconds": config.sla_seconds,
         "availability_floor": AVAILABILITY_FLOOR,
         "baseline_p99_seconds": baseline_report.p99,
         "scenarios": scenario_digests,

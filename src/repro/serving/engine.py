@@ -10,8 +10,8 @@ A cache (per-batch executed times) and a resilience policy (the fault-aware
 executor in place of :func:`~repro.serving.batcher.settle`) are its two
 pluggable steps; every scatter-gather shard calls the same method. The
 closed-loop path (:meth:`serve_closed`) reproduces the seed simulator's
-numbers bit-for-bit; the open paths (:meth:`serve_poisson`, arbitrary
-traces) model the queueing the seed assumed away.
+numbers bit-for-bit; an open trace (``serve(config,
+RequestQueue.poisson(...))``) models the queueing the seed assumed away.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.serving.requests import (
     batch_boundary_arrivals,
 )
 from repro.telemetry.runtime import get_registry
-from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive, check_positive_finite
 
 if TYPE_CHECKING:  # runtime imports are deferred: hybrid imports serving
@@ -290,14 +289,6 @@ class ExecutionEngine:
         return self.serve(config, arrivals,
                           BatchingPolicy(max_batch_size=config.batch_size,
                                          max_wait_seconds=0.0))
-
-    def serve_poisson(self, num_requests: int, rate_rps: float,
-                      config: ServingConfig,
-                      policy: Optional[BatchingPolicy] = None,
-                      rng: SeedLike = None) -> ServingReport:
-        """Open-system serving: Poisson arrivals through the batcher."""
-        queue = RequestQueue.poisson(num_requests, rate_rps, rng)
-        return self.serve(config, queue, policy)
 
     # ------------------------------------------------------------------
     # Configuration search and multi-replica dispatch

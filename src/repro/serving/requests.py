@@ -15,7 +15,11 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from repro.utils.rng import SeedLike, new_rng
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    check_non_negative,
+    check_positive,
+    check_positive_finite,
+)
 
 
 @dataclass(frozen=True)
@@ -40,7 +44,7 @@ def poisson_arrivals(num_requests: int, rate_rps: float,
                      rng: SeedLike = None) -> np.ndarray:
     """Poisson process: exponential inter-arrivals at ``rate_rps`` req/s."""
     check_positive("num_requests", num_requests)
-    check_positive("rate_rps", rate_rps)
+    check_positive_finite("rate_rps", rate_rps)
     generator = new_rng(rng)
     gaps = generator.exponential(1.0 / rate_rps, size=num_requests)
     return np.cumsum(gaps)

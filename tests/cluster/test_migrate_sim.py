@@ -102,6 +102,19 @@ class TestSweepShape:
         with pytest.raises(ValueError, match="nodes_before != nodes_after"):
             run_migration(nodes_before=4, nodes_after=4, **SMALL)
 
+    def test_one_node_fleet_builds_the_control_at_the_swept_r(self):
+        # R = 2 does not fit a 1-node fleet, so the sweep runs R = 1 only
+        # and the hot-first control is built at R = 1 too.
+        report = run_migration(nodes_before=1, nodes_after=2, **SMALL)
+        assert {cell["replication"] for cell in report["cells"]} == {1}
+        assert report["negative_audit"]["leak_detected"]
+        assert not report["failover"]["applicable"]
+
+    def test_no_replication_fits_the_smaller_fleet(self):
+        with pytest.raises(ValueError, match="fits the smaller fleet"):
+            run_migration(nodes_before=1, nodes_after=2, replications=(2,),
+                          **SMALL)
+
     def test_move_bound_formula(self):
         assert move_bound(26, 1, 5) == 6 + 3
         assert move_bound(26, 2, 5) == 11 + 3

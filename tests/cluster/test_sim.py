@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from repro.cluster.scatter import ScatterGatherEngine
 from repro.cluster.sim import BENCH, main, run_cluster
 from repro.data import scaled_spec, TERABYTE_SPEC
 
@@ -130,3 +131,19 @@ class TestRoutingLedger:
         assert (hashlib.sha256(ledger.encode("utf-8")).hexdigest()
                 == "298c74e1a0bc6d173b1c0a81f4edaa96"
                    "b597ef0af3bfebf0fc975ed55bcc94f2")
+
+
+class TestValidation:
+    @pytest.mark.parametrize("node_counts, replications", [
+        ((2,), (1,)), ((1, 2), (2,)), ((2, 4), (1, 2))])
+    def test_sweep_without_the_single_node_baseline_is_refused(
+            self, monkeypatch, node_counts, replications):
+        # Without the (1, 1) baseline cell there is nothing to scale
+        # against; refused at entry, before any cell is served.
+        def no_serve(*args, **kwargs):
+            raise AssertionError("served before validating the sweep")
+
+        monkeypatch.setattr(ScatterGatherEngine, "serve", no_serve)
+        with pytest.raises(ValueError, match="must both include 1"):
+            run_cluster(seed=0, node_counts=node_counts,
+                        replications=replications, **SMALL)

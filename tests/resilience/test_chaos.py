@@ -18,9 +18,14 @@ from repro.resilience import (
     StashPressureFault,
     TransientErrorFault,
 )
-from repro.resilience.chaos import BENCH, run_chaos
+from repro.resilience.chaos import BENCH, main, run_chaos
 from repro.resilience.degradation import DegradationLadder
-from repro.serving import BatchingPolicy, ExecutionEngine, ServingConfig
+from repro.serving import (
+    BatchingPolicy,
+    ExecutionEngine,
+    RequestQueue,
+    ServingConfig,
+)
 
 DIM = 64
 BATCH = 32
@@ -61,9 +66,9 @@ class TestResilientExecution:
     def test_faulty_run_reports_fault_accounting(self, thresholds):
         engine = make_engine(thresholds, storm_policy(seed=7))
         config = ServingConfig(batch_size=BATCH, threads=1)
-        report = engine.serve_poisson(
-            512, 2000.0, config,
-            policy=BatchingPolicy(BATCH, max_wait_seconds=0.002), rng=7)
+        report = engine.serve(
+            config, RequestQueue.poisson(512, 2000.0, rng=7),
+            BatchingPolicy(BATCH, max_wait_seconds=0.002))
         assert isinstance(report, ResilientServingReport)
         assert report.attempts_total >= report.num_batches
         assert (report.retries_total + report.spike_events
@@ -77,8 +82,8 @@ class TestResilientExecution:
 
         def run():
             engine = make_engine(thresholds, storm_policy(seed=11))
-            return engine.serve_poisson(256, 2000.0, config, policy=policy,
-                                        rng=11)
+            return engine.serve(
+                config, RequestQueue.poisson(256, 2000.0, rng=11), policy)
 
         first, second = run(), run()
         assert np.array_equal(first.latencies, second.latencies)
@@ -89,9 +94,9 @@ class TestResilientExecution:
         ladder = DegradationLadder(trigger_after=2)
         engine = make_engine(thresholds, storm_policy(seed=7, ladder=ladder))
         config = ServingConfig(batch_size=BATCH, threads=1)
-        report = engine.serve_poisson(
-            512, 2000.0, config,
-            policy=BatchingPolicy(BATCH, max_wait_seconds=0.002), rng=7)
+        report = engine.serve(
+            config, RequestQueue.poisson(512, 2000.0, rng=7),
+            BatchingPolicy(BATCH, max_wait_seconds=0.002))
         assert report.degradations > 0
         for event in report.degradation_events:
             assert event.audit_passed
@@ -105,9 +110,9 @@ class TestResilientExecution:
     def test_report_dict_has_no_wall_clock(self, thresholds):
         engine = make_engine(thresholds, storm_policy(seed=3))
         config = ServingConfig(batch_size=BATCH, threads=1)
-        report = engine.serve_poisson(
-            128, 2000.0, config,
-            policy=BatchingPolicy(BATCH, max_wait_seconds=0.002), rng=3)
+        report = engine.serve(
+            config, RequestQueue.poisson(128, 2000.0, rng=3),
+            BatchingPolicy(BATCH, max_wait_seconds=0.002))
         digest = report.to_dict(sla_seconds=0.020)
         json.dumps(digest)  # fully serialisable
         assert "sla_violations" in digest
@@ -154,3 +159,9 @@ class TestChaosHarness:
         text = BENCH.tabulate(report).render()
         for scenario in report["scenarios"]:
             assert scenario["name"] in text
+
+    def test_infinite_rate_rejected_before_any_serve(self):
+        # An infinite rate would put every request at t = 0 and leave an
+        # inf in the report; it is refused before anything is served.
+        with pytest.raises(ValueError, match="rate_rps"):
+            main(["--rate", "inf"])

@@ -30,6 +30,7 @@ from repro.serving import (
     BatchingPolicy,
     DynamicBatcher,
     ExecutionEngine,
+    RequestQueue,
     ServingConfig,
     batch_boundary_arrivals,
     poisson_arrivals,
@@ -141,10 +142,10 @@ class TestSeedParity:
             resilience=ResiliencePolicy(injector=FaultInjector(seed=0)))
         config = ServingConfig(batch_size=32, threads=1)
         policy = BatchingPolicy(max_batch_size=32, max_wait_seconds=0.002)
-        plain = engine.serve_poisson(512, 2000.0, config, policy=policy,
-                                     rng=5)
-        resilient = wrapped.serve_poisson(512, 2000.0, config,
-                                          policy=policy, rng=5)
+        plain = engine.serve(config, RequestQueue.poisson(512, 2000.0, rng=5),
+                             policy)
+        resilient = wrapped.serve(
+            config, RequestQueue.poisson(512, 2000.0, rng=5), policy)
         assert np.array_equal(plain.queue_delays, resilient.queue_delays)
         assert np.array_equal(plain.service_latencies,
                               resilient.service_latencies)
@@ -157,11 +158,9 @@ class TestOpenSystem:
         # Offer ~80% of the replica's saturation rate so queues form and
         # drain; the wait timeout admits partial batches.
         rate = 0.8 * config.batch_size / service
-        report = engine.serve_poisson(
-            512, rate, config,
-            policy=BatchingPolicy(config.batch_size,
-                                  max_wait_seconds=service / 2),
-            rng=0)
+        report = engine.serve(
+            config, RequestQueue.poisson(512, rate, rng=0),
+            BatchingPolicy(config.batch_size, max_wait_seconds=service / 2))
         assert report.p95 > report.p50
         assert report.mean_queue_delay > 0.0
         assert report.num_batches >= 512 // config.batch_size
@@ -170,7 +169,8 @@ class TestOpenSystem:
         config = ServingConfig(batch_size=32, threads=1)
         service = engine.batch_latency(config)
         # 4x saturation: later requests should wait much longer.
-        report = engine.serve_poisson(256, 4 * 32 / service, config, rng=1)
+        report = engine.serve(
+            config, RequestQueue.poisson(256, 4 * 32 / service, rng=1))
         delays = report.queue_delays
         assert delays[-32:].mean() > delays[:32].mean()
 

@@ -39,6 +39,15 @@ class TestPoissonArrivals:
         empirical = len(arrivals) / arrivals[-1]
         assert empirical == pytest.approx(200.0, rel=0.1)
 
+    @pytest.mark.parametrize("num_requests, rate_rps", [
+        (0, 100.0), (10, 0.0), (10, -1.0),
+        # An infinite rate would put every request at t = 0.
+        (10, float("inf")), (10, float("nan")),
+    ])
+    def test_validation(self, num_requests, rate_rps):
+        with pytest.raises(ValueError):
+            poisson_arrivals(num_requests, rate_rps, rng=0)
+
 
 class TestBatchBoundaryArrivals:
     def test_batches_share_one_timestamp(self):

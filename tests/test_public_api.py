@@ -537,3 +537,51 @@ def test_one_calibrated_platform():
     }
     for cls, names in removed.items():
         assert names.isdisjoint(inspect.signature(cls).parameters), cls
+
+
+def test_one_fig13_scenario():
+    """The five gated serving sims and ``fig13`` build their serving
+    scaffold only through ``Fig13Scenario``: none of them constructs a
+    ``ServingConfig``, ``BatchingPolicy``, ``RetryPolicy``, pricing model
+    or Poisson trace itself, batch and SLA are not parameters of any of
+    their runs, and ``ExecutionEngine.serve_poisson`` is gone."""
+    import ast
+    import inspect
+    import os
+
+    import repro
+    from repro.cache.bench import run_bench
+    from repro.cluster.autoscale.sim import run_autoscale
+    from repro.cluster.migrate import run_migration
+    from repro.cluster.sim import run_cluster
+    from repro.experiments import fig13_throughput
+    from repro.resilience.chaos import run_chaos
+    from repro.serving import ExecutionEngine
+
+    root = os.path.dirname(repro.__file__)
+    drivers = ("cluster/sim.py", "cluster/migrate.py",
+               "cluster/autoscale/sim.py", "resilience/chaos.py",
+               "cache/bench.py", "experiments/fig13_throughput.py")
+    scaffold = {"ServingConfig", "BatchingPolicy", "RetryPolicy",
+                "dlrm_threshold_model", "poisson", "poisson_arrivals"}
+    built = []
+    for where in drivers:
+        with open(os.path.join(root, where), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), where)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                if name in scaffold:
+                    built.append((where, name))
+    assert built == []
+    runs = (run_cluster, run_migration, run_autoscale, run_chaos, run_bench,
+            fig13_throughput.run)
+    for run in runs:
+        parameters = set(inspect.signature(run).parameters)
+        assert parameters.isdisjoint({"batch", "sla_seconds", "epochs",
+                                      "max_copies"}), run.__module__
+    assert sum(len(inspect.signature(run).parameters) - 1
+               for run in runs[:5]) == 19
+    assert not hasattr(ExecutionEngine, "serve_poisson")
