@@ -71,7 +71,7 @@ def audit_pricer(batch_size: int = AUDIT_BATCH_SIZE,
     """A modelled-cost pricer over the fixed audit model."""
     backend = resolve_backend("modelled", DLRM_DHE_UNIFORM_16)
     return CachePricer(backend=backend, embedding_dim=embedding_dim,
-                       batch_size=batch_size, threads=1, varied=True,
+                       batch_size=batch_size, threads=1,
                        overhead_seconds=0.0,
                        uniform_shape=DLRM_DHE_UNIFORM_16)
 

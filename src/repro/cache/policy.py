@@ -41,10 +41,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.costmodel.latency import dhe_varied_shape
+from repro.costmodel.latency import dhe_table_shape
 from repro.costmodel.memory import dhe_bytes, table_bytes
 from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.embedding.hybrid import TECHNIQUE_SCAN
+from repro.hybrid.allocator import allocation_latency, allocation_technique
 from repro.oblivious.trace import READ, WRITE, MemoryTracer
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive, check_positive_finite
@@ -126,29 +127,24 @@ class CachePricer:
 
     Wraps the engine's execution backend plus the live configuration, so
     policies ask "what does this feature cost, resident vs not?" through
-    the same seam everything else prices latency with.
+    the same seam everything else prices latency with; the shard planner
+    prices its tables through it too. A DHE feature is priced and sized
+    with its Varied stack.
     """
 
     backend: object                 # any ExecutionBackend (duck-typed)
     embedding_dim: int
     batch_size: int
     threads: int = 1
-    varied: bool = True
     overhead_seconds: float = 0.0   # dense MLP stack per batch
     uniform_shape: Optional[object] = None
 
     # ------------------------------------------------------------------
-    def _dhe_technique(self) -> str:
-        return "dhe-varied" if self.varied else "dhe-uniform"
-
     def feature_seconds(self, allocation) -> float:
         """Full (uncached) per-batch cost of one allocated feature."""
-        technique = (TECHNIQUE_SCAN
-                     if allocation.technique == TECHNIQUE_SCAN
-                     else self._dhe_technique())
         return self.backend.technique_latency(
-            technique, allocation.table_size, self.embedding_dim,
-            self.batch_size, self.threads)
+            allocation_technique(allocation), allocation.table_size,
+            self.embedding_dim, self.batch_size, self.threads)
 
     def resident_seconds(self, allocation) -> float:
         """Per-batch cost of a whole-table-resident feature.
@@ -165,8 +161,11 @@ class CachePricer:
 
     def batch_seconds(self, allocations: Sequence) -> float:
         """Full per-batch cost of the whole allocation (incl. overhead)."""
-        return self.overhead_seconds + sum(self.feature_seconds(a)
-                                           for a in allocations)
+        # The overhead is added to the summed features, not summed with
+        # them: the float order is what the cache bench's bytes pin.
+        return self.overhead_seconds + allocation_latency(
+            allocations, self.backend, self.embedding_dim, self.batch_size,
+            self.threads)
 
     def shared_read_seconds(self, allocations: Sequence) -> float:
         """Per-batch cost of reading an already-shared result buffer."""
@@ -179,11 +178,10 @@ class CachePricer:
     # ------------------------------------------------------------------
     def footprint_bytes(self, allocation) -> int:
         """Resident footprint of one feature's chosen representation."""
-        if allocation.technique == TECHNIQUE_SCAN or self.uniform_shape is None:
+        if allocation_technique(allocation) == TECHNIQUE_SCAN:
             return table_bytes(allocation.table_size, self.embedding_dim)
-        shape = (dhe_varied_shape(allocation.table_size, self.uniform_shape)
-                 if self.varied else self.uniform_shape)
-        return dhe_bytes(shape)
+        return dhe_bytes(dhe_table_shape(
+            allocation.table_size, self.embedding_dim, self.uniform_shape))
 
     def table_footprint_bytes(self, allocation) -> int:
         """Footprint of the *materialised whole table* (what pinning costs).
@@ -196,10 +194,8 @@ class CachePricer:
 
     def decoder_setup_seconds(self, allocation) -> float:
         """One-off cost of materialising one decoder's weights."""
-        if self.uniform_shape is None:
-            return DECODER_FETCH_OVERHEAD_SECONDS
-        shape = (dhe_varied_shape(allocation.table_size, self.uniform_shape)
-                 if self.varied else self.uniform_shape)
+        shape = dhe_table_shape(allocation.table_size, self.embedding_dim,
+                                self.uniform_shape)
         return (dhe_bytes(shape) / DEFAULT_PLATFORM.scan_dram_bw
                 + DECODER_FETCH_OVERHEAD_SECONDS)
 
@@ -375,8 +371,7 @@ class DecoderWeightCache(SecretIndependentCache):
         for allocation in allocations:
             if allocation.technique == TECHNIQUE_SCAN:
                 continue
-            key = ("decoder", allocation.table_size, pricer.embedding_dim,
-                   pricer.varied)
+            key = ("decoder", allocation.table_size, pricer.embedding_dim)
             hit = key in self._decoders
             if hit:
                 self.stats.hits += 1

@@ -58,12 +58,11 @@ from repro.cluster.autoscale.controller import (
 )
 from repro.cluster.autoscale.fleet import KIND_HEAL, ElasticFleet, event_key
 from repro.cluster.placement import AUDIT_SECRET_LENGTH, RingPlanner
-from repro.cluster.scatter import ClusterServingReport, ScatterGatherEngine
+from repro.cluster.scatter import ClusterServingReport
 from repro.data import TERABYTE_SPEC, DlrmDatasetSpec
 from repro.experiments import ExperimentResult, gated
 from repro.experiments.scenario import FOREVER_SECONDS, Fig13Scenario
 from repro.resilience.dispatch import ResilientDispatcher
-from repro.serving import ServingConfig
 from repro.telemetry.audit import LeakageAuditor, contrasting_secrets
 
 #: the autoscale gates CI enforces (ISSUE 8 acceptance criteria)
@@ -99,24 +98,6 @@ def rate_schedule() -> List[float]:
             + [TROUGH_RATE] * TROUGH_TICKS)
 
 
-def _fleet_capacity(engine: ScatterGatherEngine, config: ServingConfig,
-                    owner_map) -> float:
-    """*Provisioned* capacity of an owner map (no traffic, health-blind).
-
-    Replicates what :meth:`ScatterGatherEngine.serve` prices — per-shard
-    batch latency of the routed table sets through the two-stage pipeline
-    — but against the plan's full owner assignment, deliberately ignoring
-    replica health: a dead node must surface in the signals' crash counts
-    (where it blocks scale-down), not as a phantom utilisation spike that
-    resets the controller's streaks.
-    """
-    routed, _ = owner_map.assignment(len(engine.table_sizes), 0.0, None)
-    latency = {node: engine.shard_engine(tuple(routed[node]))
-               .batch_latency(config)
-               for node in sorted(routed)}
-    return engine.capacity_rps(config, latency)
-
-
 def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC
                   ) -> Dict[str, object]:
     """Run the load ramp + kill storm; return the JSON-stable report."""
@@ -146,6 +127,15 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC
                          step_size=STEP_SIZE)
     control = fleet.control
     engine = fig13.scatter(control.current.router, dispatcher=dispatcher)
+
+    def provisioned_capacity() -> float:
+        # Priced on the plan's full owner assignment, blind to replica
+        # health: a dead node must surface in the signals' crash counts
+        # (where it blocks scale-down), not as a phantom utilisation spike
+        # that resets the controller's streaks.
+        routed, _ = control.current.router.assignment(len(sizes), 0.0, None)
+        return engine.capacity_rps(config,
+                                   engine.shard_latencies(config, routed))
 
     # Event counters accumulate here and are stamped onto the next serve
     # interval's report, so the merged fleet report sums to the run total.
@@ -188,8 +178,7 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC
                 health = dispatcher.health_summary(now)
                 replication_restored = (health["healthy"]
                                         == health["num_replicas"])
-            capacity = _fleet_capacity(engine, config,
-                                       control.current.router)
+            capacity = provisioned_capacity()
             answered = max(0, migration.num_requests
                            - migration.shed_requests)
             signals = fleet.plane.snapshot(
@@ -233,8 +222,7 @@ def run_autoscale(seed: int = 0, spec: DlrmDatasetSpec = TERABYTE_SPEC
                 result, offered_rps=rate,
                 replication=control.current.replication,
                 current_nodes=control.current.num_nodes,
-                capacity_rps=_fleet_capacity(engine, config,
-                                             control.current.router),
+                capacity_rps=provisioned_capacity(),
                 now_seconds=now)
             steady_p99 = result.p99
             if tick == KILL_TICK:

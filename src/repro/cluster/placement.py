@@ -20,9 +20,9 @@ workload; :class:`FrequencyKeyedPlanner` (kept as the documented
 anti-pattern) does not, and the audit flags it.
 
 Costs come from the same seams everything else uses: the hybrid
-allocator's thresholds pick scan vs DHE per table (Algorithm 3), the
-execution backend prices per-batch latency, and
-:mod:`repro.costmodel.memory` prices the footprint of the chosen
+allocator's thresholds pick scan vs DHE per table (Algorithm 3), and the
+:class:`~repro.cache.policy.CachePricer` the engine's caches use prices
+each table's per-batch latency and the footprint of its chosen
 representation.
 """
 
@@ -35,10 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.costmodel.latency import DheShape, dhe_varied_shape
-from repro.costmodel.memory import dhe_bytes, table_bytes
-from repro.embedding.hybrid import TECHNIQUE_SCAN
-from repro.hybrid.allocator import allocate_for_configuration
+from repro.cache.policy import CachePricer
+from repro.costmodel.latency import DheShape
+from repro.hybrid.allocator import (
+    allocate_for_configuration,
+    allocation_technique,
+)
 from repro.hybrid.thresholds import ThresholdDatabase
 from repro.oblivious.trace import WRITE, MemoryTracer
 from repro.serving.backends import ModelledBackend
@@ -177,28 +179,16 @@ class ShardPlanner:
         allocations = allocate_for_configuration(
             table_sizes, self.thresholds, self.embedding_dim,
             config.batch_size, config.threads)
-        costs = []
-        for allocation in allocations:
-            if allocation.technique == TECHNIQUE_SCAN:
-                technique = TECHNIQUE_SCAN
-                footprint = table_bytes(allocation.table_size,
-                                        self.embedding_dim)
-            else:
-                technique = "dhe-varied"
-                if self.uniform_shape is None:
-                    raise ValueError("planner needs the DHE uniform shape "
-                                     "to price DHE-allocated tables")
-                footprint = dhe_bytes(dhe_varied_shape(allocation.table_size,
-                                                       self.uniform_shape))
-            latency = self.backend.technique_latency(
-                technique, allocation.table_size, self.embedding_dim,
-                config.batch_size, config.threads)
-            costs.append(TablePlacement(
-                table_id=allocation.feature_index,
-                table_size=allocation.table_size, technique=technique,
-                footprint_bytes=footprint, latency_seconds=latency,
-                node=-1))
-        return costs
+        pricer = CachePricer(self.backend, self.embedding_dim,
+                             config.batch_size, config.threads,
+                             uniform_shape=self.uniform_shape)
+        return [TablePlacement(
+            table_id=allocation.feature_index,
+            table_size=allocation.table_size,
+            technique=allocation_technique(allocation),
+            footprint_bytes=pricer.footprint_bytes(allocation),
+            latency_seconds=pricer.feature_seconds(allocation),
+            node=-1) for allocation in allocations]
 
     def _assignment_order(self, costs: Sequence[TablePlacement],
                           workload: Optional[Sequence[int]]

@@ -331,18 +331,23 @@ class ScatterGatherEngine:
                 "no live shard can serve any table; the fleet is out")
         registry = get_registry()
         shard_reports: Dict[int, ServingReport] = {}
-        shard_latency: Dict[int, float] = {}
         with registry.span("cluster.scatter_gather", shards=len(routed),
                            requests=len(queue)):
+            shard_latency = self.shard_latencies(config, routed)
             for node in sorted(routed):
-                engine = self.shard_engine(routed[node])
-                shard_latency[node] = engine.batch_latency(config)
                 with registry.span("cluster.shard_serve", node=node,
                                    tables=len(routed[node])):
-                    shard_reports[node] = engine.serve(config, queue, policy)
+                    shard_reports[node] = self.shard_engine(
+                        routed[node]).serve(config, queue, policy)
         capacity = self.capacity_rps(config, shard_latency)
         return self._gather(queue, shard_reports, routed, unroutable,
                             capacity, shard_latency)
+
+    def shard_latencies(self, config: ServingConfig,
+                        routed: Dict[int, Sequence[int]]) -> Dict[int, float]:
+        """Per-batch latency of each node's routed table set."""
+        return {node: self.shard_engine(routed[node]).batch_latency(config)
+                for node in sorted(routed)}
 
     def capacity_rps(self, config: ServingConfig,
                      shard_latency: Dict[int, float]) -> float:

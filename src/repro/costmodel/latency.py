@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.oram.tree import tree_levels_for
@@ -140,6 +140,24 @@ def dhe_varied_shape(table_size: int, uniform: DheShape) -> DheShape:
     scaled_k = max(VARIED_MIN_K, int(round(uniform.k * factor)))
     return DheShape(k=scaled_k, fc_sizes=uniform.fc_sizes,
                     out_dim=uniform.out_dim)
+
+
+def dhe_table_shape(table_size: int, dim: int,
+                    uniform: Optional[DheShape],
+                    varied: bool = True) -> DheShape:
+    """The DHE stack a ``table_size``-row, ``dim``-wide table is built and
+    priced with: its Varied stack (§IV-B1), or the Uniform one itself.
+
+    Raises :class:`ValueError` when no Uniform shape is given or its output
+    width is not ``dim``.
+    """
+    if uniform is None:
+        raise ValueError("no DHE uniform shape was given; DHE techniques "
+                         "are unavailable")
+    if dim != uniform.out_dim:
+        raise ValueError(f"embedding dim {dim} does not match the DHE "
+                         f"uniform shape's out_dim {uniform.out_dim}")
+    return dhe_varied_shape(table_size, uniform) if varied else uniform
 
 
 def dhe_latency(shape: DheShape, batch: int, threads: int = 1) -> float:

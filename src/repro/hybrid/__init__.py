@@ -5,6 +5,7 @@ from repro.hybrid.allocator import (
     allocate_by_threshold,
     allocate_for_configuration,
     allocation_latency,
+    allocation_technique,
     apply_allocations,
     count_scan_features,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "allocate_by_threshold",
     "allocate_for_configuration",
     "allocation_latency",
+    "allocation_technique",
     "apply_allocations",
     "count_scan_features",
     "ModelTenant",

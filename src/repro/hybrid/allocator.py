@@ -72,6 +72,18 @@ def count_scan_features(allocations: Sequence[FeatureAllocation]) -> int:
     return sum(1 for a in allocations if a.technique == TECHNIQUE_SCAN)
 
 
+def allocation_technique(allocation: FeatureAllocation,
+                         varied: bool = True) -> str:
+    """The backend technique an allocated feature executes: ``"scan"``, or
+    ``"dhe-varied"`` / ``"dhe-uniform"`` by the DHE sizing rule."""
+    if allocation.technique == TECHNIQUE_SCAN:
+        return TECHNIQUE_SCAN
+    if allocation.technique != TECHNIQUE_DHE:
+        raise ValueError(f"feature {allocation.feature_index}: unknown "
+                         f"technique {allocation.technique!r}")
+    return "dhe-varied" if varied else "dhe-uniform"
+
+
 def allocation_latency(allocations: Sequence[FeatureAllocation],
                        backend, dim: int, batch: int, threads: int = 1,
                        varied: bool = True,
@@ -84,11 +96,9 @@ def allocation_latency(allocations: Sequence[FeatureAllocation],
     :class:`~repro.serving.backends.ExecutionBackend`; ``varied`` picks the
     DHE sizing rule for DHE-allocated features.
     """
-    dhe_technique = "dhe-varied" if varied else "dhe-uniform"
     total = overhead_seconds
     for allocation in allocations:
-        technique = (TECHNIQUE_SCAN if allocation.technique == TECHNIQUE_SCAN
-                     else dhe_technique)
-        total += backend.technique_latency(technique, allocation.table_size,
-                                           dim, batch, threads)
+        total += backend.technique_latency(
+            allocation_technique(allocation, varied), allocation.table_size,
+            dim, batch, threads)
     return total

@@ -17,7 +17,7 @@ from repro.costmodel.colocation import (
     dhe_demand,
     scan_demand,
 )
-from repro.costmodel.latency import DheShape, dhe_varied_shape
+from repro.costmodel.latency import DheShape, dhe_table_shape
 from repro.embedding.hybrid import TECHNIQUE_SCAN
 from repro.hybrid.allocator import FeatureAllocation
 from repro.utils.validation import check_positive
@@ -54,9 +54,8 @@ def dlrm_tenant(table_sizes: Sequence[int], dim: int,
             num_scan += 1
             scan_latency += part.solo_latency
         else:
-            shape = (dhe_varied_shape(size, uniform_shape) if varied
-                     else uniform_shape)
-            part = dhe_demand(shape, batch)
+            part = dhe_demand(dhe_table_shape(size, dim, uniform_shape,
+                                              varied), batch)
         solo += part.solo_latency
         bandwidth += part.bandwidth_bytes
         llc = max(llc, part.llc_bytes)
@@ -77,8 +76,7 @@ def mixed_allocation_latency(table_size: int, dim: int, total_models: int,
     check_positive("total_models", total_models)
     if not 0 <= num_dhe <= total_models:
         raise ValueError("num_dhe out of range")
-    shape = (dhe_varied_shape(table_size, uniform_shape) if varied
-             else uniform_shape)
+    shape = dhe_table_shape(table_size, dim, uniform_shape, varied)
     tenants = ([dhe_demand(shape, batch)] * num_dhe
                + [scan_demand(table_size, dim, batch)]
                * (total_models - num_dhe))

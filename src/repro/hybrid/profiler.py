@@ -24,10 +24,15 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.costmodel.latency import DheShape
-from repro.serving.backends import BackendLike, resolve_backend
+from repro.serving.backends import (
+    BACKEND_TECHNIQUES,
+    BackendLike,
+    resolve_backend,
+)
 from repro.utils.validation import check_positive
 
-TECHNIQUES = ("scan", "dhe-uniform", "dhe-varied", "path-oram", "circuit-oram")
+#: every backend technique but the leaking ``"lookup"`` baseline
+TECHNIQUES = tuple(t for t in BACKEND_TECHNIQUES if t != "lookup")
 
 #: default table-size grid: half-decade steps over the DLRM range
 DEFAULT_SIZE_GRID: Tuple[int, ...] = tuple(

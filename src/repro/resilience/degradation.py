@@ -25,16 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
+from repro.serving.backends import BACKEND_TECHNIQUES
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
 
-#: techniques whose access patterns are secret-independent (auditable)
-OBLIVIOUS_TECHNIQUES = frozenset({
-    "scan", "dhe-uniform", "dhe-varied", "path-oram", "circuit-oram",
-})
-
 #: the access-pattern-leaking baseline — never a legal rung
 FORBIDDEN_TECHNIQUE = "lookup"
+
+#: techniques whose access patterns are secret-independent (auditable)
+OBLIVIOUS_TECHNIQUES = frozenset(BACKEND_TECHNIQUES) - {FORBIDDEN_TECHNIQUE}
 
 #: the default chain: strongest isolation first, cheapest oblivious last
 DEFAULT_CHAIN = ("path-oram", "dhe-varied", "scan")

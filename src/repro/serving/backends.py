@@ -29,7 +29,7 @@ import numpy as np
 from repro.costmodel.latency import (
     DheShape,
     dhe_latency,
-    dhe_varied_shape,
+    dhe_table_shape,
     linear_scan_latency,
     lookup_latency,
     oram_latency,
@@ -80,12 +80,6 @@ class ModelledBackend(ExecutionBackend):
     def __init__(self, uniform_shape: Optional[DheShape] = None) -> None:
         self.uniform_shape = uniform_shape
 
-    def _uniform(self) -> DheShape:
-        if self.uniform_shape is None:
-            raise ValueError("backend was built without a DHE uniform shape; "
-                             "DHE techniques are unavailable")
-        return self.uniform_shape
-
     def technique_latency(self, technique: str, table_size: int, dim: int,
                           batch: int, threads: int = 1) -> float:
         check_positive("table_size", table_size)
@@ -93,10 +87,9 @@ class ModelledBackend(ExecutionBackend):
             return lookup_latency(table_size, dim, batch, threads)
         if technique == "scan":
             return linear_scan_latency(table_size, dim, batch, threads)
-        if technique == "dhe-uniform":
-            return dhe_latency(self._uniform(), batch, threads)
-        if technique == "dhe-varied":
-            shape = dhe_varied_shape(table_size, self._uniform())
+        if technique in ("dhe-uniform", "dhe-varied"):
+            shape = dhe_table_shape(table_size, dim, self.uniform_shape,
+                                    varied=technique == "dhe-varied")
             return dhe_latency(shape, batch, threads)
         if technique == "path-oram":
             return oram_latency("path", table_size, dim, batch, threads)
@@ -126,12 +119,6 @@ class MeasuredBackend(ExecutionBackend):
         self.repeats = repeats
         self._generators: Dict[Tuple[str, int, int], object] = {}
 
-    def _uniform(self) -> DheShape:
-        if self.uniform_shape is None:
-            raise ValueError("backend was built without a DHE uniform shape; "
-                             "DHE techniques are unavailable")
-        return self.uniform_shape
-
     def _build(self, technique: str, size: int, dim: int):
         from repro.embedding import (
             CircuitOramEmbedding,
@@ -145,14 +132,9 @@ class MeasuredBackend(ExecutionBackend):
             return TableEmbedding(size, dim, rng=0)
         if technique == "scan":
             return LinearScanEmbedding(size, dim, rng=0)
-        if technique == "dhe-uniform":
-            uniform = self._uniform()
-            return DHEEmbedding(size, dim, shape=DheShape(
-                uniform.k, uniform.fc_sizes, dim), rng=0)
-        if technique == "dhe-varied":
-            uniform = self._uniform()
-            shape = dhe_varied_shape(size, DheShape(uniform.k,
-                                                    uniform.fc_sizes, dim))
+        if technique in ("dhe-uniform", "dhe-varied"):
+            shape = dhe_table_shape(size, dim, self.uniform_shape,
+                                    varied=technique == "dhe-varied")
             return DHEEmbedding(size, dim, shape=shape, rng=0)
         if technique == "path-oram":
             return PathOramEmbedding(size, dim, rng=0)

@@ -65,7 +65,6 @@ class ExecutionEngine:
     def __init__(self, table_sizes: Sequence[int], embedding_dim: int,
                  uniform_shape: Optional[DheShape],
                  thresholds: ThresholdDatabase,
-                 varied: bool = True,
                  backend: BackendLike = "modelled",
                  mlp_overhead_seconds: float = MLP_OVERHEAD_SECONDS,
                  resilience: Optional[ResiliencePolicy] = None,
@@ -90,7 +89,6 @@ class ExecutionEngine:
         self.embedding_dim = embedding_dim
         self.uniform_shape = uniform_shape
         self.thresholds = thresholds
-        self.varied = varied
         self.mlp_overhead_seconds = mlp_overhead_seconds
         self.backend = resolve_backend(backend, uniform_shape)
         self.resilience = resilience
@@ -124,7 +122,7 @@ class ExecutionEngine:
 
         return allocation_latency(allocations, self.backend,
                                   self.embedding_dim, config.batch_size,
-                                  config.threads, varied=self.varied,
+                                  config.threads,
                                   overhead_seconds=overhead_seconds)
 
     def batch_latency(self, config: ServingConfig) -> float:
@@ -141,7 +139,7 @@ class ExecutionEngine:
         return CachePricer(backend=self.backend,
                            embedding_dim=self.embedding_dim,
                            batch_size=config.batch_size,
-                           threads=config.threads, varied=self.varied,
+                           threads=config.threads,
                            overhead_seconds=self.mlp_overhead_seconds,
                            uniform_shape=self.uniform_shape)
 
@@ -326,11 +324,9 @@ class ExecutionEngine:
         """
         from repro.hybrid.colocation_planner import dlrm_tenant
 
-        if self.uniform_shape is None:
-            raise ValueError("dispatcher needs the DHE uniform shape")
         if allocations is None:
             allocations = self.allocations(config)
         tenant = dlrm_tenant(self.table_sizes, self.embedding_dim,
                              allocations, self.uniform_shape,
-                             config.batch_size, varied=self.varied)
+                             config.batch_size)
         return Dispatcher(tenant.demand, config.batch_size)

@@ -46,7 +46,7 @@ def config():
 
 def make_engine(thresholds, cache=None, **kwargs):
     return ExecutionEngine(TERABYTE_SPEC.table_sizes, DIM,
-                           DLRM_DHE_UNIFORM_64, thresholds, varied=True,
+                           DLRM_DHE_UNIFORM_64, thresholds,
                            cache=cache, **kwargs)
 
 

@@ -1,5 +1,7 @@
 """Admission policies: budgets, determinism, and secret-independence."""
 
+import dataclasses
+
 import pytest
 
 from repro.cache.audit import (
@@ -15,6 +17,7 @@ from repro.cache.policy import (
     SecretIndependentCache,
     StaticResidencyCache,
 )
+from repro.costmodel.latency import DLRM_DHE_UNIFORM_16
 from repro.costmodel.memory import table_bytes
 from repro.hybrid.thresholds import ThresholdDatabase
 from repro.serving.engine import ExecutionEngine, ServingConfig
@@ -136,6 +139,29 @@ class TestDecoderWeightCache:
         cache.plan(allocations, config, pricer)
         assert cache.stats.hits == dhe
         assert cache.serve_setup_seconds() == 0.0
+
+
+class TestPricerDheShape:
+    """A DHE feature is sized with the stack it is built with. Without a
+    uniform shape, or with one of another width, there is no such stack:
+    every DHE price refuses, while scan features still price."""
+
+    @pytest.mark.parametrize("uniform, dim", [(None, 16),
+                                              (DLRM_DHE_UNIFORM_16, 64)])
+    def test_dhe_feature_needs_a_matching_uniform_shape(
+            self, allocations, pricer, uniform, dim):
+        pricer = dataclasses.replace(pricer, uniform_shape=uniform,
+                                     embedding_dim=dim)
+        scan, dhe = allocations[0], allocations[-1]
+        assert pricer.footprint_bytes(scan) == table_bytes(scan.table_size,
+                                                           dim)
+        for price in (pricer.footprint_bytes, pricer.decoder_setup_seconds):
+            with pytest.raises(ValueError, match="uniform shape"):
+                price(dhe)
+        with pytest.raises(ValueError, match="uniform shape"):
+            DecoderWeightCache().plan(
+                allocations, ServingConfig(batch_size=pricer.batch_size),
+                pricer)
 
 
 class TestBatchResultCache:

@@ -9,6 +9,7 @@ from repro.costmodel.latency import (
     LLM_DHE_GPT2_MEDIUM,
     DheShape,
     dhe_latency,
+    dhe_table_shape,
     dhe_varied_shape,
     linear_scan_latency,
     lookup_latency,
@@ -70,6 +71,19 @@ class TestVariedScaling:
         ks = [dhe_varied_shape(n, DLRM_DHE_UNIFORM_64).k
               for n in (10**3, 10**5, 10**6, 10**7)]
         assert ks == sorted(ks)
+
+    def test_table_shape_is_varied_or_uniform(self):
+        assert dhe_table_shape(10**5, 64, DLRM_DHE_UNIFORM_64) \
+            == dhe_varied_shape(10**5, DLRM_DHE_UNIFORM_64)
+        assert dhe_table_shape(10**5, 64, DLRM_DHE_UNIFORM_64,
+                               varied=False) is DLRM_DHE_UNIFORM_64
+
+    @pytest.mark.parametrize("varied", [True, False])
+    def test_table_shape_needs_a_matching_uniform_shape(self, varied):
+        with pytest.raises(ValueError, match="no DHE uniform shape"):
+            dhe_table_shape(10**5, 64, None, varied)
+        with pytest.raises(ValueError, match="out_dim 16"):
+            dhe_table_shape(10**5, 64, DLRM_DHE_UNIFORM_16, varied)
 
 
 class TestScanLatency:

@@ -9,8 +9,10 @@ from repro.data.criteo import KAGGLE_TABLE_SIZES
 from repro.embedding.dhe import DHEEmbedding
 from repro.embedding.hybrid import TECHNIQUE_DHE, TECHNIQUE_SCAN, HybridEmbedding
 from repro.hybrid.allocator import (
+    FeatureAllocation,
     allocate_by_threshold,
     allocate_for_configuration,
+    allocation_technique,
     apply_allocations,
     count_scan_features,
 )
@@ -37,6 +39,19 @@ class TestAllocateByThreshold:
         cheap)."""
         allocations = allocate_by_threshold(KAGGLE_TABLE_SIZES, 10_000)
         assert count_scan_features(allocations) == 16
+
+
+class TestAllocationTechnique:
+    def test_names_the_backend_technique(self):
+        scan, dhe = allocate_by_threshold((10, 5000), 100.0)
+        assert allocation_technique(scan) == "scan"
+        assert allocation_technique(scan, varied=False) == "scan"
+        assert allocation_technique(dhe) == "dhe-varied"
+        assert allocation_technique(dhe, varied=False) == "dhe-uniform"
+
+    def test_misspelt_technique_is_not_priced_as_dhe(self):
+        with pytest.raises(ValueError, match="'DHE'"):
+            allocation_technique(FeatureAllocation(3, 5000, "DHE"))
 
 
 class TestAllocateForConfiguration:

@@ -44,7 +44,7 @@ def thresholds():
 
 def make_engine(thresholds, resilience):
     return ExecutionEngine(TERABYTE_SPEC.table_sizes, DIM,
-                           DLRM_DHE_UNIFORM_64, thresholds, varied=True,
+                           DLRM_DHE_UNIFORM_64, thresholds,
                            resilience=resilience)
 
 

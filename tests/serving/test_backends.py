@@ -76,6 +76,16 @@ class TestMeasuredBackend:
                 "quantum", 64, 8, 4)
 
 
+@pytest.mark.parametrize("backend_cls", [ModelledBackend, MeasuredBackend])
+@pytest.mark.parametrize("technique", ["dhe-uniform", "dhe-varied"])
+def test_dhe_width_must_match_the_uniform_shape(backend_cls, technique):
+    """A 64-wide table has no 16-wide DHE stack: neither backend prices a
+    stack other than the one the table would be built with."""
+    backend = backend_cls(DLRM_DHE_UNIFORM_16)
+    with pytest.raises(ValueError, match="out_dim 16"):
+        backend.technique_latency(technique, 1000, 64, 32)
+
+
 class TestResolveBackend:
     def test_names(self):
         assert isinstance(resolve_backend("modelled"), ModelledBackend)

@@ -55,7 +55,7 @@ def thresholds():
 @pytest.fixture(scope="module")
 def engine(thresholds):
     return ExecutionEngine(TERABYTE_SPEC.table_sizes, DIM,
-                           DLRM_DHE_UNIFORM_64, thresholds, varied=True)
+                           DLRM_DHE_UNIFORM_64, thresholds)
 
 
 def seed_serve_expectation(thresholds, config, num_requests):
@@ -119,7 +119,6 @@ class TestSeedParity:
 
         wrapped = ExecutionEngine(
             TERABYTE_SPEC.table_sizes, DIM, DLRM_DHE_UNIFORM_64, thresholds,
-            varied=True,
             resilience=ResiliencePolicy(injector=FaultInjector(seed=0)))
         config = ServingConfig(batch_size=batch, threads=threads)
         plain = engine.serve_closed(num_requests, config)
@@ -138,7 +137,6 @@ class TestSeedParity:
 
         wrapped = ExecutionEngine(
             TERABYTE_SPEC.table_sizes, DIM, DLRM_DHE_UNIFORM_64, thresholds,
-            varied=True,
             resilience=ResiliencePolicy(injector=FaultInjector(seed=0)))
         config = ServingConfig(batch_size=32, threads=1)
         policy = BatchingPolicy(max_batch_size=32, max_wait_seconds=0.002)
@@ -232,7 +230,7 @@ class TestDispatcherIntegration:
 
     def test_dispatcher_needs_uniform_shape(self, thresholds):
         engine = ExecutionEngine(TERABYTE_SPEC.table_sizes, DIM, None,
-                                 thresholds, varied=False)
+                                 thresholds)
         with pytest.raises(ValueError, match="uniform shape"):
             engine.dispatcher(ServingConfig(batch_size=32))
 
@@ -280,7 +278,7 @@ class TestOneServingLoop:
     def build(self, thresholds, cache, resilient):
         return ExecutionEngine(
             TERABYTE_SPEC.table_sizes, DIM, DLRM_DHE_UNIFORM_64,
-            _SpyThresholds(thresholds), varied=True,
+            _SpyThresholds(thresholds),
             cache=self.CACHES[cache](),
             resilience=ResiliencePolicy() if resilient else None)
 

@@ -47,7 +47,7 @@ def engine():
                                           dims=(DIM,), batches=BATCHES,
                                           threads_list=THREADS)
     return ExecutionEngine(TERABYTE_SPEC.table_sizes, DIM,
-                           DLRM_DHE_UNIFORM_64, thresholds, varied=True)
+                           DLRM_DHE_UNIFORM_64, thresholds)
 
 
 def constant(seconds):
@@ -326,7 +326,7 @@ class TestBatchFinishDepartures:
 
         cached = ExecutionEngine(
             TERABYTE_SPEC.table_sizes, DIM, DLRM_DHE_UNIFORM_64,
-            engine.thresholds, varied=True, cache=SlowSetup())
+            engine.thresholds, cache=SlowSetup())
         pipeline = PipelineEngine([_EngineServe(cached,
                                                 ServingConfig(32, 1))])
         with pytest.raises(ValueError, match="'serve'.*not non-decreasing"):

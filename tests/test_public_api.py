@@ -485,9 +485,11 @@ def test_one_calibrated_platform():
     import os
 
     import repro
+    from repro.cache.policy import CachePricer
     from repro.cluster.autoscale import ElasticFleet
     from repro.cluster.placement import ShardPlanner
     from repro.cluster.scatter import ScatterGatherEngine
+    from repro.serving import ExecutionEngine
     from repro.serving.backends import LazyMeasuredBackend, MeasuredBackend
 
     root = os.path.dirname(repro.__file__)
@@ -531,12 +533,43 @@ def test_one_calibrated_platform():
                               "mlp_overhead_seconds",
                               "gather_overhead_seconds"},
         ShardPlanner: {"varied", "backend", "platform"},
+        ExecutionEngine: {"varied"},
+        CachePricer: {"varied"},
         ElasticFleet: {"contention"},
         MeasuredBackend: {"weight_cache"},
         LazyMeasuredBackend: {"weight_cache"},
     }
     for cls, names in removed.items():
         assert names.isdisjoint(inspect.signature(cls).parameters), cls
+
+
+def test_one_pricing_rule():
+    """An allocated feature's DHE stack comes from one shape rule,
+    ``dhe_table_shape``: outside it, only the code that always builds or
+    sizes Varied stacks calls ``dhe_varied_shape``."""
+    import ast
+    import os
+
+    import repro
+
+    root = os.path.dirname(repro.__file__)
+    callers = set()
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            if any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id == "dhe_varied_shape"
+                   for node in ast.walk(tree)):
+                callers.add(os.path.relpath(path, root))
+    assert callers == {"costmodel/latency.py", "embedding/dhe.py",
+                       "metrics/footprint.py",
+                       "experiments/fig04_dlrm_latency.py",
+                       "experiments/table08_meta.py"}
 
 
 def test_one_fig13_scenario():
