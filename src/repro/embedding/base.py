@@ -19,15 +19,7 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
-
-
-def integer_indices(indices) -> np.ndarray:
-    """``indices`` as an array, or ``TypeError`` for a non-integer dtype: a
-    float id must never be truncated to a row. An empty list passes."""
-    indices = np.asarray(indices)
-    if indices.size and not np.issubdtype(indices.dtype, np.integer):
-        raise TypeError(f"indices must be integers, got dtype {indices.dtype}")
-    return indices
+from repro.utils.validation import integer_indices
 
 
 class EmbeddingGenerator(Module):

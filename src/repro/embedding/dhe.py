@@ -26,12 +26,13 @@ import numpy as np
 
 from repro.costmodel.latency import DheShape, dhe_latency, dhe_varied_shape
 from repro.costmodel.memory import dhe_bytes
-from repro.embedding.base import EmbeddingGenerator, integer_indices
+from repro.embedding.base import EmbeddingGenerator
 from repro.nn.layers import MLP
 from repro.nn.tensor import Tensor
 from repro.oblivious.trace import MemoryTracer, TracedArray
 from repro.telemetry.runtime import get_registry
 from repro.utils.rng import SeedLike, new_rng
+from repro.utils.validation import integer_indices
 
 #: Algorithm 1: hash bucket size m = 1e6.
 DEFAULT_BUCKETS = 1_000_000
@@ -159,26 +160,11 @@ class DHEEmbedding(EmbeddingGenerator):
         Training builds the decoder's autograd graph. In eval mode the
         stack runs as ``decoder.infer`` on plain ndarrays and one
         :class:`Tensor` wraps the result — byte-identical to the Tensor
-        forward, with no graph nobody differentiates. When a
-        :mod:`repro.lazy` runtime is active in eval mode, the decoder is
-        instead recorded once per (batch shape, DHE shape) and replayed
-        from the runtime's graph cache (the trace-parity tests pin it
-        byte-identical too).
+        forward, with no graph nobody differentiates.
         """
-        from repro.lazy.runtime import get_active_runtime
-
         if self.training:
             return self.decoder(Tensor(encoded))
-        runtime = get_active_runtime()
-        if runtime is None or encoded.size == 0:
-            return Tensor(self.decoder.infer(encoded))
-        from repro.lazy.capture import capture
-
-        key = ("dhe.decode", id(self), self.shape, encoded.shape)
-        graph = runtime.captured(key, lambda: capture(
-            lambda buf: self.decoder(Tensor(buf)), [encoded],
-            runtime=runtime, name=f"dhe.decode.b{encoded.shape[0]}"))
-        return Tensor(graph(encoded))
+        return Tensor(self.decoder.infer(encoded))
 
     def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
         """DHE generation with its (shape-fixed) weight sweeps recorded.

@@ -58,8 +58,7 @@ class LinearScanEmbedding(EmbeddingGenerator):
         with registry.span("embedding.scan.forward", batch=int(flat.size),
                            rows=self.num_embeddings):
             if not self.training:
-                # The same masked matmul on ndarrays (replayed from the
-                # graph cache under a lazy runtime); no grad graph needed.
+                # The same masked matmul on ndarrays; no grad graph needed.
                 out = Tensor(linear_scan_batch_vectorized(
                     self.weight.data, flat))
             else:

@@ -1,7 +1,7 @@
 """The one gated-bench harness: declaration, gates, report writer, CLI.
 
 Every gated sim in the repo (chaos, cluster, migrate, autoscale, cache,
-lazy, train, llm) contributes a scenario function, a gate list and one
+train, llm) contributes a scenario function, a gate list and one
 module-level ``BENCH = GatedBench(...)``; everything else — the
 ``--seed``/``--json`` CLI, the verdict line, the canonical JSON writer, the
 exit code, and the registry entry — is derived from that record here.

@@ -8,7 +8,6 @@ import repro.cache.bench
 import repro.cluster.autoscale.sim
 import repro.cluster.migrate
 import repro.cluster.sim
-import repro.lazy.bench
 import repro.llm.bench
 import repro.resilience.chaos
 import repro.training.bench
@@ -68,7 +67,6 @@ BENCHES: Tuple[GatedBench, ...] = (
     repro.cache.bench.BENCH,
     repro.resilience.chaos.BENCH,
     repro.cluster.sim.BENCH,
-    repro.lazy.bench.BENCH,
     repro.cluster.migrate.BENCH,
     repro.cluster.autoscale.sim.BENCH,
     repro.training.bench.BENCH,

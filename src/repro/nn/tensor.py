@@ -13,12 +13,6 @@ Design notes
   reduced back to the operand shape with :func:`unbroadcast`.
 * Only float arrays participate in differentiation; integer tensors (e.g.
   token ids) flow through as plain data.
-* The payload may also be a :class:`~repro.lazy.graph.LazyBuffer`: under
-  graph capture (:func:`repro.lazy.capture`) every forward op *records*
-  into the lazy graph instead of executing, because ``LazyBuffer``
-  mirrors the ndarray operator surface these ops use. Lazy tensors are
-  inference-only — capture runs under :func:`no_grad`, and the autograd
-  machinery refuses lazy payloads loudly.
 """
 
 from __future__ import annotations
@@ -27,8 +21,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.lazy.graph import LazyBuffer
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -75,13 +67,11 @@ def as_tensor(value: ArrayLike, dtype=None) -> "Tensor":
     """Coerce ``value`` to a :class:`Tensor` (no copy when already one)."""
     if isinstance(value, Tensor):
         return value
-    if isinstance(value, LazyBuffer):
-        return Tensor(value)
     return Tensor(np.asarray(value, dtype=dtype))
 
 
 # ----------------------------------------------------------------------
-# Grad mode: disabled during inference capture, enabled by default
+# Grad mode: enabled by default
 # ----------------------------------------------------------------------
 _grad_enabled: bool = True
 
@@ -94,8 +84,7 @@ def is_grad_enabled() -> bool:
 def no_grad() -> Iterator[None]:
     """Disable graph construction: forward ops return plain tensors.
 
-    Used by lazy graph capture (captures are inference-only) and usable
-    directly to cut autograd bookkeeping from inference loops.
+    Cuts autograd bookkeeping from inference loops.
     """
     global _grad_enabled
     previous = _grad_enabled
@@ -123,13 +112,7 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        if isinstance(data, LazyBuffer):
-            if requires_grad:
-                raise TypeError("lazy tensors are inference-only and cannot "
-                                "require grad")
-            self.data = data
-        else:
-            self.data = np.asarray(data)
+        self.data = np.asarray(data)
         if requires_grad and not np.issubdtype(self.data.dtype, np.floating):
             raise TypeError(
                 f"only floating tensors can require grad, got dtype {self.data.dtype}"
@@ -163,31 +146,18 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    @property
-    def is_lazy(self) -> bool:
-        """True when this tensor records into a lazy graph."""
-        return isinstance(self.data, LazyBuffer)
-
     def __len__(self) -> int:
-        return len(self.data) if not self.is_lazy else self.data.shape[0]
+        return len(self.data)
 
     def __repr__(self) -> str:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        lazy_flag = ", lazy=True" if self.is_lazy else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_flag}{lazy_flag})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad_flag})"
 
     def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied).
-
-        For a lazy tensor this is the :class:`LazyBuffer` graph node, not
-        numbers — realize through a captured graph to get values.
-        """
+        """Return the underlying array (shared, not copied)."""
         return self.data
 
     def item(self) -> float:
-        if self.is_lazy:
-            raise TypeError("cannot read a value out of a lazy tensor during "
-                            "capture; .item() is an eager escape")
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self.data.item()
 
     def detach(self) -> "Tensor":
@@ -198,9 +168,6 @@ class Tensor:
     # Autograd machinery
     # ------------------------------------------------------------------
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.is_lazy:
-            raise RuntimeError("autograd reached a lazy tensor; captures are "
-                               "inference-only")
         grad = np.asarray(grad, dtype=self.data.dtype)
         if self.grad is None:
             self.grad = grad.copy()
@@ -213,9 +180,6 @@ class Tensor:
         ``grad`` defaults to ones (so calling ``loss.backward()`` on a scalar
         loss works with no arguments).
         """
-        if self.is_lazy:
-            raise RuntimeError("cannot backpropagate through a lazy tensor; "
-                               "captures are inference-only")
         if grad is None:
             grad = np.ones_like(self.data, dtype=self.data.dtype)
         else:
@@ -444,8 +408,6 @@ class Tensor:
         return out
 
     def sigmoid(self) -> "Tensor":
-        if self.is_lazy:
-            return Tensor(self.data.sigmoid())
         # Numerically stable piecewise evaluation.
         x = self.data
         out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.oblivious.primitives import ct_eq, oblivious_copy_row
 from repro.oblivious.trace import TracedArray
+from repro.utils.validation import integer_indices
 
 
 def linear_scan_lookup(table: TracedArray, index: int) -> np.ndarray:
@@ -20,11 +21,12 @@ def linear_scan_lookup(table: TracedArray, index: int) -> np.ndarray:
 
     The scan visits rows ``0..n-1`` in order regardless of ``index``; at each
     step an equality mask drives an oblivious blend into the output buffer.
+    A non-integer ``index`` raises ``TypeError``.
     """
-    if not 0 <= int(index) < table.num_rows:
+    wanted = int(integer_indices(index))
+    if not 0 <= wanted < table.num_rows:
         raise IndexError(f"index {index} out of range for table of {table.num_rows} rows")
     output = np.zeros(table.row_width, dtype=table.data.dtype)
-    wanted = int(index)
     for row in range(table.num_rows):
         value = table.read(row)
         flag = ct_eq(row, wanted)
@@ -41,9 +43,10 @@ def linear_scan_batch(table: TracedArray, indices: Sequence[int]) -> np.ndarray:
     per-row blend chain is collapsed into a single masked matmul over the
     whole batch. The mask holds exactly one ``1.0`` per query, so every
     product is the wanted row or an exact ``0.0`` and the result is
-    bit-identical to the per-row oblivious blends it replaces.
+    bit-identical to the per-row oblivious blends it replaces. Non-integer
+    indices raise ``TypeError``.
     """
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    indices = integer_indices(indices).astype(np.int64, copy=False).reshape(-1)
     for wanted in indices:
         if not 0 <= int(wanted) < table.num_rows:
             raise IndexError(f"index {wanted} out of range for table of "
@@ -66,29 +69,13 @@ def linear_scan_batch_vectorized(table_data: np.ndarray,
     scan (every row participates in every query's blend), expressed as a
     dense matmul so numpy's BLAS plays the role of AVX-512. The memory
     pattern is a full sequential sweep of the table per batch, which is what
-    the AVX implementation streams as well.
+    the AVX implementation streams as well. Non-integer indices raise
+    ``TypeError``.
     """
     table_data = np.asarray(table_data)
-    indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+    indices = integer_indices(indices).astype(np.int64, copy=False).reshape(-1)
     if indices.size and (indices.min() < 0 or indices.max() >= table_data.shape[0]):
         raise IndexError("index out of range in linear_scan_batch_vectorized")
     onehot = np.zeros((indices.size, table_data.shape[0]), dtype=table_data.dtype)
     onehot[np.arange(indices.size), indices] = 1.0
-
-    # Under an active lazy runtime the masked matmul replays from the graph
-    # cache, keyed on (table identity, batch shape): same arithmetic, same
-    # full-sweep pattern, no per-call dispatch. Empty batches short-circuit
-    # eagerly (nothing to capture). Imports deferred: repro.lazy's scheduler
-    # imports repro.oblivious.trace, whose package initialises this module.
-    from repro.lazy.runtime import get_active_runtime
-
-    runtime = get_active_runtime()
-    if runtime is None or indices.size == 0:
-        return onehot @ table_data
-    from repro.lazy.capture import capture
-
-    key = ("scan.matmul", id(table_data), onehot.shape)
-    graph = runtime.captured(key, lambda: capture(
-        lambda mask: mask @ table_data, [onehot], runtime=runtime,
-        name=f"scan.matmul.b{indices.size}"))
-    return graph(onehot)
+    return onehot @ table_data

@@ -12,7 +12,6 @@ from repro.serving.backends import (
     BACKEND_NAMES,
     BACKEND_TECHNIQUES,
     ExecutionBackend,
-    LazyMeasuredBackend,
     MeasuredBackend,
     ModelledBackend,
     resolve_backend,
@@ -40,7 +39,6 @@ __all__ = [
     "BACKEND_NAMES",
     "BACKEND_TECHNIQUES",
     "ExecutionBackend",
-    "LazyMeasuredBackend",
     "MeasuredBackend",
     "ModelledBackend",
     "resolve_backend",

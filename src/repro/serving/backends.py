@@ -3,17 +3,14 @@
 Everything that asks "how long does embedding generation take under this
 configuration?" — the serving engine, the offline profiler (Algorithm 2),
 DLRM's inference accounting, and the figure benches — goes through the
-:class:`ExecutionBackend` protocol. Three implementations answer:
+:class:`ExecutionBackend` protocol. Two implementations answer:
 
 * :class:`ModelledBackend` — the calibrated analytic platform model
   (:mod:`repro.costmodel.latency`), standing in for the paper's on-SGX
   measurements;
 * :class:`MeasuredBackend` — wall-clock timing of this library's executable
   :class:`~repro.embedding.base.EmbeddingGenerator` objects, driven through
-  their ``batched_forward`` seam;
-* :class:`LazyMeasuredBackend` — the same timing with a
-  :mod:`repro.lazy` graph-capture runtime active, so the oblivious hot
-  paths replay cached fused graphs (``"measured-lazy"``).
+  their ``batched_forward`` seam in eval mode.
 
 Before this seam existed the per-table latency logic was re-implemented by
 the server, the profiler, and the experiment scripts; now each of them asks
@@ -107,7 +104,9 @@ class MeasuredBackend(ExecutionBackend):
 
     Threads are ignored (this process is single-threaded); generators are
     cached per (technique, table size, dim) so repeated queries — a profiling
-    sweep, a serving run — pay construction once.
+    sweep, a serving run — pay construction once. Generators are timed in
+    eval mode, the regime a serving loop lives in, so no autograd graph is
+    built inside the timed region; each is left in the mode it came in.
     """
 
     name = "measured"
@@ -157,50 +156,13 @@ class MeasuredBackend(ExecutionBackend):
     def generator_latency(self, generator, batch: int,
                           threads: int = 1) -> float:
         check_positive("batch", batch)
-        rng = np.random.default_rng(generator.num_embeddings)
-        indices = rng.integers(0, generator.num_embeddings, size=batch)
-        return time_callable(lambda: generator.batched_forward(indices),
-                             repeats=self.repeats)
-
-
-class LazyMeasuredBackend(MeasuredBackend):
-    """Wall-clock latency with the lazy graph-capture runtime active.
-
-    Identical to :class:`MeasuredBackend` except that every timed call runs
-    under an ambient :class:`repro.lazy.NumpyRuntime`: the oblivious hot
-    paths (DHE decode, vectorised scan) replay cached fused graphs instead
-    of dispatching op by op. Generators are timed in eval mode (captures
-    are inference-only) and each capture is warmed up outside the timed
-    region, so the numbers reflect steady-state replay — the regime a
-    serving loop lives in — not one-off capture cost.
-    """
-
-    name = "measured-lazy"
-
-    def __init__(self, uniform_shape: Optional[DheShape] = None,
-                 repeats: int = 3, runtime=None) -> None:
-        super().__init__(uniform_shape, repeats)
-        if runtime is None:
-            from repro.lazy import NumpyRuntime
-
-            runtime = NumpyRuntime()
-        self.runtime = runtime
-
-    def generator_latency(self, generator, batch: int,
-                          threads: int = 1) -> float:
-        from repro.lazy import use_runtime
-
-        check_positive("batch", batch)
         was_training = getattr(generator, "training", False)
         generator.eval()
         rng = np.random.default_rng(generator.num_embeddings)
         indices = rng.integers(0, generator.num_embeddings, size=batch)
         try:
-            with use_runtime(self.runtime):
-                generator.batched_forward(indices)  # warm-up: capture + alloc
-                return time_callable(
-                    lambda: generator.batched_forward(indices),
-                    repeats=self.repeats)
+            return time_callable(lambda: generator.batched_forward(indices),
+                                 repeats=self.repeats)
         finally:
             generator.train(was_training)
 
@@ -209,7 +171,7 @@ BackendLike = Union[str, ExecutionBackend]
 
 #: every name :func:`resolve_backend` accepts, in resolution order — the
 #: single registry the error message and the docs enumerate from
-BACKEND_NAMES = ("modelled", "measured", "measured-lazy")
+BACKEND_NAMES = ("modelled", "measured")
 
 
 def resolve_backend(backend: BackendLike,
@@ -226,8 +188,6 @@ def resolve_backend(backend: BackendLike,
             return ModelledBackend(uniform_shape)
         if backend == "measured":
             return MeasuredBackend(uniform_shape)
-        if backend == "measured-lazy":
-            return LazyMeasuredBackend(uniform_shape)
         raise ValueError(
             f"unknown backend {backend!r}; known: "
             + ", ".join(repr(name) for name in BACKEND_NAMES))

@@ -23,7 +23,7 @@ alongside throughput.
 
 This module is also the one audited-decision contract. A subsystem whose
 decisions must not depend on a secret (placement, migration, autoscaling,
-cache admission, lazy scheduling, lookahead batching, tokenization) writes
+cache admission, lookahead batching, tokenization) writes
 one ``X_subject(...)`` factory that knows how to *replay* the decision as
 an :class:`AuditSubject`; judging it is always
 :meth:`LeakageAuditor.audit` (a finding) or :meth:`LeakageAuditor.require`

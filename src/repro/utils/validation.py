@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable
 
+import numpy as np
+
 
 def check_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value`` > 0."""
@@ -48,3 +50,12 @@ def check_power_of_two(name: str, value: int) -> None:
     """Raise ``ValueError`` unless ``value`` is a positive power of two."""
     if value <= 0 or (value & (value - 1)) != 0:
         raise ValueError(f"{name} must be a positive power of two, got {value!r}")
+
+
+def integer_indices(indices) -> np.ndarray:
+    """``indices`` as an array, or ``TypeError`` for a non-integer dtype: a
+    float or bool id must never be truncated to a row. An empty list passes."""
+    indices = np.asarray(indices)
+    if indices.size and not np.issubdtype(indices.dtype, np.integer):
+        raise TypeError(f"indices must be integers, got dtype {indices.dtype}")
+    return indices

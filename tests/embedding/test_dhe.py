@@ -1,4 +1,5 @@
-"""DHE tests: hash family, encoding, decoding, training, Varied sizing."""
+"""DHE tests: hash family, encoding, decoding, training, Varied sizing;
+plus the index and eval-path checks the linear scan shares with DHE."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,13 @@ from hypothesis import strategies as st
 
 from repro.costmodel.latency import DheShape
 from repro.embedding.dhe import UNIVERSAL_PRIME, DHEEmbedding, UniversalHashEncoder
+from repro.embedding.scan import LinearScanEmbedding
+from repro.oblivious.linear_scan import (
+    linear_scan_batch,
+    linear_scan_batch_vectorized,
+    linear_scan_lookup,
+)
+from repro.oblivious.trace import TracedArray
 
 P = UNIVERSAL_PRIME
 U64_MAX = (1 << 64) - 1
@@ -156,13 +164,24 @@ class TestLimbHash:
 class TestIndexValidation:
     """A float or negative id is an error, never a silently wrong row."""
 
-    @pytest.mark.parametrize("indices", [np.array([1.7]), [1.7], [True]])
+    @pytest.mark.parametrize("indices", [np.array([1.7]), [1.7], [True],
+                                         [2.9], 1.5])
     def test_non_integer_indices_raise(self, indices):
         dhe = DHEEmbedding(10, 4, k=8, fc_sizes=(8,), rng=0).eval()
-        with pytest.raises(TypeError, match="integers"):
-            dhe.generate(indices)
-        with pytest.raises(TypeError, match="integers"):
-            dhe.encoder.hash_values(indices)
+        table = np.arange(40.0).reshape(10, 4)
+        lookups = {
+            "dhe": dhe.generate,
+            "hash": dhe.encoder.hash_values,
+            "scan-vectorized": lambda ids: linear_scan_batch_vectorized(
+                table, ids),
+            "scan-batch": lambda ids: linear_scan_batch(
+                TracedArray(table, "t"), ids),
+            "scan-lookup": lambda ids: linear_scan_lookup(
+                TracedArray(table, "t"), ids),
+        }
+        for lookup in lookups.values():
+            with pytest.raises(TypeError, match="integers"):
+                lookup(indices)
 
     @pytest.mark.parametrize("indices", [np.array([-1]), [-1], [3, -2]])
     def test_negative_hash_indices_raise(self, indices):
@@ -187,6 +206,16 @@ class TestEvalPath:
         served = dhe.eval()(ids)
         assert not served._parents
         assert served.shape == (2, 3, 8)
+        assert served.data.tobytes() == trained.data.tobytes()
+
+    def test_scan_eval_forward_is_byte_equal_and_graph_free(self):
+        scan = LinearScanEmbedding(50, 8, rng=5)
+        ids = np.array([[0, 49, 7, 7], [3, 3, 12, 0]])
+        trained = scan(ids)
+        assert trained._parents
+        served = scan.eval()(ids)
+        assert not served._parents
+        assert served.shape == (2, 4, 8)
         assert served.data.tobytes() == trained.data.tobytes()
 
     def test_materialize_table_is_mode_independent(self):

@@ -21,7 +21,7 @@ ALL_IDS = {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
            "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "table1",
            "table2", "table5", "table6", "table7", "table8",
            "llm-footprint", "autoscale", "cache", "chaos", "cluster",
-           "migrate", "lazy", "train", "llm"}
+           "migrate", "train", "llm"}
 
 
 class TestRegistry:

@@ -1,10 +1,9 @@
 """Satellite regressions for the autograd tensor: scatter_add dtype safety,
-``**`` gradients at base 0, the no-grad context, and lazy-payload guards."""
+``**`` gradients at base 0, and the no-grad context."""
 
 import numpy as np
 import pytest
 
-from repro.lazy.graph import LazyBuffer
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad, scatter_add
 
 
@@ -92,27 +91,3 @@ class TestNoGradMode:
             assert not is_grad_enabled()
         assert is_grad_enabled()
 
-
-class TestLazyPayloadGuards:
-    def test_lazy_tensor_cannot_require_grad(self):
-        buf = LazyBuffer.placeholder((2,), np.float64)
-        with pytest.raises(TypeError, match="inference-only"):
-            Tensor(buf, requires_grad=True)
-
-    def test_backward_through_lazy_raises(self):
-        out = Tensor(LazyBuffer.placeholder((2,), np.float64) + 1.0)
-        with pytest.raises(RuntimeError, match="inference-only"):
-            out.backward()
-
-    def test_is_lazy_flag_and_repr(self):
-        t = Tensor(LazyBuffer.placeholder((2, 3), np.float64))
-        assert t.is_lazy and t.shape == (2, 3)
-        assert "lazy=True" in repr(t)
-        assert not Tensor(np.ones(2)).is_lazy
-
-    def test_nn_ops_record_through_tensor(self):
-        buf = LazyBuffer.placeholder((4, 3), np.float64)
-        with no_grad():
-            out = (Tensor(buf) @ np.ones((3, 2)) + 1.0).relu()
-        assert out.is_lazy
-        assert out.data.op.op == "mul"  # relu records as mask-multiply

@@ -75,6 +75,32 @@ class TestMeasuredBackend:
             MeasuredBackend(DLRM_DHE_UNIFORM_16).technique_latency(
                 "quantum", 64, 8, 4)
 
+    def test_generator_left_in_original_mode(self):
+        backend = MeasuredBackend(DLRM_DHE_UNIFORM_16, repeats=1)
+        backend.technique_latency("dhe-uniform", 64, 16, batch=4)
+        generator = backend._generator("dhe-uniform", 64, 16)
+        assert generator.training  # restored to the default training mode
+        generator.eval()
+        backend.generator_latency(generator, batch=4)
+        assert not generator.training
+
+    @pytest.mark.parametrize("technique", ["scan", "dhe-varied"])
+    def test_times_eval_forwards(self, technique):
+        """No autograd graph is built inside the timed region."""
+        backend = MeasuredBackend(DLRM_DHE_UNIFORM_16, repeats=1)
+        generator = backend._generator(technique, 64, 16)
+        modes = []
+        forward = generator.forward
+
+        def spy(indices):
+            out = forward(indices)
+            modes.append((generator.training, bool(out._parents)))
+            return out
+
+        generator.forward = spy
+        backend.generator_latency(generator, batch=4)
+        assert modes and set(modes) == {(False, False)}
+
 
 @pytest.mark.parametrize("backend_cls", [ModelledBackend, MeasuredBackend])
 @pytest.mark.parametrize("technique", ["dhe-uniform", "dhe-varied"])
@@ -88,6 +114,9 @@ def test_dhe_width_must_match_the_uniform_shape(backend_cls, technique):
 
 class TestResolveBackend:
     def test_names(self):
+        from repro.serving.backends import BACKEND_NAMES
+
+        assert BACKEND_NAMES == ("modelled", "measured")
         assert isinstance(resolve_backend("modelled"), ModelledBackend)
         assert isinstance(resolve_backend("measured"), MeasuredBackend)
 

@@ -264,10 +264,10 @@ class TestFirstDivergence:
             LeakageAuditor().require(self.subject(run, MODE_STRUCTURAL))
 
 
-def test_security_table_has_eight_rows():
+def test_security_table_has_seven_rows():
     with open(SECURITY_MD, encoding="utf-8") as handle:
         section = handle.read().split("## Audited decisions", 1)[1]
     section = section.split("\n## ", 1)[0]
     rows = [line for line in section.splitlines()
             if re.match(r"^\| (?!Decision|-)", line)]
-    assert len(rows) == 8
+    assert len(rows) == 7

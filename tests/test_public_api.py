@@ -490,7 +490,7 @@ def test_one_calibrated_platform():
     from repro.cluster.placement import ShardPlanner
     from repro.cluster.scatter import ScatterGatherEngine
     from repro.serving import ExecutionEngine
-    from repro.serving.backends import LazyMeasuredBackend, MeasuredBackend
+    from repro.serving.backends import MeasuredBackend
 
     root = os.path.dirname(repro.__file__)
     settable = []
@@ -537,7 +537,6 @@ def test_one_calibrated_platform():
         CachePricer: {"varied"},
         ElasticFleet: {"contention"},
         MeasuredBackend: {"weight_cache"},
-        LazyMeasuredBackend: {"weight_cache"},
     }
     for cls, names in removed.items():
         assert names.isdisjoint(inspect.signature(cls).parameters), cls
@@ -618,3 +617,50 @@ def test_one_fig13_scenario():
     assert sum(len(inspect.signature(run).parameters) - 1
                for run in runs[:5]) == 19
     assert not hasattr(ExecutionEngine, "serve_poisson")
+
+
+def test_lazy_is_an_inert_shim():
+    """Inference runs eagerly: no module under ``repro`` imports
+    ``repro.lazy``, which is one file defining exactly ``NumpyRuntime``
+    (with only ``cache_size``) and ``use_runtime``, so no graph-capture
+    runtime grows back behind it."""
+    import ast
+    import os
+
+    import repro
+
+    root = os.path.dirname(repro.__file__)
+    importers = []
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    modules = [base] + [f"{base}.{alias.name}"
+                                        for alias in node.names]
+                else:
+                    continue
+                if any(module == "repro.lazy"
+                       or module.startswith("repro.lazy.")
+                       for module in modules):
+                    importers.append(os.path.relpath(path, root))
+    assert importers == []
+    assert not os.path.isdir(os.path.join(root, "lazy"))
+    with open(os.path.join(root, "lazy.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    defined = {node.name: node for node in tree.body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                    ast.AsyncFunctionDef))}
+    assigned = [node for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))]
+    assert set(defined) == {"NumpyRuntime", "use_runtime"}
+    assert assigned == []
+    assert [item.name for item in defined["NumpyRuntime"].body
+            if isinstance(item, ast.FunctionDef)] == ["cache_size"]
