@@ -32,6 +32,7 @@ from repro.oblivious.trace import (
     WRITE,
     AccessEvent,
     MemoryTracer,
+    Trace,
     TracedArray,
     traces_equal,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "WRITE",
     "AccessEvent",
     "MemoryTracer",
+    "Trace",
     "TracedArray",
     "traces_equal",
 ]

@@ -38,9 +38,11 @@ class Stash:
         self.peak_occupancy = 0
 
     def _scan_trace(self, op: str, sweeps: int = 1) -> None:
+        """Declare ``sweeps`` full scans of every slot, one after another."""
         if self.tracer is not None:
-            for _ in range(sweeps):
-                self.tracer.record_sweep(self.region, self.capacity, op)
+            self.tracer.record_each(
+                self.region, np.arange(sweeps * self.capacity) % self.capacity,
+                op)
 
     def _slot_of(self, block_id: int) -> Optional[int]:
         """First slot holding ``block_id`` (``DUMMY``: first free slot)."""

@@ -153,11 +153,9 @@ class BucketTree:
 
     def _trace(self, ops: str, buckets) -> None:
         """Declare every op of ``ops`` at each of ``buckets`` in turn
-        (``R b0 W b0 R b1 W b1 …`` for ``"RW"``)."""
+        (``R b0 W b0 R b1 W b1 …`` for ``"RW"``) in one columnar append."""
         if self.tracer is not None:
-            for bucket in buckets:
-                for op in ops:
-                    self.tracer.record(op, self.region, bucket)
+            self.tracer.record_each(self.region, buckets, ops)
 
     # ------------------------------------------------------------------
     # Bookkeeping

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
+import numpy as np
+
 from repro.costmodel.platform import DEFAULT_PLATFORM
-from repro.oblivious.trace import MemoryTracer
+from repro.oblivious.trace import REGIONS, MemoryTracer
 from repro.telemetry.audit import AuditSubject, technique_subject
 from repro.utils.validation import check_positive
 
@@ -65,9 +67,13 @@ class TraceVictim:
         """Serve secret ``index`` for real; replay what it touched."""
         tracer = MemoryTracer()
         self.subject.run(tracer, [index])
+        trace = tracer.snapshot()
         bases = self._region_bases
-        for event in tracer:
-            base = bases.setdefault(
-                event.region,
+        code_bases = np.zeros(len(REGIONS.names), dtype=np.int64)
+        for code in trace.touched_regions():
+            code_bases[code] = bases.setdefault(
+                REGIONS.names[code],
                 self.base_address + len(bases) * self.REGION_STRIDE)
-            self.sink(base + event.address * self.row_bytes, self.row_bytes)
+        for address in (code_bases[trace.regions]
+                        + trace.addresses * self.row_bytes).tolist():
+            self.sink(address, self.row_bytes)

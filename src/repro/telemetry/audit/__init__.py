@@ -55,11 +55,19 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 import numpy as np
 
-from repro.oblivious.trace import AccessEvent, MemoryTracer, traces_equal
+from repro.oblivious.trace import (
+    OPS,
+    REGIONS,
+    AccessEvent,
+    MemoryTracer,
+    Trace,
+    traces_equal,
+)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.runtime import get_registry
 from repro.utils.validation import check_positive
@@ -75,18 +83,35 @@ DEFAULT_DIVERGENCE_THRESHOLD = 0.5
 Runner = Callable[[MemoryTracer, Sequence[int]], object]
 
 
-def trace_structure(events: Sequence[AccessEvent]) -> List[Tuple[str, str]]:
+Events = Union[Trace, Sequence[AccessEvent]]
+
+
+def trace_structure(events: Events) -> List[Tuple[str, str]]:
     """The (op, region) sequence with addresses erased."""
-    return [(event.op, event.region) for event in events]
+    trace = Trace.of(events)
+    ops, regions = OPS.names, REGIONS.names
+    return [(ops[op], regions[region]) for op, region
+            in zip(trace.ops.tolist(), trace.regions.tolist())]
 
 
-def address_histograms(events: Sequence[AccessEvent]
-                       ) -> Dict[str, Dict[int, int]]:
-    """Per-region address -> count map of one trace."""
+def _same_structure(a: Trace, b: Trace) -> bool:
+    """Equal (op, region) columns: :func:`trace_structure` equality."""
+    return (np.array_equal(a.ops, b.ops)
+            and np.array_equal(a.regions, b.regions))
+
+
+def address_histograms(events: Events) -> Dict[str, Dict[int, int]]:
+    """Per-region address -> count map of one trace, regions and the
+    addresses within each in first-touch order."""
+    trace = Trace.of(events)
     histograms: Dict[str, Dict[int, int]] = {}
-    for event in events:
-        region = histograms.setdefault(event.region, {})
-        region[event.address] = region.get(event.address, 0) + 1
+    for code in trace.touched_regions():
+        addresses, first_seen, counts = np.unique(
+            trace.addresses[trace.regions == code], return_index=True,
+            return_counts=True)
+        order = np.argsort(first_seen)
+        histograms[REGIONS.names[code]] = dict(zip(
+            addresses[order].tolist(), counts[order].tolist()))
     return histograms
 
 
@@ -103,8 +128,7 @@ def total_variation(a: Dict[int, int], b: Dict[int, int]) -> float:
     return 0.5 * distance
 
 
-def histogram_divergence(traces: Sequence[Sequence[AccessEvent]]
-                         ) -> float:
+def histogram_divergence(traces: Sequence[Events]) -> float:
     """Worst per-region TV distance of any trace against the first."""
     reference = address_histograms(traces[0])
     worst = 0.0
@@ -157,16 +181,17 @@ class Divergence(NamedTuple):
                 f"{show(self.observed)} vs {show(self.reference)}")
 
 
-def _first_divergence(traces: Sequence[Sequence[AccessEvent]],
+def _first_divergence(traces: Sequence[Trace],
                       mode: str) -> Optional[Divergence]:
     """The first event at which any trace departs from ``traces[0]``.
 
-    One early-exit pass (a length mismatch diverges at the shorter
-    length); ``None`` when every trace is equivalent under ``mode``.
+    The first index of the column mismatch mask (a length mismatch
+    diverges at the shorter length); ``None`` when every trace is
+    equivalent under ``mode``.
     """
     width = 3 if mode == MODE_EXACT else 2
 
-    def at(trace: Sequence[AccessEvent], ordinal: int) -> Optional[Tuple]:
+    def at(trace: Trace, ordinal: int) -> Optional[Tuple]:
         if ordinal >= len(trace):
             return None
         event = trace[ordinal]
@@ -174,10 +199,21 @@ def _first_divergence(traces: Sequence[Sequence[AccessEvent]],
 
     reference = traces[0]
     for secret, trace in enumerate(traces[1:], start=1):
-        for ordinal in range(max(len(reference), len(trace))):
-            expected, got = at(reference, ordinal), at(trace, ordinal)
-            if expected != got:
-                return Divergence(secret, ordinal, expected, got)
+        common = min(len(reference), len(trace))
+        columns = [(reference.ops, trace.ops),
+                   (reference.regions, trace.regions),
+                   (reference.addresses, trace.addresses)][:width]
+        mismatch = np.zeros(common, dtype=bool)
+        for expected, got in columns:
+            mismatch |= expected[:common] != got[:common]
+        if mismatch.any():
+            ordinal = int(mismatch.argmax())
+        elif len(reference) != len(trace):
+            ordinal = common
+        else:
+            continue
+        return Divergence(secret, ordinal, at(reference, ordinal),
+                          at(trace, ordinal))
     return None
 
 
@@ -340,10 +376,8 @@ class LeakageAuditor:
                     "tracer, which is not the same as being oblivious")
             exact = all(traces_equal(traces[0], trace)
                         for trace in traces[1:])
-            reference_structure = trace_structure(traces[0])
             structural = exact or all(
-                trace_structure(trace) == reference_structure
-                for trace in traces[1:])
+                _same_structure(traces[0], trace) for trace in traces[1:])
             divergence = 0.0 if exact else histogram_divergence(traces)
             equivalent = exact if subject.mode == MODE_EXACT else structural
             diverged = (None if equivalent

@@ -56,6 +56,6 @@ def integer_indices(indices) -> np.ndarray:
     """``indices`` as an array, or ``TypeError`` for a non-integer dtype: a
     float or bool id must never be truncated to a row. An empty list passes."""
     indices = np.asarray(indices)
-    if indices.size and not np.issubdtype(indices.dtype, np.integer):
+    if indices.size and indices.dtype.kind not in "iu":
         raise TypeError(f"indices must be integers, got dtype {indices.dtype}")
     return indices

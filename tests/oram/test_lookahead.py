@@ -293,7 +293,7 @@ class TestSqrtFallback:
         oram = make_oram(SqrtORAM, seed=0)
         plan = MemoryTracer()
         oram.access_batch([5, 1, 5], plan_tracer=plan)
-        fetch = [event for event in plan.events
+        fetch = [event for event in list(plan)
                  if event.region == LOOKAHEAD_REGION]
         assert [event.address for event in fetch] == [
             ADDR_FETCH, ADDR_FETCH + 1, ADDR_FETCH + 2]

@@ -38,7 +38,7 @@ class TestTraceStructureConstant:
             tracer.clear()  # discard initialization traffic
             for block in sequence:
                 oram.read(block)
-            structures.append(trace_structure(tracer.events))
+            structures.append(trace_structure(tracer.snapshot()))
         assert structures[0] == structures[1] == structures[2]
 
     def test_reads_and_writes_same_structure(self, oram_class):
@@ -52,7 +52,7 @@ class TestTraceStructureConstant:
                     oram.write(block, np.zeros(4))
                 else:
                     oram.read(block)
-            structures.append(trace_structure(tracer.events))
+            structures.append(trace_structure(tracer.snapshot()))
         assert structures[0] == structures[1]
 
 

@@ -142,10 +142,10 @@ class TestFlatMapExtensions:
         b = FlatPositionMap(np.arange(8), tracer=tracer_update, region="pm")
         assert a.lookup(5) == 5
         b.lookup_and_update(5, 99)
-        assert [e.op for e in tracer_lookup.events] == [
-            e.op for e in tracer_update.events]
-        assert [e.address for e in tracer_lookup.events] == [
-            e.address for e in tracer_update.events]
+        assert [e.op for e in tracer_lookup] == [
+            e.op for e in tracer_update]
+        assert [e.address for e in tracer_lookup] == [
+            e.address for e in tracer_update]
         np.testing.assert_array_equal(a.leaves, np.arange(8))
 
     def test_rewrite_installs_everything(self):

@@ -109,10 +109,12 @@ def test_one_leakage_error_and_no_per_subsystem_gate():
 
 
 def test_full_scans_are_declared_once_not_hand_rolled():
-    """A full oblivious scan is one ``MemoryTracer.record_sweep`` call —
-    no ``for`` loop in the scan modules may contain a ``.record(`` call
-    (there were nine) — and the ORAM access metering lives in one module
-    (``OramController._metered``; there were three copies)."""
+    """A full oblivious scan or a declared run of buckets is one columnar
+    append (``MemoryTracer.record_sweep``/``record_each``) — no ``for``
+    loop in the scan modules or the bucket tree may contain a tracer call
+    (there were nine ``.record(`` loops, then the tree's per-bucket one and
+    the stash's per-sweep one) — and the ORAM access metering lives in one
+    module (``OramController._metered``; there were three copies)."""
     import ast
     import os
 
@@ -121,7 +123,8 @@ def test_full_scans_are_declared_once_not_hand_rolled():
     root = os.path.dirname(repro.__file__)
     loops = []
     for relative in ("oram/position_map.py", "oram/stash.py",
-                     "oram/sqrt_oram.py", "oblivious/trace.py"):
+                     "oram/sqrt_oram.py", "oram/tree.py",
+                     "oblivious/trace.py"):
         with open(os.path.join(root, relative), encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), relative)
         for loop in ast.walk(tree):
@@ -129,7 +132,8 @@ def test_full_scans_are_declared_once_not_hand_rolled():
                 loops += [(relative, call.lineno) for call in ast.walk(loop)
                           if isinstance(call, ast.Call)
                           and isinstance(call.func, ast.Attribute)
-                          and call.func.attr == "record"]
+                          and call.func.attr in ("record", "record_each",
+                                                 "record_sweep")]
     assert loops == []
 
     oram = os.path.join(root, "oram")
@@ -187,7 +191,7 @@ def test_no_scheme_module_emits_a_memory_event_itself():
     recorders = [(name, function)
                  for name, function, called in _oram_method_calls()
                  if name in ("path_oram.py", "circuit_oram.py", "ring_oram.py")
-                 and called & {"record", "record_sweep"}]
+                 and called & {"record", "record_each", "record_sweep"}]
     assert recorders == []
 
 
