@@ -11,13 +11,27 @@ machine (``pytest -s`` shows both, the verify skill has the command).
 
 import hashlib
 
-from repro.oblivious.trace import MemoryTracer
+import numpy as np
+
+from repro.oblivious.trace import OPS, REGIONS, MemoryTracer, Trace
 from repro.oram.lookahead import lookahead_subjects
 from repro.telemetry.audit import standard_subjects
 
 EVENT_COUNT = 1_839_654
 STRUCTURAL_DIGEST = \
     "0075ab5b1addd4e63054be9e578aee69c63fb4a0ea3ce43dc8b9e37e5a086812"
+
+
+def structural_bytes(trace: Trace) -> bytes:
+    """``"{op}|{region};"`` for every event of ``trace``, in order: each
+    distinct (op, region) pair is formatted once, then gathered."""
+    width = len(REGIONS.names)
+    pairs = trace.ops.astype(np.int64) * width + trace.regions
+    distinct, inverse = np.unique(pairs, return_inverse=True)
+    words = np.array([f"{OPS.names[pair // width]}|"
+                      f"{REGIONS.names[pair % width]};".encode()
+                      for pair in distinct.tolist()], dtype=object)
+    return b"".join(words[inverse].tolist())
 
 
 def trace_digests():
@@ -33,8 +47,7 @@ def trace_digests():
                 tracer = MemoryTracer()
                 subject.run(tracer, secret)
                 count += len(tracer)
-                for event in tracer:
-                    structural.update(f"{event.op}|{event.region};".encode())
+                structural.update(structural_bytes(tracer.snapshot()))
                 exact.update(tracer.digest().encode())
     return count, structural.hexdigest(), exact.hexdigest()
 
