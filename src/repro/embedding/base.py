@@ -5,6 +5,10 @@ lookup, linear scan, ORAM-protected table) from the computation-based DHE.
 All of them are exposed here as :class:`EmbeddingGenerator` modules with:
 
 * ``forward(indices) -> Tensor`` — generate embeddings for integer indices;
+* ``generate_traced(indices, tracer)`` — the eval-mode ``forward`` with a
+  :class:`~repro.oblivious.trace.MemoryTracer` bound, to which each
+  ``forward`` declares its own memory accesses (the audited run is the
+  timed run, not a model of it);
 * ``is_oblivious`` — whether the access pattern is index-independent;
 * ``modelled_latency(batch, threads)`` — the calibrated analytic latency
   used by the profiling/threshold machinery and the figure benchmarks;
@@ -19,6 +23,7 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
+from repro.oblivious.trace import MemoryTracer
 from repro.utils.validation import integer_indices
 
 
@@ -29,6 +34,9 @@ class EmbeddingGenerator(Module):
     technique: str = "abstract"
     #: whether the memory access pattern is independent of the index
     is_oblivious: bool = False
+    #: the tracer ``forward`` declares its accesses to; bound only while
+    #: :meth:`generate_traced` runs, ``None`` (declare nothing) otherwise
+    _tracer: Optional[MemoryTracer] = None
 
     def __init__(self, num_embeddings: int, embedding_dim: int) -> None:
         super().__init__()
@@ -46,6 +54,30 @@ class EmbeddingGenerator(Module):
     def generate(self, indices) -> np.ndarray:
         """Inference-only convenience: embeddings as a plain array."""
         return self.forward(np.asarray(indices)).data
+
+    def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
+        """Eval-mode :meth:`generate` of the flattened ``indices`` with
+        ``tracer`` bound to every generator in this module's tree, so the
+        ``forward`` that runs declares its accesses to it.
+
+        Every submodule's train/eval mode and every generator's binding are
+        restored afterwards, also when ``forward`` raises.
+        """
+        modules = list(self.modules())
+        modes = [module.training for module in modules]
+        generators = [module for module in modules
+                      if isinstance(module, EmbeddingGenerator)]
+        bindings = [generator._tracer for generator in generators]
+        try:
+            for generator in generators:
+                generator._tracer = tracer
+            self.eval()
+            return self.generate(np.asarray(indices).reshape(-1))
+        finally:
+            for module, mode in zip(modules, modes):
+                module.training = mode
+            for generator, binding in zip(generators, bindings):
+                generator._tracer = binding
 
     def batched_forward(self, indices,
                         batch_size: Optional[int] = None) -> np.ndarray:
@@ -80,7 +112,7 @@ class EmbeddingGenerator(Module):
         Padding slots must still hold valid indices (the pads are masked
         after lookup, keeping the access pattern length-independent).
         """
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = integer_indices(indices).astype(np.int64, copy=False)
         if indices.ndim != 2:
             raise ValueError(
                 f"pooled lookup expects (batch, bag) indices, got "
@@ -93,7 +125,7 @@ class EmbeddingGenerator(Module):
             if mode == "mean":
                 pooled = pooled * (1.0 / indices.shape[1])
             return pooled
-        lengths = np.asarray(lengths, dtype=np.int64)
+        lengths = integer_indices(lengths).astype(np.int64, copy=False)
         if lengths.shape != (indices.shape[0],):
             raise ValueError(
                 f"lengths must have shape ({indices.shape[0]},), got "

@@ -15,7 +15,8 @@ the value of ``x`` — DHE is oblivious by construction.
 
 In eval mode the FC stack runs on plain ndarrays (``MLP.infer``); one
 :class:`~repro.nn.tensor.Tensor` wraps the result at the generator
-boundary. Training builds the autograd graph as usual.
+boundary. Training builds the autograd graph as usual. Under a tracer the
+forward declares one sweep of every decoder parameter after the decode.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.costmodel.memory import dhe_bytes
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.layers import MLP
 from repro.nn.tensor import Tensor
-from repro.oblivious.trace import MemoryTracer, TracedArray
 from repro.telemetry.runtime import get_registry
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import integer_indices
@@ -151,6 +151,11 @@ class DHEEmbedding(EmbeddingGenerator):
                            k=self.shape.k):
             encoded = self.encoder.encode(flat)
             decoded = self._decode(encoded)
+            if self._tracer is not None:
+                # The hash is register arithmetic; the dense matmuls read
+                # every row of every layer in an order fixed by the shapes.
+                for name, param in self.decoder.named_parameters():
+                    self._tracer.record_sweep(f"dhe.{name}", len(param.data))
         registry.counter("embedding.dhe.queries_total").inc(int(flat.size))
         return decoded.reshape(*indices.shape, self.embedding_dim)
 
@@ -165,21 +170,6 @@ class DHEEmbedding(EmbeddingGenerator):
         if self.training:
             return self.decoder(Tensor(encoded))
         return Tensor(self.decoder.infer(encoded))
-
-    def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
-        """DHE generation with its (shape-fixed) weight sweeps recorded.
-
-        The hash step is pure arithmetic over registers; the decoder's dense
-        matmuls read every weight row of every layer in an order fixed by
-        the shapes alone. Recording those sweeps against the tracer makes
-        DHE auditable by the same trace-equivalence machinery as the scan.
-        """
-        indices = self._check_indices(indices).reshape(-1)
-        out = self.forward(indices).data
-        for name, param in self.decoder.named_parameters():
-            TracedArray(param.data, name=f"dhe.{name}",
-                        tracer=tracer).read_all()
-        return out
 
     def materialize_table(self, batch_size: int = 4096) -> np.ndarray:
         """Emit the full (n, dim) table of DHE outputs.

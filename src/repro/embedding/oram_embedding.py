@@ -60,6 +60,12 @@ class _OramEmbeddingBase(EmbeddingGenerator):
             if flat.size else np.zeros((0, self.embedding_dim))
         return Tensor(rows.reshape(*indices.shape, self.embedding_dim))
 
+    def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
+        """Refused: the ORAM records to the tracer it was built with."""
+        raise TypeError(
+            f"{type(self).__name__} records its accesses to the tracer its "
+            "ORAM was constructed with (tracer=...), not to one per call")
+
     def modelled_latency(self, batch: int, threads: int = 1) -> float:
         return oram_latency(self.scheme, self.num_embeddings,
                             self.embedding_dim, batch, threads)

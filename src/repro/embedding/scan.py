@@ -1,14 +1,13 @@
 """Linear-scan-protected table (§IV-A1, §V-A2).
 
-Two execution modes share the same weights:
-
-* the *performance* mode expresses the scan as ``onehot(indices) @ table``
-  (the same arithmetic the AVX-512 blend performs — every row participates
-  in every query), which keeps it differentiable and fast under numpy; in
-  eval mode it runs on plain ndarrays and wraps one ``Tensor`` at the end;
-* the *traced* mode executes the scalar scan against a
-  :class:`~repro.oblivious.trace.TracedArray` so security tests can verify
-  the full-sweep access pattern row by row.
+The scan is ``onehot(indices) @ table`` — the same arithmetic the AVX-512
+blend performs: every row participates in every query. Training builds it
+as a differentiable ``Tensor`` matmul; eval mode runs it on plain ndarrays
+(:func:`~repro.oblivious.linear_scan.linear_scan_batch_vectorized`) and
+wraps one ``Tensor`` at the end. Under
+:meth:`~repro.embedding.base.EmbeddingGenerator.generate_traced` that same
+eval-mode ``forward`` declares one full sweep of ``scan.table`` per query,
+so the audit replays the path that is timed.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from repro.costmodel.memory import table_bytes
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
-from repro.oblivious.linear_scan import linear_scan_batch, linear_scan_batch_vectorized
-from repro.oblivious.trace import MemoryTracer, TracedArray
+from repro.oblivious.linear_scan import linear_scan_batch_vectorized
 from repro.telemetry.runtime import get_registry
 from repro.utils.rng import SeedLike, new_rng
 
@@ -57,6 +55,9 @@ class LinearScanEmbedding(EmbeddingGenerator):
         flat = indices.reshape(-1)
         with registry.span("embedding.scan.forward", batch=int(flat.size),
                            rows=self.num_embeddings):
+            if self._tracer is not None:  # one full sweep per query
+                self._tracer.record_each("scan.table", np.tile(
+                    np.arange(self.num_embeddings), flat.size))
             if not self.training:
                 # The same masked matmul on ndarrays; no grad graph needed.
                 out = Tensor(linear_scan_batch_vectorized(
@@ -69,12 +70,6 @@ class LinearScanEmbedding(EmbeddingGenerator):
         registry.counter("embedding.scan.rows_swept_total").inc(
             int(flat.size) * self.num_embeddings)
         return out.reshape(*indices.shape, self.embedding_dim)
-
-    def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
-        """Scalar oblivious scan with every access recorded."""
-        indices = self._check_indices(indices).reshape(-1)
-        traced = TracedArray(self.weight.data, name="scan.table", tracer=tracer)
-        return linear_scan_batch(traced, indices)
 
     def modelled_latency(self, batch: int, threads: int = 1) -> float:
         return linear_scan_latency(self.num_embeddings, self.embedding_dim,

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-
-import numpy as np
-
 from repro.costmodel.latency import lookup_latency
 from repro.costmodel.memory import table_bytes
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.layers import EmbeddingTable
 from repro.nn.tensor import Tensor
-from repro.oblivious.trace import MemoryTracer, TracedArray
 from repro.utils.rng import SeedLike
 
 
@@ -30,13 +26,10 @@ class TableEmbedding(EmbeddingGenerator):
         return self.table.weight
 
     def forward(self, indices) -> Tensor:
-        return self.table(self._check_indices(indices))
-
-    def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
-        """Lookup with the access pattern recorded — shows the leak."""
-        indices = self._check_indices(indices).reshape(-1)
-        traced = TracedArray(self.weight.data, name="table", tracer=tracer)
-        return np.stack([traced.read(int(index)) for index in indices])
+        indices = self._check_indices(indices)
+        if self._tracer is not None:  # one read per id: the leak
+            self._tracer.record_each("table", indices)
+        return self.table(indices)
 
     def modelled_latency(self, batch: int, threads: int = 1) -> float:
         return lookup_latency(self.num_embeddings, self.embedding_dim,

@@ -19,7 +19,7 @@ from repro.costmodel.platform import DEFAULT_PLATFORM
 from repro.embedding.base import EmbeddingGenerator
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor
-from repro.oblivious.trace import READ, MemoryTracer
+from repro.oblivious.trace import READ
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_positive
 
@@ -98,6 +98,11 @@ class TTEmbedding(EmbeddingGenerator):
         flat = indices.reshape(-1)
         batch = flat.size
         i1, i2, i3 = self.split_index(flat)
+        if self._tracer is not None:  # the per-core gathers: the leak
+            for parts in zip(i1.tolist(), i2.tolist(), i3.tolist()):
+                for core, part in zip(("tt.core1", "tt.core2", "tt.core3"),
+                                      parts):
+                    self._tracer.record(READ, core, part)
         d1, d2, d3 = self.dim_factors
         r = self.rank
         g1 = self.core1.gather_rows(i1).reshape(batch, d1, r)
@@ -106,16 +111,6 @@ class TTEmbedding(EmbeddingGenerator):
         left = (g1 @ g2).reshape(batch, d1 * d2, r)
         full = (left @ g3).reshape(batch, d1 * d2 * d3)
         return full.reshape(*indices.shape, self.embedding_dim)
-
-    def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
-        """Lookup with the per-core row gathers recorded — shows the leak."""
-        indices = self._check_indices(indices).reshape(-1)
-        for index in indices:
-            i1, i2, i3 = self.split_index(np.asarray(index))
-            tracer.record(READ, "tt.core1", int(i1))
-            tracer.record(READ, "tt.core2", int(i2))
-            tracer.record(READ, "tt.core3", int(i3))
-        return self.forward(indices).data
 
     # ------------------------------------------------------------------
     def parameter_count(self) -> int:

@@ -57,6 +57,12 @@ class Module:
         for name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{name}.")
 
+    def modules(self) -> Iterator["Module"]:
+        """This module and every submodule, depth first."""
+        yield self
+        for module in self._modules.values():
+            yield from module.modules()
+
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
 

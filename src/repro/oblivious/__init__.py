@@ -2,7 +2,6 @@
 them (the trace-equivalence judge is :mod:`repro.telemetry.audit`)."""
 
 from repro.oblivious.linear_scan import (
-    linear_scan_batch,
     linear_scan_batch_vectorized,
     linear_scan_lookup,
 )
@@ -38,7 +37,6 @@ from repro.oblivious.trace import (
 )
 
 __all__ = [
-    "linear_scan_batch",
     "linear_scan_batch_vectorized",
     "linear_scan_lookup",
     "branchless_relu",

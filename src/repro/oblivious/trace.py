@@ -193,7 +193,12 @@ class MemoryTracer:
     def record_each(self, region: str, addresses, ops: str = READ) -> None:
         """Declare every op of ``ops`` at each of ``addresses`` in turn
         (``R a0 W a0 R a1 W a1 …`` for ``"RW"``) in one columnar append —
-        the events the nested :meth:`record` loop would append."""
+        the events the nested :meth:`record` loop would append. Each
+        character of ``ops`` is one op, so it must be ``R`` or ``W``
+        (``ValueError`` otherwise)."""
+        if not ops or ops.strip(READ + WRITE):
+            raise ValueError(
+                f"ops must be a string of {READ!r}/{WRITE!r}, got {ops!r}")
         if self.enabled:
             addresses = integer_indices(addresses).astype(
                 np.int64, copy=False).reshape(-1)
@@ -306,12 +311,6 @@ class TracedArray:
         if self.tracer is not None:
             self.tracer.record(WRITE, self.name, index)
         self.data[index] = value
-
-    def read_all(self) -> np.ndarray:
-        """Sequentially read every row (the linear-scan access pattern)."""
-        if self.tracer is not None:
-            self.tracer.record_sweep(self.name, self.num_rows)
-        return self.data.copy()
 
 
 def traces_equal(a: Union[Trace, Iterable[AccessEvent]],

@@ -3,12 +3,14 @@
 The attackers never meet a hand-written stand-in. A :class:`TraceVictim`
 runs the code under attack — the ``run`` of an
 :class:`~repro.telemetry.audit.AuditSubject`, e.g.
-``TableEmbedding.generate_traced`` or an ORAM read — under a
-:class:`~repro.oblivious.trace.MemoryTracer` and plays every recorded
-``(region, address)`` event into a sink at ``region base + address x row
-bytes``: :meth:`SetAssociativeCache.access_range` for the cache channel,
-:meth:`PageFaultObserver.touch` for the page channel. What the attacker
-then learns is a property of the generator, not of the model of it.
+``TableEmbedding.generate_traced`` (the generator's own eval-mode
+``forward``, declaring its reads to the bound tracer) or an ORAM read —
+under a :class:`~repro.oblivious.trace.MemoryTracer` and plays every
+recorded ``(region, address)`` event into a sink at ``region base +
+address x row bytes``: :meth:`SetAssociativeCache.access_range` for the
+cache channel, :meth:`PageFaultObserver.touch` for the page channel. What
+the attacker then learns is a property of the generator, not of the model
+of it.
 """
 
 from __future__ import annotations

@@ -10,11 +10,10 @@ from repro.costmodel.latency import DheShape
 from repro.embedding.dhe import UNIVERSAL_PRIME, DHEEmbedding, UniversalHashEncoder
 from repro.embedding.scan import LinearScanEmbedding
 from repro.oblivious.linear_scan import (
-    linear_scan_batch,
     linear_scan_batch_vectorized,
     linear_scan_lookup,
 )
-from repro.oblivious.trace import TracedArray
+from repro.oblivious.trace import MemoryTracer, TracedArray
 
 P = UNIVERSAL_PRIME
 U64_MAX = (1 << 64) - 1
@@ -174,8 +173,8 @@ class TestIndexValidation:
             "hash": dhe.encoder.hash_values,
             "scan-vectorized": lambda ids: linear_scan_batch_vectorized(
                 table, ids),
-            "scan-batch": lambda ids: linear_scan_batch(
-                TracedArray(table, "t"), ids),
+            "scan-traced": lambda ids: LinearScanEmbedding(
+                10, 4, weight=table).generate_traced(ids, MemoryTracer()),
             "scan-lookup": lambda ids: linear_scan_lookup(
                 TracedArray(table, "t"), ids),
         }

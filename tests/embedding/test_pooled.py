@@ -148,3 +148,38 @@ class TestPooledObliviousness:
 
         LeakageAuditor().require(AuditSubject(
             "scan-pooled", fn, [[0, 1, 2], [29, 15, 7], [3, 3, 3]]))
+
+
+POOLED_GENERATORS = {
+    "scan": lambda weights: LinearScanEmbedding(N, D, weight=weights),
+    "table": lambda weights: TableEmbedding(N, D, rng=0),
+    "dhe": lambda weights: DHEEmbedding(N, D, k=8, fc_sizes=(8,), rng=0),
+}
+
+
+class TestPooledIdTypes:
+    """A float or bool id or bag length is an error, never truncated to an
+    integer — the same check a plain ``generate`` applies."""
+
+    @pytest.mark.parametrize("technique", sorted(POOLED_GENERATORS))
+    @pytest.mark.parametrize("bags", [[[1.7, 2.9]], [[True, False]],
+                                      np.array([[1.0, 2.0]])])
+    def test_non_integer_ids_raise(self, weights, technique, bags):
+        generator = POOLED_GENERATORS[technique](weights)
+        with pytest.raises(TypeError, match="integers"):
+            generator.generate(bags)
+        with pytest.raises(TypeError, match="integers"):
+            generator.generate_pooled(bags)
+
+    @pytest.mark.parametrize("lengths", [np.array([1.9]), np.array([True]),
+                                         [2.0]])
+    def test_non_integer_lengths_raise(self, weights, lengths):
+        scan = LinearScanEmbedding(N, D, weight=weights)
+        with pytest.raises(TypeError, match="integers"):
+            scan.generate_pooled([[1, 2]], lengths=lengths)
+
+    def test_integer_ids_and_lengths_of_any_width_accepted(self, weights):
+        scan = LinearScanEmbedding(N, D, weight=weights)
+        pooled = scan.generate_pooled(np.array([[1, 2]], dtype=np.int32),
+                                      lengths=np.array([1], dtype=np.uint8))
+        np.testing.assert_array_equal(pooled, weights[[1]])

@@ -16,8 +16,7 @@ from repro.telemetry.audit import (
 
 
 def oblivious_fn(tracer, secret):
-    arr = TracedArray(np.zeros((5, 1)), "t", tracer)
-    arr.read_all()
+    tracer.record_sweep("t", 5)
 
 
 def leaky_fn(tracer, secret):

@@ -668,3 +668,53 @@ def test_lazy_is_an_inert_shim():
     assert assigned == []
     assert [item.name for item in defined["NumpyRuntime"].body
             if isinstance(item, ast.FunctionDef)] == ["cache_size"]
+
+
+def test_one_traced_path_per_embedding_generator():
+    """A generator's traced run is its eval-mode ``forward`` with a tracer
+    bound: ``generate_traced`` is implemented once, in ``embedding/base.py``
+    (there were four hand-written twins beside the timed ``forward``), and
+    any other definition only raises. No embedding module wraps its
+    weights in a ``TracedArray``, and the traced scan twin
+    ``linear_scan_batch`` and ``TracedArray.read_all`` stay gone."""
+    import ast
+    import os
+
+    import repro
+    import repro.oblivious
+    import repro.oblivious.linear_scan
+    from repro.oblivious.trace import TracedArray
+
+    root = os.path.dirname(repro.__file__)
+    implementations, refusals, importers = [], [], []
+    for directory, _, files in os.walk(root):
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            relative = os.path.relpath(path, root)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "generate_traced"):
+                    body = node.body
+                    if (isinstance(body[0], ast.Expr)
+                            and isinstance(body[0].value, ast.Constant)):
+                        body = body[1:]  # the docstring
+                    only_raises = (len(body) == 1
+                                   and isinstance(body[0], ast.Raise))
+                    (refusals if only_raises else implementations).append(
+                        relative)
+                if (relative.startswith("embedding" + os.sep)
+                        and isinstance(node, (ast.Import, ast.ImportFrom))
+                        and any(alias.name.split(".")[-1] == "TracedArray"
+                                for alias in node.names)):
+                    importers.append(relative)
+    assert implementations == [os.path.join("embedding", "base.py")]
+    assert refusals == [os.path.join("embedding", "oram_embedding.py")]
+    assert importers == []
+    assert "linear_scan_batch" not in repro.oblivious.__all__
+    assert not hasattr(repro.oblivious, "linear_scan_batch")
+    assert not hasattr(repro.oblivious.linear_scan, "linear_scan_batch")
+    assert not hasattr(TracedArray, "read_all")
