@@ -15,7 +15,6 @@ from repro.embedding.hybrid import (
 from repro.embedding.oram_embedding import (
     CircuitOramEmbedding,
     PathOramEmbedding,
-    RingOramEmbedding,
 )
 from repro.embedding.scan import LinearScanEmbedding
 from repro.embedding.table import TableEmbedding
@@ -39,7 +38,6 @@ __all__ = [
     "HybridEmbedding",
     "CircuitOramEmbedding",
     "PathOramEmbedding",
-    "RingOramEmbedding",
     "LinearScanEmbedding",
     "TableEmbedding",
 ]

@@ -53,7 +53,7 @@ class EmbeddingGenerator(Module):
 
     def generate(self, indices) -> np.ndarray:
         """Inference-only convenience: embeddings as a plain array."""
-        return self.forward(np.asarray(indices)).data
+        return self.forward(integer_indices(indices)).data
 
     def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
         """Eval-mode :meth:`generate` of the flattened ``indices`` with
@@ -72,7 +72,7 @@ class EmbeddingGenerator(Module):
             for generator in generators:
                 generator._tracer = tracer
             self.eval()
-            return self.generate(np.asarray(indices).reshape(-1))
+            return self.generate(integer_indices(indices).reshape(-1))
         finally:
             for module, mode in zip(modules, modes):
                 module.training = mode
@@ -86,7 +86,7 @@ class EmbeddingGenerator(Module):
         The seam measured execution backends drive: one call is one serving
         batch. ``batch_size=None`` runs the whole request in a single chunk.
         """
-        indices = np.asarray(indices)
+        indices = integer_indices(indices)
         if batch_size is None:
             return self.generate(indices)
         if batch_size <= 0:

@@ -25,7 +25,6 @@ from repro.oblivious.trace import MemoryTracer
 from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.controller import OramController
 from repro.oram.path_oram import PathORAM
-from repro.oram.ring_oram import RingORAM
 from repro.utils.rng import SeedLike
 
 
@@ -88,9 +87,3 @@ class CircuitOramEmbedding(_OramEmbeddingBase):
     technique = "circuit-oram"
     oram_class = CircuitORAM
 
-
-class RingOramEmbedding(_OramEmbeddingBase):
-    """Embedding table inside a Ring ORAM (bandwidth-optimised extension)."""
-
-    technique = "ring-oram"
-    oram_class = RingORAM

@@ -6,21 +6,13 @@ from repro.oblivious.linear_scan import (
     linear_scan_lookup,
 )
 from repro.oblivious.primitives import (
-    branchless_relu,
     ct_eq,
     ct_lt,
     ct_select,
     oblivious_argmax,
     oblivious_argmax_vectorized,
     oblivious_copy_row,
-    oblivious_max,
-    oblivious_swap,
     oblivious_topk,
-)
-from repro.oblivious.sort import (
-    bitonic_network,
-    oblivious_shuffle,
-    oblivious_sort,
 )
 from repro.oblivious.sampling import (
     oblivious_sample_batch,
@@ -39,19 +31,13 @@ from repro.oblivious.trace import (
 __all__ = [
     "linear_scan_batch_vectorized",
     "linear_scan_lookup",
-    "branchless_relu",
     "ct_eq",
     "ct_lt",
     "ct_select",
     "oblivious_argmax",
     "oblivious_argmax_vectorized",
     "oblivious_copy_row",
-    "oblivious_max",
-    "oblivious_swap",
     "oblivious_topk",
-    "bitonic_network",
-    "oblivious_shuffle",
-    "oblivious_sort",
     "oblivious_sample_batch",
     "oblivious_sample_top_k",
     "READ",

@@ -5,7 +5,6 @@ These mirror the branchless building blocks the paper's C++/AVX code uses:
 * ``ct_select`` — the ``cmov`` conditional move (register-level predication),
 * ``ct_eq`` / ``ct_lt`` — branch-free comparisons producing 0/1 masks,
 * ``oblivious_copy_row`` — the AVX *blend* used by the linear scan,
-* ``branchless_relu`` — the SIMD max(0, x) ReLU of §V-A3,
 * ``oblivious_argmax`` — the cmov-based greedy-sampling argmax of §V-C.
 
 All of them are pure arithmetic over already-loaded values: Python control
@@ -76,35 +75,6 @@ def oblivious_copy_row(flag: int, source_row: np.ndarray,
     destination += source_row * flag_f
 
 
-def oblivious_swap(flag: int, a: np.ndarray, b: np.ndarray) -> None:
-    """Swap rows ``a`` and ``b`` in place iff ``flag`` is 1, branch-free.
-
-    Implemented as a masked XOR on the raw bit patterns — the classic
-    cmov/xor swap. Unlike an arithmetic blend this is *exact* for every
-    value (an arithmetic ``a -= (a-b)*flag`` loses tiny operands to
-    rounding when magnitudes differ). Used by the sorting network and the
-    ORAM controllers' shuffling.
-    """
-    if a.shape != b.shape or a.dtype != b.dtype:
-        raise ValueError("oblivious_swap requires same-shape, same-dtype rows")
-    mask = np.uint8(0xFF) * np.uint8(int(flag))
-    a_bytes = a.view(np.uint8)
-    b_bytes = b.view(np.uint8)
-    delta = (a_bytes ^ b_bytes) & mask
-    a_bytes ^= delta
-    b_bytes ^= delta
-
-
-def branchless_relu(x: np.ndarray) -> np.ndarray:
-    """ReLU without a data-dependent branch: ``(x + |x|) / 2``.
-
-    Matches the paper's AVX-512 proof-of-concept — an arithmetic identity
-    evaluated for every element.
-    """
-    x = np.asarray(x)
-    return (x + np.abs(x)) * 0.5
-
-
 def oblivious_argmax(values: Sequence[float]) -> int:
     """Linear-scan argmax using cmov updates (§V-C greedy sampling).
 
@@ -157,18 +127,6 @@ def oblivious_topk(values: Sequence[float], k: int) -> Tuple[np.ndarray, np.ndar
         marks = ct_eq(np.arange(data.size), best_index)
         taken = taken | marks
     return top_indices, top_values
-
-
-def oblivious_max(values: Sequence[float]) -> float:
-    """Constant-trace maximum via the same cmov scan."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        raise ValueError("oblivious_max of empty sequence")
-    best = float(values[0])
-    for index in range(1, values.size):
-        current = float(values[index])
-        best = ct_select(ct_lt(best, current), current, best)
-    return float(best)
 
 
 def oblivious_argmax_vectorized(values: Sequence[float]) -> int:

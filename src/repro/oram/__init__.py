@@ -2,7 +2,6 @@
 
 from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.controller import AccessStats, OramController
-from repro.oram.crypto import EncryptedBucketTree, KeystreamCipher
 from repro.oram.lookahead import (
     LOOKAHEAD_REGION,
     BatchPlan,
@@ -34,8 +33,6 @@ __all__ = [
     "lookahead_subjects",
     "AccessStats",
     "OramController",
-    "EncryptedBucketTree",
-    "KeystreamCipher",
     "PathORAM",
     "RingORAM",
     "SqrtORAM",

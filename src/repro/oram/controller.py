@@ -87,10 +87,6 @@ class OramController:
         self.rng = new_rng(rng)
         self.tracer = tracer
         self.stats = AccessStats()
-        #: optional hook fired (with this controller) just before a
-        #: StashOverflowError propagates — the resilience layer's overflow
-        #: signal for triggering background eviction / degradation.
-        self.overflow_callback: Optional[Callable[["OramController"], None]] = None
         self.recursion_cutoff = (recursion_cutoff if recursion_cutoff is not None
                                  else self.DEFAULT_RECURSION_CUTOFF)
         self._recursion_level = _recursion_level
@@ -256,22 +252,19 @@ class OramController:
     # Stash-pressure handling: the overflow signal and background eviction
     # ------------------------------------------------------------------
     def _check_stash_bound(self) -> None:
-        """Enforce the persistent stash bound; raise with the signal fired.
+        """Enforce the persistent stash bound.
 
         The bound counts blocks resident *between* accesses. On violation
         the overflow is counted (``stats.stash_overflows`` and the
-        ``oram.stash_overflows_total`` telemetry counter), the optional
-        ``overflow_callback`` runs, and StashOverflowError propagates — the
-        caller decides between :meth:`background_evict` recovery and
-        degradation.
+        ``oram.stash_overflows_total`` telemetry counter) and
+        StashOverflowError propagates — the caller decides between
+        :meth:`background_evict` recovery and degradation.
         """
         occupancy = self.stash.occupancy
         if occupancy <= self.persistent_stash_capacity:
             return
         self.stats.stash_overflows += 1
         get_registry().counter("oram.stash_overflows_total").inc()
-        if self.overflow_callback is not None:
-            self.overflow_callback(self)
         raise StashOverflowError(
             f"stash occupancy {occupancy} exceeds the configured "
             f"bound {self.persistent_stash_capacity}")

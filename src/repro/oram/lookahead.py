@@ -151,6 +151,14 @@ def _record(tracer: Optional[MemoryTracer], op: str, address: int) -> None:
         tracer.record(op, LOOKAHEAD_REGION, address)
 
 
+def _record_run(tracer: Optional[MemoryTracer], op: str, base: int,
+                count: int) -> None:
+    """Declare ``op`` at the ``count`` ordinals from ``base``, in one
+    columnar append."""
+    if tracer is not None:
+        tracer.record_each(LOOKAHEAD_REGION, base + np.arange(count), op)
+
+
 def batch_args(oram, block_ids: Sequence[int],
                update_fns: Optional[Sequence[Optional[UpdateFn]]],
                plan_tracer: Optional[MemoryTracer]):
@@ -189,17 +197,14 @@ def lookahead_access_batch(oram, block_ids: Sequence[int],
             # padded to the public batch size on per-lookup maps.
             plan.old_leaves = list(oram.position_map.lookup_and_update_batch(
                 plan.unique_ids, plan.new_leaves, pad_to=batch))
-            for slot in range(batch):
-                _record(tracer, WRITE, ADDR_POSMAP + slot)
+            _record_run(tracer, WRITE, ADDR_POSMAP, batch)
             build_fetch_schedule(oram, plan)
-            for ordinal in range(plan.num_fetched_buckets):
-                _record(tracer, READ, ADDR_FETCH + ordinal)
+            _record_run(tracer, READ, ADDR_FETCH, plan.num_fetched_buckets)
             oram._lookahead_reserve(plan)
             oram._lookahead_fetch(plan)
             results, error = _serve_batch(oram, plan, fns, tracer)
-            writeback_units = oram._lookahead_writeback(plan)
-            for ordinal in range(writeback_units):
-                _record(tracer, WRITE, ADDR_WRITEBACK + ordinal)
+            _record_run(tracer, WRITE, ADDR_WRITEBACK,
+                        oram._lookahead_writeback(plan))
             oram.stats.accesses += batch
             oram.stats.revealed_leaves.extend(plan.old_leaves)
             oram._check_stash_bound()

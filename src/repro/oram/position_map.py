@@ -54,17 +54,11 @@ class PositionMap:
                                 pad_to: int = 0) -> List[int]:
         """Look up/update a whole batch of *unique* block ids at once.
 
-        Returns the old leaves in batch order. The generic fallback is one
-        sequential lookup per id, padded with :meth:`refresh` dummies up to
-        ``pad_to`` lookups so the map traffic depends only on the public
-        batch size, never on how many ids were distinct.
+        Returns the old leaves in batch order. The map traffic depends only
+        on the public batch size (``pad_to`` lookups on a per-lookup map),
+        never on how many ids were distinct.
         """
-        ids = _check_batch(block_ids, new_leaves)
-        old = [self.lookup_and_update(block_id, int(leaf))
-               for block_id, leaf in zip(ids, new_leaves)]
-        for _ in range(max(0, pad_to - len(ids))):
-            self.refresh(ids[0] if ids else 0)
-        return old
+        raise NotImplementedError
 
 
 class FlatPositionMap(PositionMap):

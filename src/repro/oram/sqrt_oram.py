@@ -69,7 +69,6 @@ class SqrtORAM(OramController):
         self.rng = new_rng(rng)
         self.tracer = tracer
         self.stats = AccessStats()
-        self.overflow_callback = None
 
         prefix = region_prefix or "sqrtoram"
         self.store_region = f"{prefix}.store"

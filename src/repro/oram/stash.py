@@ -25,7 +25,7 @@ class Stash:
 
     def __init__(self, capacity: int, block_width: int,
                  tracer: Optional[MemoryTracer] = None,
-                 region: str = "stash", dtype=np.float64) -> None:
+                 region: str = "stash") -> None:
         check_positive("capacity", capacity)
         check_positive("block_width", block_width)
         self.capacity = capacity
@@ -34,7 +34,7 @@ class Stash:
         self.region = region
         self.ids = np.full(capacity, DUMMY, dtype=np.int64)
         self.leaves = np.zeros(capacity, dtype=np.int64)
-        self.payloads = np.zeros((capacity, block_width), dtype=dtype)
+        self.payloads = np.zeros((capacity, block_width))
         self.peak_occupancy = 0
 
     def _scan_trace(self, op: str, sweeps: int = 1) -> None:

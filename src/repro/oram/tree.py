@@ -46,8 +46,8 @@ class BucketTree:
     """Array-backed complete binary tree of Z-slot buckets."""
 
     def __init__(self, num_blocks: int, block_width: int, bucket_size: int = 4,
-                 tracer: Optional[MemoryTracer] = None, region: str = "tree",
-                 dtype=np.float64) -> None:
+                 tracer: Optional[MemoryTracer] = None,
+                 region: str = "tree") -> None:
         check_positive("block_width", block_width)
         check_positive("bucket_size", bucket_size)
         self.levels = tree_levels_for(num_blocks)  # leaf level index
@@ -59,8 +59,7 @@ class BucketTree:
         self.region = region
         self.ids = np.full((self.num_buckets, bucket_size), DUMMY, dtype=np.int64)
         self.leaves = np.zeros((self.num_buckets, bucket_size), dtype=np.int64)
-        self.payloads = np.zeros((self.num_buckets, bucket_size, block_width),
-                                 dtype=dtype)
+        self.payloads = np.zeros((self.num_buckets, bucket_size, block_width))
 
     # ------------------------------------------------------------------
     # Addressing

@@ -1,10 +1,7 @@
-"""Ring ORAM entries in the cost model + the RingOramEmbedding generator."""
-
-import numpy as np
+"""Ring ORAM entries in the cost model."""
 
 from repro.costmodel.latency import oram_access_bytes, oram_latency
 from repro.costmodel.memory import tree_oram_bytes
-from repro.embedding import RingOramEmbedding
 
 
 class TestRingLatencyModel:
@@ -27,18 +24,3 @@ class TestRingMemoryModel:
         path = tree_oram_bytes(10**5, 64, scheme="path")
         assert ring > 1.5 * path
 
-
-class TestRingOramEmbedding:
-    def test_generator_roundtrip(self, rng):
-        weights = rng.normal(size=(48, 8))
-        generator = RingOramEmbedding(48, 8, weight=weights, rng=1)
-        indices = np.array([0, 47, 13, 13])
-        np.testing.assert_allclose(generator.generate(indices),
-                                   weights[indices])
-
-    def test_flags_and_accounting(self):
-        generator = RingOramEmbedding(48, 8, rng=0)
-        assert generator.is_oblivious
-        assert generator.technique == "ring-oram"
-        assert generator.modelled_latency(8) > 0
-        assert generator.footprint_bytes() > 48 * 8 * 4

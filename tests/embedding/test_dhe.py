@@ -164,7 +164,7 @@ class TestIndexValidation:
     """A float or negative id is an error, never a silently wrong row."""
 
     @pytest.mark.parametrize("indices", [np.array([1.7]), [1.7], [True],
-                                         [2.9], 1.5])
+                                         [2.9], 1.5, [True, 2], [[True, 2]]])
     def test_non_integer_indices_raise(self, indices):
         dhe = DHEEmbedding(10, 4, k=8, fc_sizes=(8,), rng=0).eval()
         table = np.arange(40.0).reshape(10, 4)

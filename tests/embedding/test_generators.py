@@ -7,7 +7,6 @@ from repro.embedding import (
     CircuitOramEmbedding,
     LinearScanEmbedding,
     PathOramEmbedding,
-    RingOramEmbedding,
     TableEmbedding,
 )
 
@@ -25,7 +24,6 @@ def storage_generators(weights):
         LinearScanEmbedding(N, D, weight=weights),
         PathOramEmbedding(N, D, weight=weights, rng=1),
         CircuitOramEmbedding(N, D, weight=weights, rng=2),
-        RingOramEmbedding(N, D, weight=weights, rng=3),
     ]
 
 
@@ -50,7 +48,7 @@ class TestStorageGeneratorsAgree:
         flags = {g.technique: g.is_oblivious
                  for g in storage_generators(weights)}
         assert flags == {"lookup": False, "scan": True, "path-oram": True,
-                         "circuit-oram": True, "ring-oram": True}
+                         "circuit-oram": True}
 
     def test_footprints_ordered(self, weights):
         scan = LinearScanEmbedding(N, D, weight=weights)

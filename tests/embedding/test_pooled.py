@@ -163,7 +163,7 @@ class TestPooledIdTypes:
 
     @pytest.mark.parametrize("technique", sorted(POOLED_GENERATORS))
     @pytest.mark.parametrize("bags", [[[1.7, 2.9]], [[True, False]],
-                                      np.array([[1.0, 2.0]])])
+                                      np.array([[1.0, 2.0]]), [[True, 2]]])
     def test_non_integer_ids_raise(self, weights, technique, bags):
         generator = POOLED_GENERATORS[technique](weights)
         with pytest.raises(TypeError, match="integers"):

@@ -12,7 +12,6 @@ from repro.embedding import (
     HybridEmbedding,
     LinearScanEmbedding,
     PathOramEmbedding,
-    RingOramEmbedding,
     TableEmbedding,
     TTEmbedding,
 )
@@ -31,7 +30,6 @@ TRACED = {
 ORAMS = {
     "path-oram": lambda: PathOramEmbedding(N, D, rng=0),
     "circuit-oram": lambda: CircuitOramEmbedding(N, D, rng=0),
-    "ring-oram": lambda: RingOramEmbedding(N, D, rng=0),
     "oram-online": lambda: OnlineOramEmbedding(N, D, rng=0),
 }
 
@@ -76,8 +74,9 @@ class TestTracedRunIsTheEvalForward:
             generator.generate_traced(np.array([1, N]), tracer)
         assert len(tracer) == 0
         assert state(generator) == before
-        with pytest.raises(TypeError):
-            generator.generate_traced(np.array([1.5]), tracer)
+        for bad in (np.array([1.5]), [True, 2], [[True, 2]]):
+            with pytest.raises(TypeError, match="integers"):
+                generator.generate_traced(bad, tracer)
         assert len(tracer) == 0
         assert state(generator) == before
 

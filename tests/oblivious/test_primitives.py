@@ -6,14 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.oblivious.primitives import (
-    branchless_relu,
     ct_eq,
     ct_lt,
     ct_select,
     oblivious_argmax,
     oblivious_copy_row,
-    oblivious_max,
-    oblivious_swap,
 )
 
 
@@ -68,25 +65,6 @@ class TestObliviousCopyRow:
         np.testing.assert_allclose(dst, before)
 
 
-class TestObliviousSwap:
-    def test_swap_and_noswap(self, rng):
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        a0, b0 = a.copy(), b.copy()
-        oblivious_swap(0, a, b)
-        np.testing.assert_allclose(a, a0)
-        oblivious_swap(1, a, b)
-        np.testing.assert_allclose(a, b0)
-        np.testing.assert_allclose(b, a0)
-
-
-class TestBranchlessRelu:
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    def test_matches_max_zero(self, values):
-        x = np.asarray(values)
-        np.testing.assert_allclose(branchless_relu(x), np.maximum(x, 0.0),
-                                   atol=1e-9)
-
-
 class TestObliviousArgmax:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
     @settings(max_examples=50)
@@ -101,14 +79,3 @@ class TestObliviousArgmax:
         with pytest.raises(ValueError):
             oblivious_argmax([])
 
-
-class TestObliviousMax:
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
-    @settings(max_examples=50)
-    def test_matches_numpy_max(self, values):
-        x = np.asarray(values)
-        assert oblivious_max(x) == pytest.approx(float(np.max(x)))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            oblivious_max([])

@@ -32,12 +32,6 @@ class TestMemoryTracer:
         tracer.record(WRITE, "t", 5)
         assert [str(e) for e in tracer] == ["R t[3]", "W t[5]"]
 
-    def test_disabled_records_nothing(self):
-        tracer = MemoryTracer(enabled=False)
-        tracer.record(READ, "t", 1)
-        tracer.record_sweep("t", 4, READ + WRITE)
-        assert len(tracer) == 0
-
     @pytest.mark.parametrize("ops", [READ, WRITE, READ + WRITE])
     @pytest.mark.parametrize("count", [0, 1, 5])
     def test_record_sweep_is_the_nested_record_loop(self, ops, count):
@@ -58,22 +52,49 @@ class TestMemoryTracer:
         assert [str(e) for e in tracer] == ["R t[0]", "R t[1]"]
 
     @pytest.mark.parametrize("ops", ["read", "r", "RX", "", "W R"])
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_run_calls_take_only_r_and_w_op_characters(self, ops, enabled):
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_run_calls_take_only_r_and_w_op_characters(self, ops, buffered):
         # each character of a run call's ops is one op: a multi-character
-        # op name would be split into one event per letter
-        tracer = MemoryTracer(enabled=enabled)
+        # op name would be split into one event per letter; a refused call
+        # leaves a buffered record where it was
+        tracer = MemoryTracer()
+        if buffered:
+            tracer.record(READ, "t", 7)
         with pytest.raises(ValueError, match="ops must be"):
             tracer.record_sweep("t", 1, ops)
         with pytest.raises(ValueError, match="ops must be"):
             tracer.record_each("t", [0, 1], ops)
-        assert len(tracer) == 0
+        assert [str(e) for e in tracer] == (["R t[7]"] if buffered else [])
 
     def test_digest_distinguishes_traces(self):
         a, b = MemoryTracer(), MemoryTracer()
         a.record(READ, "t", 1)
         b.record(READ, "t", 2)
         assert a.digest() != b.digest()
+
+    def test_digest_is_the_per_event_text_at_any_address_width(self):
+        # the digest is built from the columns (one prefix per distinct op
+        # and region, the addresses written out as one array); its bytes
+        # are still "{op}|{region}|{address};" per event, across regions,
+        # signs, digit counts and hashing chunks
+        tracer = MemoryTracer()
+        tracer.record_each("région", [np.iinfo(np.int64).min, -10, -1, 0, 9,
+                                      10, 99, 100, np.iinfo(np.int64).max],
+                           READ + WRITE)
+        rng = np.random.default_rng(0)
+        for region, ops in (("a", READ), ("tree.level0", WRITE),
+                            ("a", READ + WRITE)):
+            tracer.record_each(region, rng.integers(-(1 << 62), 1 << 62, 30_000)
+                               >> rng.integers(0, 63, 30_000), ops)
+        trace = tracer.snapshot()
+        assert len(trace) > 65_536
+        assert trace.digest() == model_digest(list(trace))
+        assert trace[:1].digest() == model_digest([trace[0]])
+
+    def test_digest_of_an_empty_trace_hashes_no_bytes(self):
+        empty = hashlib.sha256().hexdigest()
+        assert MemoryTracer().digest() == empty
+        assert Trace.of([]).digest() == model_digest([]) == empty
 
     def test_digest_stable(self):
         a, b = MemoryTracer(), MemoryTracer()
@@ -130,11 +151,12 @@ class TestTracedArray:
             arr.write(-1, np.zeros(2))
 
     @pytest.mark.parametrize("index", [1.7, True, np.float64(2.9),
-                                       np.bool_(False), 0.0])
+                                       np.bool_(False), 0.0, [True, 2],
+                                       [[True, 2]]])
     def test_read_rejects_non_integer_rows(self, index):
         tracer = MemoryTracer()
         arr = TracedArray(np.arange(12.0).reshape(4, 3), "t", tracer)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="integers"):
             arr.read(index)
         assert len(tracer) == 0
 

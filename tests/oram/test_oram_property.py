@@ -84,7 +84,7 @@ def run_model_check(oram_class, ops, seed, num_blocks=NUM_BLOCKS,
     data = rng.normal(size=(num_blocks, WIDTH))
     # Three Path levels record ~150k events per batch: the event counts are
     # checked on the flat configurations only.
-    tracer = MemoryTracer(enabled=recursion_cutoff is None)
+    tracer = MemoryTracer() if recursion_cutoff is None else None
     recursive = ({} if recursion_cutoff is None
                  else {"recursion_cutoff": recursion_cutoff})
     oram = oram_class(num_blocks, WIDTH, initial_payloads=data.copy(),
@@ -92,7 +92,8 @@ def run_model_check(oram_class, ops, seed, num_blocks=NUM_BLOCKS,
     region = oram.tree.region if hasattr(oram, "tree") else oram.store_region
     mirror = data.copy()
     for op, *args in ops:
-        tracer.clear()
+        if tracer is not None:
+            tracer.clear()
         reads, writes = oram.stats.bucket_reads, oram.stats.bucket_writes
         if op == "read":
             np.testing.assert_allclose(oram.read(args[0]), mirror[args[0]],
@@ -113,7 +114,7 @@ def run_model_check(oram_class, ops, seed, num_blocks=NUM_BLOCKS,
         else:
             oram.background_evict(args[0])
         check_level_invariants(oram)
-        if not tracer.enabled:
+        if tracer is None:
             continue
         read_events = sum(event.region == region and event.op == READ
                           for event in tracer)

@@ -99,16 +99,14 @@ class TestShuffleSchedule:
         np.testing.assert_array_equal(oram.read(1), make_payloads()[1])
 
     def test_stash_bound_enforced(self):
-        # A shelter bound below the period trips mid-period, fires the
-        # overflow callback, and counts the overflow.
+        # A shelter bound below the period trips mid-period and counts
+        # the overflow.
         oram = SqrtORAM(N, WIDTH, rng=0)
         oram.persistent_stash_capacity = 1
-        seen = []
-        oram.overflow_callback = seen.append
         oram.read(0)
         with pytest.raises(StashOverflowError):
             oram.read(1)
-        assert seen and oram.stats.stash_overflows == 1
+        assert oram.stats.stash_overflows == 1
 
 
 class TestAccounting:

@@ -84,13 +84,6 @@ class TestOverflowSignal:
         assert oram.stats.stash_overflows == 1
         assert registry.counter("oram.stash_overflows_total").value == 1.0
 
-    def test_callback_runs_before_the_raise(self, oram_class):
-        oram, _ = build_pressured(oram_class)
-        seen = []
-        oram.overflow_callback = seen.append
-        force_overflow(oram)
-        assert seen == [oram]
-
     def test_gauges_reflect_the_failing_state(self, oram_class):
         oram, _ = build_pressured(oram_class)
         with use_registry() as registry:
