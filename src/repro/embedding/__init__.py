@@ -18,16 +18,8 @@ from repro.embedding.oram_embedding import (
 )
 from repro.embedding.scan import LinearScanEmbedding
 from repro.embedding.table import TableEmbedding
-from repro.embedding.tensor_train import (
-    TTEmbedding,
-    balanced_factors,
-    exact_factors,
-)
 
 __all__ = [
-    "TTEmbedding",
-    "balanced_factors",
-    "exact_factors",
     "EmbeddingGenerator",
     "DEFAULT_BUCKETS",
     "UNIVERSAL_PRIME",

@@ -79,72 +79,6 @@ class EmbeddingGenerator(Module):
             for generator, binding in zip(generators, bindings):
                 generator._tracer = binding
 
-    def batched_forward(self, indices,
-                        batch_size: Optional[int] = None) -> np.ndarray:
-        """Inference in chunks of ``batch_size`` along the leading axis.
-
-        The seam measured execution backends drive: one call is one serving
-        batch. ``batch_size=None`` runs the whole request in a single chunk.
-        """
-        indices = integer_indices(indices)
-        if batch_size is None:
-            return self.generate(indices)
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        chunks = [self.generate(indices[first:first + batch_size])
-                  for first in range(0, indices.shape[0], batch_size)]
-        return np.concatenate(chunks, axis=0) if chunks else np.empty(
-            (0, self.embedding_dim))
-
-    def forward_pooled(self, indices, mode: str = "sum",
-                       lengths=None) -> Tensor:
-        """Multi-hot lookup with pooling: (batch, bag) indices -> (batch, dim).
-
-        Real DLRM sparse features are bags of ids (e.g. recent purchases)
-        reduced by sum/mean pooling. The pooling itself is a dense reduction
-        with no data-dependent access, so a generator's obliviousness is
-        inherited; the *bag length* is visible, which the threat model does
-        not hide (§III: the number of accesses is public).
-
-        ``lengths`` gives the true per-row bag length for padded bags: rows
-        are reduced over their first ``lengths[i]`` slots only, and mean
-        pooling divides by the true length rather than the padded width.
-        Padding slots must still hold valid indices (the pads are masked
-        after lookup, keeping the access pattern length-independent).
-        """
-        indices = integer_indices(indices).astype(np.int64, copy=False)
-        if indices.ndim != 2:
-            raise ValueError(
-                f"pooled lookup expects (batch, bag) indices, got "
-                f"{indices.shape}")
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
-        vectors = self.forward(indices)          # (batch, bag, dim)
-        if lengths is None:
-            pooled = vectors.sum(axis=1)
-            if mode == "mean":
-                pooled = pooled * (1.0 / indices.shape[1])
-            return pooled
-        lengths = integer_indices(lengths).astype(np.int64, copy=False)
-        if lengths.shape != (indices.shape[0],):
-            raise ValueError(
-                f"lengths must have shape ({indices.shape[0]},), got "
-                f"{lengths.shape}")
-        if lengths.size and (lengths.min() < 1
-                             or lengths.max() > indices.shape[1]):
-            raise ValueError(
-                f"lengths must be in [1, {indices.shape[1]}] for bags of "
-                f"width {indices.shape[1]}")
-        mask = (np.arange(indices.shape[1]) < lengths[:, None])
-        pooled = (vectors * mask[:, :, None].astype(np.float64)).sum(axis=1)
-        if mode == "mean":
-            pooled = pooled * (1.0 / lengths.astype(np.float64))[:, None]
-        return pooled
-
-    def generate_pooled(self, indices, mode: str = "sum",
-                        lengths=None) -> np.ndarray:
-        return self.forward_pooled(indices, mode=mode, lengths=lengths).data
-
     # ------------------------------------------------------------------
     def modelled_latency(self, batch: int, threads: int = 1) -> float:
         """Calibrated analytic latency (seconds) for one batch."""

@@ -4,8 +4,8 @@ The data-access column is the standing leakage audit's finding for each
 technique: the real implementation is replayed under the memory tracer
 (:func:`repro.telemetry.audit.technique_subject`) once per contrasting
 secret and judged by :class:`~repro.telemetry.audit.LeakageAuditor`. The
-control-flow column reports the mechanism the implementation uses (cmov /
-branchless AVX analogue / none needed).
+control-flow column names the branch-free code that audited run executes
+(or that none is needed).
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from repro.telemetry.audit import (
 
 N, D = 32, 8
 
-#: Table II row -> (audited technique, implemented control-flow mechanism)
+#: Table II row -> (audited technique, the branch-free code its run calls)
 ROWS = (
     ("Table: non-secure", "lookup", "n/a (no such code path)"),
-    ("Table: ORAM", "circuit-oram", "cmov (ct_select) in posmap/stash scans"),
-    ("Table: Linear Scan", "scan", "branchless blend (oblivious_copy_row)"),
+    ("Table: ORAM", "circuit-oram", "mask blend (ct_eq) in the posmap scan"),
+    ("Table: Linear Scan", "scan",
+     "one-hot matmul in linear_scan_batch_vectorized"),
     ("DHE (hash)", "dhe", "n/a (vectorised arithmetic)"),
 )
 
@@ -56,5 +57,5 @@ def run() -> ExperimentResult:
         finding = auditor.audit(technique_subject(technique, N, D))
         result.add_row(label, data_access_verdict(finding), control_flow)
     result.add_row("DHE (FC)", "n/a (no table access)",
-                   "branchless ReLU ((x+|x|)/2)")
+                   "mask multiply x * (x > 0) in ReLU.infer")
     return result

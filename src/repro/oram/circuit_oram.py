@@ -42,18 +42,6 @@ class CircuitORAM(OramController):
         self._evict_once(self._next_eviction_leaf())
         self.stats.eviction_passes += 1
 
-    def _background_evict_pass(self, leaf: int) -> None:
-        """Request-free stash drain: continue the reverse-lex schedule.
-
-        Circuit ORAM's eviction is metadata-driven and moves at most one
-        block per level, so recovery from stash pressure simply runs extra
-        passes of the same deterministic schedule (``leaf`` is ignored —
-        the schedule, not randomness, picks the path; the base class does
-        the ``eviction_passes`` accounting).
-        """
-        del leaf
-        self._evict_once(self._next_eviction_leaf())
-
     def _fetch(self, block_id: int, old_leaf: int) -> np.ndarray:
         """Sweep the read path once, extracting the requested block.
 
@@ -63,7 +51,7 @@ class CircuitORAM(OramController):
         no per-slot stash touch, and adding one would change the trace.
         """
         stash_hit = self.stash.remove(block_id)
-        path = self.tree.path_indices(old_leaf)
+        path = np.asarray(self.tree.path_indices(old_leaf), dtype=np.int64)
         ids, leaves, payloads = self.tree.read_buckets(path)
         levels, slots = np.nonzero(ids == block_id)
         if levels.size:
@@ -120,7 +108,7 @@ class CircuitORAM(OramController):
         # path is gathered once and serves both sweeps: nothing touches it
         # in between.
         tree, stash = self.tree, self.stash
-        path = tree.path_indices(eviction_leaf)
+        path = np.asarray(tree.path_indices(eviction_leaf), dtype=np.int64)
         total = len(path) + 1               # +1: index 0 is the stash
 
         # -- metadata scan (one read sweep) --------------------------------

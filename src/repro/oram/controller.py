@@ -249,7 +249,7 @@ class OramController:
         self.access(block_id, lambda _old: payload)
 
     # ------------------------------------------------------------------
-    # Stash-pressure handling: the overflow signal and background eviction
+    # Stash-pressure handling: the overflow signal
     # ------------------------------------------------------------------
     def _check_stash_bound(self) -> None:
         """Enforce the persistent stash bound.
@@ -257,8 +257,7 @@ class OramController:
         The bound counts blocks resident *between* accesses. On violation
         the overflow is counted (``stats.stash_overflows`` and the
         ``oram.stash_overflows_total`` telemetry counter) and
-        StashOverflowError propagates — the caller decides between
-        :meth:`background_evict` recovery and degradation.
+        StashOverflowError propagates to the caller.
         """
         occupancy = self.stash.occupancy
         if occupancy <= self.persistent_stash_capacity:
@@ -268,32 +267,6 @@ class OramController:
         raise StashOverflowError(
             f"stash occupancy {occupancy} exceeds the configured "
             f"bound {self.persistent_stash_capacity}")
-
-    def background_evict(self, passes: int = 1) -> int:
-        """Drain stash pressure without serving a request (LAORAM-style).
-
-        Runs ``passes`` eviction passes along random paths. The paths are
-        drawn from the controller's own RNG — independent of any block
-        identity — so background eviction is as access-pattern-oblivious as
-        a regular access. Returns the stash occupancy afterwards.
-        """
-        check_positive("passes", passes)
-        registry = get_registry()
-        with registry.span("oram.background_evict", passes=passes,
-                           scheme=type(self).__name__):
-            for _ in range(passes):
-                leaf = int(self.rng.integers(0, self.tree.num_leaves))
-                self._background_evict_pass(leaf)
-                self.stats.eviction_passes += 1
-        registry.counter("oram.background_evictions_total").inc(passes)
-        registry.gauge("oram.stash_occupancy").set(self.stash.occupancy)
-        registry.gauge("oram.stash_peak_occupancy").set_max(
-            self.stash.peak_occupancy)
-        return self.stash.occupancy
-
-    def _background_evict_pass(self, leaf: int) -> None:
-        """One request-free eviction pass along the path to ``leaf``."""
-        raise NotImplementedError
 
     def _next_eviction_leaf(self) -> int:
         """Advance the deterministic reverse-lexicographic eviction order."""
@@ -317,6 +290,7 @@ class OramController:
         slot-count constant) and writes the bucket back before the next:
         the events are declared in that order.
         """
+        buckets = np.asarray(buckets, dtype=np.int64)
         ids, leaves, payloads = self.tree.read_buckets(buckets)
         moved = ids != DUMMY
         if wanted is not None:
@@ -327,10 +301,10 @@ class OramController:
         self.stats.bucket_reads += len(buckets)
         self.stats.bucket_writes += len(buckets)
         if self.tracer is not None:
-            for bucket in buckets:
-                self.tree._trace(READ, (bucket,))
+            for bucket in buckets.reshape(-1, 1):
+                self.tree._trace(READ, bucket)
                 self.stash._scan_trace(WRITE, self.bucket_size)
-                self.tree._trace(WRITE, (bucket,))
+                self.tree._trace(WRITE, bucket)
 
     def _drain(self, schedule) -> None:
         """Write back ``schedule`` (the buckets to fill, per tree level),
@@ -398,10 +372,6 @@ class OramController:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def levels(self) -> int:
-        return self.tree.levels
-
     def total_resident_blocks(self) -> int:
         return self.tree.occupancy() + self.stash.occupancy
 

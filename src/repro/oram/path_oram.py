@@ -52,16 +52,3 @@ class PathORAM(OramController):
         schedule, each bucket written exactly once."""
         self._drain(plan.schedule)
         return plan.num_fetched_buckets
-
-    # ------------------------------------------------------------------
-    # Background eviction (stash-pressure recovery)
-    # ------------------------------------------------------------------
-    def _background_evict_pass(self, leaf: int) -> None:
-        """Fetch + greedily write back one random path, no block served.
-
-        The same fetch/writeback discipline as an access, minus the block
-        removal and remap: stash blocks whose paths intersect the eviction
-        path sink back into the tree, relieving stash pressure.
-        """
-        self._pull(self.tree.path_indices(leaf))
-        self._settle(leaf)

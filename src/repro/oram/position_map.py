@@ -157,31 +157,30 @@ class OramPositionMap(PositionMap):
     """
 
     def __init__(self, initial_leaves: np.ndarray,
-                 oram_factory: Callable[[int, int, np.ndarray], "object"],
-                 compression: int = POSMAP_COMPRESSION) -> None:
+                 oram_factory: Callable[[int, int, np.ndarray], "object"]
+                 ) -> None:
         initial_leaves = np.asarray(initial_leaves, dtype=np.int64)
         check_positive("num_blocks", initial_leaves.size)
-        check_positive("compression", compression)
         self.num_blocks = initial_leaves.size
-        self.compression = compression
 
-        num_chunks = (self.num_blocks + compression - 1) // compression
-        chunks = np.zeros((num_chunks, compression), dtype=np.float64)
+        num_chunks = ((self.num_blocks + POSMAP_COMPRESSION - 1)
+                      // POSMAP_COMPRESSION)
+        chunks = np.zeros((num_chunks, POSMAP_COMPRESSION), dtype=np.float64)
         chunks.reshape(-1)[: self.num_blocks] = initial_leaves.astype(np.float64)
-        self._child = oram_factory(num_chunks, compression, chunks)
+        self._child = oram_factory(num_chunks, POSMAP_COMPRESSION, chunks)
 
     def _locate(self, block_id: int):
         """(chunk id, lane) holding ``block_id``'s leaf label."""
         if not 0 <= block_id < self.num_blocks:
             raise IndexError(f"block {block_id} out of range")
-        return divmod(block_id, self.compression)
+        return divmod(block_id, POSMAP_COMPRESSION)
 
     def _blend(self, lane: int, new_leaf: int, old_leaves: list, slot: int):
         """The child ``update_fn`` installing ``new_leaf`` in ``lane`` of a
         chunk and leaving the lane's old label in ``old_leaves[slot]``.
         Oblivious in-chunk select/update: every lane participates."""
         def update(chunk: np.ndarray) -> np.ndarray:
-            match = ct_eq(np.arange(self.compression), lane)
+            match = ct_eq(np.arange(POSMAP_COMPRESSION), lane)
             old_leaves[slot] = int((match * chunk).sum())
             return float(new_leaf) * match + chunk * (1 - match)
         return update

@@ -75,15 +75,6 @@ class RingORAM(OramController):
         for bucket in np.nonzero(self._touches >= self.bucket_dummies)[0]:
             self._reshuffle_bucket(int(bucket))
 
-    def _background_evict_pass(self, leaf: int) -> None:
-        """Request-free stash drain: continue the reverse-lex evict order.
-
-        ``leaf`` is ignored — Ring ORAM's eviction path comes from its own
-        deterministic schedule, not the caller.
-        """
-        del leaf
-        self._evict_path(self._next_eviction_leaf())
-
     def _fetch(self, block_id: int, leaf: int) -> np.ndarray:
         """One payload-slot touch per bucket along the path."""
         payload: Optional[np.ndarray] = None

@@ -185,31 +185,9 @@ class SqrtORAM(OramController):
     # ------------------------------------------------------------------
     # Controller-contract overrides that assumed a bucket tree
     # ------------------------------------------------------------------
-    def background_evict(self, passes: int = 1) -> int:
-        """Reshuffle early — the square-root analogue of an eviction pass.
-
-        The shuffle point moves, but only as a function of *when* the
-        caller asked, never of which blocks are resident, so the schedule
-        stays secret-independent. One shuffle empties the shelter
-        entirely; extra passes are no-ops on occupancy.
-        """
-        check_positive("passes", passes)
-        registry = get_registry()
-        with registry.span("oram.background_evict", passes=passes,
-                           scheme=type(self).__name__):
-            self._reshuffle()
-        registry.counter("oram.background_evictions_total").inc(passes)
-        registry.gauge("oram.stash_occupancy").set(self.stash.occupancy)
-        return self.stash.occupancy
-
     def total_resident_blocks(self) -> int:
         return self.num_blocks
 
     def memory_blocks(self) -> int:
         """Physical slots: permuted store (n + ⌈√n⌉ dummies) + shelter."""
         return int(self._store.shape[0]) + self.stash.capacity
-
-    @property
-    def levels(self) -> int:
-        """No tree: depth 0 (kept so generic introspection doesn't trip)."""
-        return 0

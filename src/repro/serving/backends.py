@@ -10,7 +10,7 @@ DLRM's inference accounting, and the figure benches — goes through the
   measurements;
 * :class:`MeasuredBackend` — wall-clock timing of this library's executable
   :class:`~repro.embedding.base.EmbeddingGenerator` objects, driven through
-  their ``batched_forward`` seam in eval mode.
+  their ``generate`` seam in eval mode.
 
 Before this seam existed the per-table latency logic was re-implemented by
 the server, the profiler, and the experiment scripts; now each of them asks
@@ -161,7 +161,7 @@ class MeasuredBackend(ExecutionBackend):
         rng = np.random.default_rng(generator.num_embeddings)
         indices = rng.integers(0, generator.num_embeddings, size=batch)
         try:
-            return time_callable(lambda: generator.batched_forward(indices),
+            return time_callable(lambda: generator.generate(indices),
                                  repeats=self.repeats)
         finally:
             generator.train(was_training)

@@ -17,7 +17,6 @@ from repro.training.loop import (
     TrainingConfig,
     TrainingLoop,
     TrainingReport,
-    build_training_loop,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "TrainingConfig",
     "TrainingLoop",
     "TrainingReport",
-    "build_training_loop",
 ]

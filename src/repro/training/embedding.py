@@ -48,7 +48,6 @@ class OnlineOramEmbedding(_OramEmbeddingBase):
                  weight: Optional[np.ndarray] = None,
                  rng: SeedLike = None,
                  tracer: Optional[MemoryTracer] = None,
-                 stash_capacity: Optional[int] = None,
                  batched: bool = True,
                  **oram_kwargs) -> None:
         # The weight draw comes first: the ORAM is then built from the
@@ -57,15 +56,13 @@ class OnlineOramEmbedding(_OramEmbeddingBase):
         if weight is None:
             weight = generator.normal(0.0, 0.1,
                                       size=(num_embeddings, embedding_dim))
-        if stash_capacity is None:
-            # Batched fetches transiently hold a whole batch's union of
-            # paths; a table-sized persistent bound keeps small training
-            # tables out of StashOverflowError territory.
-            stash_capacity = num_embeddings
         self.oram_class = oram_class
+        # Batched fetches transiently hold a whole batch's union of paths;
+        # a table-sized persistent stash bound keeps small training tables
+        # out of StashOverflowError territory.
         super().__init__(num_embeddings, embedding_dim, weight=weight,
                          rng=generator, tracer=tracer,
-                         stash_capacity=stash_capacity, **oram_kwargs)
+                         stash_capacity=num_embeddings, **oram_kwargs)
         self.batched = batched
         if not batched:
             # Instance attribute shadows the class flag: access_batch takes
@@ -170,10 +167,6 @@ class OnlineOramEmbedding(_OramEmbeddingBase):
                                update_fns=update_fns)
         return float(np.sqrt(sum(float(np.sum(total * total))
                                  for total in totals.values())))
-
-    def discard_gradients(self) -> None:
-        """Drop the pending forward batch without writing anything back."""
-        self._pending = None
 
     # ------------------------------------------------------------------
     # Maintenance

@@ -30,7 +30,7 @@ import numpy as np
 from repro.data.criteo import DlrmDatasetSpec, SyntheticCtrDataset
 from repro.models.dlrm import DLRM
 from repro.nn.losses import bce_with_logits
-from repro.nn.optim import Adam, Optimizer, SGD
+from repro.nn.optim import Adam
 from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
 from repro.serving.batcher import BatchingPolicy, DynamicBatcher, ScheduledBatch
@@ -40,51 +40,48 @@ from repro.utils.validation import check_in, check_positive
 
 _ORAM_CLASSES = {"path": PathORAM, "circuit": CircuitORAM}
 
+#: the model every run trains (small by design: a run is a gate)
+TABLE_SIZES = (64, 64)
+NUM_DENSE = 4
+EMBEDDING_DIM = 8
+BOTTOM_HIDDEN = 16
+TOP_HIDDEN = 16
+#: Adam's step size on the dense weights; the oblivious SGD step size on
+#: the embedding rows
+DENSE_LR = 0.02
+EMBEDDING_LR = 0.1
+#: arrival trace shape fed to the DynamicBatcher. The wait bound is
+#: generous so every training batch forms full and deterministically.
+ARRIVAL_RATE_RPS = 256.0
+SERVICE_SECONDS = 0.004
+MAX_WAIT_SECONDS = 1e6
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """One secure-online-training run (small by design: it is a gate)."""
+    """One secure-online-training run."""
 
     steps: int = 24
     batch_size: int = 16
     scheme: str = "path"                 # "path" | "circuit"
-    table_sizes: Tuple[int, ...] = (64, 64)
-    num_dense: int = 4
-    embedding_dim: int = 8
-    bottom_hidden: int = 16
-    top_hidden: int = 16
-    optimizer: str = "adam"              # dense-weight optimizer
-    dense_lr: float = 0.02
-    momentum: float = 0.9                # SGD only
-    embedding_lr: float = 0.1
     batched: bool = True
-    #: arrival trace shape fed to the DynamicBatcher. The wait bound is
-    #: generous so every training batch forms full and deterministically.
-    arrival_rate_rps: float = 256.0
-    service_seconds: float = 0.004
-    max_wait_seconds: float = 1e6
 
     def __post_init__(self) -> None:
         check_positive("steps", self.steps)
         check_positive("batch_size", self.batch_size)
         check_in("scheme", self.scheme, tuple(_ORAM_CLASSES))
-        check_in("optimizer", self.optimizer, ("adam", "sgd"))
-        check_positive("dense_lr", self.dense_lr)
-        check_positive("embedding_lr", self.embedding_lr)
-        check_positive("arrival_rate_rps", self.arrival_rate_rps)
-        check_positive("service_seconds", self.service_seconds)
 
     def to_dict(self) -> Dict:
         return {
             "steps": self.steps,
             "batch_size": self.batch_size,
             "scheme": self.scheme,
-            "table_sizes": list(self.table_sizes),
-            "num_dense": self.num_dense,
-            "embedding_dim": self.embedding_dim,
-            "optimizer": self.optimizer,
-            "dense_lr": self.dense_lr,
-            "embedding_lr": self.embedding_lr,
+            "table_sizes": list(TABLE_SIZES),
+            "num_dense": NUM_DENSE,
+            "embedding_dim": EMBEDDING_DIM,
+            "optimizer": "adam",
+            "dense_lr": DENSE_LR,
+            "embedding_lr": EMBEDDING_LR,
             "batched": self.batched,
         }
 
@@ -171,10 +168,9 @@ class TrainingLoop:
                  seed: int = 0) -> None:
         self.config = config
         self.seed = int(seed)
-        spec = DlrmDatasetSpec(name="train-synthetic",
-                               num_dense=config.num_dense,
-                               table_sizes=tuple(config.table_sizes),
-                               embedding_dim=config.embedding_dim)
+        spec = DlrmDatasetSpec(name="train-synthetic", num_dense=NUM_DENSE,
+                               table_sizes=TABLE_SIZES,
+                               embedding_dim=EMBEDDING_DIM)
         self.dataset = SyntheticCtrDataset(spec, seed=self.seed)
 
         # One generator feeds model init and every per-table ORAM, in a
@@ -191,25 +187,17 @@ class TrainingLoop:
 
         self.model = DLRM(
             spec, factory,
-            bottom_sizes=(config.num_dense, config.bottom_hidden,
-                          config.embedding_dim),
-            top_hidden_sizes=(config.top_hidden,),
+            bottom_sizes=(NUM_DENSE, BOTTOM_HIDDEN, EMBEDDING_DIM),
+            top_hidden_sizes=(TOP_HIDDEN,),
             rng=generator)
-        self.optimizer = self._build_optimizer()
-        self.batcher = DynamicBatcher(
-            BatchingPolicy(max_batch_size=config.batch_size,
-                           max_wait_seconds=config.max_wait_seconds),
-            lookahead=self._on_batch_formed)
-        self._formed: List[Tuple[ScheduledBatch, np.ndarray]] = []
-
-    def _build_optimizer(self) -> Optimizer:
         # model.parameters() holds only the dense MLP weights — the
         # embedding rows live in the ORAMs, not in autograd Parameters.
-        params = list(self.model.parameters())
-        if self.config.optimizer == "sgd":
-            return SGD(params, lr=self.config.dense_lr,
-                       momentum=self.config.momentum)
-        return Adam(params, lr=self.config.dense_lr)
+        self.optimizer = Adam(list(self.model.parameters()), lr=DENSE_LR)
+        self.batcher = DynamicBatcher(
+            BatchingPolicy(max_batch_size=config.batch_size,
+                           max_wait_seconds=MAX_WAIT_SECONDS),
+            lookahead=self._on_batch_formed)
+        self._formed: List[Tuple[ScheduledBatch, np.ndarray]] = []
 
     def _on_batch_formed(self, batch: ScheduledBatch,
                          block_ids: np.ndarray) -> None:
@@ -229,10 +217,10 @@ class TrainingLoop:
         # The serving seam: requests arrive as a trace, the batcher forms
         # the training batches, and its lookahead hook hands each batch's
         # ids over before dispatch.
-        arrivals = np.arange(num_requests) / config.arrival_rate_rps
+        arrivals = np.arange(num_requests) / ARRIVAL_RATE_RPS
         self._formed.clear()
         self.batcher.schedule(arrivals,
-                              lambda n: config.service_seconds,
+                              lambda n: SERVICE_SECONDS,
                               block_ids=sparse)
 
         report = TrainingReport(config=config, seed=self.seed)
@@ -250,7 +238,7 @@ class TrainingLoop:
             loss.backward()
             grad_norm = 0.0
             for embedding in self.embeddings:
-                grad_norm += embedding.apply_gradients(config.embedding_lr)
+                grad_norm += embedding.apply_gradients(EMBEDDING_LR)
             self.optimizer.step()
 
             posmap_now = self._posmap_ops()
@@ -285,7 +273,3 @@ class TrainingLoop:
         """Current contents of every embedding table (parity checks)."""
         return [emb.dump_weights() for emb in self.embeddings]
 
-
-def build_training_loop(seed: int = 0, **overrides) -> TrainingLoop:
-    """Convenience constructor: config overrides as keyword arguments."""
-    return TrainingLoop(TrainingConfig(**overrides), seed=seed)

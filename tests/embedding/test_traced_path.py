@@ -13,7 +13,6 @@ from repro.embedding import (
     LinearScanEmbedding,
     PathOramEmbedding,
     TableEmbedding,
-    TTEmbedding,
 )
 from repro.oblivious.trace import READ, AccessEvent, MemoryTracer
 from repro.training import OnlineOramEmbedding
@@ -25,7 +24,6 @@ TRACED = {
     "scan": lambda: LinearScanEmbedding(N, D, rng=0),
     "table": lambda: TableEmbedding(N, D, rng=0),
     "dhe": lambda: DHEEmbedding(N, D, k=8, fc_sizes=(8,), rng=0),
-    "tt": lambda: TTEmbedding(N, D, rank=2, rng=0),
 }
 ORAMS = {
     "path-oram": lambda: PathOramEmbedding(N, D, rng=0),
@@ -107,16 +105,6 @@ class TestDeclaredPatterns:
         assert events == [AccessEvent(READ, f"dhe.{name}", row)
                           for name, param in dhe.decoder.named_parameters()
                           for row in range(len(param.data))]
-
-    def test_tt_reads_the_three_cores_per_id(self):
-        tt = TRACED["tt"]()
-        _, events = traced(tt, IDS)
-        expected = []
-        for index in IDS.reshape(-1):
-            parts = tt.split_index(np.asarray(index))
-            expected += [AccessEvent(READ, f"tt.core{core}", int(part))
-                         for core, part in enumerate(parts, start=1)]
-        assert events == expected
 
 
 class TestHybridTracesItsActiveTechnique:

@@ -23,7 +23,7 @@ from repro.costmodel.latency import (
 )
 from repro.costmodel.memory import dhe_bytes
 from repro.data import KAGGLE_TABLE_SIZES
-from repro.embedding import DHEEmbedding, TTEmbedding
+from repro.embedding import DHEEmbedding
 from repro.nn.losses import mse
 from repro.nn.optim import Adam
 from repro.oram import CircuitORAM, PathORAM, RingORAM
@@ -78,15 +78,6 @@ class TestDheAblations:
         for adopted, aggressive in zip(k_only, all_width):
             assert 0.25 < adopted < 0.8
             assert aggressive < 0.5 * adopted
-
-    def test_tt_compresses_harder_but_is_not_oblivious(self):
-        """The security/efficiency separation of §VII."""
-        rows, dim = 100_000, 16
-        tt = TTEmbedding(rows, dim, rank=8, rng=0)
-        dhe = DHEEmbedding(rows, dim, k=256, fc_sizes=(128,), rng=0)
-        assert tt.footprint_bytes() < dhe.footprint_bytes() < rows * dim * 4
-        assert not tt.is_oblivious and dhe.is_oblivious
-        assert tt.modelled_latency(32) < dhe.modelled_latency(32)
 
 
 class TestOramAblations:

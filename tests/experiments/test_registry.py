@@ -117,6 +117,45 @@ class TestTable2:
         assert data_access_verdict(leaky).startswith("NOT protected")
 
 
+@pytest.mark.parametrize("row, technique, module, name", [
+    pytest.param("Table: ORAM", "circuit-oram", "repro.oram.position_map",
+                 "ct_eq", id="oram"),
+    pytest.param("Table: Linear Scan", "scan", "repro.embedding.scan",
+                 "linear_scan_batch_vectorized", id="scan"),
+    pytest.param("DHE (FC)", "dhe", "repro.nn.layers", "ReLU.infer",
+                 id="dhe-fc"),
+])
+def test_table2_control_flow_cells_name_called_code(row, technique, module,
+                                                    name, monkeypatch):
+    """A re-worded control-flow cell names a function (``module.name``),
+    and replaying the row's ``technique_subject`` calls that function."""
+    import importlib
+
+    from repro.experiments.table02_security import D, N
+    from repro.oblivious.trace import MemoryTracer
+    from repro.telemetry.audit import technique_subject
+
+    result = run_experiment("table2")
+    cells = dict(zip(result.column("technique"),
+                     result.column("secret_dependent_control_flow")))
+    assert name in cells[row]
+    owner = importlib.import_module(module)
+    *parents, attribute = name.split(".")
+    for parent in parents:
+        owner = getattr(owner, parent)
+    original = getattr(owner, attribute)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attribute, counted)
+    subject = technique_subject(technique, N, D)
+    subject.run(MemoryTracer(), subject.secrets[0])
+    assert calls
+
+
 class TestFig3:
     def test_attack_succeeds_and_defence_flattens(self):
         result = run_experiment("fig3", repeats=3)

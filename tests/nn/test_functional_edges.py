@@ -1,8 +1,7 @@
-"""Edge-case coverage for ``repro.nn.functional`` and pooled lookups:
-empty batches, length-1 softmax axes, and all-masked pooled rows."""
+"""Edge-case coverage for ``repro.nn.functional``: empty batches and
+length-1 softmax axes."""
 
 import numpy as np
-import pytest
 
 from repro.nn import functional as F
 from repro.nn.layers import MLP, LayerNorm, Linear
@@ -54,35 +53,3 @@ class TestLengthOneSoftmaxAxis:
         x = Tensor(np.array([[3.0], [5.0]]), requires_grad=True)
         F.softmax(x, axis=-1).sum().backward()
         np.testing.assert_allclose(x.grad, np.zeros((2, 1)), atol=1e-12)
-
-
-class TestPooledMaskedRows:
-    @pytest.fixture
-    def table(self):
-        from repro.embedding.table import TableEmbedding
-
-        return TableEmbedding(8, 4, rng=0)
-
-    def test_all_masked_row_rejected(self, table):
-        indices = np.zeros((2, 3), dtype=np.int64)
-        with pytest.raises(ValueError, match=r"lengths must be in \[1"):
-            table.forward_pooled(indices, lengths=[0, 2])
-
-    def test_over_length_rejected(self, table):
-        indices = np.zeros((2, 3), dtype=np.int64)
-        with pytest.raises(ValueError, match=r"lengths must be in \[1"):
-            table.forward_pooled(indices, lengths=[2, 4])
-
-    def test_padding_is_masked_but_still_looked_up(self, table):
-        # rows reduce over their true lengths; pads don't affect values
-        indices = np.array([[1, 2, 3], [4, 5, 6]])
-        short = table.generate_pooled(indices, lengths=[1, 3])
-        np.testing.assert_allclose(short[0], table.generate([1])[0])
-        np.testing.assert_allclose(
-            short[1], table.generate([4, 5, 6]).sum(axis=0))
-
-    def test_mean_uses_true_lengths(self, table):
-        indices = np.array([[1, 2, 0]])
-        pooled = table.generate_pooled(indices, mode="mean", lengths=[2])
-        np.testing.assert_allclose(
-            pooled[0], table.generate([1, 2]).mean(axis=0))

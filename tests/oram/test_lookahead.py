@@ -459,24 +459,14 @@ class TestStashPressure:
     def test_batched_overflow_fires_the_signal(self, oram_class):
         from repro.oram import StashOverflowError
 
-        oram, _ = build_pressured_batched(oram_class)
+        oram, relieve = build_pressured_batched(oram_class)
         with pytest.raises(StashOverflowError):
             oram.access_batch(list(range(16)))
         assert oram.stats.stash_overflows == 1
         assert oram.stash.occupancy > 0
-
-    def test_background_evict_recovers_then_batched_retry_works(
-            self, oram_class):
-        from repro.oram import StashOverflowError
-
-        oram, relieve = build_pressured_batched(oram_class)
-        with pytest.raises(StashOverflowError):
-            oram.access_batch(list(range(16)))
-        stranded = oram.stash.occupancy
+        # Once the pressure is gone the batched path works again and no
+        # block was lost.
         relieve()
-        oram.background_evict(passes=2 * oram.levels + 4)
-        assert oram.stash.occupancy < stranded
-        # The batched path works again and no block was lost.
         oram.access_batch(list(range(16)))
         np.testing.assert_array_equal(
             np.stack([oram.read(b) for b in range(N)]), make_payloads())

@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 from repro.oblivious.primitives import ct_eq, ct_select
 from repro.oblivious.trace import READ, WRITE, MemoryTracer
 from repro.oram.circuit_oram import CircuitORAM
-from repro.oram.position_map import FlatPositionMap, OramPositionMap
+from repro.oram.position_map import (
+    POSMAP_COMPRESSION,
+    FlatPositionMap,
+    OramPositionMap,
+)
 
 LEAVES = st.integers(0, 1 << 31)
 
@@ -185,9 +189,9 @@ class TestOramPositionMap:
         updates = data.draw(st.lists(st.tuples(
             st.integers(0, len(initial) - 1), LEAVES), max_size=12))
         for block_id, new_leaf in updates:
-            chunk_id, offset = divmod(block_id, posmap.compression)
+            chunk_id, offset = divmod(block_id, POSMAP_COMPRESSION)
             old_leaf = 0
-            for lane in range(posmap.compression):
+            for lane in range(POSMAP_COMPRESSION):
                 match = ct_eq(lane, offset)
                 entry = float(mirror[chunk_id, lane])
                 old_leaf = ct_select(match, int(entry), old_leaf)

@@ -92,11 +92,11 @@ class TestProtocolInvariants:
                     oram.read(block)
                 for _ in range(4):
                     tracer.clear()
-                    oram.background_evict()
+                    oram._evict_path(oram._next_eviction_leaf())
                     per_pass.add(sum(event.region.endswith("stash0")
                                      for event in tracer))
                 assert oram.total_resident_blocks() == 64
-        scans = (oram.levels + 1) * (oram.bucket_size + 1)
+        scans = (oram.tree.levels + 1) * (oram.bucket_size + 1)
         assert per_pass == {scans * oram.stash.capacity}
 
 

@@ -88,16 +88,6 @@ class TestShuffleSchedule:
         revealed = oram.stats.revealed_leaves
         assert len(set(revealed)) == len(revealed) == oram.period
 
-    def test_background_evict_is_an_early_reshuffle(self):
-        oram = make_oram()
-        oram.read(1)
-        assert oram.stash.occupancy == 1
-        occupancy = oram.background_evict()
-        assert occupancy == 0
-        assert oram.stats.eviction_passes == 1
-        # Post-shuffle reads still return the right values.
-        np.testing.assert_array_equal(oram.read(1), make_payloads()[1])
-
     def test_stash_bound_enforced(self):
         # A shelter bound below the period trips mid-period and counts
         # the overflow.
@@ -128,7 +118,6 @@ class TestAccounting:
 
     def test_no_tree_introspection(self):
         oram = make_oram()
-        assert oram.levels == 0
         assert oram.total_resident_blocks() == N
 
 

@@ -1,6 +1,6 @@
-"""The examples run: CI lints them, this executes the two that drive the
-judge and the attackers end to end (a deleted API breaks them silently
-otherwise)."""
+"""The examples run: CI lints them, this executes the ones that drive the
+judge, the attackers and the ORAM internals end to end (a deleted API
+breaks them silently otherwise)."""
 
 import os
 import runpy
@@ -14,6 +14,9 @@ EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)),
 @pytest.mark.parametrize("script, expected", [
     ("quickstart.py", ["lookup: NOT oblivious", "scan: oblivious over 3"]),
     ("cache_attack_demo.py", ["attack SUCCEEDED", "(the whole table)"]),
+    ("oram_explorer.py", ["tree: 8 levels", "capacity bound 150",
+                          "capacity bound 10", "revealed leaves: 205/256",
+                          "all 256 blocks verified intact"]),
 ])
 def test_example_runs(script, expected, capsys):
     runpy.run_path(os.path.join(EXAMPLES, script), run_name="__main__")

@@ -165,35 +165,47 @@ def test_full_scans_are_declared_once_not_hand_rolled():
 
 
 def test_oblivious_core_keeps_only_what_runs():
-    """``repro.oram``/``repro.oblivious`` hold only code a program path
-    runs: no test-only cipher (``KeystreamCipher``, ``EncryptedBucketTree``),
-    sorting network, swap/ReLU/max primitives or Ring ORAM generator; no
-    settable value nothing sets (``Stash``/``BucketTree`` ``dtype``,
-    ``MemoryTracer`` ``enabled``, ``overflow_callback``); and no
-    position-map batch fallback that every map overrides."""
+    """``repro.oram``/``repro.oblivious``/``repro.embedding``/
+    ``repro.training`` hold only code a program path runs: no test-only
+    cipher (``KeystreamCipher``, ``EncryptedBucketTree``), sorting network,
+    swap/ReLU/max primitives, Ring ORAM generator, tensor-train comparator,
+    pooled or chunked lookup, background eviction or training-loop builder;
+    no settable value nothing sets (``Stash``/``BucketTree`` ``dtype``,
+    ``MemoryTracer`` ``enabled``, ``overflow_callback``, posmap
+    ``compression``, the online table's ``stash_capacity``, all but four
+    ``TrainingConfig`` fields); and no position-map batch fallback that
+    every map overrides."""
     import ast
+    import dataclasses
     import inspect
     import textwrap
 
+    from repro.embedding import EmbeddingGenerator
     from repro.oblivious.trace import MemoryTracer
     from repro.oram import (
         BucketTree,
         CircuitORAM,
+        OramPositionMap,
         PathORAM,
         PositionMap,
         RingORAM,
         SqrtORAM,
         Stash,
     )
+    from repro.training import OnlineOramEmbedding, TrainingConfig
 
-    for module in ("repro.oram.crypto", "repro.oblivious.sort"):
+    for module in ("repro.oram.crypto", "repro.oblivious.sort",
+                   "repro.embedding.tensor_train"):
         with pytest.raises(ImportError):
             importlib.import_module(module)
     deleted = {"KeystreamCipher", "EncryptedBucketTree", "bitonic_network",
                "oblivious_sort", "oblivious_shuffle", "oblivious_swap",
-               "branchless_relu", "oblivious_max", "RingOramEmbedding"}
+               "branchless_relu", "oblivious_max", "RingOramEmbedding",
+               "TTEmbedding", "balanced_factors", "exact_factors",
+               "build_training_loop"}
     for package in PACKAGES + ["repro.oblivious.primitives",
-                               "repro.embedding.oram_embedding"]:
+                               "repro.embedding.oram_embedding",
+                               "repro.training.loop"]:
         module = importlib.import_module(package)
         listed = deleted & set(getattr(module, "__all__", ()))
         assert not listed, (package, listed)
@@ -202,8 +214,20 @@ def test_oblivious_core_keeps_only_what_runs():
     for cls in (Stash, BucketTree, MemoryTracer):
         parameters = inspect.signature(cls).parameters
         assert not {"dtype", "enabled"} & set(parameters), cls.__name__
+    for cls in (OramPositionMap, OnlineOramEmbedding):
+        parameters = inspect.signature(cls).parameters
+        assert not {"compression", "stash_capacity"} & set(parameters), \
+            cls.__name__
     for scheme in (PathORAM, CircuitORAM, RingORAM, SqrtORAM):
-        assert not hasattr(scheme(8, 2, rng=0), "overflow_callback")
+        oram = scheme(8, 2, rng=0)
+        for name in ("overflow_callback", "background_evict",
+                     "_background_evict_pass", "levels"):
+            assert not hasattr(oram, name), (scheme.__name__, name)
+    for name in ("batched_forward", "forward_pooled", "generate_pooled"):
+        assert not hasattr(EmbeddingGenerator, name), name
+    assert not hasattr(OnlineOramEmbedding, "discard_gradients")
+    assert [field.name for field in dataclasses.fields(TrainingConfig)] == [
+        "steps", "batch_size", "scheme", "batched"]
 
     function = ast.parse(textwrap.dedent(
         inspect.getsource(PositionMap.lookup_and_update_batch))).body[0]

@@ -111,14 +111,6 @@ class TestGradientWriteback:
         with pytest.raises(RuntimeError, match="forward"):
             table.apply_gradients(0.1)
 
-    def test_discard_gradients_clears_pending(self):
-        table = make_table()
-        table.train()
-        table(np.array([1]))
-        table.discard_gradients()
-        with pytest.raises(RuntimeError):
-            table.apply_gradients(0.1)
-
     def test_grads_flow_through_a_real_loss(self):
         before = fixed_weight()
         table = make_table(weight=fixed_weight())
