@@ -49,8 +49,7 @@ def main() -> None:
     tokenizer = corpus.tokenizer
     prompt_text = tokenizer.decode(corpus.val_tokens[:8])
     prompt = np.array([tokenizer.encode(prompt_text)])
-    output = secure.generate(prompt, max_new_tokens=12,
-                             oblivious_sampling=True)
+    output = secure.generate(prompt, max_new_tokens=12)
     print(f"  prompt:    {prompt_text}")
     print(f"  generated: {tokenizer.decode(output[0, 8:])}")
     print("\nEvery stage of that generation has an input-independent memory "

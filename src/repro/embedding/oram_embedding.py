@@ -37,7 +37,6 @@ class _OramEmbeddingBase(EmbeddingGenerator):
     def __init__(self, num_embeddings: int, embedding_dim: int,
                  weight: Optional[np.ndarray] = None,
                  rng: SeedLike = None,
-                 tracer: Optional[MemoryTracer] = None,
                  **oram_kwargs) -> None:
         super().__init__(num_embeddings, embedding_dim)
         if weight is None:
@@ -48,7 +47,7 @@ class _OramEmbeddingBase(EmbeddingGenerator):
                 f"weight shape {weight.shape} != ({num_embeddings}, {embedding_dim})")
         self.oram = self.oram_class(num_embeddings, embedding_dim,
                                     initial_payloads=weight, rng=rng,
-                                    tracer=tracer, **oram_kwargs)
+                                    **oram_kwargs)
         #: the controller's cost-model name (for the analytic models)
         self.scheme = self.oram.scheme
 
@@ -59,11 +58,15 @@ class _OramEmbeddingBase(EmbeddingGenerator):
             if flat.size else np.zeros((0, self.embedding_dim))
         return Tensor(rows.reshape(*indices.shape, self.embedding_dim))
 
-    def generate_traced(self, indices, tracer: MemoryTracer) -> np.ndarray:
-        """Refused: the ORAM records to the tracer it was built with."""
-        raise TypeError(
-            f"{type(self).__name__} records its accesses to the tracer its "
-            "ORAM was constructed with (tracer=...), not to one per call")
+    @property
+    def _tracer(self) -> Optional[MemoryTracer]:
+        """The controller's binding: ``generate_traced`` binds the whole
+        ORAM, every recursion level included, for its one run."""
+        return self.oram.tracer
+
+    @_tracer.setter
+    def _tracer(self, tracer: Optional[MemoryTracer]) -> None:
+        self.oram.tracer = tracer
 
     def modelled_latency(self, batch: int, threads: int = 1) -> float:
         return oram_latency(self.scheme, self.num_embeddings,

@@ -239,10 +239,8 @@ def stage_subjects(spec: LlmServingSpec = LlmServingSpec(),
         # ordinals only; the ORAM hides which vocabulary row each lane
         # wanted.
         ids = [ord(symbol) % shape.vocab_size for symbol in secret]
-        oram = CircuitORAM(shape.vocab_size, shape.embed_dim, rng=seed,
-                           tracer=memory_tracer)
-        if memory_tracer is not None:
-            memory_tracer.clear()  # drop initialisation traffic
+        oram = CircuitORAM(shape.vocab_size, shape.embed_dim, rng=seed)
+        oram.tracer = memory_tracer
         for step in range(spec.new_tokens):
             lane_ids = np.array([ids[step % len(ids)]], dtype=np.int64)
             if tracer is not None:

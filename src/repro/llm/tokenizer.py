@@ -52,17 +52,16 @@ class ObliviousTokenizer:
     """One square-root ORAM access per symbol; trace = prompt length.
 
     ``tracer`` carries the ``llm.tokenize`` decision trace (ordinal
-    records only — exactly equivalent across same-length prompts);
-    ``memory_tracer`` is handed to the backing ORAM so the memory plane
-    can be audited separately in structural mode. The two planes are
+    records only — exactly equivalent across same-length prompts); the
+    backing ORAM's own binding (``oram.tracer``) carries the memory plane,
+    audited separately in structural mode. The two planes are
     deliberately separable: the standing audit conventions check each on
     its own tracer.
     """
 
     def __init__(self, vocab_size: int, embed_dim: int,
                  rng: SeedLike = None,
-                 tracer: Optional[MemoryTracer] = None,
-                 memory_tracer: Optional[MemoryTracer] = None) -> None:
+                 tracer: Optional[MemoryTracer] = None) -> None:
         check_positive("vocab_size", vocab_size)
         check_positive("embed_dim", embed_dim)
         self.vocab_size = vocab_size
@@ -73,8 +72,7 @@ class ObliviousTokenizer:
                                               generator)
         self.oram = SqrtORAM(vocab_size, embed_dim,
                              initial_payloads=self.vocabulary,
-                             rng=generator, tracer=memory_tracer,
-                             region_prefix="llm.vocab")
+                             rng=generator, region_prefix="llm.vocab")
 
     # ------------------------------------------------------------------
     def token_ids(self, prompt: str) -> List[int]:
@@ -157,9 +155,8 @@ def tokenizer_subjects(vocab_size: int = 64, embed_dim: int = 8,
                            tracer=tracer).tokenize(secret)
 
     def memory_run(tracer: MemoryTracer, secret: str) -> None:
-        tokenizer = ObliviousTokenizer(vocab_size, embed_dim, rng=seed,
-                                       memory_tracer=tracer)
-        tracer.clear()  # drop initialisation traffic
+        tokenizer = ObliviousTokenizer(vocab_size, embed_dim, rng=seed)
+        tokenizer.oram.tracer = tracer
         tokenizer.tokenize(secret)
 
     def leaky_run(tracer: MemoryTracer, secret: str) -> None:

@@ -156,17 +156,10 @@ class GPT(Module):
             raise ValueError(f"decode step expects (batch, 1), got {tokens.shape}")
         return self._cached_logits(tokens, caches, caches[0].length)
 
-    def generate(self, prompt: np.ndarray, max_new_tokens: int,
-                 oblivious_sampling: bool = True,
-                 top_k: Optional[int] = None, temperature: float = 1.0,
-                 rng=None) -> np.ndarray:
-        """Autoregressive generation; returns (batch, prompt+new) tokens.
-
-        Greedy by default. With ``top_k`` set, stochastic top-k/temperature
-        sampling is used instead. With ``oblivious_sampling`` the selection
-        runs through the constant-trace cmov primitives (§V-C and the
-        oblivious top-k extension); otherwise plain numpy.
-        """
+    def generate(self, prompt: np.ndarray, max_new_tokens: int) -> np.ndarray:
+        """Greedy autoregressive generation; returns (batch, prompt+new)
+        tokens. Each next token is the constant-trace cmov argmax of its
+        row's logits (§V-C)."""
         check_positive("max_new_tokens", max_new_tokens)
         prompt = np.asarray(prompt, dtype=np.int64)
         if prompt.ndim != 2:
@@ -175,38 +168,14 @@ class GPT(Module):
         caches = self.new_caches()
         logits = self.prefill(prompt, caches)
         sequence = prompt.copy()
-        generator = new_rng(rng)
         for _ in range(max_new_tokens):
-            next_tokens = self._pick_tokens(logits.data, oblivious_sampling,
-                                            top_k, temperature, generator)
+            next_tokens = np.array([oblivious_argmax_vectorized(row)
+                                    for row in logits.data], dtype=np.int64)
             sequence = np.concatenate([sequence, next_tokens[:, None]], axis=1)
             if sequence.shape[1] >= self.config.context_length:
                 break
             logits = self.decode_step(next_tokens[:, None], caches)
         return sequence
-
-    @staticmethod
-    def _pick_tokens(logits: np.ndarray, oblivious: bool,
-                     top_k: Optional[int], temperature: float,
-                     rng: np.random.Generator) -> np.ndarray:
-        if top_k is None:
-            if oblivious:
-                return np.array([oblivious_argmax_vectorized(row)
-                                 for row in logits],
-                                dtype=np.int64)
-            return logits.argmax(axis=-1).astype(np.int64)
-        if oblivious:
-            from repro.oblivious.sampling import oblivious_sample_batch
-
-            return oblivious_sample_batch(logits, top_k,
-                                          temperature=temperature, rng=rng)
-        tokens = []
-        for row in logits:
-            order = np.argsort(row)[::-1][:top_k]
-            scaled = row[order] / temperature
-            weights = np.exp(scaled - scaled.max())
-            tokens.append(rng.choice(order, p=weights / weights.sum()))
-        return np.array(tokens, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def num_non_embedding_parameters(self) -> int:

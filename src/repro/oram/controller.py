@@ -85,7 +85,6 @@ class OramController:
         # pressure. pack_factor = 1 is the classic one-leaf-per-block tree.
         self.pack_factor = pack_factor
         self.rng = new_rng(rng)
-        self.tracer = tracer
         self.stats = AccessStats()
         self.recursion_cutoff = (recursion_cutoff if recursion_cutoff is not None
                                  else self.DEFAULT_RECURSION_CUTOFF)
@@ -95,7 +94,7 @@ class OramController:
         prefix = region_prefix or self.__class__.__name__.lower()
         sized_blocks = (num_blocks + pack_factor - 1) // pack_factor
         self.tree = BucketTree(sized_blocks, block_width,
-                               bucket_size=bucket_size, tracer=tracer,
+                               bucket_size=bucket_size,
                                region=f"{prefix}.tree{_recursion_level}")
         # The configured stash bound counts blocks resident *between* accesses
         # (ZeroTrace convention); during an access up to a full path of blocks
@@ -103,12 +102,38 @@ class OramController:
         self.persistent_stash_capacity = stash_capacity or self.DEFAULT_STASH
         transient = bucket_size * (self.tree.levels + 1)
         self.stash = Stash(self.persistent_stash_capacity + transient, block_width,
-                           tracer=tracer, region=f"{prefix}.stash{_recursion_level}")
+                           region=f"{prefix}.stash{_recursion_level}")
 
         initial_leaves = self.rng.integers(0, self.tree.num_leaves,
                                            size=num_blocks, dtype=np.int64)
         self.position_map = self._build_position_map(initial_leaves, prefix)
         self._load(initial_payloads, initial_leaves)
+        self.tracer = tracer
+
+    # ------------------------------------------------------------------
+    # The one tracer binding
+    # ------------------------------------------------------------------
+    @property
+    def tracer(self) -> Optional[MemoryTracer]:
+        """The tracer every access records to (``None``: nothing).
+
+        Held once per controller: setting it rebinds the tree, the stash
+        and the flat map or, over a recursive map, the child controller —
+        and so every level below — in one walk, so each mover's untraced
+        check stays one attribute read.
+        """
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Optional[MemoryTracer]) -> None:
+        self._tracer = tracer
+        for part in self._traced_parts():
+            part.tracer = tracer
+
+    def _traced_parts(self) -> tuple:
+        """The parts that record beside the controller itself."""
+        return (self.tree, self.stash,
+                getattr(self.position_map, "_child", self.position_map))
 
     # ------------------------------------------------------------------
     # Construction
@@ -117,7 +142,7 @@ class OramController:
                             prefix: str) -> PositionMap:
         if self.num_blocks <= self.recursion_cutoff:
             return FlatPositionMap(
-                initial_leaves, tracer=self.tracer,
+                initial_leaves,
                 region=f"{prefix}.posmap{self._recursion_level}")
 
         def factory(num_chunks: int, width: int,
@@ -126,7 +151,7 @@ class OramController:
                 num_chunks, width, initial_payloads=payloads,
                 bucket_size=self.bucket_size,
                 recursion_cutoff=self.recursion_cutoff,
-                rng=self.rng, tracer=self.tracer, region_prefix=prefix,
+                rng=self.rng, region_prefix=prefix,
                 _recursion_level=self._recursion_level + 1)
 
         return OramPositionMap(initial_leaves, factory)

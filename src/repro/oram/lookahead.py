@@ -308,12 +308,12 @@ class SequentialLeakingBatcher:
 def batched_decision_runner(oram_factory, batcher=None):
     """Runner capturing only the ``oram.lookahead`` decision trace.
 
-    The ORAM is built *without* a tracer; the audit tracer is passed as
+    The ORAM is left unbound; the audit tracer is passed as
     ``plan_tracer`` only, so the captured trace contains exclusively the
     public scheduling decisions — audited in exact mode.
     """
     def run(tracer: MemoryTracer, secret: Sequence[Sequence[int]]) -> None:
-        oram = oram_factory(None)
+        oram = oram_factory()
         for batch in secret:
             if batcher is None:
                 oram.access_batch(list(batch), plan_tracer=tracer)
@@ -325,13 +325,13 @@ def batched_decision_runner(oram_factory, batcher=None):
 def batched_memory_runner(oram_factory, batcher=None):
     """Runner capturing the full memory trace (tree/stash/posmap regions).
 
-    Initialisation traffic is dropped; the batched trace is
-    count-constant by construction, so it is audited structurally (the
-    randomised-ORAM convention).
+    The tracer is bound once the ORAM is built, so only the batches are
+    recorded; the batched trace is count-constant by construction, so it
+    is audited structurally (the randomised-ORAM convention).
     """
     def run(tracer: MemoryTracer, secret: Sequence[Sequence[int]]) -> None:
-        oram = oram_factory(tracer)
-        tracer.clear()
+        oram = oram_factory()
+        oram.tracer = tracer
         for batch in secret:
             if batcher is None:
                 oram.access_batch(list(batch))
@@ -369,9 +369,9 @@ def lookahead_subjects(num_blocks: int = 32, block_width: int = 4,
     secrets = contrasting_batches(num_blocks, batch_size, num_batches)
 
     def factory(oram_class):
-        def build(tracer):
+        def build():
             return oram_class(num_blocks, block_width, rng=seed,
-                              stash_capacity=num_blocks, tracer=tracer)
+                              stash_capacity=num_blocks)
         return build
 
     subjects = []

@@ -70,12 +70,12 @@ class FlatPositionMap(PositionMap):
     """
 
     def __init__(self, initial_leaves: np.ndarray,
-                 tracer: Optional[MemoryTracer] = None,
                  region: str = "posmap") -> None:
         self.leaves = np.asarray(initial_leaves, dtype=np.int64).copy()
         check_positive("num_blocks", self.leaves.size)
         self.num_blocks = self.leaves.size
-        self.tracer = tracer
+        #: bound by the owning controller's ``tracer`` setter
+        self.tracer: Optional[MemoryTracer] = None
         self.region = region
         self.ops = 0
 

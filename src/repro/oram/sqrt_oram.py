@@ -67,7 +67,6 @@ class SqrtORAM(OramController):
         self.num_blocks = num_blocks
         self.block_width = block_width
         self.rng = new_rng(rng)
-        self.tracer = tracer
         self.stats = AccessStats()
 
         prefix = region_prefix or "sqrtoram"
@@ -81,7 +80,7 @@ class SqrtORAM(OramController):
         self.persistent_stash_capacity = max(self.num_dummies,
                                              stash_capacity or 0)
         self.stash = Stash(self.persistent_stash_capacity, block_width,
-                           tracer=tracer, region=f"{prefix}.shelter")
+                           region=f"{prefix}.shelter")
 
         if initial_payloads is None:
             initial_payloads = np.zeros((num_blocks, block_width))
@@ -96,10 +95,13 @@ class SqrtORAM(OramController):
         self._store = np.zeros((total, block_width), dtype=np.float64)
         self._store[self._perm[:num_blocks]] = initial_payloads
         self.position_map = FlatPositionMap(
-            self._perm[:num_blocks], tracer=tracer,
-            region=f"{prefix}.posmap")
+            self._perm[:num_blocks], region=f"{prefix}.posmap")
         self._next_dummy = 0
         self._accesses_in_period = 0
+        self.tracer = tracer
+
+    def _traced_parts(self) -> tuple:
+        return (self.stash, self.position_map)
 
     # ------------------------------------------------------------------
     # Store I/O (the addresses the attacker sees)

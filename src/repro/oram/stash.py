@@ -24,13 +24,13 @@ class Stash:
     """Fixed-capacity block buffer with oblivious full-scan semantics."""
 
     def __init__(self, capacity: int, block_width: int,
-                 tracer: Optional[MemoryTracer] = None,
                  region: str = "stash") -> None:
         check_positive("capacity", capacity)
         check_positive("block_width", block_width)
         self.capacity = capacity
         self.block_width = block_width
-        self.tracer = tracer
+        #: bound by the owning controller's ``tracer`` setter
+        self.tracer: Optional[MemoryTracer] = None
         self.region = region
         self.ids = np.full(capacity, DUMMY, dtype=np.int64)
         self.leaves = np.zeros(capacity, dtype=np.int64)

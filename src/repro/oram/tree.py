@@ -46,7 +46,6 @@ class BucketTree:
     """Array-backed complete binary tree of Z-slot buckets."""
 
     def __init__(self, num_blocks: int, block_width: int, bucket_size: int = 4,
-                 tracer: Optional[MemoryTracer] = None,
                  region: str = "tree") -> None:
         check_positive("block_width", block_width)
         check_positive("bucket_size", bucket_size)
@@ -55,7 +54,8 @@ class BucketTree:
         self.num_buckets = (1 << (self.levels + 1)) - 1
         self.bucket_size = bucket_size
         self.block_width = block_width
-        self.tracer = tracer
+        #: bound by the owning controller's ``tracer`` setter
+        self.tracer: Optional[MemoryTracer] = None
         self.region = region
         self.ids = np.full((self.num_buckets, bucket_size), DUMMY, dtype=np.int64)
         self.leaves = np.zeros((self.num_buckets, bucket_size), dtype=np.int64)

@@ -443,27 +443,38 @@ def technique_subject(technique: str, num_embeddings: int = 16,
     this subject's ``run``.
     """
     from repro.embedding.dhe import DHEEmbedding
+    from repro.embedding.oram_embedding import (
+        CircuitOramEmbedding,
+        PathOramEmbedding,
+    )
     from repro.embedding.scan import LinearScanEmbedding
     from repro.embedding.table import TableEmbedding
-    from repro.oram.circuit_oram import CircuitORAM
-    from repro.oram.path_oram import PathORAM
     from repro.oram.sqrt_oram import SqrtORAM
 
     secrets = contrasting_secrets(num_embeddings, sequence_length)
-    orams = {"path-oram": PathORAM, "circuit-oram": CircuitORAM,
-             "sqrt-oram": SqrtORAM}
+    orams = {"path-oram": PathOramEmbedding,
+             "circuit-oram": CircuitOramEmbedding}
     if technique in orams:
         def run_oram(tracer: MemoryTracer, secret: Sequence[int]) -> None:
             # Rebuild from the same seed per secret so the controller's
-            # randomness is replayed, then drop initialisation traffic.
-            oram = orams[technique](num_embeddings, embedding_dim, rng=seed,
-                                    stash_capacity=num_embeddings,
-                                    tracer=tracer)
-            tracer.clear()
+            # randomness is replayed.
+            orams[technique](num_embeddings, embedding_dim, rng=seed,
+                             stash_capacity=num_embeddings
+                             ).generate_traced(np.asarray(secret), tracer)
+
+        return AuditSubject(technique, run_oram, secrets,
+                            mode=MODE_STRUCTURAL)
+
+    if technique == "sqrt-oram":
+        def run_sqrt(tracer: MemoryTracer, secret: Sequence[int]) -> None:
+            # No generator holds a square-root ORAM: replay the controller.
+            oram = SqrtORAM(num_embeddings, embedding_dim, rng=seed,
+                            stash_capacity=num_embeddings)
+            oram.tracer = tracer
             for block in secret:
                 oram.read(int(block))
 
-        return AuditSubject(technique, run_oram, secrets,
+        return AuditSubject(technique, run_sqrt, secrets,
                             mode=MODE_STRUCTURAL)
 
     if technique == "scan":

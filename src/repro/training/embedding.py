@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.embedding.oram_embedding import _OramEmbeddingBase
 from repro.nn.tensor import Tensor, is_grad_enabled
-from repro.oblivious.trace import MemoryTracer
 from repro.oram.controller import OramController
 from repro.oram.path_oram import PathORAM
 from repro.utils.rng import SeedLike, new_rng
@@ -47,7 +46,6 @@ class OnlineOramEmbedding(_OramEmbeddingBase):
                  oram_class: Type[OramController] = PathORAM,
                  weight: Optional[np.ndarray] = None,
                  rng: SeedLike = None,
-                 tracer: Optional[MemoryTracer] = None,
                  batched: bool = True,
                  **oram_kwargs) -> None:
         # The weight draw comes first: the ORAM is then built from the
@@ -61,8 +59,8 @@ class OnlineOramEmbedding(_OramEmbeddingBase):
         # a table-sized persistent stash bound keeps small training tables
         # out of StashOverflowError territory.
         super().__init__(num_embeddings, embedding_dim, weight=weight,
-                         rng=generator, tracer=tracer,
-                         stash_capacity=num_embeddings, **oram_kwargs)
+                         rng=generator, stash_capacity=num_embeddings,
+                         **oram_kwargs)
         self.batched = batched
         if not batched:
             # Instance attribute shadows the class flag: access_batch takes

@@ -26,9 +26,9 @@ TRACED = {
     "dhe": lambda: DHEEmbedding(N, D, k=8, fc_sizes=(8,), rng=0),
 }
 ORAMS = {
-    "path-oram": lambda: PathOramEmbedding(N, D, rng=0),
-    "circuit-oram": lambda: CircuitOramEmbedding(N, D, rng=0),
-    "oram-online": lambda: OnlineOramEmbedding(N, D, rng=0),
+    "path-oram": lambda **kw: PathOramEmbedding(N, D, rng=0, **kw),
+    "circuit-oram": lambda **kw: CircuitOramEmbedding(N, D, rng=0, **kw),
+    "oram-online": lambda **kw: OnlineOramEmbedding(N, D, rng=0, **kw),
 }
 
 
@@ -126,20 +126,62 @@ class TestHybridTracesItsActiveTechnique:
         assert state(hybrid) == before
 
 
+def bindings(oram):
+    """The tracer every recording part of every recursion level holds."""
+    held = []
+    while True:
+        held += [oram.tracer, oram.tree.tracer, oram.stash.tracer]
+        child = getattr(oram.position_map, "_child", None)
+        if child is None:
+            return held + [oram.position_map.tracer]
+        oram = child
+
+
 @pytest.mark.parametrize("technique", sorted(ORAMS))
-def test_oram_generators_take_no_tracer_per_call(technique):
-    generator = ORAMS[technique]()
+def test_oram_generators_trace_their_generate(technique):
+    """The traced run returns ``generate``'s rows and records what the
+    generator's controller records when bound by hand and replayed."""
+    tracer = MemoryTracer()
+    out = ORAMS[technique]().generate_traced(IDS, tracer)
+    reference = ORAMS[technique]().eval().generate(IDS.reshape(-1))
+    assert out.tobytes() == reference.tobytes()
+
+    oram, replay = ORAMS[technique]().oram, MemoryTracer()
+    oram.tracer = replay
+    if technique == "oram-online":
+        oram.access_batch([int(index) for index in IDS.reshape(-1)])
+    else:
+        for index in IDS.reshape(-1):
+            oram.read(int(index))
+    assert len(tracer)
+    assert tracer.digest() == replay.digest()
+
+
+@pytest.mark.parametrize("technique", sorted(ORAMS))
+def test_oram_generators_restore_every_level_binding(technique):
+    generator = ORAMS[technique](recursion_cutoff=8)
+    assert hasattr(generator.oram.position_map, "_child")
+    outer = MemoryTracer()
+    generator.oram.tracer = outer
     before = state(generator)
     tracer = MemoryTracer()
-    with pytest.raises(TypeError, match="tracer"):
-        generator.generate_traced(IDS, tracer)
-    assert len(tracer) == 0
+    generator.generate_traced(IDS, tracer)
+    assert len(tracer)
+    assert all(held is outer for held in bindings(generator.oram))
     assert state(generator) == before
+
+    recorded = len(tracer)
+    with pytest.raises(IndexError):
+        generator.generate_traced(np.array([1, N]), tracer)
+    assert len(tracer) == recorded
+    assert all(held is outer for held in bindings(generator.oram))
+    assert state(generator) == before
+    assert len(outer) == 0
 
 
 def test_every_generator_is_covered_here():
     """No generator inherits a traced run that silently records nothing:
-    each concrete one is above, declaring events or refusing."""
+    each concrete one is above, declaring its events."""
     concrete, pending = set(), [EmbeddingGenerator]
     while pending:
         for subclass in pending.pop().__subclasses__():

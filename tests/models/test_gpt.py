@@ -142,9 +142,15 @@ class TestGenerate:
 
     def test_oblivious_and_plain_argmax_agree(self, model, rng):
         prompt = rng.integers(0, 50, size=(1, 5))
-        a = model.generate(prompt, max_new_tokens=4, oblivious_sampling=True)
-        b = model.generate(prompt, max_new_tokens=4, oblivious_sampling=False)
-        np.testing.assert_array_equal(a, b)
+        oblivious = model.generate(prompt, max_new_tokens=4)
+        caches = model.new_caches()
+        logits = model.prefill(prompt, caches)
+        plain = prompt.copy()
+        for _ in range(4):
+            next_tokens = np.argmax(logits.data, axis=-1)
+            plain = np.concatenate([plain, next_tokens[:, None]], axis=1)
+            logits = model.decode_step(next_tokens[:, None], caches)
+        np.testing.assert_array_equal(oblivious, plain)
 
     def test_stops_at_context_length(self, config, rng):
         model = GPT(config, rng=0)

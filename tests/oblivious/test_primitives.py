@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.oblivious.primitives import (
     ct_eq,
-    ct_lt,
     ct_select,
-    oblivious_argmax,
     oblivious_copy_row,
 )
 
@@ -26,12 +24,6 @@ class TestCtEq:
     def test_float_inputs(self):
         assert ct_eq(1.5, 1.5) == 1
         assert ct_eq(1.5, 1.6) == 0
-
-
-class TestCtLt:
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-    def test_matches_python_lt(self, a, b):
-        assert ct_lt(a, b) == int(a < b)
 
 
 class TestCtSelect:
@@ -63,19 +55,4 @@ class TestObliviousCopyRow:
         before = dst.copy()
         oblivious_copy_row(0, src, dst)
         np.testing.assert_allclose(dst, before)
-
-
-class TestObliviousArgmax:
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
-    @settings(max_examples=50)
-    def test_matches_numpy_argmax(self, values):
-        x = np.asarray(values)
-        assert oblivious_argmax(x) == int(np.argmax(x))
-
-    def test_first_of_ties(self):
-        assert oblivious_argmax([3.0, 3.0, 1.0]) == 0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            oblivious_argmax([])
 

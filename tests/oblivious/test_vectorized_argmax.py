@@ -5,10 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oblivious.primitives import (
-    oblivious_argmax,
-    oblivious_argmax_vectorized,
-)
+from repro.oblivious.primitives import oblivious_argmax_vectorized
 
 
 class TestTournamentArgmax:
@@ -40,23 +37,6 @@ class TestTournamentArgmax:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             oblivious_argmax_vectorized([])
-
-    def test_agrees_with_scalar_scan(self, rng):
-        for _ in range(20):
-            data = rng.normal(size=rng.integers(1, 50))
-            assert oblivious_argmax_vectorized(data) == \
-                oblivious_argmax(data)
-
-    def test_much_faster_than_scalar_at_vocab_scale(self):
-        from repro.utils.timing import time_callable
-
-        logits = np.random.default_rng(0).normal(size=50_257)
-        fast = time_callable(lambda: oblivious_argmax_vectorized(logits),
-                             repeats=3)
-        slow = time_callable(lambda: oblivious_argmax(logits[:5000]),
-                             repeats=1, warmup=0)
-        # The scalar scan on a tenth of the vocabulary is already slower.
-        assert fast < slow
 
 
 class TestArgmaxOverheadClaim:

@@ -150,6 +150,59 @@ def test_failing_update_fn_leaves_the_trace_of_a_successful_access(scheme,
     assert digests[0] == digests[1]
 
 
+
+#: every controller, the tree ones over a two-level recursive map
+BINDABLE = {
+    "path": lambda **kw: PathORAM(64, 2, rng=3, recursion_cutoff=8, **kw),
+    "circuit": lambda **kw: CircuitORAM(64, 2, rng=3, recursion_cutoff=8,
+                                        **kw),
+    "ring": lambda **kw: RingORAM(64, 2, rng=3, recursion_cutoff=8, **kw),
+    "sqrt": lambda **kw: SqrtORAM(64, 2, rng=3, **kw),
+}
+
+
+def _drive(oram):
+    for block in (0, 63, 7, 7, 40):
+        oram.read(block)
+    oram.access_batch([5, 9, 5])
+
+
+def _bound(oram):
+    """The tracer held by every recording part of every recursion level."""
+    held = [oram.tracer, oram.stash.tracer]
+    if hasattr(oram, "tree"):
+        held.append(oram.tree.tracer)
+    child = getattr(oram.position_map, "_child", None)
+    if child is None:
+        return held + [oram.position_map.tracer]
+    return held + _bound(child)
+
+
+@pytest.mark.parametrize("name", sorted(BINDABLE))
+class TestTracerBinding:
+    def test_binding_after_construction_equals_construction_time(self, name):
+        at_build, after = MemoryTracer(), MemoryTracer()
+        built = BINDABLE[name](tracer=at_build)
+        bound = BINDABLE[name]()
+        bound.tracer = after
+        assert all(held is after for held in _bound(bound))
+        _drive(built)
+        _drive(bound)
+        assert len(after)
+        assert at_build.digest() == after.digest()
+        if name != "sqrt":   # the child level's flat map recorded too
+            assert any(event.region.endswith("posmap1") for event in after)
+
+    def test_rebinding_to_none_records_nothing_further(self, name):
+        tracer = MemoryTracer()
+        oram = BINDABLE[name](tracer=tracer)
+        _drive(oram)
+        recorded = len(tracer)
+        oram.tracer = None
+        assert _bound(oram) == [None] * len(_bound(oram))
+        _drive(oram)
+        assert len(tracer) == recorded
+
 class TestRecursion:
     def test_recursive_posmap_correctness(self, oram_class, rng):
         data = rng.normal(size=(200, 2))

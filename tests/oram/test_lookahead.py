@@ -240,7 +240,8 @@ class TestBatchedPositionMap:
 class TestStashDisciplines:
     def test_take_matching_is_one_scan_and_bounded(self):
         tracer = MemoryTracer()
-        stash = Stash(8, 2, tracer=tracer)
+        stash = Stash(8, 2)
+        stash.tracer = tracer
         for block in range(5):
             stash.add(block, leaf=1, payload=np.zeros(2))
         tracer.clear()
@@ -359,17 +360,17 @@ class TestRecursiveMapAudit:
 
     @classmethod
     def factory(cls, oram_class, seed):
-        def build(tracer):
+        def build():
             return oram_class(cls.NUM_BLOCKS, WIDTH, rng=seed,
                               stash_capacity=cls.NUM_BLOCKS,
-                              recursion_cutoff=cls.CUTOFF, tracer=tracer)
+                              recursion_cutoff=cls.CUTOFF)
         return build
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("oram_class", SCHEMES)
     def test_plan_exact_and_memory_structural(self, oram_class, seed):
         build = self.factory(oram_class, seed)
-        assert isinstance(build(None).position_map, OramPositionMap)
+        assert isinstance(build().position_map, OramPositionMap)
         auditor = LeakageAuditor()
         auditor.require(AuditSubject(
             "recursive-lookahead-plan", batched_decision_runner(build),

@@ -71,7 +71,8 @@ class TestFlatPositionMap:
 
     def test_scan_touches_all_entries(self):
         tracer = MemoryTracer()
-        posmap = FlatPositionMap(np.arange(5), tracer=tracer, region="pm")
+        posmap = FlatPositionMap(np.arange(5), region="pm")
+        posmap.tracer = tracer
         posmap.lookup_and_update(3, 0)
         reads = [e for e in tracer if e.op == "R"]
         writes = [e for e in tracer if e.op == "W"]
@@ -82,7 +83,8 @@ class TestFlatPositionMap:
         digests = set()
         for block in (0, 2, 4):
             tracer = MemoryTracer()
-            posmap = FlatPositionMap(np.arange(5), tracer=tracer)
+            posmap = FlatPositionMap(np.arange(5))
+            posmap.tracer = tracer
             posmap.lookup_and_update(block, 1)
             digests.add(tracer.digest())
         assert len(digests) == 1
@@ -98,7 +100,8 @@ class TestFlatPositionMap:
         digest equal the per-element reference after every step."""
         initial, steps = program
         tracer, oracle_tracer = MemoryTracer(), MemoryTracer()
-        posmap = FlatPositionMap(np.array(initial), tracer=tracer, region="pm")
+        posmap = FlatPositionMap(np.array(initial), region="pm")
+        posmap.tracer = tracer
         oracle = ScalarScanOracle(initial, oracle_tracer, "pm")
         for method, *args in steps:
             got = getattr(posmap, method)(*args)
@@ -133,7 +136,8 @@ class TestFlatPositionMap:
     ])
     def test_bad_arguments_raise_before_any_event(self, call):
         tracer = MemoryTracer()
-        posmap = FlatPositionMap(np.arange(4), tracer=tracer)
+        posmap = FlatPositionMap(np.arange(4))
+        posmap.tracer = tracer
         with pytest.raises((IndexError, ValueError)):
             call(posmap)
         assert len(tracer) == 0 and posmap.work_ops() == 0

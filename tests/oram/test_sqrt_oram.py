@@ -125,8 +125,9 @@ class TestFlatMapExtensions:
     def test_lookup_preserves_values_and_traces_like_an_update(self):
         tracer_lookup = MemoryTracer()
         tracer_update = MemoryTracer()
-        a = FlatPositionMap(np.arange(8), tracer=tracer_lookup, region="pm")
-        b = FlatPositionMap(np.arange(8), tracer=tracer_update, region="pm")
+        a = FlatPositionMap(np.arange(8), region="pm")
+        b = FlatPositionMap(np.arange(8), region="pm")
+        a.tracer, b.tracer = tracer_lookup, tracer_update
         assert a.lookup(5) == 5
         b.lookup_and_update(5, 99)
         assert [e.op for e in tracer_lookup] == [

@@ -57,7 +57,8 @@ class TestStashBasics:
 class TestStashObliviousTraffic:
     def test_every_operation_scans_full_capacity(self):
         tracer = MemoryTracer()
-        stash = Stash(8, 3, tracer=tracer, region="s")
+        stash = Stash(8, 3, region="s")
+        stash.tracer = tracer
         stash.add(1, 0, np.zeros(3))
         assert len(tracer.addresses("s")) == 8
         tracer.clear()

@@ -74,7 +74,8 @@ class TestBucketAccess:
 
     def test_traced(self):
         tracer = MemoryTracer()
-        tree = BucketTree(8, 3, tracer=tracer, region="tr")
+        tree = BucketTree(8, 3, region="tr")
+        tree.tracer = tracer
         tree.read_bucket(0)
         tree.read_bucket_metadata(1)
         assert tracer.addresses("tr") == [0, 1]

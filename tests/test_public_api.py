@@ -168,23 +168,30 @@ def test_oblivious_core_keeps_only_what_runs():
     """``repro.oram``/``repro.oblivious``/``repro.embedding``/
     ``repro.training`` hold only code a program path runs: no test-only
     cipher (``KeystreamCipher``, ``EncryptedBucketTree``), sorting network,
-    swap/ReLU/max primitives, Ring ORAM generator, tensor-train comparator,
-    pooled or chunked lookup, background eviction or training-loop builder;
-    no settable value nothing sets (``Stash``/``BucketTree`` ``dtype``,
+    swap/ReLU/max/less-than primitives, scalar argmax, top-k/temperature
+    sampler, Ring ORAM generator, tensor-train comparator, pooled or
+    chunked lookup, background eviction or training-loop builder; no
+    settable value nothing sets (``Stash``/``BucketTree`` ``dtype``,
     ``MemoryTracer`` ``enabled``, ``overflow_callback``, posmap
     ``compression``, the online table's ``stash_capacity``, all but four
-    ``TrainingConfig`` fields); and no position-map batch fallback that
-    every map overrides."""
+    ``TrainingConfig`` fields, ``GPT.generate``'s sampling knobs); a
+    tracer only on a controller (the tree, stash, flat map, generators and
+    tokenizer take none, so there is one binding per ORAM); and no
+    position-map batch fallback that every map overrides."""
     import ast
     import dataclasses
     import inspect
     import textwrap
 
     from repro.embedding import EmbeddingGenerator
+    from repro.embedding.oram_embedding import _OramEmbeddingBase
+    from repro.llm import ObliviousTokenizer
+    from repro.models import GPT
     from repro.oblivious.trace import MemoryTracer
     from repro.oram import (
         BucketTree,
         CircuitORAM,
+        FlatPositionMap,
         OramPositionMap,
         PathORAM,
         PositionMap,
@@ -195,14 +202,16 @@ def test_oblivious_core_keeps_only_what_runs():
     from repro.training import OnlineOramEmbedding, TrainingConfig
 
     for module in ("repro.oram.crypto", "repro.oblivious.sort",
-                   "repro.embedding.tensor_train"):
+                   "repro.embedding.tensor_train",
+                   "repro.oblivious.sampling"):
         with pytest.raises(ImportError):
             importlib.import_module(module)
     deleted = {"KeystreamCipher", "EncryptedBucketTree", "bitonic_network",
                "oblivious_sort", "oblivious_shuffle", "oblivious_swap",
                "branchless_relu", "oblivious_max", "RingOramEmbedding",
                "TTEmbedding", "balanced_factors", "exact_factors",
-               "build_training_loop"}
+               "build_training_loop", "oblivious_topk", "oblivious_argmax",
+               "ct_lt", "oblivious_sample_top_k", "oblivious_sample_batch"}
     for package in PACKAGES + ["repro.oblivious.primitives",
                                "repro.embedding.oram_embedding",
                                "repro.training.loop"]:
@@ -218,6 +227,14 @@ def test_oblivious_core_keeps_only_what_runs():
         parameters = inspect.signature(cls).parameters
         assert not {"compression", "stash_capacity"} & set(parameters), \
             cls.__name__
+    for cls in (BucketTree, Stash, FlatPositionMap, OramPositionMap,
+                _OramEmbeddingBase, OnlineOramEmbedding):
+        assert "tracer" not in inspect.signature(cls).parameters, \
+            cls.__name__
+    assert "memory_tracer" not in inspect.signature(
+        ObliviousTokenizer).parameters
+    assert list(inspect.signature(GPT.generate).parameters) == [
+        "self", "prompt", "max_new_tokens"]
     for scheme in (PathORAM, CircuitORAM, RingORAM, SqrtORAM):
         oram = scheme(8, 2, rng=0)
         for name in ("overflow_callback", "background_evict",
@@ -765,8 +782,9 @@ def test_lazy_is_an_inert_shim():
 def test_one_traced_path_per_embedding_generator():
     """A generator's traced run is its eval-mode ``forward`` with a tracer
     bound: ``generate_traced`` is implemented once, in ``embedding/base.py``
-    (there were four hand-written twins beside the timed ``forward``), and
-    any other definition only raises. No embedding module wraps its
+    (there were four hand-written twins beside the timed ``forward``, then
+    an ORAM refusal while the controller kept its construction-time
+    tracer) and nothing overrides it. No embedding module wraps its
     weights in a ``TracedArray``, and the traced scan twin
     ``linear_scan_batch`` and ``TracedArray.read_all`` stay gone."""
     import ast
@@ -804,7 +822,7 @@ def test_one_traced_path_per_embedding_generator():
                                 for alias in node.names)):
                     importers.append(relative)
     assert implementations == [os.path.join("embedding", "base.py")]
-    assert refusals == [os.path.join("embedding", "oram_embedding.py")]
+    assert refusals == []
     assert importers == []
     assert "linear_scan_batch" not in repro.oblivious.__all__
     assert not hasattr(repro.oblivious, "linear_scan_batch")
