@@ -47,3 +47,16 @@ def check_gradient(build_output, x_value: np.ndarray, atol: float = 1e-5,
 
     numeric = numerical_gradient(scalar_fn, x_value.copy())
     np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=rtol)
+
+
+def tracer_bindings(oram) -> list:
+    """The tracer held by every recording part of every recursion level
+    of an ORAM controller: itself, its tree (square-root ORAM has none),
+    its stash and its flat map or recursive child."""
+    held = [oram.tracer, oram.stash.tracer]
+    if hasattr(oram, "tree"):
+        held.append(oram.tree.tracer)
+    child = getattr(oram.position_map, "_child", None)
+    if child is None:
+        return held + [oram.position_map.tracer]
+    return held + tracer_bindings(child)

@@ -16,6 +16,7 @@ from repro.embedding import (
 )
 from repro.oblivious.trace import READ, AccessEvent, MemoryTracer
 from repro.training import OnlineOramEmbedding
+from tests.conftest import tracer_bindings
 
 N, D = 24, 6
 IDS = np.array([[3, 0], [23, 3]])
@@ -126,17 +127,6 @@ class TestHybridTracesItsActiveTechnique:
         assert state(hybrid) == before
 
 
-def bindings(oram):
-    """The tracer every recording part of every recursion level holds."""
-    held = []
-    while True:
-        held += [oram.tracer, oram.tree.tracer, oram.stash.tracer]
-        child = getattr(oram.position_map, "_child", None)
-        if child is None:
-            return held + [oram.position_map.tracer]
-        oram = child
-
-
 @pytest.mark.parametrize("technique", sorted(ORAMS))
 def test_oram_generators_trace_their_generate(technique):
     """The traced run returns ``generate``'s rows and records what the
@@ -167,14 +157,14 @@ def test_oram_generators_restore_every_level_binding(technique):
     tracer = MemoryTracer()
     generator.generate_traced(IDS, tracer)
     assert len(tracer)
-    assert all(held is outer for held in bindings(generator.oram))
+    assert all(held is outer for held in tracer_bindings(generator.oram))
     assert state(generator) == before
 
     recorded = len(tracer)
     with pytest.raises(IndexError):
         generator.generate_traced(np.array([1, N]), tracer)
     assert len(tracer) == recorded
-    assert all(held is outer for held in bindings(generator.oram))
+    assert all(held is outer for held in tracer_bindings(generator.oram))
     assert state(generator) == before
     assert len(outer) == 0
 

@@ -9,6 +9,7 @@ from repro.oram.circuit_oram import CircuitORAM
 from repro.oram.path_oram import PathORAM
 from repro.oram.ring_oram import RingORAM
 from repro.oram.sqrt_oram import SqrtORAM
+from tests.conftest import tracer_bindings
 
 ORAM_CLASSES = [PathORAM, CircuitORAM]
 
@@ -167,17 +168,6 @@ def _drive(oram):
     oram.access_batch([5, 9, 5])
 
 
-def _bound(oram):
-    """The tracer held by every recording part of every recursion level."""
-    held = [oram.tracer, oram.stash.tracer]
-    if hasattr(oram, "tree"):
-        held.append(oram.tree.tracer)
-    child = getattr(oram.position_map, "_child", None)
-    if child is None:
-        return held + [oram.position_map.tracer]
-    return held + _bound(child)
-
-
 @pytest.mark.parametrize("name", sorted(BINDABLE))
 class TestTracerBinding:
     def test_binding_after_construction_equals_construction_time(self, name):
@@ -185,7 +175,7 @@ class TestTracerBinding:
         built = BINDABLE[name](tracer=at_build)
         bound = BINDABLE[name]()
         bound.tracer = after
-        assert all(held is after for held in _bound(bound))
+        assert all(held is after for held in tracer_bindings(bound))
         _drive(built)
         _drive(bound)
         assert len(after)
@@ -199,7 +189,7 @@ class TestTracerBinding:
         _drive(oram)
         recorded = len(tracer)
         oram.tracer = None
-        assert _bound(oram) == [None] * len(_bound(oram))
+        assert all(held is None for held in tracer_bindings(oram))
         _drive(oram)
         assert len(tracer) == recorded
 
