@@ -18,6 +18,15 @@ the full default reports of the cluster, migration, autoscale and cache
 sims at seeds 0 and 7, recorded at 970fcd8, while each of the five Fig 13
 drivers still built its own serving scaffold. Those digests are printed
 (``pytest -s``), so a log shows which report moved.
+
+:class:`TestFleetReplayLedger` pins the three long-trace reports the
+``sim_fleet_replay`` bench workload checks op to op: 50 000 requests
+through the engine, 10 000 through a 4-node R = 2 scatter-gather and
+1 000 through the default LLM pipeline. It was recorded at 87ce144, while
+the batcher still admitted requests one compare at a time and every
+priced stage re-derived its service time per batch. Traces this long
+reach the full-batch and tied-arrival boundaries of the batch walk that
+the 200–512-request ledger above does not.
 """
 
 import dataclasses
@@ -55,6 +64,7 @@ from repro.serving import (
     ServingConfig,
     ServingReport,
 )
+from repro.serving.requests import poisson_arrivals
 
 DIM = 64
 BATCH = 32
@@ -190,3 +200,40 @@ class TestFaultAndCacheLedger:
         actual = digest(run(seed=seed))
         print(f"\n{run.__module__} seed {seed} digest {actual}")
         assert actual == expected
+
+
+#: (requests, rate) of the engine, scatter and pipeline traces
+FLEET_TRACES = ((50_000, 1500.0), (10_000, 4000.0), (1_000, 200.0))
+
+
+def fleet_replay_digest(thresholds, seed: int = 0) -> str:
+    """sha256 over the engine latencies and the scatter and pipeline digests."""
+    engine_trace, scatter_trace, pipeline_trace = (
+        poisson_arrivals(count, rate,
+                         rng=np.random.default_rng((seed, stream)))
+        for stream, (count, rate) in enumerate(FLEET_TRACES))
+    config = ServingConfig(batch_size=BATCH, threads=1)
+    policy = BatchingPolicy(max_batch_size=BATCH, max_wait_seconds=0.002)
+    engine = ExecutionEngine(SIZES, DIM, DLRM_DHE_UNIFORM_64, thresholds)
+    plan = ShardPlanner(4, thresholds, DIM, DLRM_DHE_UNIFORM_64).plan(
+        SIZES, config)
+    scatter = ScatterGatherEngine(
+        SIZES, DIM, DLRM_DHE_UNIFORM_64, thresholds,
+        ShardRouter(4, replication=2, plan=plan),
+        retry=RetryPolicy(deadline_seconds=0.250))
+    hasher = hashlib.sha256(
+        engine.serve(config, engine_trace, policy).latencies.tobytes())
+    for report in (scatter.serve(config, scatter_trace, policy),
+                   build_llm_pipeline().serve(pipeline_trace)):
+        hasher.update(json.dumps(report.to_dict(), sort_keys=True,
+                                 allow_nan=False).encode())
+    return hasher.hexdigest()
+
+
+class TestFleetReplayLedger:
+    def test_long_traces_match_the_per_request_batch_walk(self,
+                                                          thresholds):
+        actual = fleet_replay_digest(thresholds)
+        print(f"\nfleet replay seed 0 digest {actual}")
+        assert actual == ("79053f726a8a754d1cf59e835eaf12c0"
+                          "e9c8246920ffaa2387e77a3ed7aff264")
