@@ -9,6 +9,7 @@ the engine's backend once per batch.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -114,9 +115,11 @@ class DynamicBatcher:
             oldest = float(arrivals[i])
             open_time = max(free_at, oldest)
             close_time = max(open_time, oldest + max_wait)
-            j = i + 1
-            while j < n and (j - i) < max_batch and arrivals[j] <= close_time:
-                j += 1
+            # The trace is sorted, so the admitted requests are the run
+            # after the oldest with arrival <= close_time, capped at a
+            # full batch.
+            j = bisect.bisect_right(arrivals, close_time, i + 1,
+                                    min(n, i + max_batch))
             if (j - i) == max_batch:
                 # Filled before the deadline: launch as soon as the last
                 # admitted request is in (and the replica is free).

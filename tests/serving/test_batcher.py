@@ -270,3 +270,52 @@ class TestSettle:
             np.zeros(4), lambda n: 1.0)
         with pytest.raises(ValueError, match="1 entries for 2 batches"):
             settle(batches, np.zeros(4), executed=[0.25])
+
+
+def per_request_walk(arrivals, policy, service_time):
+    """Reference: the batch walk that admitted one request per compare."""
+    arrivals = np.asarray(arrivals, dtype=np.float64)
+    max_batch = policy.max_batch_size
+    batches = []
+    free_at, i, n = 0.0, 0, arrivals.size
+    while i < n:
+        oldest = float(arrivals[i])
+        open_time = max(free_at, oldest)
+        close_time = max(open_time, oldest + policy.max_wait_seconds)
+        j = i + 1
+        while j < n and (j - i) < max_batch and arrivals[j] <= close_time:
+            j += 1
+        if (j - i) == max_batch:
+            start = max(open_time, float(arrivals[j - 1]))
+        else:
+            start = close_time
+        service = service_time(j - i)
+        batches.append((i, j, start, service))
+        free_at = start + service
+        i = j
+    return batches
+
+
+#: Longer sorted traces, mostly tied or packed, so batches fill and a
+#: busy replica's window swallows whole runs of equal timestamps.
+WALK_TRACES = st.lists(
+    st.sampled_from([0.0, 0.0, 0.0, 1e-12, 1e-6, 1e-4, 0.002, 0.5]),
+    min_size=1, max_size=300).map(np.cumsum)
+WALK_POLICIES = st.builds(
+    BatchingPolicy, max_batch_size=st.sampled_from([1, 2, 3, 8, 32, 400]),
+    max_wait_seconds=st.sampled_from([0.0, 1e-12, 1e-4, 1e9]))
+WALK_SERVICES = st.sampled_from([1e-5, 0.001, 0.05, 3.0])
+
+
+class TestBisectBatchWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(WALK_TRACES, WALK_POLICIES, WALK_SERVICES, st.booleans())
+    def test_every_batch_equals_the_per_request_walk(self, arrivals, policy,
+                                                     service, size_priced):
+        def service_time(size):
+            return service * size if size_priced else service
+
+        batches = DynamicBatcher(policy).schedule(arrivals, service_time)
+        assert ([(b.first, b.last, b.start_seconds, b.service_seconds)
+                 for b in batches]
+                == per_request_walk(arrivals, policy, service_time))
