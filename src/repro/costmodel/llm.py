@@ -125,14 +125,16 @@ def decode_latency(technique: str, shape: LlmShape, batch: int,
 
     This is what the latency-bound decode *pool* prices per batch — the
     per-token loop without the prefill term (prefill lives in its own
-    pool with its own batcher).
+    pool with its own batcher). The embedding fetch does not depend on
+    the context length, so it is priced once, outside the loop; each step
+    still adds ``transformer + embedding``, so the sum is unchanged.
     """
     check_positive("new_tokens", new_tokens)
+    embedding = embedding_stage_latency(technique, shape, batch, threads)
     total = 0.0
     for step in range(new_tokens):
         context = prompt_tokens + step
         transformer = decode_step_latency(shape, batch, context, threads)
-        embedding = embedding_stage_latency(technique, shape, batch, threads)
         total += transformer + embedding
     return total
 

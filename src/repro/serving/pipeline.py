@@ -7,8 +7,9 @@ scale, different autoscaled pools. This module chains stage bodies:
 * :class:`PipelineStage` — anything that turns an arrival trace into a
   :class:`StageResult` (a per-stage :class:`ServingReport` plus the
   departure times that become the next stage's arrivals);
-* :class:`PricedStage` — a stage priced by an arbitrary per-batch service
-  function (the LLM stages in :mod:`repro.llm.stages` are these);
+* :class:`PricedStage` — a stage priced by a per-batch service function
+  of the batch size alone, priced once per size (the LLM stages in
+  :mod:`repro.llm.stages` are these);
 * :class:`PipelineEngine` — chains stages (stage *k*'s departures are
   stage *k+1*'s arrivals) and folds the per-stage reports into a
   :class:`PipelineReport` with :meth:`ServingReport.compose`.
@@ -79,10 +80,12 @@ class PipelineStage:
 class PricedStage(PipelineStage):
     """A stage priced by a per-batch service-time function.
 
-    Schedule → settle with an arbitrary ``service_time(batch_size) ->
-    seconds`` in place of the engine's priced DLRM allocation — the shape
-    the LLM stages need (tokenize/prefill/decode each price a batch
-    through the cost model).
+    Schedule → settle with ``service_time(batch_size) -> seconds`` in
+    place of the engine's priced DLRM allocation — the shape the LLM
+    stages need (tokenize/prefill/decode each price a batch through the
+    cost model). ``service_time`` must be a pure function of the batch
+    size: it is called once per size ``1 … policy.max_batch_size`` at
+    construction, and :meth:`serve` schedules from that table.
 
     ``on_batch`` (optional) is called with each formed
     :class:`~repro.serving.batcher.ScheduledBatch` *after* scheduling —
@@ -94,12 +97,14 @@ class PricedStage(PipelineStage):
                  on_batch: Optional[Callable[..., None]] = None) -> None:
         self.name = name
         self.policy = policy
-        self.service_time = service_time
+        #: seconds per batch, indexed by batch size (index 0 is unused)
+        self.prices = [0.0] + [service_time(size) for size in
+                               range(1, policy.max_batch_size + 1)]
         self.on_batch = on_batch
 
     def serve(self, queue: RequestQueue) -> StageResult:
-        batches = DynamicBatcher(self.policy).schedule(queue.arrivals,
-                                                       self.service_time)
+        batches = DynamicBatcher(self.policy).schedule(
+            queue.arrivals, self.prices.__getitem__)
         queue_delays, service_latencies, departures = settle(
             batches, queue.arrivals)
         if self.on_batch is not None:

@@ -259,6 +259,23 @@ class TestPricedStage:
             result.report.service_latencies,
             [0.004] * 4 + [0.004] * 4 + [0.002] * 2)
 
+    def test_each_batch_size_is_priced_once_at_construction(self):
+        priced = []
+
+        def service_time(size):
+            priced.append(size)
+            return 0.001 * size
+
+        stage = PricedStage("t", BatchingPolicy(max_batch_size=5,
+                                                max_wait_seconds=0.001),
+                            service_time)
+        assert priced == [1, 2, 3, 4, 5]
+        for seed in range(3):
+            result = stage.serve(RequestQueue.poisson(200, 3000.0,
+                                                      rng=seed))
+            assert result.report.num_batches > 0
+        assert priced == [1, 2, 3, 4, 5]
+
     def test_departures_equal_arrival_plus_latency(self):
         stage = PricedStage("t",
                             BatchingPolicy(max_batch_size=3,
