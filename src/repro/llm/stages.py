@@ -36,7 +36,8 @@ from repro.llm.tokenizer import ObliviousTokenizer, contrasting_prompts
 from repro.oblivious.trace import READ, MemoryTracer
 from repro.oram.circuit_oram import CircuitORAM
 from repro.serving.batcher import BatchingPolicy
-from repro.serving.pipeline import PipelineEngine, PricedStage
+from repro.serving.pipeline import PipelineEngine, PricedStage, StageResult
+from repro.serving.requests import RequestQueue
 from repro.telemetry.audit import (
     MODE_EXACT,
     MODE_STRUCTURAL,
@@ -134,6 +135,28 @@ def per_node_capacity_rps(spec: LlmServingSpec, stage: str) -> float:
 # ----------------------------------------------------------------------
 # The pipeline itself.
 # ----------------------------------------------------------------------
+class _CountedStage(PricedStage):
+    """A priced stage that adds each serve's batch and request totals to
+    ``llm.stage.<name>.batches_total`` / ``.requests_total`` of the
+    registry that was current when it was built."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.registry = get_registry()
+
+    def serve(self, queue: RequestQueue) -> StageResult:
+        result = super().serve(queue)
+        report = result.report
+        if self.registry.enabled and report.num_batches:
+            self.registry.counter(
+                f"llm.stage.{self.name}.batches_total").inc(
+                    report.num_batches)
+            self.registry.counter(
+                f"llm.stage.{self.name}.requests_total").inc(
+                    report.num_requests)
+        return result
+
+
 def build_llm_pipeline(spec: LlmServingSpec = LlmServingSpec(),
                        on_decode_batch: Optional[Callable[..., None]] = None,
                        node_counts: Optional[Dict[str, int]] = None
@@ -165,43 +188,21 @@ def build_llm_pipeline(spec: LlmServingSpec = LlmServingSpec(),
             return price
         return lambda batch_size: price(batch_size) / nodes
 
-    registry = get_registry()
-
-    def count(stage_name: str) -> Callable[..., None]:
-        def observe(batch) -> None:
-            if registry.enabled:
-                registry.counter(
-                    f"llm.stage.{stage_name}.batches_total").inc()
-                registry.counter(
-                    f"llm.stage.{stage_name}.requests_total").inc(
-                        batch.size)
-        return observe
-
-    decode_hooks = [count("decode")]
-    if on_decode_batch is not None:
-        decode_hooks.append(on_decode_batch)
-
-    def decode_hook(batch) -> None:
-        for hook in decode_hooks:
-            hook(batch)
-
     stages = [
-        PricedStage("tokenize",
-                    BatchingPolicy(max_batch_size=spec.tokenize_batch,
-                                   max_wait_seconds=0.0),
-                    fleet(tokenize_service_time(spec), "tokenize"),
-                    on_batch=count("tokenize")),
-        PricedStage("prefill",
-                    BatchingPolicy(max_batch_size=spec.prefill_batch,
-                                   max_wait_seconds=spec
-                                   .prefill_wait_seconds),
-                    fleet(prefill_service_time(spec), "prefill"),
-                    on_batch=count("prefill")),
-        PricedStage("decode",
-                    BatchingPolicy(max_batch_size=spec.decode_batch,
-                                   max_wait_seconds=0.0),
-                    fleet(decode_service_time(spec), "decode"),
-                    on_batch=decode_hook),
+        _CountedStage("tokenize",
+                      BatchingPolicy(max_batch_size=spec.tokenize_batch,
+                                     max_wait_seconds=0.0),
+                      fleet(tokenize_service_time(spec), "tokenize")),
+        _CountedStage("prefill",
+                      BatchingPolicy(max_batch_size=spec.prefill_batch,
+                                     max_wait_seconds=spec
+                                     .prefill_wait_seconds),
+                      fleet(prefill_service_time(spec), "prefill")),
+        _CountedStage("decode",
+                      BatchingPolicy(max_batch_size=spec.decode_batch,
+                                     max_wait_seconds=0.0),
+                      fleet(decode_service_time(spec), "decode"),
+                      on_batch=on_decode_batch),
     ]
     return PipelineEngine(stages)
 

@@ -65,11 +65,24 @@ class TestFleetScaling:
 class TestTelemetry:
     def test_per_stage_counters_emitted(self):
         with use_registry() as registry:
-            build_llm_pipeline(SMALL).serve(burst())
+            report = build_llm_pipeline(SMALL).serve(burst())
         counters = registry.snapshot()["counters"]
         for stage in ("tokenize", "prefill", "decode"):
             assert counters[f"llm.stage.{stage}.requests_total"] == 12
-            assert counters[f"llm.stage.{stage}.batches_total"] >= 1
+            assert (counters[f"llm.stage.{stage}.batches_total"]
+                    == report.stage(stage).report.num_batches)
+
+    def test_counters_follow_a_registry_reset(self):
+        # Each serve looks its counters up again, so a reset between
+        # serves leaves exactly the second serve's totals.
+        with use_registry() as registry:
+            pipeline = build_llm_pipeline(SMALL)
+            pipeline.serve(burst())
+            registry.reset()
+            pipeline.serve(burst(count=5))
+        counters = registry.snapshot()["counters"]
+        for stage in ("tokenize", "prefill", "decode"):
+            assert counters[f"llm.stage.{stage}.requests_total"] == 5
 
     def test_decode_batch_seam_fires(self):
         seen = []
