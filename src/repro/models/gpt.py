@@ -168,11 +168,13 @@ class GPT(Module):
         caches = self.new_caches()
         logits = self.prefill(prompt, caches)
         sequence = prompt.copy()
-        for _ in range(max_new_tokens):
+        for step in range(max_new_tokens):
             next_tokens = np.array([oblivious_argmax_vectorized(row)
                                     for row in logits.data], dtype=np.int64)
             sequence = np.concatenate([sequence, next_tokens[:, None]], axis=1)
-            if sequence.shape[1] >= self.config.context_length:
+            # The last token's logits would go unused: stop once it is in.
+            if (step == max_new_tokens - 1
+                    or sequence.shape[1] >= self.config.context_length):
                 break
             logits = self.decode_step(next_tokens[:, None], caches)
         return sequence

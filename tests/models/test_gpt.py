@@ -152,6 +152,29 @@ class TestGenerate:
             logits = model.decode_step(next_tokens[:, None], caches)
         np.testing.assert_array_equal(oblivious, plain)
 
+    @pytest.mark.parametrize("new_tokens", [1, 2, 5])
+    def test_decodes_every_token_but_the_last(self, model, rng,
+                                              monkeypatch, new_tokens):
+        # The last new token's logits are never read, so generating k
+        # tokens runs k - 1 decode steps and keeps the same tokens.
+        prompt = rng.integers(0, 50, size=(2, 5))
+        caches = model.new_caches()
+        logits = model.prefill(prompt, caches)
+        expected = prompt.copy()
+        for _ in range(new_tokens):
+            next_tokens = np.argmax(logits.data, axis=-1)
+            expected = np.concatenate([expected, next_tokens[:, None]],
+                                      axis=1)
+            logits = model.decode_step(next_tokens[:, None], caches)
+        calls = []
+        decode_step = model.decode_step
+        monkeypatch.setattr(model, "decode_step",
+                            lambda *args: calls.append(1)
+                            or decode_step(*args))
+        out = model.generate(prompt, max_new_tokens=new_tokens)
+        assert len(calls) == new_tokens - 1
+        np.testing.assert_array_equal(out, expected)
+
     def test_stops_at_context_length(self, config, rng):
         model = GPT(config, rng=0)
         prompt = rng.integers(0, 50, size=(1, 30))
