@@ -137,23 +137,17 @@ def per_node_capacity_rps(spec: LlmServingSpec, stage: str) -> float:
 # ----------------------------------------------------------------------
 class _CountedStage(PricedStage):
     """A priced stage that adds each serve's batch and request totals to
-    ``llm.stage.<name>.batches_total`` / ``.requests_total`` of the
-    registry that was current when it was built."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.registry = get_registry()
+    ``llm.stage.<name>.batches_total`` / ``.requests_total``."""
 
     def serve(self, queue: RequestQueue) -> StageResult:
         result = super().serve(queue)
         report = result.report
-        if self.registry.enabled and report.num_batches:
-            self.registry.counter(
-                f"llm.stage.{self.name}.batches_total").inc(
-                    report.num_batches)
-            self.registry.counter(
-                f"llm.stage.{self.name}.requests_total").inc(
-                    report.num_requests)
+        registry = get_registry()
+        if registry.enabled and report.num_batches:
+            registry.counter(f"llm.stage.{self.name}.batches_total").inc(
+                report.num_batches)
+            registry.counter(f"llm.stage.{self.name}.requests_total").inc(
+                report.num_requests)
         return result
 
 
